@@ -8,7 +8,11 @@ from elapsed_ms, and reduced Groebner bases are canonical.
 
 Pool instances whose basis takes longer than POOL_ADMIT_S here, or that hit a
 size cap, get no digest and are never drawn; this bounds the run time of the
-gb workload, whose one pass already holds cyclic-5.
+gb workload, whose one pass already holds cyclic-5.  The build time recorded
+for each admitted instance is the least of POOL_TIMINGS runs at reference
+speed (speed.py): the workloads stratify their draws by it, and single
+timings on a noisy machine put ideals of quite different cost in one
+stratum.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 import instances  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 
 POOL_ADMIT_S = 0.4
+POOL_TIMINGS = 3
 
 
 class _Slow(Exception):
@@ -70,28 +76,42 @@ def capture_rewrite() -> dict:
 
 
 def capture_pool() -> tuple[list, list]:
-    """Digest and build time (ms, on the capture machine) per pool instance."""
+    """Digest and build time (ms at reference speed) per pool instance."""
     from ufdlab import groebner
     from ufdlab.errors import CapExceeded
 
     signal.signal(signal.SIGALRM, _raise_slow)
-    digests, build_ms = [], []
-    for k in range(instances.POOL_SIZE):
-        fld_name, names, texts = instances.pool_ideal(k)
-        _, gens = workloads.parse_all(fld_name, names, texts)
-        signal.setitimer(signal.ITIMER_REAL, POOL_ADMIT_S)
-        start = time.perf_counter()
-        try:
-            basis = groebner.buchberger(gens)
-        except (_Slow, CapExceeded) as err:
-            print(f"pool {k}: excluded ({type(err).__name__})", file=sys.stderr)
-            digests.append(None)
-            build_ms.append(None)
-            continue
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        build_ms.append(round((time.perf_counter() - start) * 1000, 1))
-        digests.append(workloads.basis_digest(basis))
+    sampler = speed.Sampler()
+    sampler.start()
+    digests, runs = [], []
+    try:
+        for k in range(instances.POOL_SIZE):
+            fld_name, names, texts = instances.pool_ideal(k)
+            _, gens = workloads.parse_all(fld_name, names, texts)
+            signal.setitimer(signal.ITIMER_REAL, POOL_ADMIT_S)
+            try:
+                basis = groebner.buchberger(gens)
+            except (_Slow, CapExceeded) as err:
+                print(f"pool {k}: excluded ({type(err).__name__})", file=sys.stderr)
+                digests.append(None)
+                runs.append([])
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            digests.append(workloads.basis_digest(basis))
+            spans = []
+            for _ in range(POOL_TIMINGS):
+                _, gens = workloads.parse_all(fld_name, names, texts)
+                start = time.perf_counter()
+                groebner.buchberger(gens)
+                spans.append((start, time.perf_counter()))
+            runs.append(spans)
+    finally:
+        sampler.stop()
+    build_ms = [
+        round(min((b - a - sampler.stolen(a, b)) * sampler.factor(a, b) for a, b in spans)
+              * 1000, 2) if spans else None
+        for spans in runs]
     return digests, build_ms
 
 

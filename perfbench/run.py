@@ -10,15 +10,13 @@ end-to-end ones of BENCHMARK.json, with --trace 1 the per-layer ones.
 
 Load is one single-threaded process at a time, a closed loop with one
 client: set-up samples, CLI launches and the workload worker run in turn.
-While each runs, this driver samples the calibration kernel of speed.py on
-the other CPU, and end-to-end times are reported at reference speed (the
-times as measured are printed beside them).
+Each of them samples its own speed (speed.py), and end-to-end times are
+reported at reference speed; the times as measured are printed beside them.
 """
 
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import select
@@ -28,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-import speed
+from worker import MIN_OPS
 from workloads import digest, report_digest
 
 HERE = Path(__file__).resolve().parent
@@ -36,13 +34,13 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
 WORKER = HERE / "worker.py"
+SPEED = HERE / "speed.py"
 WORKLOADS = ("suite", "gb", "reduce", "rewrite")
 
 SETUP_SAMPLES = 5  # fresh interpreters set up per run
-CLI_SAMPLES = 3  # launches of each CLI command per run
+LIST_SAMPLES = 7  # launches of `claim list` per run
+RUN_ALL_SAMPLES = 3  # launches of `claim run-all` per run
 IMPORTTIME_SAMPLES = 3
-SAMPLE_GAP_S = 0.02  # pause between calibration samples while a child runs
-OP_WINDOW_S = 3.0
 RUN_BUDGET_S = 170.0  # the whole run, after which it gives up without a result
 TIMES = ("setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "op_geomean_ms", "cold_start_s",
          "run_all_s")
@@ -61,61 +59,46 @@ def child_env() -> dict:
 
 
 class Child:
-    """A child process supervised by the driver, which takes calibration
-    samples (monotonic time, kernel seconds) until it exits."""
+    """A child process timed from just before its launch."""
 
     def __init__(self, argv, deadline: float, stdout=subprocess.DEVNULL, stderr=None):
         self.deadline = deadline
-        self.samples: list[tuple[float, float]] = []
         self.start = time.perf_counter()
         self.proc = subprocess.Popen(argv, stdout=stdout, stderr=stderr, text=True,
                                      env=child_env(), cwd=ROOT)
 
-    def _sample(self) -> None:
-        if time.monotonic() > self.deadline:
+    def _left(self) -> float:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
             raise BenchError("run budget exhausted")
-        at = time.monotonic()
-        self.samples.append((at, speed.kernel_times(1)[0]))
+        return left
 
-    def wait_line(self) -> tuple[str, float]:
+    def read_line(self) -> tuple[str, float]:
         """The child's next stdout line and the seconds from launch to it."""
-        while True:
-            ready, _, _ = select.select([self.proc.stdout], [], [], SAMPLE_GAP_S)
-            if ready:
-                line = self.proc.stdout.readline()
-                return line, time.perf_counter() - self.start
-            self._sample()
+        ready, _, _ = select.select([self.proc.stdout], [], [], self._left())
+        if not ready:
+            raise BenchError("run budget exhausted")
+        line = self.proc.stdout.readline()
+        return line, time.perf_counter() - self.start
 
     def wait(self) -> tuple[int, float]:
         """Exit code and the seconds from launch to exit."""
-        while self.proc.poll() is None:
-            self._sample()
-            time.sleep(SAMPLE_GAP_S)
+        code = self.proc.wait(timeout=self._left())
         took = time.perf_counter() - self.start
         if self.proc.stdout is not None:
             self.proc.stdout.close()
-        return self.proc.returncode, took
+        return code, took
 
     def kill(self) -> None:
         self.proc.kill()
         self.proc.wait()
-
-    def factor(self, since: float = float("-inf"), until: float = float("inf")) -> float:
-        """Speed factor from the samples taken between two monotonic times
-        (all of them by default, or when the window holds fewer than 3)."""
-        first = bisect.bisect_left(self.samples, (since, 0.0))
-        last = bisect.bisect_right(self.samples, (until, float("inf")))
-        window = [k for _, k in self.samples[first:last]]
-        if len(window) < 3:
-            window = [k for _, k in self.samples] or speed.kernel_times(3)
-        return speed.factor(window)
 
 
 def supervise(child: Child, read_line: bool) -> tuple[str, int, float]:
     """(first stdout line or "", exit code, seconds to that line, or to the
     exit without read_line); kills the child if anything goes wrong."""
     try:
-        line, took = child.wait_line() if read_line else ("", 0.0)
+        line, took = child.read_line() if read_line else ("", 0.0)
         code, exited = child.wait()
     except BaseException:
         child.kill()
@@ -128,35 +111,49 @@ def worker_argv(args, *extra) -> list[str]:
             "--seconds", str(args.seconds), "--trace", str(args.trace), *extra]
 
 
+def ready_line(line: str) -> tuple[float, float]:
+    """(sampler seconds, speed factor) from the worker's READY line."""
+    word, stolen, factor = line.split()
+    if word != "READY":
+        raise BenchError(f"worker said {line!r}")
+    return float(stolen), float(factor)
+
+
 def setup_sample(args, deadline) -> tuple[float, float]:
     """(seconds at reference speed, seconds as measured) from launch to READY."""
     child = Child(worker_argv(args, "--setup-only"), deadline, stdout=subprocess.PIPE)
     line, code, took = supervise(child, read_line=True)
-    if line.strip() != "READY" or code != 0:
+    if code != 0:
         raise BenchError(f"set-up sample failed (exit {code})")
-    return took * child.factor(), took
+    stolen, factor = ready_line(line)
+    return (took - stolen) * factor, took
 
 
-def run_worker(args, deadline) -> tuple[dict, Child]:
+def run_worker(args, deadline) -> dict:
     result_path = OUT_DIR / f"result-{args.workload}-trace{args.trace}.json"
     result_path.unlink(missing_ok=True)
     child = Child(worker_argv(args, "--result", str(result_path)), deadline,
                   stdout=subprocess.PIPE)
     line, code, _ = supervise(child, read_line=True)
-    if line.strip() != "READY" or code != 0:
+    if code != 0:
         raise BenchError(f"worker failed (exit {code})")
+    ready_line(line)
     with open(result_path) as fh:
-        return json.load(fh), child
+        return json.load(fh)
 
 
 def run_cli(argv, deadline, out_name: str) -> tuple[float, float, int, str]:
-    """(seconds at reference speed, as measured, exit code, stdout)."""
+    """Launch `python -m ufdlab.cli ARGV` under speed.py's sampler:
+    (seconds at reference speed, as measured, exit code, stdout)."""
     out_path = OUT_DIR / out_name
+    report = OUT_DIR / f"{out_name}.speed"
+    report.unlink(missing_ok=True)
     with open(out_path, "w") as out:
-        child = Child([sys.executable, "-m", "ufdlab.cli", *argv], deadline, stdout=out,
-                      stderr=subprocess.DEVNULL)
+        child = Child([sys.executable, str(SPEED), str(report), "-m", "ufdlab.cli", *argv],
+                      deadline, stdout=out, stderr=subprocess.DEVNULL)
         _, code, took = supervise(child, read_line=False)
-    return took * child.factor(), took, code, out_path.read_text()
+    stolen, factor = map(float, report.read_text().split())
+    return (took - stolen) * factor, took, code, out_path.read_text()
 
 
 def check_claim_list(code: int, stdout: str, reference) -> str | None:
@@ -175,12 +172,13 @@ def check_run_all(code: int, stdout: str, reference) -> str | None:
     return None
 
 
-def summary(setups, colds, run_alls, walls, ops, rss) -> dict:
+def summary(setups, colds, run_alls, passes, rss) -> dict:
+    ops = [ms for pass_ms in passes for ms in pass_ms]
     return {
         "setup_s": (statistics.median(setups), "s"),
-        "wall_s": (statistics.median(walls), "s"),
+        "wall_s": (statistics.median(sum(p) / 1000.0 for p in passes), "s"),
         "op_p50_ms": (statistics.median(ops), "ms"),
-        # every workload runs >= 100 operations, so >= 10 samples lie above it
+        # end_to_end requires >= MIN_OPS operations, so >= 10 lie above it
         "op_p90_ms": (statistics.quantiles(ops, n=10)[8], "ms"),
         "op_geomean_ms": (statistics.geometric_mean(ops), "ms"),
         "cold_start_s": (statistics.median(colds), "s"),
@@ -198,39 +196,38 @@ def end_to_end(args, reference, deadline):
         norm[name].append(scaled)
         raw[name].append(took)
 
-    for i in range(SETUP_SAMPLES):
-        record("setup_s", *setup_sample(args, deadline))
-        if i < CLI_SAMPLES:
+    # Byte-compile first, so the first launch of a fresh checkout is not
+    # the only one that pays for it.
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(SRC), str(HERE)],
+                   check=True, stdout=subprocess.DEVNULL, env=child_env(), cwd=ROOT,
+                   timeout=deadline - time.monotonic())
+    # interleaved, so a slow minute of the machine does not fall on one metric
+    for i in range(max(SETUP_SAMPLES, LIST_SAMPLES, RUN_ALL_SAMPLES)):
+        if i < SETUP_SAMPLES:
+            record("setup_s", *setup_sample(args, deadline))
+        if i < LIST_SAMPLES:
             scaled, took, code, out = run_cli(["claim", "list"], deadline, "claim-list.txt")
             record("cold_start_s", scaled, took)
             cli_failures.append(check_claim_list(code, out, reference))
+        if i < RUN_ALL_SAMPLES:
             scaled, took, code, out = run_cli(["claim", "run-all", "--suite", "acceptance"],
                                               deadline, "run-all.json")
             record("run_all_s", scaled, took)
             cli_failures.append(check_run_all(code, out, reference))
-    result, child = run_worker(args, deadline)
+    result = run_worker(args, deadline)
     cli_failures = [f for f in cli_failures if f]
 
-    # each op is scaled by the speed measured from OP_WINDOW_S before it
-    # starts to OP_WINDOW_S after it ends
-    raw_passes = result["pass_op_ms"]
-    scaled_passes = [
-        [ms * child.factor(at - OP_WINDOW_S, at + ms / 1000.0 + OP_WINDOW_S)
-         for ms, at in zip(pass_ms, pass_at)]
-        for pass_ms, pass_at in zip(raw_passes, result["pass_op_at"])]
-    raw_ops = [ms for pass_ms in raw_passes for ms in pass_ms]
-    ops = [ms for pass_ms in scaled_passes for ms in pass_ms]
-    if len(ops) < 2:
-        raise BenchError(f"too few operations succeeded: {result['failures'][:3]}")
+    ops = sum(len(p) for p in result["pass_op_ms"])
+    if ops < MIN_OPS:
+        raise BenchError(f"only {ops} operations succeeded: {result['failures'][:3]}")
     rss = result["peak_rss_mb"]
     metrics = summary(norm["setup_s"], norm["cold_start_s"], norm["run_all_s"],
-                      [sum(p) / 1000.0 for p in scaled_passes], ops, rss)
+                      result["pass_op_ms"], rss)
     measured = summary(raw["setup_s"], raw["cold_start_s"], raw["run_all_s"],
-                       [sum(p) / 1000.0 for p in raw_passes], raw_ops, rss)
-    attempted = result["attempted"] + 2 * CLI_SAMPLES
+                       result["pass_raw_ms"], rss)
+    attempted = result["attempted"] + LIST_SAMPLES + RUN_ALL_SAMPLES
     failed = result["failed"] + len(cli_failures)
-    info = {"passes": len(raw_passes), "ops": len(ops),
-            "speed_factor": child.factor(), "env": result["env"]}
+    info = {"passes": len(result["pass_op_ms"]), "ops": ops, "env": result["env"]}
     return metrics, measured, attempted, failed, cli_failures + result["failures"], info
 
 
@@ -261,13 +258,12 @@ def import_times(deadline) -> dict:
 
 def per_layer(args, deadline):
     metrics = import_times(deadline)
-    result, child = run_worker(args, deadline)
+    result = run_worker(args, deadline)
     metrics.update({k: tuple(v) for k, v in result["metrics"].items()})
-    # traced minus untraced wall of the same pass, both at reference speed
-    untraced = result["untraced_wall_s"] * child.factor(*result["untraced_span"])
-    traced = result["traced_wall_s"] * child.factor(*result["traced_span"])
-    metrics["trace.overhead_s"] = (traced - untraced, "s")
-    info = {"untraced_wall_s": untraced, "traced_wall_s": traced,
+    # traced minus untraced wall of the same operations, run alternately, as measured
+    metrics["trace.overhead_s"] = (result["traced_wall_s"] - result["untraced_wall_s"], "s")
+    info = {"untraced_wall_s": result["untraced_wall_s"],
+            "traced_wall_s": result["traced_wall_s"],
             "counts_digest": digest(json.dumps(result["counts"], sort_keys=True)),
             "env": result["env"]}
     return metrics, None, result["attempted"], result["failed"], result["failures"], info
@@ -293,7 +289,7 @@ def main(argv=None) -> int:
         else:
             metrics, measured, attempted, failed, failures, info = end_to_end(
                 args, reference, deadline)
-    except (BenchError, OSError, subprocess.TimeoutExpired, ValueError, KeyError) as err:
+    except (BenchError, OSError, subprocess.SubprocessError, ValueError, KeyError) as err:
         print(f"run.py: {args.workload} seed {args.seed}: {err}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ is folded into that frame.
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 import time
@@ -74,6 +75,16 @@ METHODS = [
     ("omega.mul", "leaf", "ufdlab.omega", "OmegaPoly", ["__mul__"]),
 ]
 
+# Layers that must be called in the timed operations of each workload: if a
+# wrapper misses the call path a workload takes, the traced run fails.
+MUST_RUN = {
+    "suite": ["groebner.brute_force_member", "cli.schema_validate"],  # + every claim
+    "gb": ["groebner.buchberger", "groebner.divide", "poly.leading"],
+    "reduce": ["groebner.divide", "poly.add"],
+    "rewrite": ["omega.normal_form", "omega.mul", "counterexample.expand",
+                "counterexample.order_certificate", "counterexample.coordinate_checks"],
+}
+
 FIELD_OPS = ["add", "sub", "neg", "mul", "div", "inv"]
 FIELD_CLASSES = [("ufdlab.coeff", "PrimeField"), ("ufdlab.coeff", "RationalField")]
 
@@ -88,7 +99,7 @@ class Tracer:
     """Spans and counters for one traced pass; `install` wraps the library."""
 
     def __init__(self):
-        self._patches: list[tuple[object, str, object]] = []
+        self._patches: list[tuple[object, str, object, object]] = []
         self.reset()
 
     # -- state ----------------------------------------------------------------
@@ -191,38 +202,45 @@ class Tracer:
 
     # -- install / uninstall --------------------------------------------------
 
-    def _patch(self, owner, attr: str, value) -> None:
-        self._patches.append((owner, attr, getattr(owner, attr)))
-        setattr(owner, attr, value)
-
-    def install(self) -> None:
+    def _plan(self) -> list[tuple[object, str, object, object]]:
+        """(owner, attribute, original, wrapper) for everything to wrap.  A
+        listed module is imported if the workload has not loaded it, and a
+        missing name raises."""
+        targets = {m for _, _, pairs in FUNCTIONS for m, _ in pairs}
+        targets |= {m for _, _, m, _, _ in METHODS} | {m for m, _ in FIELD_CLASSES}
+        loaded = {name: importlib.import_module(name) for name in sorted(targets)}
         modules = [m for n, m in sorted(sys.modules.items())
                    if (n == "ufdlab" or n.startswith("ufdlab.")) and m is not None]
-        for layer, kind, targets in FUNCTIONS:
-            for module_name, attr in targets:
-                module = sys.modules.get(module_name)
-                if module is None:  # a module the workload never loads, e.g. ufdlab.cli
-                    continue
-                original = getattr(module, attr)
+        plan = []
+        for layer, kind, pairs in FUNCTIONS:
+            for module_name, attr in pairs:
+                original = getattr(loaded[module_name], attr)
                 wrapped = self._wrap(original, layer, kind)
                 for m in modules:
                     for name, value in list(vars(m).items()):
                         if value is original:
-                            self._patch(m, name, wrapped)
+                            plan.append((m, name, original, wrapped))
         for layer, kind, module_name, cls_name, attrs in METHODS:
-            if module_name not in sys.modules:
-                continue
-            cls = getattr(sys.modules[module_name], cls_name)
+            cls = getattr(loaded[module_name], cls_name)
             for attr in attrs:
-                self._patch(cls, attr, self._wrap(cls.__dict__[attr], layer, kind))
+                original = cls.__dict__[attr]
+                plan.append((cls, attr, original, self._wrap(original, layer, kind)))
         for module_name, cls_name in FIELD_CLASSES:
-            cls = getattr(sys.modules[module_name], cls_name)
+            cls = getattr(loaded[module_name], cls_name)
             for op in FIELD_OPS:
-                self._patch(cls, op, self._count(cls.__dict__[op], op))
+                original = cls.__dict__[op]
+                plan.append((cls, op, original, self._count(original, op)))
+        return plan
+
+    def install(self) -> None:
+        """Wrap every listed function and method (again after `uninstall`)."""
+        if not self._patches:
+            self._patches = self._plan()
+        for owner, attr, _, wrapped in self._patches:
+            setattr(owner, attr, wrapped)
 
     def uninstall(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
+        for owner, attr, original, _ in reversed(self._patches):
             setattr(owner, attr, original)
 
     # -- results --------------------------------------------------------------
@@ -245,6 +263,22 @@ class Tracer:
                 errors.append(f"op {op}: self times sum to {own_by_op[op]} ns, "
                               f"span is {end - start} ns")
         return errors
+
+    def root_seconds(self) -> float:
+        """Summed duration of the root spans of the timed operations."""
+        return sum(self.spans[root][4] - self.spans[root][3]
+                   for op, root in self.op_roots.items() if op > 0) / 1e9
+
+    def missing_layers(self, workload: str, claim_ids) -> list[str]:
+        """The layers of MUST_RUN[workload] (and, on suite, every claim) that
+        no timed operation called."""
+        called = {name for name, op, *_ in self.spans if op > 0}
+        called |= {name for (op, name), (calls, _) in self.leaf.items() if op > 0 and calls}
+        must = list(MUST_RUN[workload])
+        if workload == "suite":
+            must += [f"claims.run_claim.{cid}" for cid in claim_ids]
+        return [f"traced {workload}: no timed operation called {name}"
+                for name in must if name not in called]
 
     def exact_counts(self) -> dict[str, int]:
         """Everything that must repeat exactly between two traced passes."""

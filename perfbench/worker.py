@@ -1,8 +1,10 @@
 """Run one workload in a fresh interpreter; run.py starts this file.
 
-Protocol: the worker prints the line READY on stdout once set-up is done
-(run.py times set-up from the launch to this line), then writes its results
-as JSON to the --result file.  With --setup-only it exits after READY.
+Protocol: once set-up is done the worker prints `READY <stolen_s> <factor>`
+on stdout, where stolen_s is the time its speed sampler took during set-up
+and factor the speed factor over set-up (see speed.py); run.py times set-up
+from the launch to this line.  Then it writes its results as JSON to the
+--result file.  With --setup-only it exits after READY.
 """
 
 from __future__ import annotations
@@ -10,21 +12,25 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
-import platform
 import resource
 import signal
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
+
+import speed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
 OP_TIMEOUT_S = 120.0
+# op_p90_ms needs at least ten operations above it
+MIN_OPS = 100
+# a traced pass's root spans may cover a little less than the op times
+# run_pass measures around them, never more
+ROOT_SPAN_TOLERANCE = 0.01
 
 
 class OpTimeout(Exception):
@@ -37,55 +43,59 @@ def _on_alarm(signum, frame):
 
 class PassResult:
     def __init__(self):
-        self.op_ms: list[float] = []
-        self.op_at: list[float] = []  # monotonic start of each timed op
+        # perf_counter (start, end) of each op that succeeded
+        self.timed: list[tuple[float, float]] = []
         self.failures: list[str] = []
         self.attempted = 0
-        self.wall_s = 0.0
 
+    @property
+    def wall_s(self) -> float:
+        return sum(end - start for start, end in self.timed)
 
-def run_pass(ops, tracer=None, once=False) -> PassResult:
-    """One pass over the operation list.  Only the operations are timed; each
-    result is checked after its timer stops.  With a tracer or `once`, every
-    op runs once instead of best of its `best_of` runs."""
-    res = PassResult()
-    gc.collect()  # every pass starts from the same heap state
-    for index, op in enumerate(ops):
-        res.attempted += 1
+    def run(self, op, op_id: int, tracer=None) -> None:
+        """Time one operation, and record it or its failure.  Only the call
+        is timed: its inputs are made before the timer starts, and its
+        result is checked after the timer stops."""
+        self.attempted += 1
         if not op.own_timeout:
             signal.setitimer(signal.ITIMER_REAL, OP_TIMEOUT_S)
         try:
-            at = time.monotonic()
+            args = op.inputs()
+            start = time.perf_counter()
             if tracer is None:
-                elapsed = math.inf
-                for _ in range(1 if once else op.best_of):
-                    start = time.perf_counter()
-                    result = op.run()
-                    elapsed = min(elapsed, time.perf_counter() - start)
+                result = op.run(*args)
             else:
-                start = time.perf_counter()
-                result = tracer.run_op(index + 1, op.name, op.run)
-                elapsed = time.perf_counter() - start
+                result = tracer.run_op(op_id, op.name, lambda: op.run(*args))
+            end = time.perf_counter()
         except OpTimeout:
-            res.failures.append(f"{op.name}: timed out after {OP_TIMEOUT_S} s")
-            continue
+            self.failures.append(f"{op.name}: timed out after {OP_TIMEOUT_S} s")
+            return
         except Exception as err:  # any raise, a cap hit included, is a failed op
-            res.failures.append(f"{op.name}: {type(err).__name__}: {err}")
-            continue
+            self.failures.append(f"{op.name}: {type(err).__name__}: {err}")
+            return
         finally:
             if not op.own_timeout:
                 signal.setitimer(signal.ITIMER_REAL, 0)
         reason = op.check(result)
         if reason is not None:
-            res.failures.append(reason)
-            continue
-        res.op_ms.append(elapsed * 1000.0)
-        res.op_at.append(at)
-        res.wall_s += elapsed
+            self.failures.append(reason)
+            return
+        self.timed.append((start, end))
+
+
+def run_pass(ops, tracer=None) -> PassResult:
+    """One pass over the operation list."""
+    res = PassResult()
+    gc.collect()  # every pass starts from the same heap state
+    for index, op in enumerate(ops):
+        res.run(op, index + 1, tracer)
     return res
 
 
 def environment() -> dict:
+    import platform
+    from importlib import metadata
+
     from ufdlab.caps import current_caps
 
     caps = current_caps()
@@ -115,17 +125,24 @@ def environment() -> dict:
     }
 
 
-def timed_run(workload, seconds: float) -> dict:
-    """Passes until the next one would end after `seconds` (at least one).
-    Each op carries its monotonic start, so run.py can match it with the
-    calibration samples it took meanwhile."""
+def timed_run(workload, seconds: float, sampler) -> dict:
+    """Passes until the next one would end after `seconds` and at least
+    MIN_OPS operations are timed.  Each op time is reported as measured and
+    at reference speed, from the sampler's samples around it."""
+    def op_ms(start, end):
+        return (end - start - sampler.stolen(start, end)) * 1000.0
+
     passes = []
     start = time.monotonic()
+    timed = 0
     while True:
         begin = time.monotonic()
         passes.append(run_pass(workload.ops))
         end = time.monotonic()
-        if end - start + (end - begin) > seconds:
+        timed += len(passes[-1].timed)
+        if not passes[-1].timed:
+            break  # every op failed; more passes would not change that
+        if timed >= MIN_OPS and end - start + (end - begin) > seconds:
             break
     failures = list(workload.setup_failures)
     for p in passes:
@@ -135,21 +152,32 @@ def timed_run(workload, seconds: float) -> dict:
         "attempted": sum(p.attempted for p in passes),
         "failed": len(failures),
         "failures": failures[:20],
-        "pass_op_ms": [p.op_ms for p in passes],
-        "pass_op_at": [p.op_at for p in passes],
+        "pass_op_ms": [[op_ms(a, b) * sampler.factor(a, b) for a, b in p.timed]
+                       for p in passes],
+        "pass_raw_ms": [[op_ms(a, b) for a, b in p.timed] for p in passes],
     }
 
 
-def traced_run(workload, setup, seed: int, reference: dict, tag: str) -> dict:
-    """An untraced pass, then two traced passes (set-up included), each on
-    fresh inputs from the same seed.  Their exact counts must agree."""
+def root_span_errors(res: PassResult, t) -> list[str]:
+    """The root spans of a traced pass against the op times run_pass took
+    around them: a tracer that lost or double-counted time fails this.
+    (A pass with a failed op is already counted as failing.)"""
+    if res.failures:
+        return []
+    measured, covered = res.wall_s, t.root_seconds()
+    if not measured * (1 - ROOT_SPAN_TOLERANCE) <= covered <= measured:
+        return [f"root spans cover {covered:.6f} s, the ops took {measured:.6f} s"]
+    return []
+
+
+def traced_run(workload, setup, args, reference: dict) -> dict:
+    """Two traced passes, each after a traced set-up on fresh inputs from the
+    same seed; their exact counts must agree.  The first pass alternates
+    with an untraced pass over the untraced set-up's operations, op by op,
+    so the two are timed close together for the tracing overhead."""
     import tracer as tracing
 
-    begin = time.monotonic()
-    untraced = run_pass(workload.ops, once=True)
-    spans = [(begin, time.monotonic())]
-    failures = list(workload.setup_failures) + untraced.failures
-    attempted = untraced.attempted
+    failures = list(workload.setup_failures)
     claim_ids = sorted(reference["suite"])
     t = tracing.Tracer()
     t.install()
@@ -157,39 +185,54 @@ def traced_run(workload, setup, seed: int, reference: dict, tag: str) -> dict:
     try:
         for rep in range(2):
             t.reset()
-            fresh = t.run_op(0, "setup", lambda: setup(seed, reference))
-            begin = time.monotonic()
-            res = run_pass(fresh.ops, tracer=t)
-            spans.append((begin, time.monotonic()))
+            fresh = t.run_op(0, "setup", lambda: setup(args.seed, reference))
+            if rep == 0:
+                untraced, res = PassResult(), PassResult()
+                gc.collect()
+                for index, (plain, op) in enumerate(zip(workload.ops, fresh.ops)):
+                    t.uninstall()
+                    untraced.run(plain, index + 1)
+                    t.install()
+                    res.run(op, index + 1, t)
+                failures += untraced.failures
+            else:
+                res = run_pass(fresh.ops, tracer=t)
             failures += fresh.setup_failures + res.failures
-            attempted += res.attempted
-            errors = t.self_time_errors()
+            failures += t.self_time_errors()[:5]
+            failures += root_span_errors(res, t)
+            failures += t.missing_layers(args.workload, claim_ids)
             passes.append((res, t.exact_counts(), tracing.layer_metrics(t, claim_ids)))
-            failures += errors[:5]
             if rep == 0:
                 OUT_DIR.mkdir(exist_ok=True)
-                t.write_spans(OUT_DIR / f"trace-{tag}.jsonl")
+                t.write_spans(OUT_DIR / f"trace-{args.workload}.jsonl")
     finally:
         t.uninstall()
-    (first, counts_a, metrics), (_, counts_b, _) = passes
+    (first, counts_a, metrics), (second, counts_b, _) = passes
     if counts_a != counts_b:
         diff = sorted(k for k in set(counts_a) | set(counts_b)
                       if counts_a.get(k) != counts_b.get(k))
         failures.append(f"traced passes disagree on counts: {diff[:10]}")
     return {
-        "attempted": attempted,
+        "attempted": untraced.attempted + first.attempted + second.attempted,
         "failed": len(failures),
         "failures": failures[:20],
         "metrics": metrics,
         "counts": counts_a,
         "untraced_wall_s": untraced.wall_s,
         "traced_wall_s": first.wall_s,
-        "untraced_span": spans[0],
-        "traced_span": spans[1],
     }
 
 
 def main(argv=None) -> int:
+    sampler = speed.Sampler()
+    sampler.start()
+    try:
+        return run(sampler, argv)
+    finally:
+        sampler.stop()  # a SIGPROF after the handler is gone would kill the process
+
+
+def run(sampler, argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
@@ -211,15 +254,18 @@ def main(argv=None) -> int:
         reference = json.load(fh)
     setup = workloads.SETUPS[args.workload]
     workload = setup(args.seed, reference)
-    print("READY", flush=True)
+    ready = time.perf_counter()
+    print(f"READY {sampler.stolen(until=ready)!r} {sampler.factor(until=ready)!r}", flush=True)
     if args.setup_only:
         return 0
 
     signal.signal(signal.SIGALRM, _on_alarm)
     if args.trace:
-        result = traced_run(workload, setup, args.seed, reference, args.workload)
+        sampler.stop()  # traced times are reported as measured
+        result = traced_run(workload, setup, args, reference)
     else:
-        result = timed_run(workload, args.seconds)
+        result = timed_run(workload, args.seconds, sampler)
+        sampler.stop()
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     result["env"] = environment()
     with open(args.result, "w") as fh:

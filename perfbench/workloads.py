@@ -27,14 +27,16 @@ CLAIM_TIMEOUT_S = 60.0  # the CLI's default --timeout
 
 @dataclass
 class Op:
+    """One timed call: `run(*inputs())`, with `inputs` called outside the
+    timer, so an op can get fresh arguments on every pass."""
+
     name: str
-    run: Callable[[], object]
+    run: Callable[..., object]
     check: Callable[[object], Optional[str]]
     # suite ops carry the claim runner's own SIGALRM timeout; the others get
     # one from the worker
     own_timeout: bool = False
-    # a timed run keeps the best of this many runs of the op
-    best_of: int = 1
+    inputs: Callable[[], tuple] = tuple
 
 
 @dataclass
@@ -114,8 +116,7 @@ FIXED_GB = [
     ("katsura-4", instances.QQ_NAME, instances.katsura(4)),
     ("cyclic-5", instances.GF_NAME, instances.cyclic(5)),
 ]
-GB_RANDOM = 300
-GB_RANDOM_BEST_OF = 3
+GB_RANDOM = 600
 
 
 def fixed_key(name: str, fld_name: str) -> str:
@@ -125,29 +126,28 @@ def fixed_key(name: str, fld_name: str) -> str:
 def setup_gb(seed: int, reference: dict) -> Workload:
     from ufdlab import groebner
 
-    def op(name, fld_name, names, texts, want, best_of=1):
-        _, gens = parse_all(fld_name, names, texts)
+    def op(name, fld_name, names, texts, want):
+        parse_all(fld_name, names, texts)  # parsing the input is set-up work
 
         def check(basis):
             if basis_digest(basis) != want:
                 return f"{name}: basis differs from the reference"
             return None
 
-        return Op(name, lambda: groebner.buchberger(gens), check, best_of=best_of)
+        # Each pass parses the generators again, outside the timer, so no
+        # cache an earlier run left on the polynomials speeds up a later one.
+        return Op(name, lambda gens: groebner.buchberger(gens), check,
+                  inputs=lambda: (parse_all(fld_name, names, texts)[1],))
 
     drawn = instances.pick_pool(random.Random(seed), usable_pool(reference),
                                 reference["pool_ms"], GB_RANDOM)
     random.Random(seed).shuffle(drawn)  # mix the fields and the strata
-    # Most random ideals take a few ms, so a single timing is at the mercy of
-    # millisecond hiccups of the machine; each is timed as the best of three.
-    randoms = [op(f"pool-{k}", *instances.pool_ideal(k), reference["pool"][k],
-                  best_of=GB_RANDOM_BEST_OF) for k in drawn]
+    randoms = [op(f"pool-{k}", *instances.pool_ideal(k), reference["pool"][k]) for k in drawn]
     fixed = [op(fixed_key(name, fld_name), fld_name, names, texts,
                 reference["fixed"][fixed_key(name, fld_name)])
              for name, fld_name, (names, texts) in FIXED_GB]
     # The small random ideals are timed in two halves, before and after the
-    # fixed instances (cyclic-5 alone is most of the pass), so their
-    # per-operation quantiles average the machine's speed over the pass.
+    # fixed instances (cyclic-5 alone is most of the pass).
     half = len(randoms) // 2
     return Workload(randoms[:half] + fixed + randoms[half:])
 
@@ -243,7 +243,7 @@ def setup_reduce(seed: int, reference: dict) -> Workload:
 # rewrite: omega normal forms and the counterexample expanders
 # ---------------------------------------------------------------------------
 
-REWRITE_ELEMENTS = 30
+REWRITE_ELEMENTS = 120
 MIN_SIZE, MAX_SIZE = 8, 24  # z-size of the products
 EXPAND_DEPTH = 3  # EXPAND_DEPTH_CAP
 IDENTITY_DEPTH = 2  # IDENTITY_DEPTH_CAP
