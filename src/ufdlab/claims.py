@@ -659,7 +659,8 @@ def _validate_params(spec: ClaimSpec, params: dict) -> None:
         want = spec.param_types.get(key)
         if want is None:
             raise UsageError(f"unknown parameter {key!r} for claim {spec.claim_id}")
-        if not isinstance(value, want):
+        # JSON true/false arrive as bool, which is a subclass of int
+        if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
             names = "/".join(t.__name__ for t in want)
             raise UsageError(
                 f"parameter {key!r} of claim {spec.claim_id} must be {names}, "

@@ -31,6 +31,7 @@ from .groebner import (
     ideal_quotient,
     intersect,
     reduce,
+    row_echelon,
     saturation,
 )
 from .poly import (
@@ -40,6 +41,7 @@ from .poly import (
     VarTable,
     degree_of,
     derivative,
+    fresh_name,
     mono_divides,
     poly_ring,
 )
@@ -92,15 +94,6 @@ def free_ring(field: Field, names: Sequence[str], grading: Optional[Grading] = N
     return PresentedRing(field, VarTable(tuple(names)), (), grading, tag)
 
 
-def _fresh(vars_: VarTable, stem: str) -> str:
-    name = stem
-    k = 0
-    while name in vars_.names:
-        k += 1
-        name = f"{stem}{k}"
-    return name
-
-
 # ---------------------------------------------------------------------------
 # fraction-style extension A[X]/(aX - b)
 # ---------------------------------------------------------------------------
@@ -134,7 +127,7 @@ def present_extension(A: PresentedRing, a: Polynomial, b: Polynomial) -> Present
         raise HypothesisError(
             f"a and b are not relatively prime: {offender} lies in (a) cap (b) but not in (ab)"
         )
-    xname = _fresh(A.vars, "X")
+    xname = fresh_name(A.vars.names, "X")
     big = A.ambient().extend((xname,))
     rels = tuple(r.lift(big) for r in A.relations)
     new_rel = a.lift(big) * big.var(xname) - b.lift(big)
@@ -410,7 +403,7 @@ def lemma_level_check(
     if not ok:
         raise HypothesisError(f"a and b not relatively prime: witness {offender}")
     chain = w_chain(ring, b, s, t, N)
-    xname = _fresh(ring.vars, "X")
+    xname = fresh_name(ring.names, "X")
     big = ring.extend((xname,))
     rel = a.lift(big) * big.var(xname) - b.lift(big)
     levels = []
@@ -440,7 +433,7 @@ def radical_extension(A: PresentedRing, F: Polynomial, c: int) -> PresentedRing:
         raise HypothesisError("F not homogeneous")
     if math.gcd(c, abs(omega)) != 1:
         raise HypothesisError(f"gcd(c, deg F) = gcd({c}, {omega}) != 1")
-    zname = _fresh(A.vars, "Z")
+    zname = fresh_name(A.vars.names, "Z")
     big = A.ambient().extend((zname,))
     new_grading = A.grading.scaled(c).extended({zname: omega})
     rels = tuple(r.lift(big) for r in A.relations)
@@ -617,7 +610,8 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     Hypotheses (checked): every p_i nonconstant, every a_i, b_i >= 2, and q
     divides every p_i.  Evaluation at the point kills every variable in the
     maximal ideal and reduces the x-part modulo q; the rank is computed over
-    the residue field k[x]/(q) by division-free elimination.
+    the residue field k[x]/(q).  So q must be irreducible, and this is not
+    checked: for a reducible q the rank returned is meaningless.
     """
     params = B.notes.get("params")
     if params is None:
@@ -652,35 +646,30 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
             )
             row.append(reduce(at_point, [q]))
         matrix.append(row)
-    rank = _rank_mod(matrix, q)
+    rank = _residue_rank(matrix, q)
     return rank, (n + 3) - rank
 
 
-def _rank_mod(matrix: list[list[Polynomial]], q: Polynomial) -> int:
-    """Rank over k[x]/(q) without inverses: scale rows by pivots (units in
-    the residue field since q is prime) and re-reduce mod q."""
-    rows = [row[:] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    reduce(entry * pivot - lead * factor, [q])
-                    for entry, lead in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _residue_rank(matrix: list[list[Polynomial]], q: Polynomial) -> int:
+    """Rank over K = k[x]/(q), q irreducible, of a matrix of elements of k[x].
+
+    With d = deg q, the K-span of the rows is a k-space of dimension
+    d * rank, spanned by the rows times 1, x, ..., x^(d-1).  Row r times x^j
+    becomes one vector over k holding the coefficients of
+    reduce(x^j * entry, q) at d consecutive indices per column, and the
+    sparse elimination over k gives the dimension.
+    """
+    d = q.total_degree()
+    x = q.ring.gens()[0]
+    vectors = []
+    for row in matrix:
+        for j in range(d):
+            vector = {}
+            for col, entry in enumerate(row):
+                for (e,), c in reduce(x**j * entry, [q]).terms.items():
+                    vector[col * d + e] = c
+            vectors.append(vector)
+    return sum(row_echelon(q.ring.field, vectors)) // d
 
 
 # ---------------------------------------------------------------------------

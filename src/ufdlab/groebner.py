@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .caps import current_caps
-from .coeff import PrimeField, RationalField
+from .coeff import Field, PrimeField
 from .errors import CapExceeded
 from .poly import (
     Exp,
     Polynomial,
     PolyRing,
+    fresh_name,
     mono_div,
     mono_divides,
     mono_mul,
@@ -348,15 +346,6 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
     return out
 
 
-def _fresh_name(ring: PolyRing, stem: str) -> str:
-    name = stem
-    k = 0
-    while name in ring.names:
-        k += 1
-        name = f"{stem}{k}"
-    return name
-
-
 def elim_ideal(a: Ideal, keep: Sequence[str]) -> Ideal:
     """I intersected with the subring on `keep`: compute a basis under a
     block order that puts the discarded variables first, then take the
@@ -378,7 +367,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
     ring = a.ring
-    tname = _fresh_name(ring, "_t")
+    tname = fresh_name(ring.names, "_t")
     big = ring.extend((tname,))
     t = big.var(tname)
     gens = [t * g.lift(big) for g in a.gens]
@@ -470,70 +459,41 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
             prod = Polynomial(ring, {m: ring.field.one()}) * g
             columns.append({row_index[e]: c for e, c in prod.terms.items()})
     rhs = {row_index[e]: c for e, c in p.terms.items()}
-    fld = ring.field
-    if isinstance(fld, PrimeField):
-        return _in_span_mod_p(columns, rhs, len(rows), fld.p)
-    return _in_span_fractions(columns, rhs, len(rows))
+    return not row_echelon(ring.field, columns + [rhs])[-1]
 
 
-def _in_span_mod_p(columns, rhs, nrows: int, p: int) -> bool:
-    a = np.zeros((nrows, len(columns) + 1), dtype=np.int64)
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            a[i, j] = c % p
-    for i, c in rhs.items():
-        a[i, len(columns)] = c % p
-    row = 0
-    ncols = len(columns)
-    for col in range(ncols + 1):
-        piv = None
-        for r in range(row, nrows):
-            if a[r, col] % p:
-                piv = r
+def row_echelon(fld: Field, vectors: Iterable[dict[int, object]]) -> list[bool]:
+    """Sparse row echelon form over an exact field, fed one vector at a time.
+
+    Vectors map indices to nonzero field elements.  Each is reduced against
+    the pivot rows found so far, always eliminating its largest index with
+    the pivot that leads there; a vector that does not reduce to zero is
+    scaled to lead with 1 and becomes a new pivot.  Returns, for every input
+    in order, whether it added a pivot, i.e. was independent of the vectors
+    before it: the rank is the number of True entries, and a vector fed in
+    last lies in the span of the others iff its entry is False.
+    """
+    zero = fld.zero()
+    pivots: dict[int, dict[int, object]] = {}
+    added: list[bool] = []
+    for vector in vectors:
+        work = dict(vector)
+        while work:
+            lead = max(work)
+            row = pivots.get(lead)
+            if row is None:
+                scale = fld.inv(work[lead])
+                pivots[lead] = {i: fld.mul(c, scale) for i, c in work.items()}
                 break
-        if piv is None:
-            continue
-        a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        mask = a[:, col] % p != 0
-        mask[row] = False
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(a[mask, col], a[row])) % p
-        if col == ncols:
-            return False  # pivot in the rhs column: inconsistent
-        row += 1
-        if row == nrows:
-            break
-    return True
-
-
-def _in_span_fractions(columns, rhs, nrows: int) -> bool:
-    ncols = len(columns)
-    dense = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            dense[i][j] = Fraction(c)
-    for i, c in rhs.items():
-        dense[i][ncols] = Fraction(c)
-    row = 0
-    for col in range(ncols + 1):
-        piv = next((r for r in range(row, nrows) if dense[r][col]), None)
-        if piv is None:
-            continue
-        dense[row], dense[piv] = dense[piv], dense[row]
-        inv = 1 / dense[row][col]
-        dense[row] = [v * inv for v in dense[row]]
-        for r in range(nrows):
-            if r != row and dense[r][col]:
-                factor = dense[r][col]
-                dense[r] = [v - factor * w for v, w in zip(dense[r], dense[row])]
-        if col == ncols:
-            return False
-        row += 1
-        if row == nrows:
-            break
-    return True
+            factor = work[lead]
+            for i, c in row.items():
+                new = fld.sub(work.get(i, zero), fld.mul(factor, c))
+                if new == zero:
+                    del work[i]
+                else:
+                    work[i] = new
+        added.append(bool(work))
+    return added
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,16 @@ def poly_ring(field: Field, names: Sequence[str], invertible: Iterable[str] = ()
     return PolyRing(field, VarTable(tuple(names), frozenset(invertible)))
 
 
+def fresh_name(names: tuple[str, ...], stem: str) -> str:
+    """`stem`, or `stem` with the smallest counter 1, 2, ... not in names."""
+    name = stem
+    k = 0
+    while name in names:
+        k += 1
+        name = f"{stem}{k}"
+    return name
+
+
 def mono_mul(a: Exp, b: Exp) -> Exp:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -50,6 +50,11 @@ def test_parameter_validation_rejects_unknown_keys_and_bad_types():
         run_claim("cex.sseq", {"n": "five"})
 
 
+def test_parameter_validation_rejects_json_booleans_for_integers():
+    with pytest.raises(UsageError, match="must be int, got bool"):
+        run_claim("groebner.soundness", {"trials": True, "queries": True})
+
+
 def test_whole_acceptance_suite_verifies_and_reports_validate():
     schema = report_schema()
     reports = run_suite("acceptance")

@@ -1,6 +1,9 @@
 """CLI surface: commands, exit codes, JSON emission, schema validity."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -88,6 +91,9 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     bad_json = tmp_path / "q.json"
     bad_json.write_text("{nope")
     assert main(["claim", "run", "cex.sseq", "--params", str(bad_json)]) == 3
+    bool_for_int = tmp_path / "b.json"
+    bool_for_int.write_text('{"trials": true, "queries": true}')
+    assert main(["claim", "run", "groebner.soundness", "--params", str(bool_for_int)]) == 3
     assert main(["nonsense"]) == 3
     capsys.readouterr()
 
@@ -127,3 +133,13 @@ def test_help_exits_zero(capsys):
 def test_missing_subcommand_is_usage_error(argv, capsys):
     assert main(argv) == 3
     capsys.readouterr()
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ)
+    src = str(resources.files("ufdlab").parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ufdlab.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

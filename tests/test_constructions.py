@@ -8,6 +8,7 @@ from ufdlab.coeff import GF, QQ
 from ufdlab.constructions import (
     ConditionPReport,
     PresentedRing,
+    _residue_rank,
     check_condition_P,
     export_presentation,
     fifth_weights,
@@ -24,7 +25,7 @@ from ufdlab.constructions import (
     w_chain,
 )
 from ufdlab.errors import CapExceeded, HypothesisError
-from ufdlab.groebner import Ideal, ideal, ideal_equal, ideal_power
+from ufdlab.groebner import Ideal, ideal, ideal_equal, ideal_power, reduce
 from ufdlab.poly import Grading, degree_of, poly_ring
 
 
@@ -438,6 +439,27 @@ def test_jacobian_rejects_nondividing_point():
     B = threefold_family(QQ, [x * (x + 1)], [1], [1], [2], [3])
     with pytest.raises(HypothesisError, match="q does not divide"):
         jacobian_tangent_dim(B, x + 2)
+
+
+def test_residue_rank_over_gaussian_rationals():
+    xring = poly_ring(QQ, ("x",))
+    x, one = xring.var("x"), xring.one()
+    q = x**2 + 1
+    assert _residue_rank([[x, one], [one, -x]], q) == 1  # det = -(x^2 + 1)
+    assert _residue_rank([[x, one], [one, x]], q) == 2  # det = x^2 - 1 = -2
+
+
+def test_residue_rank_over_cubic_extension_of_gf7():
+    xring = poly_ring(GF(7), ("x",))
+    x, one, zero = xring.var("x"), xring.one(), xring.zero()
+    q = x**3 + x + 1  # no root in GF(7), so irreducible
+    row = [x, x**2, one]
+    # x times the row: dependent over the residue field, independent over GF(7)
+    shifted = [reduce(x * e, [q]) for e in row]
+    assert _residue_rank([row, shifted], q) == 1
+    assert _residue_rank([row, shifted, [one, zero, zero]], q) == 2
+    assert _residue_rank([[x, one], [one, x**2]], q) == 2  # det = x^3 - 1 = 6x + 5
+    assert _residue_rank([[zero, zero]], q) == 0
 
 
 # ---------------------------------------------------------------------------

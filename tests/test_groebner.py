@@ -160,6 +160,27 @@ def test_membership_certificate_matches_oracle():
             assert not brute_force_member(p, gens, 3) or member
 
 
+def test_brute_force_member_prime_above_2_to_the_32():
+    # products of residues exceed 64 bits here, so fixed-width arithmetic
+    # would wrap; the oracle must still agree with Ideal.contains
+    field = GF(4294967311)
+    rng = random.Random(31)
+    r = poly_ring(field, ("x", "y"))
+    x, y = r.gens()
+    gens = [x**2 - 3 * y, y**2 + 5 * x * y + 7]
+    i = ideal(r, *gens)
+    cofactor_exps = [(a, b) for a in range(3) for b in range(3 - a)]
+    for _ in range(30):
+        p = r.zero()
+        for g in gens:
+            cofactor = Polynomial(r, {e: field.sample(rng) for e in cofactor_exps})
+            p = p + cofactor * g
+        assert i.contains(p)
+        assert brute_force_member(p, gens, 2)
+    assert not i.contains(x)
+    assert not brute_force_member(x, gens, 2)
+
+
 def test_groebner_refuses_laurent_ring():
     r = poly_ring(QQ, ("x", "y"), invertible=("x",))
     with pytest.raises(ValueError, match="saturate the unit first"):
