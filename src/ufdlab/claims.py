@@ -8,12 +8,15 @@ decides it for concrete parameters.  A handler returns one of three statuses:
   unknown   the search was truncated (size cap or timeout); `bound` says how
 
 Handlers are pure library calls, so a report is deterministic given its
-parameters and the tool version (`elapsed_ms` excepted).  Default parameters
-for every registered claim ship as fixture files next to the package.
+parameters and the tool version (`elapsed_ms` excepted).  Each claim is
+registered with one parameter table (`Param` rows: type, shipped value, lower
+bound, whether the runner fills it in); the runner validates against it and
+`default_params` reads the shipped values from it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -23,7 +26,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .coeff import GF, QQ, field_from_name, prime_avoid
@@ -89,11 +92,28 @@ class ClaimReport:
         return doc
 
 
+class Param(NamedTuple):
+    """One row of a claim's parameter table.
+
+    `kind` is the JSON type a value must have (a JSON boolean is not an int),
+    `default` the shipped value (None when nothing ships) and `min` a lower
+    bound for an int.  With `fill` the runner hands the shipped value to the
+    handler when the caller leaves the parameter out; a parameter without it
+    is required, optional (left out, its check is skipped) or derived by the
+    handler from the others.
+    """
+
+    kind: type
+    default: object = None
+    min: Optional[int] = None
+    fill: bool = True
+
+
 @dataclass(frozen=True)
 class ClaimSpec:
     claim_id: str
     statement: str
-    param_types: dict[str, type | tuple]
+    params: dict[str, Param]
     handler: Callable[[dict], tuple[str, Optional[object], object]]
 
 
@@ -114,11 +134,11 @@ def _random_poly(ring, rng: random.Random, max_deg: int, max_terms: int) -> Poly
 
 
 def _h_groebner_soundness(params):
-    fld = field_from_name(params.get("field", "GF(5)"))
-    rng = random.Random(params.get("seed", 20250814))
-    trials = params.get("trials", 20)
-    queries = params.get("queries", 100)
-    member_bound = params.get("member_bound", 6)
+    fld = field_from_name(params["field"])
+    rng = random.Random(params["seed"])
+    trials = params["trials"]
+    queries = params["queries"]
+    member_bound = params["member_bound"]
     names = ("u", "v", "w")
     s_polys = 0
     agreements = 0
@@ -156,13 +176,15 @@ def _h_groebner_soundness(params):
         "s_polynomials_reduced": s_polys,
         "membership_agreements": agreements,
         "member_bound": member_bound,
-        "seed": params.get("seed", 20250814),
+        "seed": params["seed"],
     }
     return "verified", None, witness
 
 
 def _h_prime_avoid(params):
-    lo, hi = params.get("lo", -6), params.get("hi", 6)
+    lo, hi = params["lo"], params["hi"]
+    if lo > hi:
+        raise ValueError(f"empty box: lo = {lo} exceeds hi = {hi}")
     checked = 0
     for a1 in range(lo, hi + 1):
         for a2 in range(lo, hi + 1):
@@ -182,8 +204,8 @@ def _h_prime_avoid(params):
 
 
 def _h_samuel_kernel(params):
-    fld = field_from_name(params.get("field", "GF(5)"))
-    names = tuple(params.get("vars", ["u", "v", "X"]))
+    fld = field_from_name(params["field"])
+    names = tuple(params["vars"])
     ring = poly_ring(fld, names)
     a = ring.parse(params["a"])
     b = ring.parse(params["b"])
@@ -200,8 +222,8 @@ def _h_samuel_kernel(params):
 
 
 def _h_wchain_regular(params):
-    fld = field_from_name(params.get("field", "Q"))
-    i_max = params.get("i_max", 5)
+    fld = field_from_name(params["field"])
+    i_max = params["i_max"]
     ring = poly_ring(fld, ("u", "v", "w"))
     u, v, w = ring.gens()
     chain = w_chain(ring, u, v, w, i_max)
@@ -218,8 +240,8 @@ def _h_wchain_regular(params):
 
 
 def _h_wchain_absorbing(params):
-    fld = field_from_name(params.get("field", "Q"))
-    i_max = params.get("i_max", 5)
+    fld = field_from_name(params["field"])
+    i_max = params["i_max"]
     ring = poly_ring(fld, ("u", "v"))
     u = ring.var("u")
     chain = w_chain(ring, u, u, u, i_max)
@@ -235,12 +257,12 @@ def _h_wchain_absorbing(params):
 
 
 def _h_lemma32_levels(params):
-    fld = field_from_name(params.get("field", "GF(5)"))
+    fld = field_from_name(params["field"])
     ring = poly_ring(fld, ("u", "v"))
-    s = ring.parse(params.get("s", "u"))
-    t = ring.parse(params.get("t", "v"))
-    b = ring.parse(params.get("b", "u+v"))
-    i_max = params.get("i_max", 4)
+    s = ring.parse(params["s"])
+    t = ring.parse(params["t"])
+    b = ring.parse(params["b"])
+    i_max = params["i_max"]
     report = lemma_level_check(ring, b, s, t, i_max)
     witness = {"levels": report.levels, "b": str(b), "s": str(s), "t": str(t)}
     return ("verified" if report.ok else "refuted"), None, witness
@@ -259,8 +281,8 @@ def _h_omega_z_relations(params):
     if "i" in params:
         i_max = not_in_max = params["i"]
     else:
-        i_max = params.get("i_max", 3)
-        not_in_max = params.get("not_in_max", 4)
+        i_max = params["i_max"]
+        not_in_max = params["not_in_max"]
     floors = {}
     for i in range(1, i_max + 1):
         p = OmegaPoly.z(i) + OmegaPoly.z(0) ** (2**i)
@@ -277,10 +299,10 @@ def _h_omega_z_relations(params):
 
 
 def _h_omega_confluence(params):
-    rng = random.Random(params.get("seed", 20250814))
-    trials = params.get("trials", 100)
-    max_size = params.get("max_size", 6)
-    max_index = params.get("max_index", 4)
+    rng = random.Random(params["seed"])
+    trials = params["trials"]
+    max_size = params["max_size"]
+    max_index = params["max_index"]
     for n in range(trials):
         exps: dict[int, int] = {}
         budget = rng.randint(1, max_size)
@@ -299,12 +321,12 @@ def _h_omega_confluence(params):
                 "monomial": str(p), "largest": big, "smallest": small,
             }
     return "verified", None, {"trials": trials, "identical": trials,
-                              "seed": params.get("seed", 20250814)}
+                              "seed": params["seed"]}
 
 
 def _h_cex_m_order(params):
-    n_max = params.get("n_max", 10)
-    exact_max = params.get("exact_max", 3)
+    n_max = params["n_max"]
+    exact_max = params["exact_max"]
     log_sizes = []
     for n in range(n_max + 1):
         cert = m_order_certificate(n)
@@ -322,8 +344,8 @@ def _h_cex_m_order(params):
 
 
 def _h_cex_x_order(params):
-    n_max = params.get("n_max", 10)
-    exact_max = params.get("exact_max", 2)
+    n_max = params["n_max"]
+    exact_max = params["exact_max"]
     for n in range(n_max + 1):
         cert = x_order_certificate_bprime(n)
         if not cert.accepted:
@@ -346,7 +368,7 @@ def _h_cex_x_order(params):
 
 
 def _h_cex_coords(params):
-    n_max = params.get("n_max", 3)
+    n_max = params["n_max"]
     levels = {}
     for n in range(n_max + 1):
         result = coordinate_checks(n)
@@ -357,8 +379,8 @@ def _h_cex_coords(params):
 
 
 def _h_cex_sseq(params):
-    n = params.get("n", 5)
-    expect = params.get("expect", [2, 3, 6, 24, 180])
+    n = params["n"]
+    expect = params["expect"]
     values = list(s_sequence(n).values)
     ok = values == list(expect)
     return ("verified" if ok else "refuted"), None, {"values": values,
@@ -366,25 +388,26 @@ def _h_cex_sseq(params):
 
 
 def _h_jacobian_rank(params):
-    fld = field_from_name(params.get("field", "Q"))
+    fld = field_from_name(params["field"])
     xring = poly_ring(fld, ("x",))
-    ps = [xring.parse(s) for s in params.get("p", ["x"])]
-    a = params.get("a", [2])
-    b = params.get("b", [3])
+    ps = [xring.parse(s) for s in params["p"]]
+    a = params["a"]
+    b = params["b"]
+    q = xring.parse(params["q"])
     family = threefold_family(fld, ps, params.get("u", [1] * len(ps)),
                               params.get("v", [1] * len(ps)), a, b)
-    rank, dim = jacobian_tangent_dim(family, xring.parse(params.get("q", "x")))
-    expect_rank = params.get("expect_rank", 0)
-    expect_dim = params.get("expect_tangent_dim", 4)
+    rank, dim = jacobian_tangent_dim(family, q)
+    expect_rank = params["expect_rank"]
+    expect_dim = params["expect_tangent_dim"]
     witness = {"rank": rank, "tangent_dim": dim}
     if (rank, dim) != (expect_rank, expect_dim):
         witness["expected"] = [expect_rank, expect_dim]
         return "refuted", None, witness
-    if params.get("reject_exponent_one", True):
+    if params["reject_exponent_one"]:
         try:
             bad = threefold_family(fld, ps, [1] * len(ps), [1] * len(ps),
                                    [1] + list(a)[1:], b)
-            jacobian_tangent_dim(bad, xring.parse(params.get("q", "x")))
+            jacobian_tangent_dim(bad, q)
             witness["exponent_one_rejected"] = False
             return "refuted", None, witness
         except HypothesisError as err:
@@ -393,7 +416,7 @@ def _h_jacobian_rank(params):
 
 
 def _h_trinomial_validate(params):
-    fld = field_from_name(params.get("field", "Q"))
+    fld = field_from_name(params["field"])
     ring = trinomial_ring(fld, params["beta"], params["lambdas"])
     steps = ring.notes["step_gradings"]
     first = steps[0]
@@ -418,7 +441,7 @@ def _h_trinomial_validate(params):
 
 
 def _h_pham_cases(params):
-    fld = field_from_name(params.get("field", "Q"))
+    fld = field_from_name(params["field"])
     witness = {}
     for key, weights_key in (("coprime_triple", "triple_weights"),
                              ("chain", "chain_weights")):
@@ -445,11 +468,11 @@ def _h_pham_cases(params):
 
 
 def _h_groebner_irreducible(params):
-    fld = field_from_name(params.get("field", "GF(5)"))
-    ring = poly_ring(fld, tuple(params.get("vars", ["x", "y"])))
+    fld = field_from_name(params["field"])
+    ring = poly_ring(fld, tuple(params["vars"]))
     f = ring.parse(params["poly"])
-    verdict = brute_force_irreducible(f, params.get("max_deg", 2))
-    witness = {"poly": str(f), "searched_degree": params.get("max_deg", 2)}
+    verdict = brute_force_irreducible(f, params["max_deg"])
+    witness = {"poly": str(f), "searched_degree": params["max_deg"]}
     if verdict.irreducible:
         witness["verdict"] = "irreducible"
         return "verified", None, witness
@@ -463,59 +486,57 @@ def _h_groebner_irreducible(params):
 # registry
 # ---------------------------------------------------------------------------
 
-_NUM = (int,)
-_STR = (str,)
-_LIST = (list,)
-_DICT = (dict,)
-_BOOL = (bool,)
+_SEED = Param(int, 20250814)
 
 REGISTRY: dict[str, ClaimSpec] = {}
 
 
-def _register(claim_id: str, statement: str, param_types: dict, handler) -> None:
-    REGISTRY[claim_id] = ClaimSpec(claim_id, statement, param_types, handler)
+def _register(claim_id: str, statement: str, params: dict[str, Param], handler) -> None:
+    REGISTRY[claim_id] = ClaimSpec(claim_id, statement, params, handler)
 
 
 _register(
     "groebner.soundness",
     "Buchberger output passes the S-polynomial test and agrees with the "
     "linear-algebra membership oracle on random ideals over a prime field.",
-    {"field": _STR, "seed": _NUM, "trials": _NUM, "queries": _NUM,
-     "member_bound": _NUM},
+    {"field": Param(str, "GF(5)"), "seed": _SEED, "trials": Param(int, 20, 1),
+     "queries": Param(int, 100, 1), "member_bound": Param(int, 6, 0)},
     _h_groebner_soundness,
 )
 _register(
     "coeff.prime-avoid",
     "For every (a1, a2, b, c) in the box with gcd(a1, a2, b) = 1 and c != 0, "
     "the returned shift m gives gcd(c, b + m1*a1 + m2*a2) = 1.",
-    {"lo": _NUM, "hi": _NUM},
+    {"lo": Param(int, -6), "hi": Param(int, 6)},
     _h_prime_avoid,
 )
 _register(
     "samuel.kernel",
     "(a*X - b) is already saturated at a: ((a*X - b) : a^infinity) = (a*X - b).",
-    {"field": _STR, "vars": _LIST, "a": _STR, "b": _STR},
+    {"field": Param(str, "GF(5)"), "vars": Param(list, ["u", "v", "X"]),
+     "a": Param(str, "u", fill=False), "b": Param(str, "v", fill=False)},
     _h_samuel_kernel,
 )
 _register(
     "wchain.regular",
     "For b, s, t three independent variables, W_i = (b, s)^i and J_i = W_i "
     "up to the level bound.",
-    {"field": _STR, "i_max": _NUM},
+    {"field": Param(str, "Q"), "i_max": Param(int, 5, 1)},
     _h_wchain_regular,
 )
 _register(
     "wchain.absorbing",
     "For b = s = t = u the chain stabilizes: W_i = (u) and J_i = (1) for "
     "every level i >= 1 up to the bound.",
-    {"field": _STR, "i_max": _NUM},
+    {"field": Param(str, "Q"), "i_max": Param(int, 5, 1)},
     _h_wchain_absorbing,
 )
 _register(
     "lemma32.levels",
     "Level-wise elimination identity: eliminating X from (s^i, s*t*X - b) "
     "recovers W_i at every level up to the bound.",
-    {"field": _STR, "s": _STR, "t": _STR, "b": _STR, "i_max": _NUM},
+    {"field": Param(str, "GF(5)"), "s": Param(str, "u"), "t": Param(str, "v"),
+     "b": Param(str, "u+v"), "i_max": Param(int, 4, 1)},
     _h_lemma32_levels,
 )
 _register(
@@ -528,21 +549,24 @@ _register(
     "omega.z-relations",
     "z_i + z0^(2^i) lies in x*Omega for i up to the bound, while z_i itself "
     "never does.",
-    {"i": _NUM, "i_max": _NUM, "not_in_max": _NUM},
+    # i, when given, sets both bounds
+    {"i": Param(int, None, 1, fill=False), "i_max": Param(int, 3, 1),
+     "not_in_max": Param(int, 4, 0)},
     _h_omega_z_relations,
 )
 _register(
     "omega.confluence",
     "Rewriting is pivot-independent: largest- and smallest-pivot strategies "
     "give byte-identical normal forms on random monomials.",
-    {"seed": _NUM, "trials": _NUM, "max_size": _NUM, "max_index": _NUM},
+    {"seed": _SEED, "trials": Param(int, 100, 1), "max_size": Param(int, 6, 1),
+     "max_index": Param(int, 4, 0)},
     _h_omega_confluence,
 )
 _register(
     "cex.m-order",
     "The (x, y)-order certificate is accepted for every n up to the bound, "
     "and at small depth the full expansion has min (x, y)-degree >= n.",
-    {"n_max": _NUM, "exact_max": _NUM},
+    {"n_max": Param(int, 10, 0), "exact_max": Param(int, 3, 1)},
     _h_cex_m_order,
 )
 _register(
@@ -550,52 +574,64 @@ _register(
     "After the substitution y = x*T the order certificate is accepted for "
     "every n up to the bound, and at small depth the expansion is exactly "
     "divisible by x^n.",
-    {"n_max": _NUM, "exact_max": _NUM},
+    {"n_max": Param(int, 10, 0), "exact_max": Param(int, 2, 1)},
     _h_cex_x_order,
 )
 _register(
     "cex.coords",
     "All three coordinate identities hold for the truncated relation ideals: "
     "the shear composite linearizes, and the ideals match mod x and mod y.",
-    {"n_max": _NUM},
+    {"n_max": Param(int, 3, 0)},
     _h_cex_coords,
 )
 _register(
     "cex.sseq",
     "The exponent sequence begins 2, 3, 6, 24, 180.",
-    {"n": _NUM, "expect": _LIST},
+    {"n": Param(int, 5, 1), "expect": Param(list, [2, 3, 6, 24, 180])},
     _h_cex_sseq,
 )
 _register(
     "jacobian.rank",
     "The relation Jacobian at the distinguished point has the expected rank "
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
-    {"field": _STR, "p": _LIST, "u": _LIST, "v": _LIST, "a": _LIST, "b": _LIST,
-     "q": _STR, "expect_rank": _NUM, "expect_tangent_dim": _NUM,
-     "reject_exponent_one": _BOOL},
+    # u and v are derived from p when left out
+    {"field": Param(str, "Q"), "p": Param(list, ["x"]),
+     "u": Param(list, [1], fill=False), "v": Param(list, [1], fill=False),
+     "a": Param(list, [2]), "b": Param(list, [3]), "q": Param(str, "x"),
+     "expect_rank": Param(int, 0), "expect_tangent_dim": Param(int, 4),
+     "reject_exponent_one": Param(bool, True)},
     _h_jacobian_rank,
 )
 _register(
     "trinomial.validate",
     "The trinomial data validates: the first step grading has the expected "
     "weights and degree, and the last exponent block is coprime to it.",
-    {"field": _STR, "beta": _LIST, "lambdas": _LIST, "expect_degree": _NUM,
-     "expect_weights": _DICT},
+    # beta and lambdas are required; a missing expectation is not checked
+    {"field": Param(str, "Q"), "beta": Param(list, [[2], [3], [5]], fill=False),
+     "lambdas": Param(list, [1], fill=False),
+     "expect_degree": Param(int, 6, fill=False),
+     "expect_weights": Param(dict, {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,
 )
 _register(
     "pham.cases",
     "Diagonal-hypersurface data builds under the right case with the "
     "expected weight table; non-coprime data is rejected.",
-    {"field": _STR, "coprime_triple": _LIST, "triple_weights": _DICT,
-     "chain": _LIST, "chain_weights": _DICT, "reject": _LIST},
+    # each instance, expectation and rejection is checked only when given
+    {"field": Param(str, "Q"),
+     "coprime_triple": Param(list, [2, 3, 5], fill=False),
+     "triple_weights": Param(dict, {"X1": 15, "X2": 10, "Z": 6}, fill=False),
+     "chain": Param(list, [2, 3, 4, 5], fill=False),
+     "chain_weights": Param(dict, {"X1": 30, "X2": 20, "X3": 15, "Z": 12}, fill=False),
+     "reject": Param(list, [2, 2, 3], fill=False)},
     _h_pham_cases,
 )
 _register(
     "groebner.irreducible",
     "Exhaustive factor search certifies irreducibility over a prime field "
     "at the stated degree bound.",
-    {"field": _STR, "vars": _LIST, "poly": _STR, "max_deg": _NUM},
+    {"field": Param(str, "GF(5)"), "vars": Param(list, ["x", "y"]),
+     "poly": Param(str, "x^2 + y^3", fill=False), "max_deg": Param(int, 2, 1)},
     _h_groebner_irreducible,
 )
 
@@ -633,12 +669,18 @@ def _alarm(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, old)
 
 
+def _spec(claim_id: str) -> ClaimSpec:
+    spec = REGISTRY.get(claim_id)
+    if spec is None:
+        raise UsageError(f"unknown claim {claim_id!r}")
+    return spec
+
+
 def default_params(claim_id: str) -> dict:
-    """The fixture parameters shipped for a claim ({} when none exist)."""
-    res = resources.files("ufdlab").joinpath("fixtures").joinpath(f"{claim_id}.json")
-    if not res.is_file():
-        return {}
-    return json.loads(res.read_text())
+    """A fresh copy of the parameters shipped for a claim, in table order."""
+    table = _spec(claim_id).params
+    return copy.deepcopy({key: p.default for key, p in table.items()
+                          if p.default is not None})
 
 
 def report_schema() -> dict:
@@ -648,23 +690,29 @@ def report_schema() -> dict:
 
 
 def suite_claims(name: str) -> list[str]:
-    res = resources.files("ufdlab").joinpath("fixtures").joinpath(f"suite.{name}.json")
-    if not res.is_file():
+    """The claim ids of a suite; the one suite, "acceptance", is every claim."""
+    if name != "acceptance":
         raise UsageError(f"unknown suite {name!r}")
-    return list(json.loads(res.read_text())["claims"])
+    return list(REGISTRY)
 
 
 def _validate_params(spec: ClaimSpec, params: dict) -> None:
     for key, value in params.items():
-        want = spec.param_types.get(key)
-        if want is None:
+        param = spec.params.get(key)
+        if param is None:
             raise UsageError(f"unknown parameter {key!r} for claim {spec.claim_id}")
         # JSON true/false arrive as bool, which is a subclass of int
-        if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
-            names = "/".join(t.__name__ for t in want)
+        if not isinstance(value, param.kind) or (
+            isinstance(value, bool) and param.kind is not bool
+        ):
             raise UsageError(
-                f"parameter {key!r} of claim {spec.claim_id} must be {names}, "
-                f"got {type(value).__name__}"
+                f"parameter {key!r} of claim {spec.claim_id} must be "
+                f"{param.kind.__name__}, got {type(value).__name__}"
+            )
+        if param.min is not None and value < param.min:
+            raise UsageError(
+                f"parameter {key!r} of claim {spec.claim_id} must be "
+                f">= {param.min}, got {value}"
             )
 
 
@@ -672,21 +720,25 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
               timeout: Optional[float] = 60.0) -> ClaimReport:
     """Dispatch one claim and assemble its report.
 
-    With params=None the shipped fixture parameters are used.  A cap or
-    timeout downgrades the status to unknown with the bound saying which.
-    Parameter-level failures (unknown claim, wrong types, hypothesis errors
-    raised while setting the instance up) raise UsageError instead.
+    With params=None the shipped parameters are used.  Otherwise the given
+    parameters are checked against the claim's table (type and lower bound)
+    and the handler sees them on top of the shipped values of the filled
+    parameters; the report records the parameters exactly as given.  A cap
+    or timeout downgrades the status to unknown with the bound saying which.
+    Parameter-level failures (unknown claim, wrong types, out-of-range
+    values, hypothesis errors raised while setting the instance up) raise
+    UsageError instead.
     """
-    spec = REGISTRY.get(claim_id)
-    if spec is None:
-        raise UsageError(f"unknown claim {claim_id!r}")
+    spec = _spec(claim_id)
+    shipped = default_params(claim_id)
     if params is None:
-        params = default_params(claim_id)
+        params = shipped
     _validate_params(spec, params)
+    filled = {key: value for key, value in shipped.items() if spec.params[key].fill}
     start = time.monotonic()
     try:
         with _alarm(timeout):
-            status, bound, witness = spec.handler(dict(params))
+            status, bound, witness = spec.handler({**filled, **params})
     except _Timeout:
         status, bound, witness = "unknown", "timeout", None
     except CapExceeded as err:

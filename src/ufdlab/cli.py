@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one claim and emit its report")
     run.add_argument("claim_id")
     run.add_argument("--params", metavar="FILE",
-                     help="JSON parameter file (default: shipped fixture)")
+                     help="JSON parameter file (default: the claim's shipped parameters)")
     run.add_argument("--out", metavar="FILE", help="write the report here")
     run.add_argument("--timeout", type=float, default=60.0,
                      help="per-claim seconds before the status degrades to "

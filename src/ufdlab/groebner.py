@@ -25,6 +25,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     fresh_name,
+    grevlex_key,
     mono_div,
     mono_divides,
     mono_mul,
@@ -52,8 +53,7 @@ class Order:
         if self.kind == "lex":
             return lambda exp: exp
         if self.kind == "grevlex":
-            n = ring.nvars
-            return lambda exp: (sum(exp), tuple(-exp[i] for i in range(n - 1, -1, -1)))
+            return grevlex_key
         if self.kind == "block":
             seen: list[str] = [n for blk in self.blocks for n in blk]
             if sorted(seen) != sorted(ring.names):

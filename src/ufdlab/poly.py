@@ -142,7 +142,7 @@ def mono_divides(a: Exp, b: Exp) -> bool:
 
 def grevlex_key(exp: Exp):
     """Sort key: ascending under graded reverse lexicographic order."""
-    return (sum(exp), tuple(-exp[i] for i in range(len(exp) - 1, -1, -1)))
+    return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
 class Polynomial:
@@ -470,11 +470,6 @@ class RingMap:
                 piece = piece * cached
             out = out + piece
         return out
-
-
-def apply_map(phi: RingMap, p: Polynomial) -> Polynomial:
-    """Apply a substitution homomorphism (see RingMap)."""
-    return phi.apply(p)
 
 
 # ---------------------------------------------------------------------------

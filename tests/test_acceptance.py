@@ -222,7 +222,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
         except jsonschema.ValidationError:
             schema_ok = False
     ok = proc.returncode == 0 and schema_ok and len(docs) == 17 and seconds < 120
-    _line(10, "CLI run-all on shipped fixtures", ok, seconds, 120)
+    _line(10, "CLI run-all on shipped parameters", ok, seconds, 120)
     assert proc.returncode == 0, proc.stderr
     assert len(docs) == 17
     assert schema_ok

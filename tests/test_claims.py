@@ -7,7 +7,9 @@ import pytest
 
 from ufdlab.claims import (
     REGISTRY,
+    Param,
     UsageError,
+    _validate_params,
     default_params,
     exit_code,
     report_schema,
@@ -22,7 +24,8 @@ def test_registry_is_nonempty_and_self_describing():
     for cid, spec in REGISTRY.items():
         assert spec.claim_id == cid
         assert spec.statement.strip()
-        assert isinstance(spec.param_types, dict)
+        assert isinstance(spec.params, dict)
+        assert all(isinstance(p, Param) for p in spec.params.values())
 
 
 def test_acceptance_suite_covers_the_whole_registry():
@@ -33,7 +36,46 @@ def test_every_claim_ships_fixture_parameters():
     for cid, spec in REGISTRY.items():
         params = default_params(cid)
         assert isinstance(params, dict)
-        assert set(params) <= set(spec.param_types)
+        assert set(params) <= set(spec.params)
+
+
+def test_shipped_parameters_pass_their_own_validation():
+    for cid, spec in REGISTRY.items():
+        _validate_params(spec, default_params(cid))
+
+
+def test_default_params_returns_a_fresh_copy():
+    first = default_params("pham.cases")
+    first["chain"].append(99)
+    first["triple_weights"]["Z"] = 0
+    first["field"] = "GF(7)"
+    assert default_params("pham.cases")["chain"] == [2, 3, 4, 5]
+    assert default_params("pham.cases")["triple_weights"]["Z"] == 6
+    assert default_params("pham.cases")["field"] == "Q"
+    assert run_claim("pham.cases").status == "verified"
+
+
+def test_unfilled_parameters_stay_absent():
+    # filling the shipped expectations in would refute these instances
+    rep = run_claim("pham.cases", {"coprime_triple": [2, 3, 7]})
+    assert rep.status == "verified", rep.witness
+    assert set(rep.witness) == {"coprime_triple"}
+    assert rep.params == {"coprime_triple": [2, 3, 7]}
+    rep = run_claim("trinomial.validate", {"beta": [[2], [3], [7]], "lambdas": [1]})
+    assert rep.status == "verified", rep.witness
+
+
+@pytest.mark.parametrize("cid, params, match", [
+    ("groebner.soundness", {"trials": 0}, "must be >= 1, got 0"),
+    ("groebner.soundness", {"trials": -1}, "must be >= 1, got -1"),
+    ("cex.m-order", {"n_max": -1}, "must be >= 0, got -1"),
+    ("wchain.regular", {"i_max": 0}, "must be >= 1, got 0"),
+    ("coeff.prime-avoid", {"lo": 1, "hi": 0}, "empty box"),
+    ("samuel.kernel", {"field": "Q"}, "samuel.kernel: 'a'"),
+])
+def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
+    with pytest.raises(UsageError, match=match):
+        run_claim(cid, params)
 
 
 def test_unknown_claim_and_unknown_suite_are_usage_errors():

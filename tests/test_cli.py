@@ -94,6 +94,15 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     bool_for_int = tmp_path / "b.json"
     bool_for_int.write_text('{"trials": true, "queries": true}')
     assert main(["claim", "run", "groebner.soundness", "--params", str(bool_for_int)]) == 3
+    for cid, params in [("groebner.soundness", {"trials": 0}),
+                        ("groebner.soundness", {"trials": -1}),
+                        ("cex.m-order", {"n_max": -1}),
+                        ("wchain.regular", {"i_max": 0}),
+                        ("coeff.prime-avoid", {"lo": 1, "hi": 0}),
+                        ("samuel.kernel", {"field": "Q"})]:
+        path = tmp_path / f"{cid}.json"
+        path.write_text(json.dumps(params))
+        assert main(["claim", "run", cid, "--params", str(path)]) == 3, (cid, params)
     assert main(["nonsense"]) == 3
     capsys.readouterr()
 
