@@ -142,15 +142,15 @@ def _h_groebner_soundness(params):
     names = ("u", "v", "w")
     s_polys = 0
     agreements = 0
-    per_trial = max(1, queries // trials)
-    for _ in range(trials):
+    for trial in range(trials):
         ring = poly_ring(fld, names[: rng.randint(1, 3)])
         gens = [_random_poly(ring, rng, 3, 4) for _ in range(rng.randint(1, 4))]
         gb = buchberger(gens)
         keyfn = GREVLEX.key_for(ring)
+        leads = [g.leading(keyfn)[0] for g in gb]
         for i in range(len(gb)):
             for j in range(i):
-                s = _s_poly(gb[i], gb[j], keyfn)
+                s = _s_poly(gb[i], leads[i], gb[j], leads[j])
                 s_polys += 1
                 if s and reduce(s, gb):
                     return "refuted", None, {
@@ -158,7 +158,8 @@ def _h_groebner_soundness(params):
                         "basis": [str(g) for g in gb],
                         "pair": [str(gb[j]), str(gb[i])],
                     }
-        for _ in range(per_trial):
+        # exactly `queries` queries in all, the remainder on the first ideals
+        for _ in range(queries // trials + (trial < queries % trials)):
             q = _random_poly(ring, rng, 3, 4)
             via_basis = not reduce(q, gb) if gb else not q
             via_oracle = brute_force_member(q, gens, member_bound)

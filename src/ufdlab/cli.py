@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -84,7 +85,14 @@ def _load_json_file(path: str):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (`| head -1`).  The verdicts stand, so
+            # the exit code is still theirs; send the unwritten rest to
+            # devnull so the interpreter's flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(out, "w") as fh:
             fh.write(text + "\n")

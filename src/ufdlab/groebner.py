@@ -13,6 +13,7 @@ basis, and is complete once the degree bound covers the true cofactors.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -95,7 +96,15 @@ def divide(
     p: Polynomial, divisors: Sequence[Polynomial], order: Order = GREVLEX
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Multivariate division: p = sum(q_i * divisors_i) + r with no term of r
-    divisible by any divisor's leading term.  Returns (r, [q_i])."""
+    divisible by any divisor's leading term.  Returns (r, [q_i]).
+
+    Each divisor's order key, leading exponent and leading coefficient are
+    computed once.  The leading term of the running difference `work` comes
+    from a heap of order-reversed keys (Yan 1998 keeps order keys cached the
+    same way in his geobuckets): every exponent of `work` is queued once, an
+    entry whose term has cancelled is dropped when it surfaces, and after
+    each step only the terms of the subtracted m*g not queued yet are pushed.
+    """
     ring = p.ring
     _check_plain_ring(ring)
     keyfn = order.key_for(ring)
@@ -107,14 +116,21 @@ def divide(
             raise ValueError("divisor from a different ring")
         if not g:
             raise ValueError("zero divisor in reduction")
-        leads.append(g.leading(keyfn))
+        de, dc = g.leading(keyfn)
+        leads.append((keyfn(de), de, dc))
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
     remainder: dict[Exp, object] = {}
     work = p
+    heap = [(_reversed_key(keyfn(e)), e) for e in work.terms]
+    heapq.heapify(heap)
+    queued = set(work.terms)
     while work:
         if work.term_count() > caps.terms:
             raise CapExceeded("instance too large")
-        we, wc = work.leading(keyfn)
+        while heap[0][1] not in work.terms:
+            queued.discard(heapq.heappop(heap)[1])
+        we = heap[0][1]
+        wc = work.terms[we]
         if sum(k for k in we if k > 0) > caps.degree:
             raise CapExceeded("instance too large")
         # Among usable divisors prefer the smallest leading term: a rule that
@@ -123,19 +139,31 @@ def divide(
         # variable, say) kills the term outright.  The remainder itself is
         # path-independent, this only picks a cheap route to it.
         hit = None
-        for i, (de, dc) in enumerate(leads):
-            if mono_divides(de, we) and (hit is None or keyfn(de) < keyfn(hit[1])):
-                hit = (i, de, dc)
+        for i, (dk, de, dc) in enumerate(leads):
+            if mono_divides(de, we) and (hit is None or dk < hit[0]):
+                hit = (dk, i, de, dc)
         if hit is None:
             remainder[we] = wc
             work = work - Polynomial(ring, {we: wc})
             continue
-        i, de, dc = hit
+        _, i, de, dc = hit
         qe = mono_div(we, de)
         qc = fld.div(wc, dc)
         quotients[i][qe] = fld.add(quotients[i].get(qe, fld.zero()), qc)
-        work = work - Polynomial(ring, {qe: qc}) * divisors[i]
+        step = Polynomial(ring, {qe: qc}) * divisors[i]
+        work = work - step
+        for e in step.terms:
+            if e not in queued:
+                queued.add(e)
+                heapq.heappush(heap, (_reversed_key(keyfn(e)), e))
     return Polynomial(ring, remainder), [Polynomial(ring, q) for q in quotients]
+
+
+def _reversed_key(key):
+    """An order key with every integer negated, so that a min-heap of these
+    pops the largest term first (order keys are nested tuples of ints of one
+    shape, so negation exactly reverses their comparison)."""
+    return tuple(-k if type(k) is int else _reversed_key(k) for k in key)
 
 
 def reduce(
@@ -147,13 +175,12 @@ def reduce(
     return r
 
 
-def _s_poly(f: Polynomial, g: Polynomial, keyfn) -> Polynomial:
-    fe, fc = f.leading(keyfn)
-    ge, gc = g.leading(keyfn)
+def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
+    """S-polynomial of f and g, given their leading exponents fe and ge."""
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
     fld = f.ring.field
-    mf = Polynomial(f.ring, {mono_div(lcm, fe): fld.inv(fc)})
-    mg = Polynomial(g.ring, {mono_div(lcm, ge): fld.inv(gc)})
+    mf = Polynomial(f.ring, {mono_div(lcm, fe): fld.inv(f.terms[fe])})
+    mg = Polynomial(g.ring, {mono_div(lcm, ge): fld.inv(g.terms[ge])})
     return mf * f - mg * g
 
 
@@ -162,13 +189,17 @@ def buchberger(
 ) -> list[Polynomial]:
     """Monic Groebner basis of the ideal generated by gens.
 
-    Pair selection is by smallest lcm (normal strategy); the coprime and
-    chain criteria prune pairs.  With interreduce=True (the default) the
-    output is the unique reduced basis, sorted with the largest leading
-    term first.  With interreduce=False the basis is only minimal (no
-    leading term divides another): still a Groebner basis, so normal forms
-    against it are the same, but tails stay unreduced -- which matters when
-    the reduced tails would be astronomically larger than the generators.
+    Pair selection is by smallest lcm (normal strategy), ties broken by the
+    pair's indices; the coprime and chain criteria prune pairs.  The leading
+    exponents live in a list beside the basis, and the open pairs in a heap
+    of (order key of the lcm, (i, j), lcm), each entry computed once when
+    the pair is pushed (Giovini et al. 1991 keep their pairs in a heap too).
+    With interreduce=True (the default) the output is the unique reduced
+    basis, sorted with the largest leading term first.  With
+    interreduce=False the basis is only minimal (no leading term divides
+    another): still a Groebner basis, so normal forms against it are the
+    same, but tails stay unreduced -- which matters when the reduced tails
+    would be astronomically larger than the generators.
     """
     if not gens:
         return []
@@ -181,61 +212,61 @@ def buchberger(
     caps = current_caps()
 
     basis: list[Polynomial] = []
+    leads: list[Exp] = []
+    pairs: list[tuple[object, tuple[int, int], Exp]] = []
+
+    def add(g: Polynomial) -> None:
+        new = len(basis)
+        basis.append(g)
+        leads.append(g.leading(keyfn)[0])
+        for k in range(new):
+            lcm = tuple(max(a, b) for a, b in zip(leads[k], leads[new]))
+            heapq.heappush(pairs, (keyfn(lcm), (k, new), lcm))
+
     for g in gens:
         if not g:
             continue
         if g.total_degree() > caps.degree or g.term_count() > caps.terms:
             raise CapExceeded("instance too large")
-        if g.monic(keyfn) not in basis:
-            basis.append(g.monic(keyfn))
+        g = g.monic(keyfn)
+        if g not in basis:
+            add(g)
     if not basis:
         return []
 
-    def lead(i: int) -> Exp:
-        return basis[i].leading(keyfn)[0]
-
-    pairs: set[tuple[int, int]] = {
-        (i, j) for j in range(len(basis)) for i in range(j)
-    }
     done: set[tuple[int, int]] = set()
-
-    def lcm_of(i: int, j: int) -> Exp:
-        return tuple(max(a, b) for a, b in zip(lead(i), lead(j)))
-
     while pairs:
-        i, j = min(pairs, key=lambda ij: (keyfn(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
+        _, (i, j), lcm = heapq.heappop(pairs)
         done.add((i, j))
-        lcm = lcm_of(i, j)
-        if mono_mul(lead(i), lead(j)) == lcm:
+        if mono_mul(leads[i], leads[j]) == lcm:
             continue  # coprime leading terms: S-poly reduces to zero
         chain = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
             a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if mono_divides(lead(k), lcm) and a in done and b in done:
+            if mono_divides(leads[k], lcm) and a in done and b in done:
                 chain = True
                 break
         if chain:
             continue
-        s = _s_poly(basis[i], basis[j], keyfn)
+        s = _s_poly(basis[i], leads[i], basis[j], leads[j])
         r, _ = divide(s, basis, order)
         if not r:
             continue
         if r.total_degree() > caps.degree or r.term_count() > caps.terms:
             raise CapExceeded("instance too large")
-        basis.append(r.monic(keyfn))
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        add(r.monic(keyfn))
 
-    # minimalize: keep only elements with pairwise non-divisible leading terms
-    basis.sort(key=lambda g: keyfn(g.leading(keyfn)[0]))
+    # minimalize: keep only elements with pairwise non-divisible leading
+    # terms, in ascending order of their leading terms
     keep: list[Polynomial] = []
-    for g in basis:
-        e = g.leading(keyfn)[0]
-        if not any(mono_divides(h.leading(keyfn)[0], e) for h in keep):
-            keep.append(g)
+    keep_leads: list[Exp] = []
+    for idx in sorted(range(len(basis)), key=lambda i: keyfn(leads[i])):
+        e = leads[idx]
+        if not any(mono_divides(h, e) for h in keep_leads):
+            keep.append(basis[idx])
+            keep_leads.append(e)
     if interreduce:
         # inter-reduce tails (leading terms are stable, so one pass suffices)
         for idx in range(len(keep)):
@@ -243,7 +274,8 @@ def buchberger(
             if others:
                 r, _ = divide(keep[idx], others, order)
                 keep[idx] = r.monic(keyfn)
-    keep.sort(key=lambda g: keyfn(g.leading(keyfn)[0]), reverse=True)
+    # the leading terms are distinct, so this is the descending order
+    keep.reverse()
     return keep
 
 
@@ -299,9 +331,6 @@ class Ideal:
     def is_trivial(self) -> bool:
         gb = self._min_basis()
         return len(gb) == 1 and gb[0] == self.ring.one()
-
-    def is_zero(self) -> bool:
-        return not self.groebner()
 
     def __add__(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:

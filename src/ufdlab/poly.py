@@ -245,12 +245,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.ring.vars.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def support(self) -> set[str]:
         used = set()
         for e in self.terms:
@@ -258,15 +252,6 @@ class Polynomial:
                 if k != 0:
                     used.add(self.ring.names[i])
         return used
-
-    def coeff_of(self, exps: Mapping[str, int]):
-        exp = [0] * self.ring.nvars
-        for name, k in exps.items():
-            exp[self.ring.vars.index(name)] = k
-        return self.terms.get(tuple(exp), self.ring.field.zero())
-
-    def constant_coeff(self):
-        return self.terms.get(self.ring.zero_exp(), self.ring.field.zero())
 
     def is_constant(self) -> bool:
         return all(all(k == 0 for k in e) for e in self.terms)
@@ -301,9 +286,6 @@ class Polynomial:
         fld = self.ring.field
         ci = fld.inv(c)
         return Polynomial(self.ring, {e: fld.mul(v, ci) for e, v in self.terms.items()})
-
-    def map_coeffs(self, fn) -> "Polynomial":
-        return Polynomial(self.ring, {e: fn(c) for e, c in self.terms.items()})
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises ValueError when not divisible."""
@@ -388,9 +370,6 @@ class Grading:
         out = dict(self.weights)
         out.update(extra)
         return Grading(out)
-
-    def restricted(self, names: Iterable[str]) -> "Grading":
-        return Grading({n: self.weights[n] for n in names})
 
     def exp_degree(self, exp: Exp, ring: PolyRing) -> int:
         missing = [n for n in ring.names if n not in self.weights]

@@ -120,6 +120,14 @@ def test_reports_are_deterministic_modulo_elapsed_ms():
         assert stripped(run_claim(cid)) == stripped(run_claim(cid))
 
 
+@pytest.mark.parametrize("trials, queries", [(20, 5), (3, 100)])
+def test_soundness_runs_exactly_the_queries_asked_for(trials, queries):
+    rep = run_claim("groebner.soundness", {"trials": trials, "queries": queries})
+    assert rep.status == "verified"
+    assert rep.witness["ideals"] == trials
+    assert rep.witness["membership_agreements"] == queries
+
+
 def test_refutation_carries_the_counterexample():
     rep = run_claim("cex.sseq", {"n": 5, "expect": [2, 3, 6, 24, 181]})
     assert rep.status == "refuted"

@@ -152,3 +152,15 @@ def test_cli_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_reader_closing_stdout_early_keeps_the_exit_code():
+    env = dict(os.environ)
+    src = str(resources.files("ufdlab").parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "ufdlab.cli", "claim", "run", "cex.sseq"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the report is written
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

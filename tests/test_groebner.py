@@ -63,6 +63,62 @@ def test_reduce_remainder_has_no_divisible_terms():
             assert not all(a <= b for a, b in zip(de, exp))
 
 
+def _naive_divide(p, divisors, order):
+    """Division as a max() over the terms of `work` and Polynomial
+    subtraction at every step, with the same divisor rule as `divide`."""
+    ring, keyfn, fld = p.ring, order.key_for(p.ring), p.ring.field
+    leads = [g.leading(keyfn) for g in divisors]
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = p
+    while work:
+        we, wc = work.leading(keyfn)
+        hit = None
+        for i, (de, dc) in enumerate(leads):
+            if all(a <= b for a, b in zip(de, we)) and (
+                hit is None or keyfn(de) < keyfn(hit[1])
+            ):
+                hit = (i, de, dc)
+        if hit is None:
+            remainder[we] = wc
+            work = work - Polynomial(ring, {we: wc})
+            continue
+        i, de, dc = hit
+        qe = tuple(a - b for a, b in zip(we, de))
+        qc = fld.div(wc, dc)
+        quotients[i][qe] = fld.add(quotients[i].get(qe, fld.zero()), qc)
+        work = work - Polynomial(ring, {qe: qc}) * divisors[i]
+    return Polynomial(ring, remainder), [Polynomial(ring, q) for q in quotients]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, elimination_order(("x",), ("y", "z"))], ids=lambda o: o.kind
+)
+def test_divide_matches_naive_reference(field, order):
+    rng = random.Random(23)
+    r = poly_ring(field, ("x", "y", "z"))
+
+    def rand_poly(nterms, max_exp):
+        terms = {}
+        for _ in range(nterms):
+            e = tuple(rng.randrange(0, max_exp + 1) for _ in range(3))
+            terms[e] = field.sample(rng)
+        return Polynomial(r, terms)
+
+    checked = 0
+    for _ in range(40):
+        divisors = [rand_poly(rng.randrange(1, 4), 2) for _ in range(rng.randrange(1, 4))]
+        divisors = [g for g in divisors if g]
+        p = rand_poly(rng.randrange(1, 7), 3)
+        if not divisors:
+            continue
+        rem, quotients = divide(p, divisors, order)
+        assert (rem, quotients) == _naive_divide(p, divisors, order)
+        checked += int(bool(rem) and any(quotients))
+    assert checked >= 10  # enough cases with both a remainder and a quotient
+
+
 # -- buchberger ----------------------------------------------------------------
 
 
@@ -193,6 +249,36 @@ def test_degree_cap_trips(monkeypatch):
     x, y = r.gens()
     with pytest.raises(CapExceeded, match="instance too large"):
         buchberger([x**3 + 1, y], GREVLEX)
+
+
+def test_divide_term_cap_trips_when_work_grows(monkeypatch):
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
+    r = poly_ring(QQ, ("x", "y", "z", "w", "v"))
+    x, y, z, w, v = r.gens()
+    # x^2 itself fits; one step turns it into four terms
+    with pytest.raises(CapExceeded, match="instance too large"):
+        divide(x**2, [x**2 - y - z - w - v])
+
+
+def test_divide_degree_cap_trips_on_a_later_leading_term(monkeypatch):
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=2")
+    r = QXY()
+    x, y = r.gens()
+    # x has degree 1; under lex the first step leaves y^3 leading
+    with pytest.raises(CapExceeded, match="instance too large"):
+        divide(x, [x - y**3], LEX)
+
+
+def test_buchberger_term_cap_trips_on_a_new_remainder(monkeypatch):
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
+    r = poly_ring(QQ, ("x", "y", "z"))
+    x, y, z = r.gens()
+    f, g = x * y + x - z, y**3
+    # the only pair's S-polynomial divides within the cap, to four terms
+    rem, _ = divide(y**2 * f - x * g, [f, g])
+    assert rem.term_count() == 4
+    with pytest.raises(CapExceeded, match="instance too large"):
+        buchberger([f, g], GREVLEX)
 
 
 # -- ideal operations -----------------------------------------------------------
