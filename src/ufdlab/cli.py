@@ -106,8 +106,8 @@ def _checked_json(report: ClaimReport, schema: dict) -> dict:
 
 def _cmd_claim_list() -> int:
     width = max(len(cid) for cid in REGISTRY)
-    for cid, spec in REGISTRY.items():
-        print(f"{cid:<{width}}  {spec.statement}")
+    lines = [f"{cid:<{width}}  {spec.statement}" for cid, spec in REGISTRY.items()]
+    _emit("\n".join(lines), None)
     return 0
 
 
@@ -147,7 +147,7 @@ def _cmd_ring_export(args) -> int:
         ring = load_presentation_json(text)
     except (ValueError, KeyError, TypeError) as err:
         raise UsageError(f"{args.input} is not a presentation file: {err}") from err
-    print(export_presentation(ring, args.format))
+    _emit(export_presentation(ring, args.format), None)
     return 0
 
 

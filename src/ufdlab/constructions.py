@@ -85,9 +85,6 @@ class PresentedRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         return self.ideal().normal_form(p)
 
-    def describe(self) -> str:
-        return export_presentation(self, "cas-text")
-
 
 def free_ring(field: Field, names: Sequence[str], grading: Optional[Grading] = None,
               tag: str = "") -> PresentedRing:
@@ -175,10 +172,6 @@ class ConditionPReport:
         return "verified"
 
 
-def _monic_key(p: Polynomial) -> tuple:
-    return p.monic().key()
-
-
 def _standard_monomials(ring: PolyRing, gb, max_deg: int) -> list[Polynomial]:
     """Monomials of degree <= max_deg reducible by no basis leading term."""
     keyfn = GREVLEX.key_for(ring)
@@ -241,7 +234,7 @@ def check_condition_P(
     # dedupe the prime list up to scalar multiples, split off excluded ones
     classes: list[Polynomial] = []
     for p in prime_factors_of_a:
-        if not any(_monic_key(p) == _monic_key(q) for q in classes):
+        if not any(p.monic() == q.monic() for q in classes):
             classes.append(p)
     primes: list[Polynomial] = []
     excluded: list[str] = []

@@ -33,6 +33,9 @@ from .poly import (
     poly_ring,
 )
 
+SATURATION_ROUNDS_CAP = 32
+IRREDUCIBLE_CANDIDATE_CAP = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -424,7 +427,7 @@ def ideal_quotient(a: Ideal, f) -> Ideal:
     return Ideal(a.ring, tuple(g.exact_div(f) for g in cap.gens))
 
 
-def saturation(a: Ideal, f: Polynomial, max_rounds: int = 32) -> tuple[Ideal, int]:
+def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
     """(a : f^infinity) by iterating colon ideals until they stabilize.
 
     Returns (saturated ideal, saturation index): the index is the first k
@@ -433,7 +436,7 @@ def saturation(a: Ideal, f: Polynomial, max_rounds: int = 32) -> tuple[Ideal, in
     if not f:
         raise ValueError("saturation by zero")
     current = a
-    for k in range(max_rounds):
+    for k in range(SATURATION_ROUNDS_CAP):
         nxt = ideal_quotient(current, f)
         if ideal_equal(nxt, current):
             return current, k
@@ -543,9 +546,7 @@ class FactorVerdict:
         return self.status
 
 
-def brute_force_irreducible(
-    f: Polynomial, max_deg: int, candidate_cap: int = 10_000_000
-) -> FactorVerdict:
+def brute_force_irreducible(f: Polynomial, max_deg: int) -> FactorVerdict:
     """Exhaustive factor search over a prime field: trial division by every
     monic polynomial of total degree 1..max_deg in f's variables.
 
@@ -572,7 +573,7 @@ def brute_force_irreducible(
         count = fld.p ** lead_pos
         plans.append((lead, monos[:lead_pos]))
         total += count
-        if total > candidate_cap:
+        if total > IRREDUCIBLE_CANDIDATE_CAP:
             raise CapExceeded("instance too large")
     elements = list(range(fld.p))
     for lead, lower in plans:

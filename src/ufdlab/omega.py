@@ -18,7 +18,9 @@ tests).  Everything here is exact and immutable.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -61,12 +63,6 @@ class OmegaMonomial:
     def is_squarefree(self) -> bool:
         return all(exp == 1 for _, exp in self.e)
 
-    def times(self, other: "OmegaMonomial") -> "OmegaMonomial":
-        e = dict(self.e)
-        for i, exp in other.e:
-            e[i] = e.get(i, 0) + exp
-        return omega_monomial(self.r + other.r, e)
-
     def sort_key(self):
         return (self.r, self.e)
 
@@ -76,11 +72,11 @@ def omega_monomial(r: int = 0, e: Mapping[int, int] | None = None) -> OmegaMonom
     return OmegaMonomial(r, items)
 
 
-MONO_ONE = omega_monomial()
-
-
 class OmegaPoly:
-    """Finite k-linear combination of OmegaMonomials (zero coeffs dropped)."""
+    """Finite k-linear combination of OmegaMonomials (zero coeffs dropped).
+
+    The arithmetic is ufdlab.poly's: operands are rendered into the bridge
+    ring k[x, z0..zK] (see `to_poly`), combined there, and read back."""
 
     __slots__ = ("field", "terms")
 
@@ -115,45 +111,31 @@ class OmegaPoly:
             and self.terms == other.terms
         )
 
+    def _via_poly(self, op, *others: "OmegaPoly") -> "OmegaPoly":
+        """Apply a Polynomial operation in one bridge ring wide enough for all
+        operands, and read the result back."""
+        ring = _bridge_ring(self.field, _top_index(self, *others))
+        return from_poly(op(to_poly(self, ring), *(to_poly(o, ring) for o in others)))
+
     def __add__(self, other: "OmegaPoly") -> "OmegaPoly":
-        out = dict(self.terms)
-        fld = self.field
-        for m, c in other.terms.items():
-            out[m] = fld.add(out.get(m, fld.zero()), c)
-        return OmegaPoly(fld, out)
+        return self._via_poly(operator.add, other)
 
     def __neg__(self) -> "OmegaPoly":
-        fld = self.field
-        return OmegaPoly(fld, {m: fld.neg(c) for m, c in self.terms.items()})
+        return self._via_poly(operator.neg)
 
     def __sub__(self, other: "OmegaPoly") -> "OmegaPoly":
-        return self + (-other)
+        return self._via_poly(operator.sub, other)
 
     def __mul__(self, other: "OmegaPoly") -> "OmegaPoly":
-        fld = self.field
-        out: dict[OmegaMonomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.times(m2)
-                out[m] = fld.add(out.get(m, fld.zero()), fld.mul(c1, c2))
-        return OmegaPoly(fld, out)
+        return self._via_poly(operator.mul, other)
 
     def __pow__(self, n: int) -> "OmegaPoly":
         if n < 0:
             raise ValueError("negative power")
-        out = OmegaPoly.monomial(MONO_ONE, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return self._via_poly(lambda q: q**n)
 
     def scale(self, c) -> "OmegaPoly":
-        fld = self.field
-        cc = fld.of(c)
-        return OmegaPoly(fld, {m: fld.mul(v, cc) for m, v in self.terms.items()})
+        return self._via_poly(lambda q: q.scale(c))
 
     def degrees(self) -> set[int]:
         return {m.degree() for m in self.terms}
@@ -181,7 +163,7 @@ def sigma(d: int) -> OmegaMonomial:
 
 def basis_monomial(m: int, n: int) -> OmegaMonomial:
     """x^m * F_n, the basis element with coordinates (m, n)."""
-    return omega_monomial(m).times(sigma(n))
+    return OmegaMonomial(m, sigma(n).e)
 
 
 def defining_relation(m: int, field: Field = QQ) -> OmegaPoly:
@@ -331,27 +313,44 @@ def expansion_text(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> str:
 _Z_NAME = re.compile(r"\bz(\d+)\b")
 
 
+@functools.lru_cache(maxsize=128)
 def _bridge_ring(field: Field, max_index: int) -> PolyRing:
     return poly_ring(field, ("x",) + tuple(f"z{i}" for i in range(max_index + 1)))
 
 
+def _top_index(*ps: OmegaPoly) -> int:
+    """The largest z-index in any term of ps (0 when none has a z)."""
+    return max((m.e[-1][0] for p in ps for m in p.terms if m.e), default=0)
+
+
 def to_poly(p: OmegaPoly, ring: Optional[PolyRing] = None) -> Polynomial:
     """Render into an ordinary polynomial ring with variables x, z0..zK."""
-    top = max((i for m in p.terms for i, _ in m.e), default=0)
     if ring is None:
-        ring = _bridge_ring(p.field, top)
-    out = ring.zero()
-    for mono, coeff in p.terms.items():
-        exps = {f"z{i}": exp for i, exp in mono.e}
-        if mono.r:
-            exps["x"] = mono.r
-        out = out + ring.monomial(exps, coeff)
-    return out
+        ring = _bridge_ring(p.field, _top_index(p))
+    pos = {name: i for i, name in enumerate(ring.names)}
+    terms = {}
+    try:
+        for mono, coeff in p.terms.items():
+            exp = [0] * ring.nvars
+            if mono.r:
+                exp[pos["x"]] = mono.r
+            for i, k in mono.e:
+                exp[pos[f"z{i}"]] = k
+            terms[tuple(exp)] = coeff
+    except KeyError as err:
+        raise ValueError(f"unknown variable {err.args[0]!r}") from None
+    return Polynomial(ring, terms)
+
+
+@functools.lru_cache(maxsize=128)
+def _z_indices(names: tuple[str, ...]) -> dict[str, int]:
+    return {n: int(m.group(1)) for n in names if (m := _Z_NAME.fullmatch(n))}
 
 
 def from_poly(q: Polynomial) -> OmegaPoly:
     """Read an OmegaPoly off a polynomial in variables x, z0, z1, ..."""
     ring = q.ring
+    zindex = _z_indices(ring.names)
     terms = {}
     for exp, coeff in q.terms.items():
         r = 0
@@ -361,11 +360,10 @@ def from_poly(q: Polynomial) -> OmegaPoly:
                 continue
             if name == "x":
                 r = k
+            elif name in zindex:
+                e[zindex[name]] = k
             else:
-                match = _Z_NAME.fullmatch(name)
-                if not match:
-                    raise ValueError(f"variable {name!r} is not x or z<i>")
-                e[int(match.group(1))] = k
+                raise ValueError(f"variable {name!r} is not x or z<i>")
         terms[omega_monomial(r, e)] = coeff
     return OmegaPoly(ring.field, terms)
 

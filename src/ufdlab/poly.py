@@ -148,28 +148,19 @@ def grevlex_key(exp: Exp):
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `terms` after construction."""
 
-    __slots__ = ("ring", "terms", "_key")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict[Exp, object]):
         self.ring = ring
         zero = ring.field.zero()
         self.terms = {e: c for e, c in terms.items() if c != zero}
-        self._key = None
 
-    # -- canonical key / equality ------------------------------------------
-
-    def key(self):
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items()))
-        return self._key
+    # -- equality -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, self.key()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -158,9 +158,11 @@ def test_reader_closing_stdout_early_keeps_the_exit_code():
     env = dict(os.environ)
     src = str(resources.files("ufdlab").parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "ufdlab.cli", "claim", "run", "cex.sseq"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()  # the reader is gone before the report is written
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0
-    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    for argv in (["claim", "run", "cex.sseq"], ["claim", "list"],
+                 ["ring", "export", "--input", PHAM_FIXTURE, "--format", "cas-text"]):
+        proc = subprocess.Popen([sys.executable, "-m", "ufdlab.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader is gone before anything is written
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, argv
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, argv

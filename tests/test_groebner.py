@@ -9,6 +9,7 @@ from ufdlab.errors import CapExceeded
 from ufdlab.groebner import (
     GREVLEX,
     LEX,
+    SATURATION_ROUNDS_CAP,
     Ideal,
     brute_force_irreducible,
     brute_force_member,
@@ -341,6 +342,15 @@ def test_saturation_of_prime_is_identity():
     sat, index = saturation(i, a)
     assert ideal_equal(sat, i)
     assert index == 0
+
+
+def test_saturation_round_cap_trips():
+    r = QXY()
+    x, y = r.gens()
+    _, index = saturation(ideal(r, x ** (SATURATION_ROUNDS_CAP - 1) * y), x)
+    assert index == SATURATION_ROUNDS_CAP - 1
+    with pytest.raises(CapExceeded):
+        saturation(ideal(r, x**SATURATION_ROUNDS_CAP * y), x)
 
 
 def test_ideal_power_square():

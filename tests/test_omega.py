@@ -102,6 +102,34 @@ def test_normal_form_agrees_with_evaluation_char_2():
             assert _eval(p, xi, zs) == _eval(q, xi, zs)
 
 
+@pytest.mark.parametrize("field, seed", [(GF(10007), 47), (GF(2), 59)])
+def test_arithmetic_agrees_with_evaluation(field, seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        # separate index ranges, so the operands' largest z-indices differ
+        p = _random_poly(field, rng, nterms=3, max_size=3, max_index=rng.randint(0, 5))
+        q = _random_poly(field, rng, nterms=3, max_size=3, max_index=rng.randint(0, 5))
+        c = rng.randrange(field.char)
+        xi, zs = _model_point(field, rng, 6)
+        pv, qv = _eval(p, xi, zs), _eval(q, xi, zs)
+        assert _eval(p + q, xi, zs) == field.add(pv, qv)
+        assert _eval(p - q, xi, zs) == field.sub(pv, qv)
+        assert _eval(-p, xi, zs) == field.neg(pv)
+        assert _eval(p * q, xi, zs) == field.mul(pv, qv)
+        assert _eval(p.scale(c), xi, zs) == field.mul(pv, field.of(c))
+        for n in range(4):
+            assert _eval(p**n, xi, zs) == field.pow(pv, n)
+
+
+def test_arithmetic_across_bridge_widths():
+    z0, z5 = OmegaPoly.z(0), OmegaPoly.z(5)
+    assert z0 * z5 == OmegaPoly.monomial(omega_monomial(0, {0: 1, 5: 1}))
+    assert (z5 + z0) - z5 == z0
+    assert OmegaPoly.zero() ** 0 == OmegaPoly.monomial(omega_monomial())
+    with pytest.raises(ValueError, match="negative power"):
+        z0 ** -1
+
+
 # ---------------------------------------------------------------------------
 # sigma and the basis
 # ---------------------------------------------------------------------------
