@@ -3,7 +3,8 @@
 Integers are plain Python ints (arbitrary precision, exact).  Field elements
 are represented by the natural host type of each field:
 
-  RationalField  ->  fractions.Fraction  (always in lowest terms, denominator > 0)
+  RationalField  ->  int when integral, else fractions.Fraction
+                     (in lowest terms, denominator > 1)
   PrimeField(p)  ->  int residue in [0, p)
 
 Both field classes expose the same small arithmetic protocol so the polynomial
@@ -38,51 +39,62 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _q(a: Coeff) -> Coeff:
+    """An element of Q in its canonical type: int when integral, else Fraction."""
+    if type(a) is int or a.denominator != 1:
+        return a
+    return a.numerator
+
+
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers; elements are Fraction."""
+    """The field of rational numbers; an element is an int when it is
+    integral and a Fraction (denominator > 1) otherwise.  int and Fraction
+    compare, hash and mix alike, so callers see one number type."""
 
     char = 0
 
-    def of(self, value) -> Fraction:
-        return Fraction(value)
+    def of(self, value) -> Coeff:
+        if type(value) is int:
+            return value
+        return _q(Fraction(value))
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a: Coeff, b: Coeff) -> Coeff:
+        return _q(a + b)
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
+    def sub(self, a: Coeff, b: Coeff) -> Coeff:
+        return _q(a - b)
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Coeff) -> Coeff:
         return -a
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
+    def mul(self, a: Coeff, b: Coeff) -> Coeff:
+        return _q(a * b)
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: Coeff) -> Coeff:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _q(Fraction(1) / a)
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * self.inv(b)
+    def div(self, a: Coeff, b: Coeff) -> Coeff:
+        return _q(a * self.inv(b))
 
-    def pow(self, a: Fraction, n: int) -> Fraction:
+    def pow(self, a: Coeff, n: int) -> Coeff:
         if n < 0:
-            return self.inv(a) ** (-n)
-        return a**n
+            return _q(self.inv(a) ** (-n))
+        return _q(a**n)
 
-    def render(self, a: Fraction) -> str:
+    def render(self, a: Coeff) -> str:
         return str(a)
 
-    def sample(self, rng) -> Fraction:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    def sample(self, rng) -> Coeff:
+        return _q(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def __str__(self) -> str:
         return "Q"
@@ -128,7 +140,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

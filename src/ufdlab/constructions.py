@@ -19,12 +19,20 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .coeff import Field, field_from_name, gcd_bezout, lcm_list, prime_avoid
+from .coeff import (
+    Field,
+    PrimeField,
+    field_from_name,
+    gcd_bezout,
+    lcm_list,
+    prime_avoid,
+)
 from .errors import CapExceeded, HypothesisError
 from .groebner import (
     GREVLEX,
     Ideal,
     _monomials_up_to,
+    brute_force_irreducible,
     elim_ideal,
     ideal_equal,
     ideal_power,
@@ -603,8 +611,9 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     Hypotheses (checked): every p_i nonconstant, every a_i, b_i >= 2, and q
     divides every p_i.  Evaluation at the point kills every variable in the
     maximal ideal and reduces the x-part modulo q; the rank is computed over
-    the residue field k[x]/(q).  So q must be irreducible, and this is not
-    checked: for a reducible q the rank returned is meaningless.
+    the residue field k[x]/(q).  So q must be irreducible.  Over a prime
+    field this is checked by exhaustive factor search; over Q it is not
+    checked, and for a reducible q the rank returned is meaningless.
     """
     params = B.notes.get("params")
     if params is None:
@@ -621,6 +630,9 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     for p in ps:
         if not _divides(q, p):
             raise HypothesisError("q does not divide every p_i")
+    if isinstance(B.field, PrimeField):
+        if not brute_force_irreducible(q, q.total_degree() // 2).irreducible:
+            raise HypothesisError("q must be irreducible")
     ring = B.ambient()
     names = ring.names  # x, z0, ..., z_{n+1}
     matrix: list[list[Polynomial]] = []

@@ -557,7 +557,7 @@ def render_poly(p: Polynomial) -> str:
     pieces = []
     for exp in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[exp]
-        negative = isinstance(c, Fraction) and c < 0
+        negative = fld.char == 0 and c < 0
         mag = -c if negative else c
         factors = []
         for i, k in enumerate(exp):

@@ -107,6 +107,13 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reducible_jacobian_point_over_prime_field_exits_3(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"field": "GF(5)", "p": ["x^2 - 1"], "q": "x^2 - 1"}))
+    assert main(["claim", "run", "jacobian.rank", "--params", str(path)]) == 3
+    assert "q must be irreducible" in capsys.readouterr().err
+
+
 def test_ring_export_cas_text(capsys):
     assert main(["ring", "export", "--input", PHAM_FIXTURE, "--format", "cas-text"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from ufdlab.coeff import GF, QQ, field_from_name, gcd_bezout, lcm_list, prime_avoid
 from ufdlab.errors import HypothesisError
+from ufdlab.poly import Polynomial, poly_ring
 
 
 def test_gcd_bezout_pair():
@@ -117,3 +119,64 @@ def test_lcm_list():
     assert lcm_list([2, 3]) == 6
     assert lcm_list([2, 3, 4]) == 12
     assert lcm_list([5]) == 5
+
+
+def test_rational_ops_on_ints_stay_exact():
+    for r in (QQ.inv(2), QQ.div(1, 2), QQ.pow(2, -1)):
+        assert type(r) is Fraction and r == Fraction(1, 2)
+    ring = poly_ring(QQ, ("x", "y"))
+    monic = Polynomial(ring, {(1, 0): 2}).monic()
+    assert monic.terms == {(1, 0): 1}
+    assert type(monic.terms[(1, 0)]) is int
+
+
+def _assert_canonical(r, expected):
+    assert r == expected
+    if expected.denominator == 1:
+        assert type(r) is int
+    else:
+        assert type(r) is Fraction
+
+
+def test_rational_element_type_matches_fraction_reference():
+    rng = random.Random(8)
+
+    def operand():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-30, 30)
+        if kind == 1:
+            return Fraction(rng.randint(-30, 30))
+        return Fraction(rng.randint(-30, 30), rng.randint(2, 12))
+
+    for _ in range(400):
+        a, b = operand(), operand()
+        fa, fb = Fraction(a), Fraction(b)
+        _assert_canonical(QQ.of(a), fa)
+        _assert_canonical(QQ.add(a, b), fa + fb)
+        _assert_canonical(QQ.sub(a, b), fa - fb)
+        _assert_canonical(QQ.neg(QQ.of(a)), -fa)
+        _assert_canonical(QQ.mul(a, b), fa * fb)
+        n = rng.randint(-4, 4)
+        if fb != 0:
+            _assert_canonical(QQ.div(a, b), fa / fb)
+            _assert_canonical(QQ.inv(b), 1 / fb)
+            _assert_canonical(QQ.pow(b, n), fb**n)
+        elif n >= 0:
+            _assert_canonical(QQ.pow(b, n), fb**n)
+    for value in (3, -7, Fraction(6, 3), Fraction(5, 4), "2/4", "10/5"):
+        _assert_canonical(QQ.of(value), Fraction(value))
+    _assert_canonical(QQ.zero(), Fraction(0))
+    _assert_canonical(QQ.one(), Fraction(1))
+
+
+@pytest.mark.parametrize("p", [2, 32003, 4294967311])
+def test_prime_field_inverse(p):
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(50):
+        a = rng.randrange(1, p)
+        assert a * F.inv(a) % p == 1
+    for zero in (0, p):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            F.inv(zero)

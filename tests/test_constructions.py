@@ -441,6 +441,25 @@ def test_jacobian_rejects_nondividing_point():
         jacobian_tangent_dim(B, x + 2)
 
 
+def test_jacobian_rejects_reducible_point_over_prime_field():
+    F = GF(5)
+    xring = poly_ring(F, ("x",))
+    q = xring.parse("x^2 - 1")
+    B = threefold_family(F, [q], [1], [1], [2], [3])
+    with pytest.raises(HypothesisError, match="q must be irreducible"):
+        jacobian_tangent_dim(B, q)
+
+
+def test_jacobian_accepts_irreducible_point_over_prime_field():
+    F = GF(5)
+    xring = poly_ring(F, ("x",))
+    q = xring.parse("x^2 + 2")
+    B = threefold_family(F, [q], [1], [1], [2], [3])
+    rank, dim = jacobian_tangent_dim(B, q)
+    assert rank == 0
+    assert dim == 4
+
+
 def test_residue_rank_over_gaussian_rationals():
     xring = poly_ring(QQ, ("x",))
     x, one = xring.var("x"), xring.one()

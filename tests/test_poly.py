@@ -103,6 +103,11 @@ def test_render_signs_and_fractions():
     assert str(-r.var("u")) == "-u"
 
 
+def test_render_over_prime_field_reduces_unreduced_coefficient():
+    ring = poly_ring(GF(7), ("x",))
+    assert str(Polynomial(ring, {(1,): -3})) == "4*x"
+
+
 def test_render_laurent_term():
     r = R(["x", "z0"], invertible=("x",))
     p = r.parse("x^-1*z0^2 + 1")
