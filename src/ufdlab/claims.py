@@ -29,7 +29,7 @@ from importlib import resources
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .coeff import GF, QQ, field_from_name, prime_avoid
+from .coeff import GF, QQ, field_from_name, is_int, prime_avoid
 from .constructions import (
     jacobian_tangent_dim,
     lemma_level_check,
@@ -68,15 +68,47 @@ class UsageError(Exception):
     """Bad claim id, suite name, or parameters: the caller's fault, exit 3."""
 
 
+STATUSES = ("verified", "refuted", "unknown")
+
+
 @dataclass(frozen=True)
 class ClaimReport:
+    """One claim verification, held to the rules of
+    `schema/claim_report.schema.json` when it is built.
+
+    A report that breaks a rule comes from a faulty handler or runner, so the
+    constructor raises ValueError (an internal error), never UsageError.
+    """
+
     claim_id: str
     params: dict
-    status: str  # "verified" | "refuted" | "unknown"
+    status: str  # one of STATUSES
     bound: Optional[object]  # int, or a string like "timeout" / "cap"
     witness: object
     elapsed_ms: int
     tool_version: str
+
+    def __post_init__(self):
+        rules = (
+            ("claim_id must be a non-empty str",
+             isinstance(self.claim_id, str) and self.claim_id),
+            ("tool_version must be a non-empty str",
+             isinstance(self.tool_version, str) and self.tool_version),
+            ("params must be a dict", isinstance(self.params, dict)),
+            (f"status must be one of {', '.join(STATUSES)}", self.status in STATUSES),
+            ("bound must be None, an int or a str",
+             self.bound is None or is_int(self.bound) or isinstance(self.bound, str)),
+            ("an unknown report needs a bound",
+             self.status != "unknown" or self.bound is not None),
+            ("a verified report needs a witness",
+             self.status != "verified" or self.witness is not None),
+            ("elapsed_ms must be an int >= 0",
+             is_int(self.elapsed_ms) and self.elapsed_ms >= 0),
+        )
+        broken = [rule for rule, ok in rules if not ok]
+        if broken:
+            raise ValueError(f"invalid report for claim {self.claim_id!r}: "
+                             + "; ".join(broken))
 
     def to_json(self) -> dict:
         doc = {
@@ -702,10 +734,7 @@ def _validate_params(spec: ClaimSpec, params: dict) -> None:
         param = spec.params.get(key)
         if param is None:
             raise UsageError(f"unknown parameter {key!r} for claim {spec.claim_id}")
-        # JSON true/false arrive as bool, which is a subclass of int
-        if not isinstance(value, param.kind) or (
-            isinstance(value, bool) and param.kind is not bool
-        ):
+        if not (is_int(value) if param.kind is int else isinstance(value, param.kind)):
             raise UsageError(
                 f"parameter {key!r} of claim {spec.claim_id} must be "
                 f"{param.kind.__name__}, got {type(value).__name__}"

@@ -23,6 +23,11 @@ from .errors import HypothesisError
 Coeff = Union[Fraction, int]
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false arrive as bool, a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_prime(n: int) -> bool:
     """Primality by trial division (moduli here are desk-scale)."""
     if n < 2:

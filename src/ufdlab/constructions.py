@@ -24,6 +24,7 @@ from .coeff import (
     PrimeField,
     field_from_name,
     gcd_bezout,
+    is_int,
     lcm_list,
     prime_avoid,
 )
@@ -57,6 +58,10 @@ from .poly import (
 W_CHAIN_CAP = 32
 
 
+def _positive_ints(values) -> bool:
+    return all(is_int(x) and x >= 1 for x in values)
+
+
 # ---------------------------------------------------------------------------
 # presented rings
 # ---------------------------------------------------------------------------
@@ -86,12 +91,6 @@ class PresentedRing:
 
     def ambient(self) -> PolyRing:
         return PolyRing(self.field, self.vars)
-
-    def ideal(self) -> Ideal:
-        return Ideal(self.ambient(), self.relations)
-
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        return self.ideal().normal_form(p)
 
 
 def free_ring(field: Field, names: Sequence[str], grading: Optional[Grading] = None,
@@ -461,8 +460,8 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
     n = len(exps)
     if n < 3:
         raise HypothesisError("need at least 3 exponents")
-    if any(e < 1 for e in exps):
-        raise HypothesisError("exponents must be positive")
+    if not _positive_ints(exps):
+        raise HypothesisError("exponents must be positive integers")
     head, last = exps[:-1], exps[-1]
     if n == 3:
         for i in range(3):
@@ -547,8 +546,8 @@ def threefold_family(
     v_c = [field.of(x) for x in v]
     if any(x == field.zero() for x in u_c + v_c):
         raise HypothesisError("u_i and v_i must be units")
-    if any(x < 1 for x in list(a) + list(b)):
-        raise ValueError("exponents must be positive")
+    if not _positive_ints(list(a) + list(b)):
+        raise ValueError("exponents must be positive integers")
     prod_b = 1
     for i in range(n):
         prod_b *= b[i]
@@ -694,13 +693,15 @@ def trinomial_ring(
     Bezout weights make every T_i^bi (i < m) homogeneous of one common
     degree d_0*...*d_{m-1}, which is relatively prime to gcd(beta[m]).
     """
+    if any(not isinstance(bv, (list, tuple)) for bv in beta):
+        raise HypothesisError("(D.1) violated: each exponent block must be a list")
     blocks = [list(bv) for bv in beta]
     r = len(blocks) - 1
     if r < 2:
         raise HypothesisError("(D.1) violated: need at least three exponent blocks")
     for bv in blocks:
-        if not bv or any(x < 1 for x in bv):
-            raise HypothesisError("(D.1) violated: exponent entries must be positive")
+        if not bv or not _positive_ints(bv):
+            raise HypothesisError("(D.1) violated: exponent entries must be positive integers")
     if len(lambdas) != r - 1:
         raise HypothesisError("(D.1) violated: need exactly r-1 constants")
     lam = [field.of(x) for x in lambdas]

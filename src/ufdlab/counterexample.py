@@ -58,12 +58,13 @@ def s_sequence(n: int) -> SSeq:
     return SSeq(tuple(vals[:n]))
 
 
-def _warn_positive_characteristic(field: Field):
+def _warn_positive_characteristic(field: Field, stacklevel: int = 3):
+    # stacklevel 3 points the warning at the caller of the public function
     if isinstance(field, PrimeField):
         warnings.warn(
             "this construction assumes characteristic zero; "
             f"computing over {field} anyway",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -149,30 +150,29 @@ def _expand(
     return p, cofactors
 
 
-def expand_z0(depth: int, field: Field = QQ) -> Polynomial:
-    """The exact representative of z_0 after `depth` substitution rounds,
-    a polynomial in x, y and z_depth .. z_(2*depth)."""
+def _expanded_z0(depth: int, field: Field, x_for_y: bool) -> Polynomial:
+    """`_expand` without the cofactors, projected onto x, y (or T) and the
+    z_i that can remain, z_depth .. z_(2*depth)."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > EXPAND_DEPTH_CAP:
         raise CapExceeded("instance too large")
-    _warn_positive_characteristic(field)
-    p, _ = _expand(depth, field, x_for_y=False)
-    keep = ("x", "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
+    _warn_positive_characteristic(field, stacklevel=4)
+    p, _ = _expand(depth, field, x_for_y)
+    keep = ("x", "T" if x_for_y else "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
     return p.project(p.ring.restrict([n for n in keep if n in p.ring.names]))
+
+
+def expand_z0(depth: int, field: Field = QQ) -> Polynomial:
+    """The exact representative of z_0 after `depth` substitution rounds,
+    a polynomial in x, y and z_depth .. z_(2*depth)."""
+    return _expanded_z0(depth, field, x_for_y=False)
 
 
 def expand_z0_bprime(depth: int, field: Field = QQ) -> Polynomial:
     """The expansion of z_0 after substituting y = x*T: every round
     contributes one full factor of x, so the result is divisible by x^depth."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > EXPAND_DEPTH_CAP:
-        raise CapExceeded("instance too large")
-    _warn_positive_characteristic(field)
-    p, _ = _expand(depth, field, x_for_y=True)
-    keep = ("x", "T") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
-    return p.project(p.ring.restrict([n for n in keep if n in p.ring.names]))
+    return _expanded_z0(depth, field, x_for_y=True)
 
 
 def check_expansion_identity(depth: int, field: Field = QQ) -> bool:

@@ -56,10 +56,6 @@ class OmegaMonomial:
     def degree(self) -> int:
         return -self.r + sum(exp * (1 << i) for i, exp in self.e)
 
-    def size(self) -> int:
-        """Total z-exponent; the strictly decreasing rewrite measure."""
-        return sum(exp for _, exp in self.e)
-
     def is_squarefree(self) -> bool:
         return all(exp == 1 for _, exp in self.e)
 
@@ -229,9 +225,9 @@ def _expand_once(
 def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansion]:
     """Rewrite p onto the x^m F_n basis, one homogeneous component per degree.
 
-    Each step replaces one monomial with z-size S by monomials of z-size
-    S - a (a >= 1), so the multiset of sizes strictly decreases and the
-    loop terminates.  pivot chooses which repeated z-index to expand;
+    Each step replaces one monomial of z-size S (its total z-exponent) by
+    monomials of z-size S - a (a >= 1), so the multiset of sizes strictly
+    decreases and the loop terminates.  pivot chooses which repeated z-index to expand;
     "smallest" exists for the confluence tests.
     """
     if pivot not in ("largest", "smallest"):

@@ -663,6 +663,8 @@ class _Parser:
 
 
 def parse_poly(ring: PolyRing, text: str) -> Polynomial:
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial must be given as text, got {type(text).__name__}")
     text = text.strip()
     if text == "0":
         return ring.zero()

@@ -7,6 +7,7 @@ import pytest
 
 from ufdlab.claims import (
     REGISTRY,
+    ClaimReport,
     Param,
     UsageError,
     _validate_params,
@@ -17,6 +18,7 @@ from ufdlab.claims import (
     run_suite,
     suite_claims,
 )
+from ufdlab.cli import _checked_json
 
 
 def test_registry_is_nonempty_and_self_describing():
@@ -72,6 +74,14 @@ def test_unfilled_parameters_stay_absent():
     ("wchain.regular", {"i_max": 0}, "must be >= 1, got 0"),
     ("coeff.prime-avoid", {"lo": 1, "hi": 0}, "empty box"),
     ("samuel.kernel", {"field": "Q"}, "samuel.kernel: 'a'"),
+    ("jacobian.rank", {"a": ["x"]}, "exponents must be positive integers"),
+    ("jacobian.rank", {"b": [True]}, "exponents must be positive integers"),
+    ("jacobian.rank", {"p": [3]}, "must be given as text, got int"),
+    ("trinomial.validate", {"beta": [[2], [3], ["5"]], "lambdas": [1]},
+     "exponent entries must be positive integers"),
+    ("trinomial.validate", {"beta": [2, 3, 5], "lambdas": [1]},
+     "each exponent block must be a list"),
+    ("pham.cases", {"coprime_triple": [2, "3", 5]}, "exponents must be positive integers"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):
@@ -108,6 +118,70 @@ def test_whole_acceptance_suite_verifies_and_reports_validate():
         assert rep.elapsed_ms >= 0
         jsonschema.validate(rep.to_json(), schema)
     assert exit_code(reports) == 0
+
+
+_GOOD_REPORT = {"claim_id": "cex.sseq", "params": {}, "status": "verified", "bound": None,
+                "witness": {"values": [2]}, "elapsed_ms": 0, "tool_version": "0.1.0"}
+
+
+def _doc(fields):
+    # as ClaimReport.to_json writes it: no "bound" key for bound None
+    return {k: v for k, v in fields.items() if k != "bound" or v is not None}
+
+
+@pytest.mark.parametrize("change", [
+    {"status": "ok"},
+    {"status": "unknown"},
+    {"status": "verified", "witness": None},
+    {"elapsed_ms": -1},
+    {"elapsed_ms": True},
+    {"elapsed_ms": "3"},
+    {"status": "unknown", "bound": True},
+    {"status": "unknown", "bound": 1.5},
+    {"claim_id": ""},
+    {"claim_id": 7},
+    {"tool_version": ""},
+    {"params": ["n", 5]},
+])
+def test_report_rules_reject_what_the_schema_rejects(change):
+    jsonschema.validate(_doc(_GOOD_REPORT), report_schema())
+    ClaimReport(**_GOOD_REPORT)
+    fields = {**_GOOD_REPORT, **change}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(_doc(fields), report_schema())
+    with pytest.raises(ValueError, match="invalid report"):
+        ClaimReport(**fields)
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda doc: {**doc, "stats": {"pairs": 3}},
+    lambda doc: {k: v for k, v in doc.items() if k != "witness"},
+])
+def test_checked_json_rejects_keys_the_schema_does_not_allow(reshape):
+    class Reshaped(ClaimReport):
+        def to_json(self):
+            return reshape(super().to_json())
+
+    report = Reshaped(**_GOOD_REPORT)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report.to_json(), report_schema())
+    with pytest.raises(ValueError, match="does not fit the schema"):
+        _checked_json(report, report_schema())
+
+
+def test_report_rules_and_schema_accept_every_shipped_report():
+    schema = report_schema()
+    reports = run_suite("acceptance") + [
+        run_claim("cex.sseq", {"expect": [1]}),          # refuted
+        run_claim("cex.coords", {"n_max": 9}),           # unknown, bound "cap"
+        run_claim("coeff.prime-avoid", timeout=0.001),   # unknown, bound "timeout"
+    ]
+    assert len(reports) == len(REGISTRY) + 3
+    assert {r.status for r in reports} == {"verified", "refuted", "unknown"}
+    for rep in reports:
+        doc = _checked_json(rep, schema)
+        assert doc == rep.to_json()
+        jsonschema.validate(doc, schema)
 
 
 def test_reports_are_deterministic_modulo_elapsed_ms():

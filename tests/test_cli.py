@@ -99,7 +99,8 @@ def test_usage_errors_exit_three(tmp_path, capsys):
                         ("cex.m-order", {"n_max": -1}),
                         ("wchain.regular", {"i_max": 0}),
                         ("coeff.prime-avoid", {"lo": 1, "hi": 0}),
-                        ("samuel.kernel", {"field": "Q"})]:
+                        ("samuel.kernel", {"field": "Q"}),
+                        ("jacobian.rank", {"p": [3]})]:
         path = tmp_path / f"{cid}.json"
         path.write_text(json.dumps(params))
         assert main(["claim", "run", cid, "--params", str(path)]) == 3, (cid, params)
@@ -155,10 +156,12 @@ def test_cli_import_does_not_load_numpy():
     env = dict(os.environ)
     src = str(resources.files("ufdlab").parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, ufdlab.cli; print('numpy' in sys.modules)"
+    code = "import sys, ufdlab.cli; print('numpy' in sys.modules, 'jsonschema' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    numpy_loaded, jsonschema_loaded = done.stdout.split()
+    assert numpy_loaded == "False"
+    assert jsonschema_loaded == "False"
 
 
 def test_reader_closing_stdout_early_keeps_the_exit_code():

@@ -310,6 +310,21 @@ def test_pham_brieskorn_rejects_223():
         pham_brieskorn(QQ, (2, 2, 3))
 
 
+def test_builders_reject_exponents_that_are_not_ints():
+    # True is an int in Python, and (2, True, 3) would pass case (2)
+    for bad in ((2, True, 3), (2, "3", 5), (2, 3.0, 5)):
+        with pytest.raises(HypothesisError, match="positive integers"):
+            pham_brieskorn(QQ, bad)
+    x = poly_ring(QQ, ("x",)).var("x")
+    for a, b in (([True], [3]), (["2"], [3]), ([2], [3.0])):
+        with pytest.raises(ValueError, match="positive integers"):
+            threefold_family(QQ, [x], [1], [1], a, b)
+    with pytest.raises(HypothesisError, match="positive integers"):
+        trinomial_ring(QQ, [[2], [3], [True, 5]], [1])
+    with pytest.raises(HypothesisError, match="must be a list"):
+        trinomial_ring(QQ, [2, 3, 5], [1])
+
+
 def test_pham_brieskorn_2345_case_one():
     B = pham_brieskorn(QQ, (2, 3, 4, 5))
     assert B.notes["case"].startswith("case (1)")

@@ -123,6 +123,8 @@ def test_parse_rejects_garbage():
         r.parse("x + $")
     with pytest.raises(ValueError, match="negative exponent"):
         r.parse("x^-1")
+    with pytest.raises(ValueError, match="as text, got int"):
+        r.parse(3)
 
 
 def test_prime_field_render_round_trip():
