@@ -51,6 +51,17 @@ def _q(a: Coeff) -> Coeff:
     return a.numerator
 
 
+def _rational(value, field) -> Fraction:
+    """value as a Fraction when it is an int (not a bool), a Fraction or text
+    such as "2/4"; a ValueError naming the value and the field otherwise."""
+    try:
+        if is_int(value) or isinstance(value, (Fraction, str)):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # text that is not a number
+        pass
+    raise ValueError(f"{value!r} is not an element of {field}")
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The field of rational numbers; an element is an int when it is
@@ -62,7 +73,7 @@ class RationalField:
     def of(self, value) -> Coeff:
         if type(value) is int:
             return value
-        return _q(Fraction(value))
+        return _q(_rational(value, self))
 
     def zero(self) -> int:
         return 0
@@ -120,9 +131,12 @@ class PrimeField:
         return self.p
 
     def of(self, value) -> int:
-        if isinstance(value, Fraction):
-            return self.div(value.numerator % self.p, value.denominator % self.p)
-        return int(value) % self.p
+        if type(value) is int:
+            return value % self.p
+        r = _rational(value, self)
+        if r.denominator % self.p == 0:
+            raise ValueError(f"{value!r} is not an element of {self}")
+        return self.div(r.numerator % self.p, r.denominator % self.p)
 
     def zero(self) -> int:
         return 0

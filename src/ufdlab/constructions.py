@@ -47,6 +47,7 @@ from .poly import (
     Grading,
     Polynomial,
     PolyRing,
+    RingMap,
     VarTable,
     degree_of,
     derivative,
@@ -634,22 +635,9 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
             raise HypothesisError("q must be irreducible")
     ring = B.ambient()
     names = ring.names  # x, z0, ..., z_{n+1}
-    matrix: list[list[Polynomial]] = []
-    for f in B.relations:
-        row = []
-        for name in names:
-            entry = derivative(f, name)
-            # evaluate at the point: all z's to 0, then reduce mod q
-            at_point = Polynomial(
-                xring,
-                {
-                    (e[0],): c
-                    for e, c in entry.terms.items()
-                    if all(k == 0 for k in e[1:])
-                },
-            )
-            row.append(reduce(at_point, [q]))
-        matrix.append(row)
+    # evaluate at the point: all z's to 0, then reduce mod q
+    at_point = RingMap(ring, xring, {name: xring.zero() for name in names if name != "x"})
+    matrix = [[reduce(at_point.apply(derivative(f, n)), [q]) for n in names] for f in B.relations]
     rank = _residue_rank(matrix, q)
     return rank, (n + 3) - rank
 

@@ -8,17 +8,17 @@ where s is the integer sequence s(1)=2, s(2)=3, s(n)=n*prod(s(i), i<=n-2).
 Solving relation i for z_(i-1) and substituting repeatedly pushes z_0 ever
 deeper into powers of the maximal ideal (x, y) — and, after inverting the
 substitution y = x*T, into powers of (x).  The exact expansions blow up
-with s, so the certificates come in two tiers: exact polynomial identities
-at small depth, and an abstract order-tracking derivation (each
-substitution multiplies every branch by an element of the ideal, so orders
-increase by one per round) for depths up to 32.
+with s, so the certificates come in two tiers: at small depth the identity
+z_0 - expansion = sum g_i * f_i, whose cofactors g_i are exact quotients
+computed only by `check_expansion_identity`; up to depth 32 an abstract
+order-tracking derivation (each substitution multiplies every branch by
+an element of the ideal, so orders increase by one per round).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from .coeff import Field, PrimeField, QQ
 from .errors import CapExceeded
@@ -73,94 +73,39 @@ def _warn_positive_characteristic(field: Field, stacklevel: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def _substitute_once(
-    q: Polynomial, zname: str, rhs: Polynomial
-) -> tuple[Polynomial, Polynomial]:
-    """Replace zname by rhs in q.  Returns (result, cofactor) with
-    q - result = (z - rhs) * cofactor, an exact telescoping identity."""
-    ring = q.ring
-    idx = ring.vars.index(zname)
-    z = ring.var(zname)
-    by_power: dict[int, Polynomial] = {}
-    for exp, coeff in q.terms.items():
-        k = exp[idx]
-        rest = exp[:idx] + (0,) + exp[idx + 1 :]
-        part = by_power.setdefault(k, ring.zero())
-        by_power[k] = part + Polynomial(ring, {rest: coeff})
-    result = ring.zero()
-    cofactor = ring.zero()
-    rhs_pow = {0: ring.one()}
-    for k in sorted(by_power):
-        top = max(rhs_pow)
-        acc = rhs_pow[top]
-        for m in range(top + 1, k + 1):
-            acc = acc * rhs
-            rhs_pow[m] = acc
-        a_k = by_power[k]
-        result = result + a_k * rhs_pow[k]
-        # z^k - rhs^k = (z - rhs) * sum_{t<k} z^t rhs^(k-1-t)
-        h = ring.zero()
-        for t in range(k):
-            h = h + z**t * rhs_pow[k - 1 - t]
-        cofactor = cofactor + a_k * h
-    return result, cofactor
-
-
-def _chain_ring(field: Field, top_index: int, extra: tuple[str, ...] = ("x", "y")) -> PolyRing:
-    return poly_ring(field, extra + tuple(f"z{i}" for i in range(top_index + 1)))
-
-
 def _solved_rhs(ring: PolyRing, j: int, s: SSeq, x_for_y: bool) -> Polynomial:
     """z_j = x*z_(j+2) + y^(s-1) * z_(j+1)^s with s = s(j+2); with the
     substitution y = x*T the coefficient becomes x^(s-1) * T^(s-1)."""
     sv = s.value(j + 2)
-    x = ring.var("x")
-    lead = x * ring.var(f"z{j+2}")
-    if x_for_y:
-        coeff = x ** (sv - 1) * ring.var("T") ** (sv - 1)
-    else:
-        coeff = ring.var("y") ** (sv - 1)
-    return lead + coeff * ring.var(f"z{j+1}") ** sv
+    coeff = {"x": sv - 1, "T": sv - 1} if x_for_y else {"y": sv - 1}
+    return ring.monomial({"x": 1, f"z{j+2}": 1}) + ring.monomial({**coeff, f"z{j+1}": sv})
 
 
-def _expand(
-    depth: int, field: Field, x_for_y: bool
-) -> tuple[Polynomial, dict[int, Polynomial]]:
-    """Iterated solve-and-substitute, with cofactors against the relations.
-
-    Round r replaces every z_j currently present (j = r-1 .. 2r-2, handled
-    in decreasing order so freshly introduced variables are kept, matching
-    one simultaneous substitution per round).  Returns the expansion and a
-    map i -> g_i with z0 - expansion = sum g_i * f_i over the defining
-    relations f_i = x*z_(i+1) + y^(s(i+1)-1)*z_i^s(i+1) - z_(i-1).
-    """
+def _expand(depth: int, field: Field, x_for_y: bool) -> Polynomial:
+    """Iterated solve-and-substitute: round r is one simultaneous
+    substitution of every z_j present (j = r-1 .. 2r-2) by its solved
+    right-hand side."""
     s = s_sequence(max(2 * depth, 2))
-    extra = ("x", "T") if x_for_y else ("x", "y")
-    ring = _chain_ring(field, 2 * depth, extra)
+    xy = ("x", "T") if x_for_y else ("x", "y")
+    ring = poly_ring(field, xy + tuple(f"z{i}" for i in range(2 * depth + 1)))
     p = ring.var("z0")
-    cofactors: dict[int, Polynomial] = {}
     for r in range(1, depth + 1):
-        for j in range(2 * r - 2, r - 2, -1):
-            rhs = _solved_rhs(ring, j, s, x_for_y)
-            p, cof = _substitute_once(p, f"z{j}", rhs)
-            if cof:
-                # z_j - rhs = -f_(j+1), so q_old - q_new = -f_(j+1) * cof
-                prev = cofactors.get(j + 1, ring.zero())
-                cofactors[j + 1] = prev - cof
-    return p, cofactors
+        images = {f"z{j}": _solved_rhs(ring, j, s, x_for_y) for j in range(r - 1, 2 * r - 1)}
+        p = RingMap(ring, ring, images).apply(p)
+    return p
 
 
 def _expanded_z0(depth: int, field: Field, x_for_y: bool) -> Polynomial:
-    """`_expand` without the cofactors, projected onto x, y (or T) and the
-    z_i that can remain, z_depth .. z_(2*depth)."""
+    """`_expand` projected onto x, y (or T) and the z_i that can remain,
+    z_depth .. z_(2*depth)."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > EXPAND_DEPTH_CAP:
         raise CapExceeded("instance too large")
     _warn_positive_characteristic(field, stacklevel=4)
-    p, _ = _expand(depth, field, x_for_y)
+    p = _expand(depth, field, x_for_y)
     keep = ("x", "T" if x_for_y else "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
-    return p.project(p.ring.restrict([n for n in keep if n in p.ring.names]))
+    return p.project(p.ring.restrict(keep))
 
 
 def expand_z0(depth: int, field: Field = QQ) -> Polynomial:
@@ -176,15 +121,34 @@ def expand_z0_bprime(depth: int, field: Field = QQ) -> Polynomial:
 
 
 def check_expansion_identity(depth: int, field: Field = QQ) -> bool:
-    """Certify symbolically that expand_z0(depth) equals z_0: multiply out
-    the tracked cofactors and compare z0 - expansion = sum g_i * f_i."""
+    """Certify that expand_z0(depth) equals z_0 modulo the relations
+    f_i = x*z_(i+1) + y^(s(i+1)-1)*z_i^s(i+1) - z_(i-1).
+
+    The rounds are redone one z_j at a time; each step's cofactor is the
+    exact quotient (before - after) / (z_j - rhs_j), computed here only, and
+    z0 - expansion = sum g_i * f_i is checked by plain polynomial arithmetic.
+    False when a step is not a multiple of its relation or the sum differs.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > IDENTITY_DEPTH_CAP:
         raise CapExceeded("instance too large")
-    p, cofactors = _expand(depth, field, x_for_y=False)
+    p = _expand(depth, field, x_for_y=False)
     ring = p.ring
     s = s_sequence(max(2 * depth, 2))
+    q = ring.var("z0")
+    cofactors: dict[int, Polynomial] = {}
+    for r in range(1, depth + 1):
+        for j in range(2 * r - 2, r - 2, -1):  # decreasing j keeps what round r introduces
+            rhs = _solved_rhs(ring, j, s, x_for_y=False)
+            after = RingMap(ring, ring, {f"z{j}": rhs}).apply(q)
+            try:
+                g = (q - after).exact_div(ring.var(f"z{j}") - rhs)
+            except ValueError:
+                return False
+            # z_j - rhs = -f_(j+1), so before - after = -f_(j+1) * g
+            cofactors[j + 1] = cofactors.get(j + 1, ring.zero()) - g
+            q = after
     total = ring.zero()
     for i, g in cofactors.items():
         f_i = _solved_rhs(ring, i - 1, s, x_for_y=False) - ring.var(f"z{i-1}")

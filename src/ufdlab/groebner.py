@@ -30,7 +30,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_mul,
-    poly_ring,
 )
 
 SATURATION_ROUNDS_CAP = 32
@@ -339,9 +338,6 @@ class Ideal:
         if other.ring != self.ring:
             raise ValueError("ideals in different rings")
         return Ideal(self.ring, self.gens + other.gens)
-
-    def scaled(self, f: Polynomial) -> "Ideal":
-        return Ideal(self.ring, tuple(f * g for g in self.gens))
 
 
 def ideal(ring: PolyRing, *gens: Polynomial) -> Ideal:

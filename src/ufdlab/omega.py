@@ -86,8 +86,8 @@ class OmegaPoly:
         return cls(field, {})
 
     @classmethod
-    def monomial(cls, mono: OmegaMonomial, field: Field = QQ, coeff=1) -> "OmegaPoly":
-        return cls(field, {mono: field.of(coeff)})
+    def monomial(cls, mono: OmegaMonomial, field: Field = QQ) -> "OmegaPoly":
+        return cls(field, {mono: field.one()})
 
     @classmethod
     def x(cls, field: Field = QQ, power: int = 1) -> "OmegaPoly":

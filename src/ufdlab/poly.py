@@ -103,11 +103,9 @@ class PolyRing:
         inv = frozenset(n for n in keep if n in self.vars.invertible)
         return PolyRing(self.field, VarTable(tuple(keep), inv))
 
-    def extend(self, new_names: Sequence[str], invertible: Iterable[str] = ()) -> "PolyRing":
+    def extend(self, new_names: Sequence[str]) -> "PolyRing":
         """Superring with extra variables appended after the existing ones."""
-        names = self.names + tuple(new_names)
-        inv = self.vars.invertible | frozenset(invertible)
-        return PolyRing(self.field, VarTable(names, inv))
+        return PolyRing(self.field, VarTable(self.names + tuple(new_names), self.vars.invertible))
 
     def laurentize(self) -> "PolyRing":
         return PolyRing(self.field, VarTable(self.names, frozenset(self.names)))
@@ -421,7 +419,6 @@ class RingMap:
     def apply(self, p: Polynomial) -> Polynomial:
         if p.ring != self.source:
             raise ValueError("polynomial not in the map's source ring")
-        fld = self.target.field
         power_cache: dict[tuple[str, int], Polynomial] = {}
         out = self.target.zero()
         for e, c in p.terms.items():

@@ -82,6 +82,14 @@ def test_unfilled_parameters_stay_absent():
     ("trinomial.validate", {"beta": [2, 3, 5], "lambdas": [1]},
      "each exponent block must be a list"),
     ("pham.cases", {"coprime_triple": [2, "3", 5]}, "exponents must be positive integers"),
+    ("jacobian.rank", {"u": [None]}, "None is not an element of Q"),
+    ("jacobian.rank", {"u": [True]}, "True is not an element of Q"),
+    ("jacobian.rank", {"field": "GF(7)", "p": ["x"], "u": [2.5], "v": [1]},
+     r"2\.5 is not an element of GF\(7\)"),
+    ("jacobian.rank", {"field": "GF(7)", "p": ["x + 1/7"], "q": "x"},
+     r"Fraction\(1, 7\) is not an element of GF\(7\)"),
+    ("trinomial.validate", {"beta": [[2], [3], [5]], "lambdas": [[1]]},
+     r"\[1\] is not an element of Q"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):

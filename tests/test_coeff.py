@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,19 @@ def test_prime_field_of_fraction():
     F = GF(5)
     # 1/2 = 3 mod 5
     assert F.of(Fraction(1, 2)) == 3
+    assert F.of("1/2") == 3
+    assert F.of("-7") == 3
+    with pytest.raises(ValueError, match=r"Fraction\(1, 5\) is not an element of GF\(5\)"):
+        F.of(Fraction(1, 5))
+    with pytest.raises(ValueError, match=r"'3/10' is not an element of GF\(5\)"):
+        F.of("3/10")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("value", [None, True, False, 2.5, [1], "x", "1/0"])
+def test_field_of_rejects_what_is_not_a_number(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"is not an element of {field}")):
+        field.of(value)
 
 
 def test_lcm_list():

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from ufdlab import counterexample
 from ufdlab.coeff import GF, QQ
 from ufdlab.counterexample import (
     OrderCert,
@@ -24,6 +25,7 @@ from ufdlab.counterexample import (
     x_order_certificate_bprime,
 )
 from ufdlab.errors import CapExceeded
+from ufdlab.poly import Polynomial, poly_ring
 
 # ---------------------------------------------------------------------------
 # the exponent sequence
@@ -138,6 +140,47 @@ def test_expansion_identity_certificates():
     assert check_expansion_identity(2)
     with pytest.raises(CapExceeded, match="instance too large"):
         check_expansion_identity(3)
+
+
+def test_expansion_identity_rejects_a_wrong_expansion(monkeypatch):
+    expand = counterexample._expand
+
+    def off_by_x(depth, field, x_for_y):
+        p = expand(depth, field, x_for_y)
+        return p + p.ring.var("x")
+
+    monkeypatch.setattr(counterexample, "_expand", off_by_x)
+    assert not check_expansion_identity(2)
+
+
+def _substitute(p, name, image):
+    """p with the variable `name` replaced by `image`, term by term."""
+    ring = p.ring
+    i = ring.names.index(name)
+    powers = {0: ring.one()}
+    out = ring.zero()
+    for exp, c in p.terms.items():
+        k = exp[i]
+        if k not in powers:
+            powers[k] = image**k
+        out = out + Polynomial(ring, {exp[:i] + (0,) + exp[i + 1 :]: c}) * powers[k]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+@pytest.mark.parametrize("x_for_y", [False, True], ids=["y", "T"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_round_substitution_matches_one_variable_at_a_time(depth, x_for_y, field):
+    s = s_sequence(max(2 * depth, 2))
+    t = "T" if x_for_y else "y"
+    ring = poly_ring(field, ("x", t) + tuple(f"z{i}" for i in range(2 * depth + 1)))
+    p = ring.var("z0")
+    for r in range(1, depth + 1):
+        for j in range(2 * r - 2, r - 2, -1):
+            sv = s.value(j + 2)
+            coeff = f"x^{sv - 1}*T^{sv - 1}" if x_for_y else f"y^{sv - 1}"
+            p = _substitute(p, f"z{j}", ring.parse(f"x*z{j + 2} + {coeff}*z{j + 1}^{sv}"))
+    assert counterexample._expand(depth, field, x_for_y) == p
 
 
 def test_min_xy_degree_shadow():
