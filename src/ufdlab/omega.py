@@ -11,9 +11,10 @@ n - m = d, so the x-exponent m identifies the coordinate.
 
 `normal_form` rewrites any element onto that basis: pick a z_m with
 exponent e_m = 2a + b >= 2 and expand (z_m^2)^a binomially.  Each step
-strictly decreases the total z-exponent, so rewriting terminates; the
-result is independent of pivot choices (exercised by the confluence
-tests).  Everything here is exact and immutable.
+lowers the total z-exponent (the z-size), so one sweep over buckets of
+terms by z-size, largest first, finishes: only larger sizes feed a bucket,
+so it is complete when reached.  The result is independent of pivot choices
+(exercised by the confluence tests).  Everything here is exact and immutable.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class OmegaMonomial:
 
     def is_squarefree(self) -> bool:
         return all(exp == 1 for _, exp in self.e)
-
-    def sort_key(self):
-        return (self.r, self.e)
 
 
 def omega_monomial(r: int = 0, e: Mapping[int, int] | None = None) -> OmegaMonomial:
@@ -196,76 +194,97 @@ class BasisExpansion:
         return self.entries[0][0]
 
 
-def _expand_once(
-    mono: OmegaMonomial, coeff, field: Field, pivot: str
-) -> list[tuple[OmegaMonomial, object]]:
-    """Apply the defining relation once at the chosen pivot index."""
-    eligible = [i for i, exp in mono.e if exp >= 2]
-    m = max(eligible) if pivot == "largest" else min(eligible)
-    e = dict(mono.e)
-    a, b = divmod(e.pop(m), 2)
-    if b:
-        e[m] = b
-    sign = field.pow(field.of(-1), a)
-    out = []
+def _rewrite_step(e: tuple[tuple[int, int], ...], pivot: str):
+    """One rewrite of the z-part e at its pivot, or None when e is squarefree.
+
+    The pivot is the largest (or smallest) index k with exponent 2a + b >= 2;
+    z_k^(2a+b) = z_k^b (-1)^a sum_j C(a, j) z_(k+1)^(a-j) (x^(2^(k+1)) z_(k+2))^j.
+    Returns (k, a, children) with children[j] the z-part of the j-th term.
+    """
+    for p in range(len(e) - 1, -1, -1) if pivot == "largest" else range(len(e)):
+        k, exp = e[p]
+        if exp >= 2:
+            break
+    else:
+        return None
+    if k + 2 > Z_INDEX_CAP:
+        raise CapExceeded("z-index cap exceeded")
+    a, b = divmod(exp, 2)
+    head = e[:p] + ((k, b),) if b else e[:p]
+    t = p + 1
+    n1 = e[t][1] if t < len(e) and e[t][0] == k + 1 else 0
+    t += n1 > 0
+    n2 = e[t][1] if t < len(e) and e[t][0] == k + 2 else 0
+    tail = e[t + (n2 > 0) :]
+    children = []
     for j in range(a + 1):
-        binom = field.mul(sign, field.of(math.comb(a, j)))
-        c = field.mul(coeff, binom)
-        if c == field.zero():
-            continue
-        new_e = dict(e)
-        if a - j:
-            new_e[m + 1] = new_e.get(m + 1, 0) + (a - j)
-        if j:
-            new_e[m + 2] = new_e.get(m + 2, 0) + j
-        out.append((omega_monomial(mono.r + j * (1 << (m + 1)), new_e), c))
-    return out
+        u, v = n1 + a - j, n2 + j
+        mid = (((k + 1, u),) if u else ()) + (((k + 2, v),) if v else ())
+        children.append(head + mid + tail)
+    return k, a, children
 
 
 def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansion]:
     """Rewrite p onto the x^m F_n basis, one homogeneous component per degree.
 
-    Each step replaces one monomial of z-size S (its total z-exponent) by
-    monomials of z-size S - a (a >= 1), so the multiset of sizes strictly
-    decreases and the loop terminates.  pivot chooses which repeated z-index to expand;
-    "smallest" exists for the confluence tests.
+    Terms wait in buckets by z-size (total z-exponent).  A rewrite turns a
+    term of z-size S into terms of z-size S - a with a >= 1, so walking the
+    sizes from the largest down finds each bucket complete: only larger
+    sizes feed it, and they are done.  A squarefree term is final; any other
+    is rewritten at its pivot, the largest (or, for the confluence check,
+    smallest) repeated z-index.
     """
     if pivot not in ("largest", "smallest"):
         raise ValueError("pivot must be 'largest' or 'smallest'")
-    caps = current_caps()
+    limit = current_caps().terms
     field = p.field
     zero = field.zero()
-    work = dict(p.terms)
-    while True:
-        if len(work) > caps.terms:
-            raise CapExceeded("instance too large")
-        pending = sorted(
-            (m for m in work if not m.is_squarefree()), key=OmegaMonomial.sort_key
-        )
-        if not pending:
-            break
-        for mono in pending:
-            coeff = work.pop(mono, zero)
-            if coeff == zero:
-                continue
-            for new_mono, c in _expand_once(mono, coeff, field, pivot):
-                total = field.add(work.get(new_mono, zero), c)
-                if total == zero:
-                    work.pop(new_mono, None)
-                else:
-                    work[new_mono] = total
-
+    add, mul = field.add, field.mul
+    buckets: list[dict] = []
+    for mono, coeff in p.terms.items():
+        size = sum(exp for _, exp in mono.e)
+        buckets.extend({} for _ in range(size + 1 - len(buckets)))
+        buckets[size][mono.e, mono.r] = coeff
+    # only a rewrite changes the live-term count, so checking it here and
+    # after each rewrite also covers the output
+    live = len(p.terms)
+    if live > limit:
+        raise CapExceeded("instance too large")
+    factors: dict[int, list[tuple[int, object]]] = {}
     by_degree: dict[int, list[tuple[int, int, object]]] = {}
-    for mono, coeff in work.items():
-        m = mono.r
-        n = sum(1 << i for i, _ in mono.e)
-        by_degree.setdefault(n - m, []).append((m, n, coeff))
-    out = {}
-    for d, entries in sorted(by_degree.items()):
-        entries.sort(key=lambda t: t[0])
-        assert len({m for m, _, _ in entries}) == len(entries)
-        out[d] = BasisExpansion(d, tuple(entries))
-    return out
+    while buckets:
+        for (e, r), coeff in buckets.pop().items():
+            step = _rewrite_step(e, pivot)
+            if step is None:
+                n = sum(1 << i for i, _ in e)
+                by_degree.setdefault(n - r, []).append((r, n, coeff))
+                continue
+            k, a, children = step
+            if a not in factors:
+                sign = field.pow(field.of(-1), a)
+                factors[a] = [
+                    (j, f)
+                    for j in range(a + 1)
+                    if (f := mul(sign, field.of(math.comb(a, j)))) != zero
+                ]
+            target = buckets[len(buckets) - a]
+            live -= len(target) + 1
+            for j, f in factors[a]:
+                key = (children[j], r + (j << (k + 1)))
+                old = target.get(key)
+                if old is None:
+                    target[key] = mul(coeff, f)
+                elif (c := add(old, mul(coeff, f))) != zero:
+                    target[key] = c
+                else:
+                    del target[key]
+            live += len(target)
+            if live > limit:
+                raise CapExceeded("instance too large")
+    return {
+        d: BasisExpansion(d, tuple(sorted(entries, key=lambda t: t[0])))
+        for d, entries in sorted(by_degree.items())
+    }
 
 
 def in_x_omega(p: OmegaPoly) -> bool:

@@ -641,6 +641,8 @@ class _Parser:
                 den = self.take()
                 if not den.isdigit():
                     raise ValueError("expected integer denominator")
+                if int(den) == 0:
+                    raise ValueError("zero denominator")
                 value = value / int(den)
             return self.ring.const(value)
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):

@@ -101,7 +101,8 @@ def test_usage_errors_exit_three(tmp_path, capsys):
                         ("coeff.prime-avoid", {"lo": 1, "hi": 0}),
                         ("samuel.kernel", {"field": "Q"}),
                         ("jacobian.rank", {"p": [3]}),
-                        ("jacobian.rank", {"u": [None]})]:
+                        ("jacobian.rank", {"u": [None]}),
+                        ("jacobian.rank", {"q": "x^2 + 1/0"})]:
         path = tmp_path / f"{cid}.json"
         path.write_text(json.dumps(params))
         assert main(["claim", "run", cid, "--params", str(path)]) == 3, (cid, params)

@@ -7,6 +7,7 @@ relation vanishes.  Evaluating at such points is a ring homomorphism, so a
 correct normal form must agree with its input at every one of them.
 """
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from ufdlab.omega import (
     BasisExpansion,
     OmegaMonomial,
     OmegaPoly,
+    _rewrite_step,
     basis_monomial,
     defining_relation,
     expansion_poly,
@@ -70,7 +72,8 @@ def _random_poly(field, rng, nterms, max_size, max_index):
             e[i] = e.get(i, 0) + take
             budget -= take
         mono = omega_monomial(rng.randint(0, 4), e)
-        terms[mono] = field.of(rng.randint(1, field.char - 1))
+        c = rng.randint(1, field.char - 1) if field.char else rng.randint(-5, 5) or 1
+        terms[mono] = field.of(c)
     return OmegaPoly(field, terms)
 
 
@@ -234,6 +237,97 @@ def test_confluence_both_pivots():
         assert expansion_text(left, GF(9973)) == expansion_text(right, GF(9973))
 
 
+def test_pivots_take_different_steps():
+    # the confluence check compares two routes only if the pivots differ
+    e = omega_monomial(0, {0: 2, 1: 2}).e
+    assert _rewrite_step(e, "largest") == (1, 1, [((0, 2), (2, 1)), ((0, 2), (3, 1))])
+    assert _rewrite_step(e, "smallest") == (0, 1, [((1, 3),), ((1, 2), (2, 1))])
+    assert _rewrite_step(sigma(11).e, "largest") is None
+    p = OmegaPoly.monomial(OmegaMonomial(0, e))
+    assert normal_form(p, "largest") == normal_form(p, "smallest")
+
+
+# The monomial-at-a-time rewrite that normal_form replaced: every round
+# expands each non-squarefree monomial once, in sorted order.  An independent
+# route to the same unique normal form.
+
+
+def _reference_expand_once(mono, coeff, field, pivot):
+    eligible = [i for i, exp in mono.e if exp >= 2]
+    m = max(eligible) if pivot == "largest" else min(eligible)
+    e = dict(mono.e)
+    a, b = divmod(e.pop(m), 2)
+    if b:
+        e[m] = b
+    sign = field.pow(field.of(-1), a)
+    out = []
+    for j in range(a + 1):
+        c = field.mul(coeff, field.mul(sign, field.of(math.comb(a, j))))
+        if c == field.zero():
+            continue
+        new_e = dict(e)
+        if a - j:
+            new_e[m + 1] = new_e.get(m + 1, 0) + (a - j)
+        if j:
+            new_e[m + 2] = new_e.get(m + 2, 0) + j
+        out.append((omega_monomial(mono.r + j * (1 << (m + 1)), new_e), c))
+    return out
+
+
+def _reference_normal_form(p, pivot):
+    field, zero = p.field, p.field.zero()
+    work = dict(p.terms)
+    while True:
+        pending = sorted(
+            (m for m in work if not m.is_squarefree()), key=lambda m: (m.r, m.e)
+        )
+        if not pending:
+            break
+        for mono in pending:
+            coeff = work.pop(mono, zero)
+            if coeff == zero:
+                continue
+            for new_mono, c in _reference_expand_once(mono, coeff, field, pivot):
+                total = field.add(work.get(new_mono, zero), c)
+                if total == zero:
+                    work.pop(new_mono, None)
+                else:
+                    work[new_mono] = total
+    by_degree = {}
+    for mono, coeff in work.items():
+        n = sum(1 << i for i, _ in mono.e)
+        by_degree.setdefault(n - mono.r, []).append((mono.r, n, coeff))
+    return {
+        d: BasisExpansion(d, tuple(sorted(entries, key=lambda t: t[0])))
+        for d, entries in sorted(by_degree.items())
+    }
+
+
+@pytest.mark.parametrize("field, seed", [(QQ, 61), (GF(2), 67), (GF(3), 71)])
+def test_normal_form_matches_monomial_rewrite_reference(field, seed):
+    rng = random.Random(seed)
+    x, z0, z1 = OmegaPoly.x(field), OmegaPoly.z(0, field), OmegaPoly.z(1, field)
+    one = OmegaPoly.monomial(omega_monomial(), field)
+    cases = [
+        # one z-part under several x-powers
+        (one + x + x**2 + x**3) * z0**3 * z1**4,
+        # relations times anything vanish: every term cancels on the way
+        defining_relation(0, field) * z0**3 * z1,
+        defining_relation(1, field) * (z0**2 + x * z1**3),
+    ]
+    while len(cases) < 40:
+        a = _random_poly(field, rng, nterms=2, max_size=4, max_index=3)
+        b = _random_poly(field, rng, nterms=2, max_size=5, max_index=3)
+        cases.append(a * b)
+    nonzero = 0
+    for p in cases:
+        for pivot in ("largest", "smallest"):
+            want = expansion_text(_reference_normal_form(p, pivot), field)
+            assert expansion_text(normal_form(p, pivot), field) == want, (str(p), pivot)
+            nonzero += want != "0"
+    assert nonzero > 40
+
+
 def test_normal_form_rejects_unknown_pivot():
     with pytest.raises(ValueError, match="pivot"):
         normal_form(OmegaPoly.z(0), pivot="median")
@@ -312,11 +406,25 @@ def test_z_index_cap():
         normal_form(OmegaPoly.monomial(omega_monomial(0, {63: 2})))
 
 
+def test_z_index_cap_under_an_x_power():
+    # the pivot z_63 is below the cap; its rewrite would reach z_65
+    with pytest.raises(CapExceeded, match="z-index cap"):
+        normal_form(OmegaPoly.monomial(omega_monomial(5, {63: 2})))
+
+
 def test_terms_cap(monkeypatch):
     monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
     assert current_caps().terms == 3
     with pytest.raises(CapExceeded, match="instance too large"):
         normal_form(OmegaPoly.monomial(omega_monomial(0, {0: 4, 1: 4})))
+
+
+def test_terms_cap_on_squarefree_input(monkeypatch):
+    # nothing to rewrite, but the input alone is over the cap
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
+    p = OmegaPoly(QQ, {basis_monomial(m, 7): QQ.of(1) for m in range(4)})
+    with pytest.raises(CapExceeded, match="instance too large"):
+        normal_form(p)
 
 
 def test_monomial_validation():

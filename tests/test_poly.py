@@ -125,6 +125,8 @@ def test_parse_rejects_garbage():
         r.parse("x^-1")
     with pytest.raises(ValueError, match="as text, got int"):
         r.parse(3)
+    with pytest.raises(ValueError, match="zero denominator"):
+        r.parse("x^2 + 1/0")
 
 
 def test_prime_field_render_round_trip():
