@@ -29,6 +29,7 @@ from importlib import resources
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
+from .caps import current_caps
 from .coeff import GF, QQ, field_from_name, is_int, prime_avoid
 from .constructions import (
     jacobian_tangent_dim,
@@ -669,6 +670,9 @@ _register(
 # ---------------------------------------------------------------------------
 
 
+DEFAULT_TIMEOUT_S = 60.0
+
+
 class _Timeout(Exception):
     pass
 
@@ -742,7 +746,7 @@ def _validate_params(spec: ClaimSpec, params: dict) -> None:
 
 
 def run_claim(claim_id: str, params: Optional[dict] = None,
-              timeout: Optional[float] = 60.0) -> ClaimReport:
+              timeout: Optional[float] = DEFAULT_TIMEOUT_S) -> ClaimReport:
     """Dispatch one claim and assemble its report.
 
     With params=None the shipped parameters are used.  Otherwise the given
@@ -751,8 +755,8 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     parameters; the report records the parameters exactly as given.  A cap
     or timeout downgrades the status to unknown with the bound saying which.
     Parameter-level failures (unknown claim, wrong types, out-of-range
-    values, hypothesis errors raised while setting the instance up) raise
-    UsageError instead.
+    values, a malformed UFDLAB_CAPS, hypothesis errors raised while setting
+    the instance up) raise UsageError instead.
     """
     spec = _spec(claim_id)
     shipped = default_params(claim_id)
@@ -760,6 +764,10 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
         params = shipped
     _validate_params(spec, params)
     filled = {key: value for key, value in shipped.items() if spec.params[key].fill}
+    try:
+        current_caps()
+    except ValueError as err:
+        raise UsageError(f"claim {claim_id}: {err}") from err
     start = time.monotonic()
     try:
         with _alarm(timeout):
@@ -775,7 +783,7 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
                        elapsed, __version__)
 
 
-def run_suite(name: str, timeout: Optional[float] = 60.0) -> list[ClaimReport]:
+def run_suite(name: str, timeout: Optional[float] = DEFAULT_TIMEOUT_S) -> list[ClaimReport]:
     return [run_claim(cid, timeout=timeout) for cid in suite_claims(name)]
 
 

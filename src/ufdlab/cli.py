@@ -23,6 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .claims import (
+    DEFAULT_TIMEOUT_S,
     REGISTRY,
     ClaimReport,
     UsageError,
@@ -41,6 +42,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+TIMEOUT_HELP = (f"per-claim seconds before the status degrades to unknown "
+                f"(default {DEFAULT_TIMEOUT_S:g})")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ufdlab", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True)
@@ -55,14 +60,12 @@ def _build_parser() -> _Parser:
     run.add_argument("--params", metavar="FILE",
                      help="JSON parameter file (default: the claim's shipped parameters)")
     run.add_argument("--out", metavar="FILE", help="write the report here")
-    run.add_argument("--timeout", type=float, default=60.0,
-                     help="per-claim seconds before the status degrades to "
-                          "unknown (default 60)")
+    run.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S, help=TIMEOUT_HELP)
 
     run_all = sub.add_parser("run-all", help="run every claim of a suite")
     run_all.add_argument("--suite", required=True)
     run_all.add_argument("--out", metavar="FILE")
-    run_all.add_argument("--timeout", type=float, default=60.0)
+    run_all.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S, help=TIMEOUT_HELP)
 
     ring = top.add_parser("ring", help="presentation import/export")
     rsub = ring.add_subparsers(dest="action", required=True)

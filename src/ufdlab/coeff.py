@@ -13,10 +13,11 @@ layer stays field-agnostic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import HypothesisError
 
@@ -183,16 +184,10 @@ QQ = RationalField()
 
 Field = Union[RationalField, PrimeField]
 
-_GF_CACHE: dict[int, PrimeField] = {}
-
-
+@functools.cache
 def GF(p: int) -> PrimeField:
     """The prime field with p elements (p validated prime)."""
-    field = _GF_CACHE.get(p)
-    if field is None:
-        field = PrimeField(p)
-        _GF_CACHE[p] = field
-    return field
+    return PrimeField(p)
 
 
 def field_from_name(name: str) -> Field:
@@ -276,10 +271,3 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
             return [t * ei for ei in e]
     raise AssertionError("prime avoidance scan exhausted its certified bound")
 
-
-def lcm_list(values: Iterable[int]) -> int:
-    """Least common multiple of positive integers."""
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out

@@ -25,8 +25,6 @@ from .coeff import (
     field_from_name,
     gcd_bezout,
     is_int,
-    lcm_list,
-    prime_avoid,
 )
 from .errors import CapExceeded, HypothesisError
 from .groebner import (
@@ -479,7 +477,7 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
                 f"case (1) fails: gcd(a_n, a_1*...*a_{{n-1}}) = {math.gcd(last, prod)} != 1"
             )
         case = "case (1): n >= 4, gcd(a_n, product) = 1"
-    omega = lcm_list(head)
+    omega = math.lcm(*head)
     names = tuple(f"X{i+1}" for i in range(n - 1))
     grading = Grading({name: omega // e for name, e in zip(names, head)})
     A = free_ring(field, names, grading, tag="diagonal-base")
@@ -493,22 +491,6 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
     out.notes["omega"] = omega
     out.notes["exponents"] = exps
     return out
-
-
-def fifth_weights(omega: int, e: Sequence[int]) -> tuple[list[int], int]:
-    """Choose m_1..m_{n-1} so that gcd(e_n, omega - sum(m_i e_i)) = 1.
-
-    Requires gcd(e_1,...,e_n, omega) = 1; the search is the prime-avoidance
-    routine with a_i = -e_i, b = omega, c = e_n.
-    """
-    if not e or any(x < 1 for x in e) or omega < 1:
-        raise ValueError("need positive omega and a nonempty positive exponent list")
-    if math.gcd(omega, *e) != 1:
-        raise HypothesisError("gcd of exponents and omega is not 1")
-    m = prime_avoid([-x for x in e[:-1]], omega, e[-1])
-    check = omega - sum(mi * ei for mi, ei in zip(m, e))
-    assert math.gcd(e[-1], abs(check)) == 1
-    return m, check
 
 
 # ---------------------------------------------------------------------------

@@ -405,18 +405,8 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(ring, elim.gens)
 
 
-def ideal_quotient(a: Ideal, f) -> Ideal:
-    """Colon ideal (a : f) for a single polynomial or (a : J) for an ideal."""
-    if isinstance(f, Ideal):
-        out: Optional[Ideal] = None
-        if not f.gens:
-            raise ValueError("quotient by the zero ideal")
-        for g in f.gens:
-            part = ideal_quotient(a, g)
-            out = part if out is None else intersect(out, part)
-        return out
-    if not isinstance(f, Polynomial):
-        raise TypeError("quotient needs a Polynomial or an Ideal")
+def ideal_quotient(a: Ideal, f: Polynomial) -> Ideal:
+    """Colon ideal (a : f) for a single polynomial f."""
     if not f:
         raise ValueError("quotient by zero")
     cap = intersect(a, Ideal(a.ring, (f,)))

@@ -190,9 +190,6 @@ class BasisExpansion:
                 raise ValueError("x-exponents must be strictly increasing")
             last_m = m
 
-    def min_x_exponent(self) -> int:
-        return self.entries[0][0]
-
 
 def _rewrite_step(e: tuple[tuple[int, int], ...], pivot: str):
     """One rewrite of the z-part e at its pivot, or None when e is squarefree.
@@ -291,14 +288,6 @@ def in_x_omega(p: OmegaPoly) -> bool:
     """Membership in the principal ideal (x): every basis coordinate has m >= 1."""
     nf = normal_form(p)
     return all(m >= 1 for exp in nf.values() for m, _, _ in exp.entries)
-
-
-def x_adic_floor(p: OmegaPoly) -> int:
-    """The largest m with p in x^m * (the algebra); errors on p = 0."""
-    nf = normal_form(p)
-    if not nf:
-        raise ValueError("zero has infinite order")
-    return min(exp.min_x_exponent() for exp in nf.values())
 
 
 def expansion_poly(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> OmegaPoly:

@@ -107,9 +107,6 @@ class PolyRing:
         """Superring with extra variables appended after the existing ones."""
         return PolyRing(self.field, VarTable(self.names + tuple(new_names), self.vars.invertible))
 
-    def laurentize(self) -> "PolyRing":
-        return PolyRing(self.field, VarTable(self.names, frozenset(self.names)))
-
 
 def poly_ring(field: Field, names: Sequence[str], invertible: Iterable[str] = ()) -> PolyRing:
     return PolyRing(field, VarTable(tuple(names), frozenset(invertible)))
@@ -377,15 +374,6 @@ def degree_of(p: Polynomial, g: Grading) -> Optional[int]:
     return None
 
 
-def homogeneous_components(p: Polynomial, g: Grading) -> dict[int, Polynomial]:
-    """Split p into weighted-homogeneous parts; the parts sum back to p."""
-    buckets: dict[int, dict[Exp, object]] = {}
-    for e, c in p.terms.items():
-        d = g.exp_degree(e, p.ring)
-        buckets.setdefault(d, {})[e] = c
-    return {d: Polynomial(p.ring, t) for d, t in sorted(buckets.items())}
-
-
 # ---------------------------------------------------------------------------
 # ring maps
 # ---------------------------------------------------------------------------
@@ -440,27 +428,8 @@ class RingMap:
 
 
 # ---------------------------------------------------------------------------
-# graded-ring gadgets
+# the Laurent isomorphism and formal derivatives
 # ---------------------------------------------------------------------------
-
-
-def phi_theta(g: Grading, unit: Polynomial, d: int, p: Polynomial) -> Polynomial:
-    """Twist each homogeneous component of degree i by unit^(d*i).
-
-    `unit` must be an invertible monomial of weighted degree 0, which makes
-    the twist a ring automorphism; applying with d and then -d is the
-    identity.
-    """
-    if not unit.is_unit_monomial():
-        raise ValueError("unit must be an invertible monomial")
-    if degree_of(unit, g) != 0:
-        raise ValueError("unit monomial must have weighted degree 0")
-    if not p:
-        return p
-    out = p.ring.zero()
-    for i, comp in homogeneous_components(p, g).items():
-        out = out + comp * unit ** (d * i)
-    return out
 
 
 def laurent_iso(a: int, b: int, lam, field: Field = QQ) -> tuple[RingMap, RingMap]:
@@ -495,31 +464,6 @@ def laurent_iso(a: int, b: int, lam, field: Field = QQ) -> tuple[RingMap, RingMa
         },
     )
     return fwd, inv
-
-
-def degree_unit(g: Grading, ring: PolyRing, alpha: Polynomial) -> tuple[int, Polynomial, Polynomial]:
-    """Produce (d, f, w): d = gcd of the variable weights, w a monomial of
-    degree exactly d (a Laurent monomial a/b built from Bezout coefficients),
-    and f = alpha*a*b.
-
-    Positive Bezout coefficients go into a, negative ones into b; w is
-    returned in the fully Laurent-ized copy of the ring.
-    """
-    weights = [g.weight(n) for n in ring.names]
-    if all(w == 0 for w in weights):
-        raise ValueError("trivial grading")
-    if not alpha or degree_of(alpha, g) is None:
-        raise ValueError("alpha must be nonzero homogeneous")
-    d, coeffs = gcd_bezout(weights)
-    a_exp = {n: c for n, c in zip(ring.names, coeffs) if c > 0}
-    b_exp = {n: -c for n, c in zip(ring.names, coeffs) if c < 0}
-    a = ring.monomial(a_exp)
-    b = ring.monomial(b_exp)
-    laurent = ring.laurentize()
-    w = laurent.monomial({**a_exp, **{n: -k for n, k in b_exp.items()}})
-    assert degree_of(w, g) == d
-    f = alpha * a * b
-    return d, f, w
 
 
 def derivative(p: Polynomial, name: str) -> Polynomial:

@@ -58,6 +58,19 @@ def test_claim_run_timeout_degrades_to_unknown(capsys):
     assert doc["bound"] == "timeout"
 
 
+@pytest.mark.parametrize("caps", ["depth=3", "degree=abc"])
+@pytest.mark.parametrize("argv", [["claim", "run", "cex.sseq"],
+                                  ["claim", "run", "samuel.kernel"],
+                                  ["claim", "run-all", "--suite", "acceptance"]])
+def test_malformed_caps_is_usage_error_for_every_claim(argv, caps, monkeypatch, capsys):
+    # cex.sseq reaches no cap site, so only the runner's own check sees the value
+    monkeypatch.setenv("UFDLAB_CAPS", caps)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UFDLAB_CAPS" in captured.err
+
+
 def test_run_all_acceptance_exits_zero_with_json_array(capsys):
     assert main(["claim", "run-all", "--suite", "acceptance"]) == 0
     captured = capsys.readouterr()
@@ -129,7 +142,8 @@ def test_ring_export_cas_text(capsys):
 def test_ring_export_json_round_trips(capsys):
     assert main(["ring", "export", "--input", PHAM_FIXTURE, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == json.loads(open(PHAM_FIXTURE).read())
+    with open(PHAM_FIXTURE) as fh:
+        assert doc == json.load(fh)
 
 
 def test_ring_export_rejects_bad_inputs(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ufdlab.coeff import GF, QQ, field_from_name, gcd_bezout, lcm_list, prime_avoid
+from ufdlab.coeff import GF, QQ, field_from_name, gcd_bezout, prime_avoid
 from ufdlab.errors import HypothesisError
 from ufdlab.poly import Polynomial, poly_ring
 
@@ -127,12 +127,6 @@ def test_prime_field_of_fraction():
 def test_field_of_rejects_what_is_not_a_number(field, value):
     with pytest.raises(ValueError, match=re.escape(f"is not an element of {field}")):
         field.of(value)
-
-
-def test_lcm_list():
-    assert lcm_list([2, 3]) == 6
-    assert lcm_list([2, 3, 4]) == 12
-    assert lcm_list([5]) == 5
 
 
 def test_rational_ops_on_ints_stay_exact():

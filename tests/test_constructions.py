@@ -11,7 +11,6 @@ from ufdlab.constructions import (
     _residue_rank,
     check_condition_P,
     export_presentation,
-    fifth_weights,
     free_ring,
     jacobian_tangent_dim,
     lemma_level_check,
@@ -338,40 +337,6 @@ def test_pham_brieskorn_2345_case_one():
 def test_pham_brieskorn_rejects_n4_shared_factor():
     with pytest.raises(HypothesisError, match=r"case \(1\) fails"):
         pham_brieskorn(QQ, (2, 3, 4, 6))
-
-
-def test_fifth_weights_trace():
-    m, check = fifth_weights(6, (2, 3))
-    assert m == [-1]
-    assert check == 8
-    assert math.gcd(3, check) == 1
-
-
-def test_fifth_weights_single_exponent():
-    m, check = fifth_weights(7, (3,))
-    assert m == []
-    assert check == 7
-
-
-def test_fifth_weights_random_instances():
-    import random
-
-    rng = random.Random(17)
-    done = 0
-    while done < 40:
-        e = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
-        omega = rng.randint(1, 30)
-        if math.gcd(omega, *e) != 1:
-            continue
-        m, check = fifth_weights(omega, e)
-        assert check == omega - sum(mi * ei for mi, ei in zip(m, e[:-1]))
-        assert math.gcd(e[-1], abs(check)) == 1
-        done += 1
-
-
-def test_fifth_weights_rejects_shared_divisor():
-    with pytest.raises(HypothesisError, match="gcd"):
-        fifth_weights(6, (2, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ufdlab.groebner import (
     GREVLEX,
     LEX,
     SATURATION_ROUNDS_CAP,
-    Ideal,
     brute_force_irreducible,
     brute_force_member,
     buchberger,
@@ -316,15 +315,6 @@ def test_quotient_pinned():
     x, y = r.gens()
     assert ideal_equal(ideal_quotient(ideal(r, x * y), x), ideal(r, y))
     assert ideal_equal(ideal_quotient(ideal(r, x**2, x * y), x), ideal(r, x, y))
-
-
-def test_quotient_by_ideal():
-    r = QXY()
-    x, y = r.gens()
-    q = ideal_quotient(ideal(r, x * y), Ideal(r, (x, y)))
-    # (xy) : (x,y) = (xy) : x  cap  (xy) : y = (y) cap (x) = (xy)... no:
-    # (y) cap (x) = (xy), and indeed xy * (x,y) <= (xy)
-    assert ideal_equal(q, ideal(r, x * y))
 
 
 def test_saturation_pinned_index():

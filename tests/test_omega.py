@@ -32,7 +32,6 @@ from ufdlab.omega import (
     render_omega,
     sigma,
     to_poly,
-    x_adic_floor,
 )
 
 # ---------------------------------------------------------------------------
@@ -362,35 +361,6 @@ def test_in_x_omega_explicit_factor():
     for _ in range(10):
         p = _random_poly(GF(101), rng, nterms=2, max_size=4, max_index=3)
         assert in_x_omega(OmegaPoly.x(GF(101)) * p)
-
-
-def test_x_adic_floor_examples():
-    assert x_adic_floor(OmegaPoly.z(0)) == 0
-    assert x_adic_floor(OmegaPoly.monomial(basis_monomial(2, 4))) == 2
-    assert x_adic_floor(OmegaPoly.z(1) + OmegaPoly.z(0) ** 2) == 2
-
-
-def test_x_adic_floor_zero_rejected():
-    with pytest.raises(ValueError, match="zero has infinite order"):
-        x_adic_floor(OmegaPoly.zero())
-    # nonzero formal expression that is zero in the algebra
-    with pytest.raises(ValueError, match="zero has infinite order"):
-        x_adic_floor(defining_relation(1))
-
-
-def test_truncated_x_adic_intersection():
-    rng = random.Random(47)
-    checked = 0
-    while checked < 50:
-        p = _random_poly(GF(101), rng, nterms=2, max_size=4, max_index=3)
-        nf = normal_form(p)
-        if not nf:
-            continue
-        floor = x_adic_floor(p)
-        assert any(
-            exp.min_x_exponent() == floor for exp in nf.values()
-        )  # hence p is not in x^(floor+1)
-        checked += 1
 
 
 # ---------------------------------------------------------------------------

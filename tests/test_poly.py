@@ -10,11 +10,8 @@ from ufdlab.poly import (
     Polynomial,
     RingMap,
     degree_of,
-    degree_unit,
     derivative,
-    homogeneous_components,
     laurent_iso,
-    phi_theta,
     poly_ring,
 )
 
@@ -182,20 +179,6 @@ def test_degree_of_missing_weight_raises():
         degree_of(r.var("x"), Grading({"x": 1}))
 
 
-def test_homogeneous_components_split_and_sum():
-    r = omega_ring()
-    p = r.parse("z0^2 + x*z2")
-    comps = homogeneous_components(p, OMEGA_STYLE)
-    assert set(comps) == {2, 3}
-    assert comps[2] == r.parse("z0^2")
-    assert comps[3] == r.parse("x*z2")
-    total = r.zero()
-    for c in comps.values():
-        total = total + c
-    assert total == p
-    assert homogeneous_components(r.zero(), OMEGA_STYLE) == {}
-
-
 # -- ring maps ----------------------------------------------------------------
 
 
@@ -231,38 +214,7 @@ def test_map_negative_power_through_unit():
     assert img == tgt.monomial({"x": -3, "y": -6})
 
 
-# -- graded gadgets ------------------------------------------------------------
-
-
-def test_phi_theta_twists_components():
-    r = poly_ring(QQ, ("t", "u"), invertible=("u",))
-    g = Grading({"t": 1, "u": 0})
-    t, u = r.gens()
-    p = t**2 + t + 1
-    out = phi_theta(g, u, 1, p)
-    assert out == t**2 * u**2 + t * u + 1
-
-
-def test_phi_theta_round_trip():
-    r = poly_ring(QQ, ("t", "u"), invertible=("u",))
-    g = Grading({"t": 1, "u": 0})
-    rng = random.Random(23)
-    u = r.var("u")
-    for _ in range(40):
-        terms = {}
-        for _ in range(rng.randrange(0, 5)):
-            terms[(rng.randrange(0, 5), rng.randrange(-2, 3))] = QQ.sample(rng)
-        p = Polynomial(r, terms)
-        assert phi_theta(g, u, -2, phi_theta(g, u, 2, p)) == p
-
-
-def test_phi_theta_rejects_bad_unit():
-    r = poly_ring(QQ, ("t", "u"), invertible=("u",))
-    g = Grading({"t": 1, "u": 1})
-    with pytest.raises(ValueError, match="degree 0"):
-        phi_theta(g, r.var("u"), 1, r.var("t"))
-    with pytest.raises(ValueError, match="invertible monomial"):
-        phi_theta(Grading({"t": 1, "u": 0}), r.var("t"), 1, r.var("t"))
+# -- the Laurent isomorphism ---------------------------------------------------
 
 
 def test_laurent_iso_2_3():
@@ -309,47 +261,6 @@ def test_laurent_iso_random_round_trip():
 def test_laurent_iso_rejects_non_coprime():
     with pytest.raises(ValueError, match="exponents not coprime"):
         laurent_iso(2, 4, 1)
-
-
-def test_degree_unit_2_3():
-    r = R("xy")
-    g = Grading({"x": 2, "y": 3})
-    d, f, w = degree_unit(g, r, r.one())
-    assert d == 1
-    assert f == r.parse("x*y")
-    assert str(w) == "x^-1*y"
-    assert degree_of(w, g) == 1
-
-
-def test_degree_unit_2_4():
-    r = R("xy")
-    g = Grading({"x": 2, "y": 4})
-    d, f, w = degree_unit(g, r, r.one())
-    assert d == 2
-    assert f == r.parse("x")
-    assert w == r.laurentize().parse("x")
-
-
-def test_degree_unit_mixed_signs():
-    r = poly_ring(QQ, ("x", "z0"), invertible=("x",))
-    g = Grading({"x": -1, "z0": 1})
-    d, f, w = degree_unit(g, r, r.var("z0"))
-    assert d == 1
-    assert w == r.laurentize().parse("z0")
-    assert f == r.parse("z0^2")
-
-
-def test_degree_unit_trivial_grading():
-    r = R("xy")
-    with pytest.raises(ValueError, match="trivial grading"):
-        degree_unit(Grading({"x": 0, "y": 0}), r, r.one())
-
-
-def test_degree_unit_needs_homogeneous_alpha():
-    r = R("xy")
-    g = Grading({"x": 2, "y": 3})
-    with pytest.raises(ValueError, match="homogeneous"):
-        degree_unit(g, r, r.parse("x + y"))
 
 
 # -- derivative ----------------------------------------------------------------
