@@ -2,9 +2,9 @@
 
 Subpackages:
   coeff           exact integer / rational / prime-field arithmetic
-  poly            sparse (Laurent) polynomials, gradings, ring maps
+  poly            sparse (Laurent) polynomials, ring maps
   groebner        Buchberger engine, ideal quotients, saturation, oracles
-  constructions   presented-ring builders and hypothesis checkers
+  constructions   presentations (ring, relations, weight dict), builders, checks
   omega           the graded rewriting system on x, z0, z1, ...
   counterexample  the filtered-union ring over k[x,y] and its order certificates
   claims / cli    machine-readable claim runner

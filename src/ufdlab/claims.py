@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .caps import current_caps
-from .coeff import GF, QQ, field_from_name, is_int, prime_avoid
+from .coeff import QQ, field_from_name, is_int, prime_avoid
 from .constructions import (
     jacobian_tangent_dim,
     lemma_level_check,
@@ -478,7 +478,7 @@ def _h_pham_cases(params):
         if exps is None:
             continue
         ring = pham_brieskorn(fld, exps)
-        table = dict(ring.grading.weights)
+        table = dict(ring.grading)
         witness[key] = {"case": ring.notes["case"], "weights": table,
                         "relation": str(ring.relations[0])}
         expect = params.get(weights_key)

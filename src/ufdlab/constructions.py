@@ -1,7 +1,8 @@
 """Builders and hypothesis checkers for the ring families under study.
 
-A PresentedRing is an ambient polynomial ring plus a list of nonzero
-relations (and optionally a grading making every relation homogeneous).
+A PresentedRing is a polynomial ring plus a list of nonzero relations (and
+optionally a grading, one integer weight per variable, making every
+relation homogeneous).
 The builders each construct one family — fraction-style extensions
 A[X]/(aX-b), radical extensions A[Z]/(Z^c-F), the hypersurface threefold
 chains, the three-term-relation rings — and verify every finitely
@@ -42,11 +43,9 @@ from .groebner import (
     saturation,
 )
 from .poly import (
-    Grading,
     Polynomial,
     PolyRing,
     RingMap,
-    VarTable,
     degree_of,
     derivative,
     fresh_name,
@@ -68,33 +67,34 @@ def _positive_ints(values) -> bool:
 
 @dataclass
 class PresentedRing:
-    """field + variables + relations (+ optional grading), as a presentation."""
+    """ring + relations (+ optional grading: weight per variable), as a presentation."""
 
-    field: Field
-    vars: VarTable
+    ring: PolyRing
     relations: tuple[Polynomial, ...]
-    grading: Optional[Grading] = None
+    grading: Optional[dict[str, int]] = None
     tag: str = ""
     notes: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.relations = tuple(self.relations)
-        ambient = self.ambient()
+        if self.grading is not None:
+            for n in (*self.ring.names, *self.grading):
+                w = self.grading.get(n)
+                if n not in self.ring.names or not is_int(w):
+                    raise ValueError(f"a grading gives one int weight to each ring variable "
+                                     f"and to no other name: {n!r} has {w!r}")
         for r in self.relations:
             if not r:
                 raise ValueError("zero relation")
-            if r.ring != ambient:
+            if r.ring != self.ring:
                 raise ValueError("relation lives in the wrong ring")
             if self.grading is not None and degree_of(r, self.grading) is None:
                 raise ValueError(f"relation not homogeneous: {r}")
 
-    def ambient(self) -> PolyRing:
-        return PolyRing(self.field, self.vars)
 
-
-def free_ring(field: Field, names: Sequence[str], grading: Optional[Grading] = None,
+def free_ring(field: Field, names: Sequence[str], grading: Optional[dict[str, int]] = None,
               tag: str = "") -> PresentedRing:
-    return PresentedRing(field, VarTable(tuple(names)), (), grading, tag)
+    return PresentedRing(poly_ring(field, names), (), grading, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def free_ring(field: Field, names: Sequence[str], grading: Optional[Grading] = N
 
 def relatively_prime(A: PresentedRing, a: Polynomial, b: Polynomial):
     """Check aA cap bA = abA modulo A's relations; returns (ok, offender)."""
-    ring = A.ambient()
+    ring = A.ring
     ia = Ideal(ring, A.relations + (a,))
     ib = Ideal(ring, A.relations + (b,))
     cap = intersect(ia, ib)
@@ -130,16 +130,15 @@ def present_extension(A: PresentedRing, a: Polynomial, b: Polynomial) -> Present
         raise HypothesisError(
             f"a and b are not relatively prime: {offender} lies in (a) cap (b) but not in (ab)"
         )
-    xname = fresh_name(A.vars.names, "X")
-    big = A.ambient().extend((xname,))
+    xname = fresh_name(A.ring.names, "X")
+    big = A.ring.extend((xname,))
     rels = tuple(r.lift(big) for r in A.relations)
     new_rel = a.lift(big) * big.var(xname) - b.lift(big)
     presented = Ideal(big, rels + (new_rel,))
     sat, index = saturation(presented, a.lift(big))
     stable = ideal_equal(sat, presented)
     out = PresentedRing(
-        A.field,
-        big.vars,
+        big,
         rels + (new_rel,),
         None,
         tag=A.tag + "+fraction" if A.tag else "fraction-extension",
@@ -209,8 +208,8 @@ def check_condition_P(
     The prime list is trusted (primality in a quotient is not decided
     here); the report says which primes were excluded because pA+bA = A.
     """
-    ring = A.ambient()
-    fld = A.field
+    ring = A.ring
+    fld = ring.field
     product = ring.one()
     for p in prime_factors_of_a:
         product = product * p
@@ -394,7 +393,7 @@ def lemma_level_check(
     both via exact ideal intersection.
     """
     a = s * t
-    free = PresentedRing(ring.field, ring.vars, ())
+    free = PresentedRing(ring, ())
     ok, offender = relatively_prime(free, s, t)
     if not ok:
         raise HypothesisError(f"s and t not relatively prime: witness {offender}")
@@ -432,13 +431,13 @@ def radical_extension(A: PresentedRing, F: Polynomial, c: int) -> PresentedRing:
         raise HypothesisError("F not homogeneous")
     if math.gcd(c, abs(omega)) != 1:
         raise HypothesisError(f"gcd(c, deg F) = gcd({c}, {omega}) != 1")
-    zname = fresh_name(A.vars.names, "Z")
-    big = A.ambient().extend((zname,))
-    new_grading = A.grading.scaled(c).extended({zname: omega})
+    zname = fresh_name(A.ring.names, "Z")
+    big = A.ring.extend((zname,))
+    new_grading = {**{n: c * w for n, w in A.grading.items()}, zname: omega}
     rels = tuple(r.lift(big) for r in A.relations)
     root_rel = big.var(zname) ** c - F.lift(big)
     out = PresentedRing(
-        A.field, big.vars, rels + (root_rel,), new_grading,
+        big, rels + (root_rel,), new_grading,
         tag=(A.tag + "+root" if A.tag else "radical-extension"),
     )
     out.notes["deg_F"] = omega
@@ -479,12 +478,11 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
         case = "case (1): n >= 4, gcd(a_n, product) = 1"
     omega = math.lcm(*head)
     names = tuple(f"X{i+1}" for i in range(n - 1))
-    grading = Grading({name: omega // e for name, e in zip(names, head)})
+    grading = {name: omega // e for name, e in zip(names, head)}
     A = free_ring(field, names, grading, tag="diagonal-base")
-    ambient = A.ambient()
-    F = ambient.zero()
+    F = A.ring.zero()
     for name, e in zip(names, head):
-        F = F - ambient.var(name) ** e
+        F = F - A.ring.var(name) ** e
     out = radical_extension(A, F, last)
     out.tag = "pham-brieskorn"
     out.notes["case"] = case
@@ -559,7 +557,7 @@ def threefold_family(
         fi = pi * zs[i + 1] + u_c[i - 1] * zs[i] ** a[i - 1] + v_c[i - 1] * zs[i - 1] ** b[i - 1]
         rels.append(fi)
         reduced.append(u_c[i - 1] * zs[i] ** a[i - 1] + v_c[i - 1] * zs[i - 1] ** b[i - 1])
-    out = PresentedRing(field, ring.vars, tuple(rels), None, tag="hypersurface-chain")
+    out = PresentedRing(ring, tuple(rels), None, tag="hypersurface-chain")
     out.notes["params"] = {
         "p": [str(p) for p in p_list],
         "u": [str(x) for x in u_c],
@@ -603,7 +601,7 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     n = params["n"]
     if any(e < 2 for e in params["a"] + params["b"]):
         raise HypothesisError("hypothesis a_i >= 2 and b_i >= 2 fails")
-    xring = poly_ring(B.field, ("x",))
+    xring = poly_ring(B.ring.field, ("x",))
     ps = [xring.parse(s) for s in params["p"]]
     if any(p.is_constant() for p in ps):
         raise HypothesisError("p_i must be nonconstant")
@@ -612,10 +610,10 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     for p in ps:
         if not _divides(q, p):
             raise HypothesisError("q does not divide every p_i")
-    if isinstance(B.field, PrimeField):
+    if isinstance(B.ring.field, PrimeField):
         if not brute_force_irreducible(q, q.total_degree() // 2).irreducible:
             raise HypothesisError("q must be irreducible")
-    ring = B.ambient()
+    ring = B.ring
     names = ring.names  # x, z0, ..., z_{n+1}
     # evaluate at the point: all z's to 0, then reduce mod q
     at_point = RingMap(ring, xring, {name: xring.zero() for name in names if name != "x"})
@@ -702,7 +700,7 @@ def trinomial_ring(
         block_monomial(0) + lam[i - 2] * block_monomial(1) + block_monomial(i)
         for i in range(2, r + 1)
     )
-    out = PresentedRing(field, ring.vars, rels, None, tag="trinomial")
+    out = PresentedRing(ring, rels, None, tag="trinomial")
 
     step_gradings = []
     for m in range(2, r + 1):
@@ -713,9 +711,8 @@ def trinomial_ring(
             others = target // d[i]
             for name, cij in zip(block_names[i], coeffs):
                 weights[name] = cij * others
-        g = Grading(weights)
         for i in range(m):
-            deg = degree_of(block_monomial(i), g)
+            deg = degree_of(block_monomial(i), weights)
             if deg != target:
                 raise HypothesisError(
                     f"step m={m}: block {i} monomial has degree {deg}, expected {target}"
@@ -739,38 +736,38 @@ def trinomial_ring(
 # ---------------------------------------------------------------------------
 
 
-def export_presentation(ring: PresentedRing, fmt: str) -> str:
+def export_presentation(A: PresentedRing, fmt: str) -> str:
     """Serialize a presentation: "json" round-trips, "cas-text" is the
     line-oriented human/CAS format."""
     if fmt == "json":
         doc = {
-            "field": str(ring.field),
+            "field": str(A.ring.field),
             "variables": [
                 {
                     "name": n,
-                    "invertible": n in ring.vars.invertible,
-                    "weight": ring.grading.weight(n) if ring.grading else None,
+                    "invertible": n in A.ring.invertible,
+                    "weight": A.grading[n] if A.grading else None,
                 }
-                for n in ring.vars.names
+                for n in A.ring.names
             ],
-            "relations": [str(r) for r in ring.relations],
-            "tag": ring.tag,
-            "notes": _jsonable(ring.notes),
+            "relations": [str(r) for r in A.relations],
+            "tag": A.tag,
+            "notes": _jsonable(A.notes),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
     if fmt == "cas-text":
-        lines = [f"field {ring.field}"]
-        for n in ring.vars.names:
+        lines = [f"field {A.ring.field}"]
+        for n in A.ring.names:
             bits = [f"var {n}"]
-            if ring.grading is not None:
-                bits.append(f"weight {ring.grading.weight(n)}")
-            if n in ring.vars.invertible:
+            if A.grading is not None:
+                bits.append(f"weight {A.grading[n]}")
+            if n in A.ring.invertible:
                 bits.append("invertible")
             lines.append(" ".join(bits))
-        for r in ring.relations:
+        for r in A.relations:
             lines.append(f"rel {r}")
-        if ring.tag:
-            lines.append(f"tag {ring.tag}")
+        if A.tag:
+            lines.append(f"tag {A.tag}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -786,17 +783,19 @@ def _jsonable(value):
 
 
 def load_presentation_json(text: str) -> PresentedRing:
+    """Read the "json" export.  The ring is ungraded when every weight is
+    absent or null; otherwise PresentedRing checks that each is an int."""
     doc = json.loads(text)
     fld = field_from_name(doc["field"])
     names = tuple(v["name"] for v in doc["variables"])
+    for v in doc["variables"]:
+        if not isinstance(v.get("invertible", False), bool):
+            raise ValueError(f"invertible flag of variable {v['name']!r} must be a bool")
     invertible = frozenset(v["name"] for v in doc["variables"] if v.get("invertible"))
     weights = {v["name"]: v.get("weight") for v in doc["variables"]}
-    grading = None
-    if all(w is not None for w in weights.values()) and weights:
-        grading = Grading(weights)
-    vt = VarTable(names, invertible)
-    ambient = PolyRing(fld, vt)
-    rels = tuple(ambient.parse(s) for s in doc.get("relations", []))
-    out = PresentedRing(fld, vt, rels, grading, tag=doc.get("tag", ""))
+    grading = weights if any(w is not None for w in weights.values()) else None
+    ring = PolyRing(fld, names, invertible)
+    rels = tuple(ring.parse(s) for s in doc.get("relations", []))
+    out = PresentedRing(ring, rels, grading, tag=doc.get("tag", ""))
     out.notes.update(doc.get("notes", {}))
     return out

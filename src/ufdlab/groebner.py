@@ -61,16 +61,13 @@ class Order:
             seen: list[str] = [n for blk in self.blocks for n in blk]
             if sorted(seen) != sorted(ring.names):
                 raise ValueError("block order must partition the ring variables")
-            index_blocks = [
-                tuple(ring.vars.index(n) for n in blk) for blk in self.blocks
-            ]
+            index_blocks = [tuple(ring.index(n) for n in blk) for blk in self.blocks]
 
             def key(exp: Exp):
-                parts = []
+                parts = ()
                 for idx in index_blocks:
-                    parts.append(sum(exp[i] for i in idx))
-                    parts.append(tuple(-exp[i] for i in reversed(idx)))
-                return tuple(parts)
+                    parts += grevlex_key(tuple(exp[i] for i in idx))
+                return parts
 
             return key
         raise ValueError(f"unknown order kind {self.kind!r}")
@@ -85,7 +82,7 @@ def elimination_order(front: Sequence[str], back: Sequence[str]) -> Order:
 
 
 def _check_plain_ring(ring: PolyRing) -> None:
-    if ring.vars.invertible:
+    if ring.invertible:
         raise ValueError("saturate the unit first")
 
 
@@ -133,7 +130,7 @@ def divide(
             queued.discard(heapq.heappop(heap)[1])
         we = heap[0][1]
         wc = work.terms[we]
-        if sum(k for k in we if k > 0) > caps.degree:
+        if sum(we) > caps.degree:
             raise CapExceeded("instance too large")
         # Among usable divisors prefer the smallest leading term: a rule that
         # solves for a big monomial (Z -> long tail) forward-substitutes and
@@ -380,7 +377,7 @@ def elim_ideal(a: Ideal, keep: Sequence[str]) -> Ideal:
     basis elements supported on the kept variables only."""
     keep_set = set(keep)
     for n in keep_set:
-        a.ring.vars.index(n)
+        a.ring.index(n)
     front = [n for n in a.ring.names if n not in keep_set]
     back = [n for n in a.ring.names if n in keep_set]
     order = elimination_order(front, back)

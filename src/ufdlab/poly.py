@@ -24,9 +24,11 @@ Exp = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class VarTable:
-    """Ordered variable names with per-variable invertibility flags."""
+class PolyRing:
+    """A polynomial ring: exact coefficient field, ordered variable names and
+    the names flagged invertible (Laurent variables)."""
 
+    field: Field
     names: tuple[str, ...]
     invertible: frozenset[str] = frozenset()
 
@@ -42,21 +44,9 @@ class VarTable:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-
-@dataclass(frozen=True)
-class PolyRing:
-    """A polynomial ring: exact coefficient field plus a VarTable."""
-
-    field: Field
-    vars: VarTable
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.vars.names
-
     @property
     def nvars(self) -> int:
-        return len(self.vars.names)
+        return len(self.names)
 
     def zero_exp(self) -> Exp:
         return (0,) * self.nvars
@@ -74,7 +64,7 @@ class PolyRing:
         return Polynomial(self, {self.zero_exp(): cf})
 
     def var(self, name: str) -> "Polynomial":
-        i = self.vars.index(name)
+        i = self.index(name)
         exp = [0] * self.nvars
         exp[i] = 1
         return Polynomial(self, {tuple(exp): self.field.one()})
@@ -85,8 +75,8 @@ class PolyRing:
     def monomial(self, exps: Mapping[str, int], coeff=1) -> "Polynomial":
         exp = [0] * self.nvars
         for name, k in exps.items():
-            i = self.vars.index(name)
-            if k < 0 and name not in self.vars.invertible:
+            i = self.index(name)
+            if k < 0 and name not in self.invertible:
                 raise ValueError(f"negative exponent on non-invertible variable {name!r}")
             exp[i] = k
         cf = self.field.of(coeff)
@@ -100,16 +90,15 @@ class PolyRing:
     def restrict(self, names: Sequence[str]) -> "PolyRing":
         """Subring on a subset of the variables (original order kept)."""
         keep = [n for n in self.names if n in set(names)]
-        inv = frozenset(n for n in keep if n in self.vars.invertible)
-        return PolyRing(self.field, VarTable(tuple(keep), inv))
+        return PolyRing(self.field, tuple(keep), self.invertible & set(keep))
 
     def extend(self, new_names: Sequence[str]) -> "PolyRing":
         """Superring with extra variables appended after the existing ones."""
-        return PolyRing(self.field, VarTable(self.names + tuple(new_names), self.vars.invertible))
+        return PolyRing(self.field, self.names + tuple(new_names), self.invertible)
 
 
 def poly_ring(field: Field, names: Sequence[str], invertible: Iterable[str] = ()) -> PolyRing:
-    return PolyRing(field, VarTable(tuple(names), frozenset(invertible)))
+    return PolyRing(field, tuple(names), frozenset(invertible))
 
 
 def fresh_name(names: tuple[str, ...], stem: str) -> str:
@@ -210,9 +199,8 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
             n >>= 1
-            if base_needed and n:
+            if n:
                 base = base * base
         return result
 
@@ -247,7 +235,7 @@ class Polynomial:
         if len(self.terms) != 1:
             return False
         (exp,) = self.terms
-        inv = self.ring.vars.invertible
+        inv = self.ring.invertible
         return all(k == 0 or self.ring.names[i] in inv for i, k in enumerate(exp))
 
     def unit_inverse(self) -> "Polynomial":
@@ -310,7 +298,7 @@ class Polynomial:
         """Reinterpret in a ring containing all of this ring's variables."""
         if superring.field != self.ring.field:
             raise ValueError("lift across different coefficient fields")
-        pos = [superring.vars.index(n) for n in self.ring.names]
+        pos = [superring.index(n) for n in self.ring.names]
         out = {}
         for e, c in self.terms.items():
             big = [0] * superring.nvars
@@ -333,42 +321,17 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class Grading:
-    """Integer weights, one per variable (explicit, including zero weights)."""
-
-    def __init__(self, weights: Mapping[str, int]):
-        self.weights = dict(weights)
-
-    def weight(self, name: str) -> int:
-        return self.weights[name]
-
-    def __eq__(self, other):
-        return isinstance(other, Grading) and self.weights == other.weights
-
-    def __repr__(self):
-        inner = ", ".join(f"{n}:{w}" for n, w in self.weights.items())
-        return f"Grading({inner})"
-
-    def scaled(self, c: int) -> "Grading":
-        return Grading({n: c * w for n, w in self.weights.items()})
-
-    def extended(self, extra: Mapping[str, int]) -> "Grading":
-        out = dict(self.weights)
-        out.update(extra)
-        return Grading(out)
-
-    def exp_degree(self, exp: Exp, ring: PolyRing) -> int:
-        missing = [n for n in ring.names if n not in self.weights]
-        if missing:
-            raise ValueError(f"grading missing weight for variable {missing[0]!r}")
-        return sum(k * self.weights[ring.names[i]] for i, k in enumerate(exp))
-
-
-def degree_of(p: Polynomial, g: Grading) -> Optional[int]:
-    """Weighted degree of a homogeneous p; None when p is not homogeneous."""
+def degree_of(p: Polynomial, weights: Mapping[str, int]) -> Optional[int]:
+    """Weighted degree of a homogeneous p under a grading given by one integer
+    weight per variable; None when p is not homogeneous."""
     if not p:
         raise ValueError("degree of zero")
-    degrees = {g.exp_degree(e, p.ring) for e in p.terms}
+    names = p.ring.names
+    missing = [n for n in names if n not in weights]
+    if missing:
+        raise ValueError(f"grading missing weight for variable {missing[0]!r}")
+    w = [weights[n] for n in names]
+    degrees = {sum(k * wi for k, wi in zip(e, w)) for e in p.terms}
     if len(degrees) == 1:
         return degrees.pop()
     return None
@@ -392,10 +355,10 @@ class RingMap:
         self.target = target
         self.images = dict(images)
         for name, img in self.images.items():
-            source.vars.index(name)
+            source.index(name)
             if img.ring != target:
                 raise ValueError(f"image of {name!r} lives in the wrong ring")
-            if name in source.vars.invertible and not img.is_unit_monomial():
+            if name in source.invertible and not img.is_unit_monomial():
                 raise ValueError("non-invertible image")
 
     def image_of(self, name: str) -> Polynomial:
@@ -468,7 +431,7 @@ def laurent_iso(a: int, b: int, lam, field: Field = QQ) -> tuple[RingMap, RingMa
 
 def derivative(p: Polynomial, name: str) -> Polynomial:
     """Formal partial derivative with respect to one variable."""
-    i = p.ring.vars.index(name)
+    i = p.ring.index(name)
     fld = p.ring.field
     out: dict[Exp, object] = {}
     for e, c in p.terms.items():

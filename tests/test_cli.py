@@ -155,6 +155,16 @@ def test_ring_export_rejects_bad_inputs(tmp_path, capsys):
         main(["ring", "export", "--input", PHAM_FIXTURE, "--format", "xml"]) == 3
     )
     capsys.readouterr()
+    # a null weight on one variable, a float weight, a string invertible flag
+    for name, key, value in (("Z", "weight", None), ("X1", "weight", 15.0),
+                             ("X1", "invertible", "no")):
+        with open(PHAM_FIXTURE) as fh:
+            doc = json.load(fh)
+        next(v for v in doc["variables"] if v["name"] == name)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["ring", "export", "--input", str(bad), "--format", "json"]) == 3, name
+        assert repr(name) in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

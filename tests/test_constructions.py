@@ -6,7 +6,6 @@ import pytest
 
 from ufdlab.coeff import GF, QQ
 from ufdlab.constructions import (
-    ConditionPReport,
     PresentedRing,
     _residue_rank,
     check_condition_P,
@@ -24,8 +23,8 @@ from ufdlab.constructions import (
     w_chain,
 )
 from ufdlab.errors import CapExceeded, HypothesisError
-from ufdlab.groebner import Ideal, ideal, ideal_equal, ideal_power, reduce
-from ufdlab.poly import Grading, degree_of, poly_ring
+from ufdlab.groebner import ideal, ideal_equal, ideal_power, reduce
+from ufdlab.poly import degree_of, poly_ring
 
 
 # ---------------------------------------------------------------------------
@@ -35,23 +34,23 @@ from ufdlab.poly import Grading, degree_of, poly_ring
 
 def test_presented_ring_rejects_zero_relation():
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     with pytest.raises(ValueError, match="zero relation"):
-        PresentedRing(QQ, A.vars, (amb.zero(),))
+        PresentedRing(A.ring, (amb.zero(),))
 
 
 def test_presented_ring_enforces_homogeneity():
-    g = Grading({"x": 2, "y": 3})
+    g = {"x": 2, "y": 3}
     ring = poly_ring(QQ, ("x", "y"))
     with pytest.raises(ValueError, match="not homogeneous"):
-        PresentedRing(QQ, ring.vars, (ring.parse("x + y"),), g)
-    ok = PresentedRing(QQ, ring.vars, (ring.parse("x^3 - y^2"),), g)
+        PresentedRing(ring, (ring.parse("x + y"),), g)
+    ok = PresentedRing(ring, (ring.parse("x^3 - y^2"),), g)
     assert degree_of(ok.relations[0], g) == 6
 
 
 def test_relatively_prime_basic():
     A = free_ring(GF(5), ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     ok, _ = relatively_prime(A, amb.var("u"), amb.var("v"))
     assert ok
     ok, offender = relatively_prime(A, amb.parse("u*v"), amb.var("u"))
@@ -62,25 +61,25 @@ def test_relatively_prime_basic():
 
 def test_present_extension_records_saturation():
     A = free_ring(GF(5), ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     B = present_extension(A, amb.var("u"), amb.var("v"))
     assert B.notes["saturation_index"] == 0
     assert B.notes["kernel_equals_presentation"] is True
-    assert B.vars.names == ("u", "v", "X")
-    big = B.ambient()
+    assert B.ring.names == ("u", "v", "X")
+    big = B.ring
     assert B.relations == (big.parse("u*X - v"),)
 
 
 def test_present_extension_rejects_common_factor():
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     with pytest.raises(HypothesisError, match="not relatively prime"):
         present_extension(A, amb.parse("u*v"), amb.var("u"))
 
 
 def test_present_extension_fresh_variable_name():
     A = free_ring(QQ, ("X", "v"))
-    amb = A.ambient()
+    amb = A.ring
     B = present_extension(A, amb.var("X"), amb.var("v"))
     assert B.notes["new_variable"] == "X1"
 
@@ -92,7 +91,7 @@ def test_present_extension_fresh_variable_name():
 
 def test_condition_P_clean_pair():
     A = free_ring(GF(5), ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     rep = check_condition_P(A, amb.var("u"), amb.var("v"), [amb.var("u")], 4)
     assert rep.clauses["i"].status == "verified"
     assert rep.clauses["ii"].status == "unknown"
@@ -105,7 +104,7 @@ def test_condition_P_clean_pair():
 
 def test_condition_P_refutes_clause_i():
     A = free_ring(GF(5), ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     rep = check_condition_P(
         A, amb.parse("u*v"), amb.var("u"), [amb.var("u"), amb.var("v")], 3
     )
@@ -115,7 +114,7 @@ def test_condition_P_refutes_clause_i():
 
 def test_condition_P_unit_a_is_vacuous():
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     rep = check_condition_P(A, amb.const(3), amb.var("v"), [], 3)
     assert all(c.status == "verified" for c in rep.clauses.values())
     assert rep.overall() == "verified"
@@ -125,7 +124,7 @@ def test_condition_P_unit_a_is_vacuous():
 def test_condition_P_finds_zero_divisor():
     # A = Q[u,v,w]/(w^2): mod (u, v) the class of w squares to zero.
     ring = poly_ring(QQ, ("u", "v", "w"))
-    A = PresentedRing(QQ, ring.vars, (ring.parse("w^2"),))
+    A = PresentedRing(ring, (ring.parse("w^2"),))
     rep = check_condition_P(A, ring.var("u"), ring.var("v"), [ring.var("u")], 3)
     assert rep.clauses["ii"].status == "refuted"
     assert "w" in rep.clauses["ii"].witness
@@ -134,7 +133,7 @@ def test_condition_P_finds_zero_divisor():
 def test_condition_P_pairwise_membership():
     # p = u, q = u + v: q is not in (p) + (b) with b = v^2... but u+v IS in (u, v^2)? no: v not in (u, v^2).
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     rep = check_condition_P(
         A,
         amb.parse("u^2 + u*v"),
@@ -157,7 +156,7 @@ def test_condition_P_pairwise_membership():
 def test_condition_P_excludes_unit_combinations():
     # p = u, b = u - 1: (p) + (b) contains 1, so p is excluded from the prime set.
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     rep = check_condition_P(A, amb.var("u"), amb.parse("u - 1"), [amb.var("u")], 3)
     assert rep.primes == []
     assert rep.excluded and "prime set" in rep.excluded[0]
@@ -165,7 +164,7 @@ def test_condition_P_excludes_unit_combinations():
 
 def test_condition_P_rejects_wrong_factorization():
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     with pytest.raises(HypothesisError, match="factor product"):
         check_condition_P(A, amb.var("u"), amb.var("v"), [amb.var("v")], 3)
 
@@ -173,7 +172,7 @@ def test_condition_P_rejects_wrong_factorization():
 def test_condition_P_scalar_factor_mismatch_allowed():
     # factorization may differ from a by a unit scalar
     A = free_ring(QQ, ("u", "v"))
-    amb = A.ambient()
+    amb = A.ring
     rep = check_condition_P(A, amb.parse("2*u"), amb.var("v"), [amb.var("u")], 2)
     assert rep.clauses["i"].status == "verified"
 
@@ -181,7 +180,7 @@ def test_condition_P_scalar_factor_mismatch_allowed():
 def test_condition_P_clause_iv_refutation():
     # A = Q[u,v]/(u - u^2 v): u = u^2 v = u^3 v^2 = ... lies in every power of (u, v).
     ring = poly_ring(QQ, ("u", "v"))
-    A = PresentedRing(QQ, ring.vars, (ring.parse("u - u^2*v"),))
+    A = PresentedRing(ring, (ring.parse("u - u^2*v"),))
     rep = check_condition_P(A, ring.var("u"), ring.var("v"), [ring.var("u")], 3)
     assert rep.clauses["iv"].status == "refuted"
 
@@ -270,36 +269,36 @@ def test_lemma_level_check_rejects_common_factor():
 
 def test_radical_extension_grading():
     ring = poly_ring(QQ, ("x", "y"))
-    A = PresentedRing(QQ, ring.vars, (), Grading({"x": 2, "y": 3}))
+    A = PresentedRing(ring, (), {"x": 2, "y": 3})
     B = radical_extension(A, ring.parse("x^3 + y^2"), 5)
-    assert B.grading.weight("x") == 10
-    assert B.grading.weight("y") == 15
-    assert B.grading.weight("Z") == 6
-    big = B.ambient()
+    assert B.grading["x"] == 10
+    assert B.grading["y"] == 15
+    assert B.grading["Z"] == 6
+    big = B.ring
     assert B.relations == (big.parse("Z^5 - x^3 - y^2"),)
     assert B.notes["deg_F"] == 6
 
 
 def test_radical_extension_rejects_inhomogeneous():
     ring = poly_ring(QQ, ("x", "y"))
-    A = PresentedRing(QQ, ring.vars, (), Grading({"x": 2, "y": 3}))
+    A = PresentedRing(ring, (), {"x": 2, "y": 3})
     with pytest.raises(HypothesisError, match="F not homogeneous"):
         radical_extension(A, ring.parse("x + y"), 5)
 
 
 def test_radical_extension_rejects_common_degree():
     ring = poly_ring(QQ, ("x", "y"))
-    A = PresentedRing(QQ, ring.vars, (), Grading({"x": 2, "y": 3}))
+    A = PresentedRing(ring, (), {"x": 2, "y": 3})
     with pytest.raises(HypothesisError, match="gcd"):
         radical_extension(A, ring.parse("x^3 + y^2"), 2)
 
 
 def test_pham_brieskorn_235():
     B = pham_brieskorn(QQ, (2, 3, 5))
-    assert B.grading.weight("X1") == 15
-    assert B.grading.weight("X2") == 10
-    assert B.grading.weight("Z") == 6
-    big = B.ambient()
+    assert B.grading["X1"] == 15
+    assert B.grading["X2"] == 10
+    assert B.grading["Z"] == 6
+    big = B.ring
     assert B.relations == (big.parse("Z^5 + X1^2 + X2^3"),)
     assert B.notes["case"].startswith("case (2)")
 
@@ -328,10 +327,10 @@ def test_pham_brieskorn_2345_case_one():
     B = pham_brieskorn(QQ, (2, 3, 4, 5))
     assert B.notes["case"].startswith("case (1)")
     # omega = lcm(2,3,4) = 12; weights 6, 4, 3 scaled by 5
-    assert B.grading.weight("X1") == 30
-    assert B.grading.weight("X2") == 20
-    assert B.grading.weight("X3") == 15
-    assert B.grading.weight("Z") == 12
+    assert B.grading["X1"] == 30
+    assert B.grading["X2"] == 20
+    assert B.grading["X3"] == 15
+    assert B.grading["Z"] == 12
 
 
 def test_pham_brieskorn_rejects_n4_shared_factor():
@@ -352,7 +351,7 @@ def _chain_n1(field=QQ, a=2, b=3):
 
 def test_threefold_family_shape():
     B = _chain_n1()
-    ring = B.ambient()
+    ring = B.ring
     assert ring.names == ("x", "z0", "z1", "z2")
     assert B.relations == (ring.parse("x*z2 + z1^2 + z0^3"),)
     assert B.notes["quotient_shape_ok"] is True
@@ -379,7 +378,7 @@ def test_threefold_family_accepts_powers_of_one_prime():
     B = threefold_family(QQ, [x**2, x**3], [1, 1], [1, 1], [2, 5], [3, 3], kappa=x)
     assert B.notes["quotient_shape_ok"] is True
     assert B.notes["zn_outside_In"] is True
-    assert B.ambient().names == ("x", "z0", "z1", "z2", "z3")
+    assert B.ring.names == ("x", "z0", "z1", "z2", "z3")
 
 
 def test_threefold_family_rejects_bad_kappa():
@@ -468,7 +467,7 @@ def test_residue_rank_over_cubic_extension_of_gf7():
 
 def test_trinomial_mori_example():
     B = trinomial_ring(QQ, [[2], [3], [5]], [1])
-    ring = B.ambient()
+    ring = B.ring
     assert ring.names == ("t0", "t1", "t2")
     assert B.relations == (ring.parse("t0^2 + t1^3 + t2^5"),)
     step = B.notes["step_gradings"][0]
@@ -500,7 +499,7 @@ def test_trinomial_rejects_shape_errors():
 
 def test_trinomial_multivariable_block():
     B = trinomial_ring(QQ, [[2, 4], [3], [5]], [1])
-    ring = B.ambient()
+    ring = B.ring
     assert ring.names == ("t0_1", "t0_2", "t1", "t2")
     assert B.relations == (ring.parse("t0_1^2*t0_2^4 + t1^3 + t2^5"),)
     step = B.notes["step_gradings"][0]
@@ -524,8 +523,7 @@ def test_presentation_json_round_trip():
     B = pham_brieskorn(GF(7), (2, 3, 5))
     text = export_presentation(B, "json")
     C = load_presentation_json(text)
-    assert C.field == B.field
-    assert C.vars == B.vars
+    assert C.ring == B.ring
     assert C.relations == B.relations
     assert C.grading == B.grading
     assert C.tag == B.tag

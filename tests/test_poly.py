@@ -6,7 +6,6 @@ import pytest
 
 from ufdlab.coeff import GF, QQ
 from ufdlab.poly import (
-    Grading,
     Polynomial,
     RingMap,
     degree_of,
@@ -149,7 +148,7 @@ def test_round_trip_random():
 # -- gradings ----------------------------------------------------------------
 
 
-OMEGA_STYLE = Grading({"x": -1, "z0": 1, "z1": 2, "z2": 4})
+OMEGA_STYLE = {"x": -1, "z0": 1, "z1": 2, "z2": 4}
 
 
 def omega_ring():
@@ -176,7 +175,7 @@ def test_degree_of_zero_raises():
 def test_degree_of_missing_weight_raises():
     r = R("xy")
     with pytest.raises(ValueError, match="missing weight"):
-        degree_of(r.var("x"), Grading({"x": 1}))
+        degree_of(r.var("x"), {"x": 1})
 
 
 # -- ring maps ----------------------------------------------------------------
