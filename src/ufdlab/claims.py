@@ -234,6 +234,8 @@ def _h_prime_avoid(params):
                             "a": [a1, a2], "b": b, "c": c, "m": list(m),
                         }
                     checked += 1
+    if not checked:
+        raise ValueError(f"the box [{lo}, {hi}] holds no admissible tuple")
     return "verified", None, {"tuples_checked": checked, "box": [lo, hi]}
 
 
@@ -493,6 +495,8 @@ def _h_pham_cases(params):
             return "refuted", None, witness
         except HypothesisError as err:
             witness["reject"] = {"rejected": str(err)}
+    if not witness:
+        raise ValueError("no instance was given (coprime_triple, chain or reject)")
     return "verified", None, witness
 
 

@@ -29,6 +29,7 @@ EXPAND_DEPTH_CAP = 3
 IDENTITY_DEPTH_CAP = 2
 ORDER_CAP = 32
 COORDINATE_CAP = 3
+SSEQ_CAP = 20  # s(21) has 5132 digits, past json's int-to-text limit
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,8 @@ def s_sequence(n: int) -> SSeq:
     """s(1)=2, s(2)=3, s(n) = n * product of s(1)..s(n-2) for n >= 3."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > SSEQ_CAP:
+        raise CapExceeded("instance too large")
     vals = [2, 3]
     prefix = 1  # product of s(1)..s(len(vals)-2)
     for m in range(3, n + 1):

@@ -9,6 +9,10 @@ squarefree z-monomial read off the binary digits of n, form a k-basis with
 one basis element per pair (m, n); inside one degree d the pairs satisfy
 n - m = d, so the x-exponent m identifies the coordinate.
 
+An element is an `OmegaPoly`: one representative `Polynomial` in a ring
+k[x, z0..zK] (`omega_ring`) wide enough for its z-indices, so its
+arithmetic is ufdlab.poly's.
+
 `normal_form` rewrites any element onto that basis: pick a z_m with
 exponent e_m = 2a + b >= 2 and expand (z_m^2)^a binomially.  Each step
 lowers the total z-exponent (the z-size), so one sweep over buckets of
@@ -24,7 +28,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .caps import current_caps
 from .coeff import Field, QQ
@@ -33,83 +37,59 @@ from .poly import Polynomial, PolyRing, poly_ring
 
 Z_INDEX_CAP = 64
 
-
-@dataclass(frozen=True)
-class OmegaMonomial:
-    """x^r times a finite product of z_i's: e is a sorted ((index, exp>=1), ...)."""
-
-    r: int
-    e: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("negative exponent on x")
-        last = -1
-        for i, exp in self.e:
-            if i <= last:
-                raise ValueError("z-indices must be strictly increasing")
-            if i > Z_INDEX_CAP:
-                raise CapExceeded("z-index cap exceeded")
-            if exp < 1:
-                raise ValueError("z-exponents must be positive")
-            last = i
-
-    def degree(self) -> int:
-        return -self.r + sum(exp * (1 << i) for i, exp in self.e)
-
-    def is_squarefree(self) -> bool:
-        return all(exp == 1 for _, exp in self.e)
+_Z_NAME = re.compile(r"\bz(\d+)\b")
 
 
-def omega_monomial(r: int = 0, e: Mapping[int, int] | None = None) -> OmegaMonomial:
-    items = tuple(sorted((i, exp) for i, exp in (e or {}).items() if exp))
-    return OmegaMonomial(r, items)
+@functools.lru_cache(maxsize=128)
+def omega_ring(field: Field, top: int) -> PolyRing:
+    """k[x, z0..z_top], where the elements with z-indices up to top live."""
+    if top > Z_INDEX_CAP:
+        raise CapExceeded("z-index cap exceeded")
+    return poly_ring(field, ("x",) + tuple(f"z{i}" for i in range(top + 1)))
 
 
 class OmegaPoly:
-    """Finite k-linear combination of OmegaMonomials (zero coeffs dropped).
+    """An element given by a representative Polynomial in k[x, z0..zK].
 
-    The arithmetic is ufdlab.poly's: operands are rendered into the bridge
-    ring k[x, z0..zK] (see `to_poly`), combined there, and read back."""
+    An exponent tuple is (r, e_0, ..., e_K) for x^r z_0^e_0 ... z_K^e_K.
+    Operands of different widths are lifted to the widest one."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("poly",)
 
-    def __init__(self, field: Field, terms: Mapping[OmegaMonomial, object]):
-        zero = field.zero()
-        self.field = field
-        self.terms = {m: c for m, c in terms.items() if c != zero}
+    def __init__(self, poly: Polynomial):
+        ring = poly.ring
+        if ring.nvars < 2 or ring != omega_ring(ring.field, ring.nvars - 2):
+            raise ValueError(f"ring {ring.names} is not k[x, z0..zK]")
+        self.poly = poly
+
+    @property
+    def field(self) -> Field:
+        return self.poly.ring.field
 
     @classmethod
     def zero(cls, field: Field = QQ) -> "OmegaPoly":
-        return cls(field, {})
-
-    @classmethod
-    def monomial(cls, mono: OmegaMonomial, field: Field = QQ) -> "OmegaPoly":
-        return cls(field, {mono: field.one()})
+        return cls(omega_ring(field, 0).zero())
 
     @classmethod
     def x(cls, field: Field = QQ, power: int = 1) -> "OmegaPoly":
-        return cls.monomial(omega_monomial(power), field)
+        return cls(omega_ring(field, 0).monomial({"x": power}))
 
     @classmethod
     def z(cls, index: int, field: Field = QQ) -> "OmegaPoly":
-        return cls.monomial(omega_monomial(0, {index: 1}), field)
+        return cls(omega_ring(field, index).var(f"z{index}"))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.poly)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OmegaPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
+        if not isinstance(other, OmegaPoly) or self.field != other.field:
+            return False
+        a, b = _lifted(self, other)
+        return a == b
 
     def _via_poly(self, op, *others: "OmegaPoly") -> "OmegaPoly":
-        """Apply a Polynomial operation in one bridge ring wide enough for all
-        operands, and read the result back."""
-        ring = _bridge_ring(self.field, _top_index(self, *others))
-        return from_poly(op(to_poly(self, ring), *(to_poly(o, ring) for o in others)))
+        """Apply a Polynomial operation to the operands in the widest one's ring."""
+        return OmegaPoly(op(*_lifted(self, *others)))
 
     def __add__(self, other: "OmegaPoly") -> "OmegaPoly":
         return self._via_poly(operator.add, other)
@@ -132,43 +112,31 @@ class OmegaPoly:
         return self._via_poly(lambda q: q.scale(c))
 
     def degrees(self) -> set[int]:
-        return {m.degree() for m in self.terms}
+        return {
+            sum(k << i for i, k in enumerate(exp[1:])) - exp[0] for exp in self.poly.terms
+        }
 
     def __str__(self) -> str:
-        return render_omega(self)
+        return str(self.poly)
 
     def __repr__(self) -> str:
-        return f"OmegaPoly({render_omega(self)!r})"
+        return f"OmegaPoly({str(self)!r})"
 
 
-def sigma(d: int) -> OmegaMonomial:
-    """The squarefree monomial of degree d: one z_i per set binary digit of d."""
-    if d < 0:
-        raise ValueError("sigma of a negative integer")
-    e = {}
-    i = 0
-    while d:
-        if d & 1:
-            e[i] = 1
-        d >>= 1
-        i += 1
-    return omega_monomial(0, e)
-
-
-def basis_monomial(m: int, n: int) -> OmegaMonomial:
-    """x^m * F_n, the basis element with coordinates (m, n)."""
-    return OmegaMonomial(m, sigma(n).e)
+def _lifted(*ps: OmegaPoly) -> list[Polynomial]:
+    """The representatives of ps, lifted to the widest of their rings; a
+    field mismatch raises ValueError, as it does for Polynomial."""
+    ring = max((p.poly.ring for p in ps), key=lambda r: r.nvars)
+    return [p.poly if p.poly.ring == ring else p.poly.lift(ring) for p in ps]
 
 
 def defining_relation(m: int, field: Field = QQ) -> OmegaPoly:
     """z_m^2 + x^(2^(m+1)) z_(m+2) + z_(m+1); zero in the algebra."""
+    ring = omega_ring(field, m + 2)
     return OmegaPoly(
-        field,
-        {
-            omega_monomial(0, {m: 2}): field.one(),
-            omega_monomial(1 << (m + 1), {m + 2: 1}): field.one(),
-            omega_monomial(0, {m + 1: 1}): field.one(),
-        },
+        ring.monomial({f"z{m}": 2})
+        + ring.monomial({"x": 1 << (m + 1), f"z{m + 2}": 1})
+        + ring.var(f"z{m + 1}")
     )
 
 
@@ -238,13 +206,14 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     zero = field.zero()
     add, mul = field.add, field.mul
     buckets: list[dict] = []
-    for mono, coeff in p.terms.items():
-        size = sum(exp for _, exp in mono.e)
+    for exp, coeff in p.poly.terms.items():
+        size = sum(exp) - exp[0]
         buckets.extend({} for _ in range(size + 1 - len(buckets)))
-        buckets[size][mono.e, mono.r] = coeff
+        e = tuple((i, k) for i, k in enumerate(exp[1:]) if k)
+        buckets[size][e, exp[0]] = coeff
     # only a rewrite changes the live-term count, so checking it here and
     # after each rewrite also covers the output
-    live = len(p.terms)
+    live = len(p.poly.terms)
     if live > limit:
         raise CapExceeded("instance too large")
     factors: dict[int, list[tuple[int, object]]] = {}
@@ -291,12 +260,12 @@ def in_x_omega(p: OmegaPoly) -> bool:
 
 
 def expansion_poly(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> OmegaPoly:
-    """Reassemble a normal-form map into the OmegaPoly it denotes."""
-    terms = {}
-    for exp in nf.values():
-        for m, n, coeff in exp.entries:
-            terms[basis_monomial(m, n)] = coeff
-    return OmegaPoly(field, terms)
+    """Reassemble a normal-form map into the OmegaPoly it denotes: the entry
+    (m, n, c) is c x^m F_n, with the z-exponents the binary digits of n."""
+    entries = [entry for exp in nf.values() for entry in exp.entries]
+    width = max([1] + [n.bit_length() for _, n, _ in entries])
+    terms = {(m,) + tuple(n >> i & 1 for i in range(width)): c for m, n, c in entries}
+    return OmegaPoly(Polynomial(omega_ring(field, width - 1), terms))
 
 
 def expansion_text(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> str:
@@ -310,72 +279,7 @@ def expansion_text(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> str:
     return "; ".join(parts) if parts else "0"
 
 
-# ---------------------------------------------------------------------------
-# bridge to the polynomial text syntax (names x, z0, z1, ...)
-# ---------------------------------------------------------------------------
-
-_Z_NAME = re.compile(r"\bz(\d+)\b")
-
-
-@functools.lru_cache(maxsize=128)
-def _bridge_ring(field: Field, max_index: int) -> PolyRing:
-    return poly_ring(field, ("x",) + tuple(f"z{i}" for i in range(max_index + 1)))
-
-
-def _top_index(*ps: OmegaPoly) -> int:
-    """The largest z-index in any term of ps (0 when none has a z)."""
-    return max((m.e[-1][0] for p in ps for m in p.terms if m.e), default=0)
-
-
-def to_poly(p: OmegaPoly, ring: Optional[PolyRing] = None) -> Polynomial:
-    """Render into an ordinary polynomial ring with variables x, z0..zK."""
-    if ring is None:
-        ring = _bridge_ring(p.field, _top_index(p))
-    pos = {name: i for i, name in enumerate(ring.names)}
-    terms = {}
-    try:
-        for mono, coeff in p.terms.items():
-            exp = [0] * ring.nvars
-            if mono.r:
-                exp[pos["x"]] = mono.r
-            for i, k in mono.e:
-                exp[pos[f"z{i}"]] = k
-            terms[tuple(exp)] = coeff
-    except KeyError as err:
-        raise ValueError(f"unknown variable {err.args[0]!r}") from None
-    return Polynomial(ring, terms)
-
-
-@functools.lru_cache(maxsize=128)
-def _z_indices(names: tuple[str, ...]) -> dict[str, int]:
-    return {n: int(m.group(1)) for n in names if (m := _Z_NAME.fullmatch(n))}
-
-
-def from_poly(q: Polynomial) -> OmegaPoly:
-    """Read an OmegaPoly off a polynomial in variables x, z0, z1, ..."""
-    ring = q.ring
-    zindex = _z_indices(ring.names)
-    terms = {}
-    for exp, coeff in q.terms.items():
-        r = 0
-        e = {}
-        for name, k in zip(ring.names, exp):
-            if not k:
-                continue
-            if name == "x":
-                r = k
-            elif name in zindex:
-                e[zindex[name]] = k
-            else:
-                raise ValueError(f"variable {name!r} is not x or z<i>")
-        terms[omega_monomial(r, e)] = coeff
-    return OmegaPoly(ring.field, terms)
-
-
 def parse_omega(text: str, field: Field = QQ) -> OmegaPoly:
+    """Parse text in the variables x, z0, z1, ... (see ufdlab.poly's syntax)."""
     top = max((int(m) for m in _Z_NAME.findall(text)), default=0)
-    return from_poly(_bridge_ring(field, top).parse(text))
-
-
-def render_omega(p: OmegaPoly) -> str:
-    return str(to_poly(p))
+    return OmegaPoly(omega_ring(field, top).parse(text))

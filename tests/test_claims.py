@@ -90,6 +90,8 @@ def test_unfilled_parameters_stay_absent():
      r"Fraction\(1, 7\) is not an element of GF\(7\)"),
     ("trinomial.validate", {"beta": [[2], [3], [5]], "lambdas": [[1]]},
      r"\[1\] is not an element of Q"),
+    ("coeff.prime-avoid", {"lo": 0, "hi": 0}, "holds no admissible tuple"),
+    ("pham.cases", {"field": "Q"}, "no instance was given"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):

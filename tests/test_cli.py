@@ -50,6 +50,20 @@ def test_claim_run_params_file_overrides_fixture(tmp_path, capsys):
     assert doc["status"] == "refuted"
 
 
+@pytest.mark.parametrize("n, code, status", [(20, 1, "refuted"), (21, 2, "unknown")])
+def test_sseq_cap_keeps_the_report_printable(n, code, status, tmp_path, capsys):
+    # s(20) has 3172 digits; s(21) would pass json's 4300-digit limit
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": n}))
+    assert main(["claim", "run", "cex.sseq", "--params", str(params)]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == status
+    if status == "unknown":
+        assert doc["bound"] == "cap"
+    else:
+        assert len(doc["witness"]["values"]) == n
+
+
 def test_claim_run_timeout_degrades_to_unknown(capsys):
     code = main(["claim", "run", "coeff.prime-avoid", "--timeout", "0.001"])
     assert code == 2
@@ -63,7 +77,8 @@ def test_claim_run_timeout_degrades_to_unknown(capsys):
                                   ["claim", "run", "samuel.kernel"],
                                   ["claim", "run-all", "--suite", "acceptance"]])
 def test_malformed_caps_is_usage_error_for_every_claim(argv, caps, monkeypatch, capsys):
-    # cex.sseq reaches no cap site, so only the runner's own check sees the value
+    # cex.sseq's one cap is the constant SSEQ_CAP, which never reads UFDLAB_CAPS,
+    # so only the runner's own check sees the value
     monkeypatch.setenv("UFDLAB_CAPS", caps)
     assert main(argv) == 3
     captured = capsys.readouterr()

@@ -17,22 +17,17 @@ from ufdlab.coeff import GF, QQ
 from ufdlab.errors import CapExceeded
 from ufdlab.omega import (
     BasisExpansion,
-    OmegaMonomial,
     OmegaPoly,
     _rewrite_step,
-    basis_monomial,
     defining_relation,
     expansion_poly,
     expansion_text,
-    from_poly,
     in_x_omega,
     normal_form,
-    omega_monomial,
+    omega_ring,
     parse_omega,
-    render_omega,
-    sigma,
-    to_poly,
 )
+from ufdlab.poly import Polynomial, poly_ring
 
 # ---------------------------------------------------------------------------
 # the evaluation oracle
@@ -49,12 +44,19 @@ def _model_point(field, rng, depth):
     return xi, zs
 
 
+def _monomials(p):
+    """(r, e, coeff) per term of p, for x^r times the z-part e, a sorted
+    ((index, exp >= 1), ...), read off the exponent tuples."""
+    for exp, coeff in p.poly.terms.items():
+        yield exp[0], tuple((i, k) for i, k in enumerate(exp[1:]) if k), coeff
+
+
 def _eval(p, xi, zs):
     field = p.field
     total = field.zero()
-    for mono, coeff in p.terms.items():
-        val = field.mul(coeff, field.pow(xi, mono.r))
-        for i, exp in mono.e:
+    for r, e, coeff in _monomials(p):
+        val = field.mul(coeff, field.pow(xi, r))
+        for i, exp in e:
             val = field.mul(val, field.pow(zs[i], exp))
         total = field.add(total, val)
     return total
@@ -63,17 +65,21 @@ def _eval(p, xi, zs):
 def _random_poly(field, rng, nterms, max_size, max_index):
     terms = {}
     for _ in range(nterms):
-        e = {}
+        exp = [0] * (max_index + 2)
         budget = rng.randint(0, max_size)
         while budget > 0:
             i = rng.randint(0, max_index)
             take = rng.randint(1, budget)
-            e[i] = e.get(i, 0) + take
+            exp[i + 1] += take
             budget -= take
-        mono = omega_monomial(rng.randint(0, 4), e)
+        exp[0] = rng.randint(0, 4)
         c = rng.randint(1, field.char - 1) if field.char else rng.randint(-5, 5) or 1
-        terms[mono] = field.of(c)
-    return OmegaPoly(field, terms)
+        terms[tuple(exp)] = field.of(c)
+    return OmegaPoly(Polynomial(omega_ring(field, max_index), terms))
+
+
+def _depth(*ps):
+    return 1 + max((i for p in ps for _, e, _ in _monomials(p) for i, _ in e), default=1)
 
 
 def test_normal_form_agrees_with_evaluation():
@@ -82,9 +88,7 @@ def test_normal_form_agrees_with_evaluation():
     for _ in range(30):
         p = _random_poly(field, rng, nterms=3, max_size=5, max_index=3)
         q = expansion_poly(normal_form(p), field)
-        depth = 1 + max(
-            (i for poly in (p, q) for m in poly.terms for i, _ in m.e), default=1
-        )
+        depth = _depth(p, q)
         for _ in range(5):
             xi, zs = _model_point(field, rng, depth)
             assert _eval(p, xi, zs) == _eval(q, xi, zs)
@@ -96,9 +100,7 @@ def test_normal_form_agrees_with_evaluation_char_2():
     for _ in range(20):
         p = _random_poly(field, rng, nterms=2, max_size=4, max_index=2)
         q = expansion_poly(normal_form(p), field)
-        depth = 1 + max(
-            (i for poly in (p, q) for m in poly.terms for i, _ in m.e), default=1
-        )
+        depth = _depth(p, q)
         for _ in range(4):
             xi, zs = _model_point(field, rng, depth)
             assert _eval(p, xi, zs) == _eval(q, xi, zs)
@@ -125,45 +127,53 @@ def test_arithmetic_agrees_with_evaluation(field, seed):
 
 def test_arithmetic_across_bridge_widths():
     z0, z5 = OmegaPoly.z(0), OmegaPoly.z(5)
-    assert z0 * z5 == OmegaPoly.monomial(omega_monomial(0, {0: 1, 5: 1}))
+    assert z0 * z5 == parse_omega("z0*z5")
     assert (z5 + z0) - z5 == z0
-    assert OmegaPoly.zero() ** 0 == OmegaPoly.monomial(omega_monomial())
+    assert ((z5 + z0) - z5).poly.ring == omega_ring(QQ, 5)
+    assert OmegaPoly.zero() ** 0 == parse_omega("1")
     with pytest.raises(ValueError, match="negative power"):
         z0 ** -1
 
 
+def test_mixed_fields_raise_in_either_order():
+    over_gf5 = OmegaPoly.z(0, GF(5)).scale(3)
+    over_q = OmegaPoly.z(0).scale(4)
+    with pytest.raises(ValueError, match="different"):
+        over_gf5 + over_q
+    with pytest.raises(ValueError, match="different"):
+        over_q + over_gf5
+    with pytest.raises(ValueError, match="different"):
+        OmegaPoly.z(3) * OmegaPoly.z(0, GF(5))
+    assert over_gf5 != OmegaPoly.z(0).scale(3)
+
+
 # ---------------------------------------------------------------------------
-# sigma and the basis
+# the basis
 # ---------------------------------------------------------------------------
 
 
-def test_sigma_small_values():
-    assert sigma(0) == omega_monomial()
-    assert sigma(5) == omega_monomial(0, {0: 1, 2: 1})
-    for k in range(6):
-        assert sigma(1 << k) == omega_monomial(0, {k: 1})
-    assert sigma(6).degree() == 6
-
-
-def test_sigma_injective_and_graded():
-    seen = set()
-    for d in range(64):
-        mono = sigma(d)
-        assert mono.degree() == d
-        assert mono.is_squarefree()
-        assert mono not in seen
-        seen.add(mono)
-
-
-def test_sigma_rejects_negative():
-    with pytest.raises(ValueError):
-        sigma(-1)
+def _basis_element(m, n):
+    return expansion_poly({n - m: BasisExpansion(n - m, ((m, n, QQ.one()),))})
 
 
 def test_basis_monomial_coordinates():
-    mono = basis_monomial(3, 5)
-    assert mono.r == 3
-    assert mono.degree() == 2
+    p = _basis_element(3, 5)
+    assert p == parse_omega("x^3*z0*z2")
+    assert p.degrees() == {2}
+
+
+def test_expansion_poly_basis_elements_are_squarefree_of_degree_n_minus_m():
+    seen = []
+    for n in range(64):
+        for m in (0, 1, 5):
+            p = _basis_element(m, n)
+            assert p.degrees() == {n - m}
+            ((r, e, coeff),) = _monomials(p)
+            assert r == m and coeff == 1
+            assert all(k == 1 for _, k in e)
+            assert sum(1 << i for i, _ in e) == n
+            assert p not in seen
+            seen.append(p)
 
 
 def test_basis_expansion_invariants():
@@ -238,11 +248,11 @@ def test_confluence_both_pivots():
 
 def test_pivots_take_different_steps():
     # the confluence check compares two routes only if the pivots differ
-    e = omega_monomial(0, {0: 2, 1: 2}).e
+    e = ((0, 2), (1, 2))
     assert _rewrite_step(e, "largest") == (1, 1, [((0, 2), (2, 1)), ((0, 2), (3, 1))])
     assert _rewrite_step(e, "smallest") == (0, 1, [((1, 3),), ((1, 2), (2, 1))])
-    assert _rewrite_step(sigma(11).e, "largest") is None
-    p = OmegaPoly.monomial(OmegaMonomial(0, e))
+    assert _rewrite_step(((0, 1), (1, 1), (3, 1)), "largest") is None
+    p = parse_omega("z0^2*z1^2")
     assert normal_form(p, "largest") == normal_form(p, "smallest")
 
 
@@ -252,9 +262,10 @@ def test_pivots_take_different_steps():
 
 
 def _reference_expand_once(mono, coeff, field, pivot):
-    eligible = [i for i, exp in mono.e if exp >= 2]
+    r, mono_e = mono
+    eligible = [i for i, exp in mono_e if exp >= 2]
     m = max(eligible) if pivot == "largest" else min(eligible)
-    e = dict(mono.e)
+    e = dict(mono_e)
     a, b = divmod(e.pop(m), 2)
     if b:
         e[m] = b
@@ -269,17 +280,15 @@ def _reference_expand_once(mono, coeff, field, pivot):
             new_e[m + 1] = new_e.get(m + 1, 0) + (a - j)
         if j:
             new_e[m + 2] = new_e.get(m + 2, 0) + j
-        out.append((omega_monomial(mono.r + j * (1 << (m + 1)), new_e), c))
+        out.append(((r + j * (1 << (m + 1)), tuple(sorted(new_e.items()))), c))
     return out
 
 
 def _reference_normal_form(p, pivot):
     field, zero = p.field, p.field.zero()
-    work = dict(p.terms)
+    work = {(r, e): coeff for r, e, coeff in _monomials(p)}
     while True:
-        pending = sorted(
-            (m for m in work if not m.is_squarefree()), key=lambda m: (m.r, m.e)
-        )
+        pending = sorted(m for m in work if not all(k == 1 for _, k in m[1]))
         if not pending:
             break
         for mono in pending:
@@ -293,9 +302,9 @@ def _reference_normal_form(p, pivot):
                 else:
                     work[new_mono] = total
     by_degree = {}
-    for mono, coeff in work.items():
-        n = sum(1 << i for i, _ in mono.e)
-        by_degree.setdefault(n - mono.r, []).append((mono.r, n, coeff))
+    for (r, e), coeff in work.items():
+        n = sum(1 << i for i, _ in e)
+        by_degree.setdefault(n - r, []).append((r, n, coeff))
     return {
         d: BasisExpansion(d, tuple(sorted(entries, key=lambda t: t[0])))
         for d, entries in sorted(by_degree.items())
@@ -306,7 +315,7 @@ def _reference_normal_form(p, pivot):
 def test_normal_form_matches_monomial_rewrite_reference(field, seed):
     rng = random.Random(seed)
     x, z0, z1 = OmegaPoly.x(field), OmegaPoly.z(0, field), OmegaPoly.z(1, field)
-    one = OmegaPoly.monomial(omega_monomial(), field)
+    one = OmegaPoly.x(field, power=0)
     cases = [
         # one z-part under several x-powers
         (one + x + x**2 + x**3) * z0**3 * z1**4,
@@ -369,53 +378,46 @@ def test_in_x_omega_explicit_factor():
 
 
 def test_z_index_cap():
+    assert OmegaPoly.z(64).poly.ring == omega_ring(QQ, 64)
     with pytest.raises(CapExceeded, match="z-index cap"):
-        omega_monomial(0, {65: 1})
+        OmegaPoly.z(65)
+    with pytest.raises(CapExceeded, match="z-index cap"):
+        parse_omega("z65")
     # rewriting z_63^2 would introduce z_65
     with pytest.raises(CapExceeded, match="z-index cap"):
-        normal_form(OmegaPoly.monomial(omega_monomial(0, {63: 2})))
+        normal_form(parse_omega("z63^2"))
 
 
 def test_z_index_cap_under_an_x_power():
     # the pivot z_63 is below the cap; its rewrite would reach z_65
     with pytest.raises(CapExceeded, match="z-index cap"):
-        normal_form(OmegaPoly.monomial(omega_monomial(5, {63: 2})))
+        normal_form(parse_omega("x^5*z63^2"))
 
 
 def test_terms_cap(monkeypatch):
     monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
     assert current_caps().terms == 3
     with pytest.raises(CapExceeded, match="instance too large"):
-        normal_form(OmegaPoly.monomial(omega_monomial(0, {0: 4, 1: 4})))
+        normal_form(parse_omega("z0^4*z1^4"))
 
 
 def test_terms_cap_on_squarefree_input(monkeypatch):
     # nothing to rewrite, but the input alone is over the cap
     monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
-    p = OmegaPoly(QQ, {basis_monomial(m, 7): QQ.of(1) for m in range(4)})
+    p = parse_omega(" + ".join(f"x^{m}*z0*z1*z2" for m in range(4)))
     with pytest.raises(CapExceeded, match="instance too large"):
         normal_form(p)
 
 
-def test_monomial_validation():
-    with pytest.raises(ValueError, match="negative exponent on x"):
-        OmegaMonomial(-1, ())
-    with pytest.raises(ValueError, match="strictly increasing"):
-        OmegaMonomial(0, ((1, 1), (1, 1)))
-    with pytest.raises(ValueError, match="positive"):
-        OmegaMonomial(0, ((1, 0),))
-
-
 # ---------------------------------------------------------------------------
-# text bridge
+# text syntax and foreign input
 # ---------------------------------------------------------------------------
 
 
 def test_parse_render_round_trip():
     p = parse_omega("-z1 - x^2*z2")
-    assert p == OmegaPoly(QQ, { omega_monomial(0, {1: 1}): QQ.of(-1),
-                                omega_monomial(2, {2: 1}): QQ.of(-1) })
-    assert parse_omega(render_omega(p)) == p
+    assert p == (OmegaPoly.z(1) + OmegaPoly.x(power=2) * OmegaPoly.z(2)).scale(-1)
+    assert parse_omega(str(p)) == p
 
 
 def test_parse_galois_field():
@@ -424,16 +426,14 @@ def test_parse_galois_field():
     assert expansion_text(nf, GF(5)) == "deg -1: [(1, 0, 4)]; deg 2: [(0, 2, 4), (2, 4, 4)]"
 
 
-def test_to_poly_round_trip():
-    rng = random.Random(53)
-    for _ in range(20):
-        p = _random_poly(GF(101), rng, nterms=3, max_size=4, max_index=4)
-        assert from_poly(to_poly(p)) == p
-
-
 def test_from_poly_rejects_foreign_variables():
-    from ufdlab.poly import poly_ring
-
-    ring = poly_ring(QQ, ("x", "y"))
-    with pytest.raises(ValueError, match="not x or z"):
-        from_poly(ring.parse("x + y"))
+    with pytest.raises(ValueError, match="unknown variable 'y'"):
+        parse_omega("x + y")
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_omega("x^-1*z0")
+    with pytest.raises(ValueError, match="negative exponent"):
+        OmegaPoly.x(power=-1)
+    with pytest.raises(ValueError, match="not k\\[x, z0..zK\\]"):
+        OmegaPoly(poly_ring(QQ, ("x", "y")).parse("x + y"))
+    with pytest.raises(ValueError, match="not k\\[x, z0..zK\\]"):
+        OmegaPoly(poly_ring(QQ, ("x",)).parse("x"))
