@@ -2,7 +2,7 @@
 
 Subpackages:
   coeff           exact integer / rational / prime-field arithmetic
-  poly            sparse (Laurent) polynomials, ring maps
+  poly            sparse polynomials, ring maps
   groebner        Buchberger engine, ideal quotients, saturation, oracles
   constructions   presentations (ring, relations, weight dict), builders, checks
   omega           the graded rewriting system on x, z0, z1, ...

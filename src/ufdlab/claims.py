@@ -242,9 +242,13 @@ def _h_prime_avoid(params):
 def _h_samuel_kernel(params):
     fld = field_from_name(params["field"])
     names = tuple(params["vars"])
+    if not names:
+        raise ValueError("vars must end with the adjoined variable")
     ring = poly_ring(fld, names)
     a = ring.parse(params["a"])
     b = ring.parse(params["b"])
+    if names[-1] in a.support() | b.support():
+        raise ValueError(f"a and b must not involve the adjoined variable {names[-1]!r}")
     gen = a * ring.var(names[-1]) - b
     target = ideal(ring, gen)
     sat, index = saturation(target, a)
@@ -478,6 +482,8 @@ def _h_pham_cases(params):
                              ("chain", "chain_weights")):
         exps = params.get(key)
         if exps is None:
+            if params.get(weights_key) is not None:
+                raise ValueError(f"{weights_key} was given without its instance {key}")
             continue
         ring = pham_brieskorn(fld, exps)
         table = dict(ring.grading)

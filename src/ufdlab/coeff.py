@@ -192,6 +192,8 @@ def GF(p: int) -> PrimeField:
 
 def field_from_name(name: str) -> Field:
     """Parse "Q" / "QQ" or "F<p>" / "GF(<p>)" into a field object."""
+    if not isinstance(name, str):
+        raise ValueError(f"a field name must be text, got {name!r}")
     text = name.strip()
     if text in ("Q", "QQ"):
         return QQ

@@ -745,7 +745,6 @@ def export_presentation(A: PresentedRing, fmt: str) -> str:
             "variables": [
                 {
                     "name": n,
-                    "invertible": n in A.ring.invertible,
                     "weight": A.grading[n] if A.grading else None,
                 }
                 for n in A.ring.names
@@ -761,8 +760,6 @@ def export_presentation(A: PresentedRing, fmt: str) -> str:
             bits = [f"var {n}"]
             if A.grading is not None:
                 bits.append(f"weight {A.grading[n]}")
-            if n in A.ring.invertible:
-                bits.append("invertible")
             lines.append(" ".join(bits))
         for r in A.relations:
             lines.append(f"rel {r}")
@@ -784,17 +781,19 @@ def _jsonable(value):
 
 def load_presentation_json(text: str) -> PresentedRing:
     """Read the "json" export.  The ring is ungraded when every weight is
-    absent or null; otherwise PresentedRing checks that each is an int."""
+    absent or null; otherwise PresentedRing checks that each is an int.
+    Only polynomial rings are read: a variable flagged invertible is
+    rejected (write its inverse as a new variable w with relation v*w - 1)."""
     doc = json.loads(text)
     fld = field_from_name(doc["field"])
     names = tuple(v["name"] for v in doc["variables"])
     for v in doc["variables"]:
-        if not isinstance(v.get("invertible", False), bool):
-            raise ValueError(f"invertible flag of variable {v['name']!r} must be a bool")
-    invertible = frozenset(v["name"] for v in doc["variables"] if v.get("invertible"))
+        if v.get("invertible", False) is not False:
+            raise ValueError(f"variable {v['name']!r} is flagged invertible; "
+                             "only polynomial rings are read")
     weights = {v["name"]: v.get("weight") for v in doc["variables"]}
     grading = weights if any(w is not None for w in weights.values()) else None
-    ring = PolyRing(fld, names, invertible)
+    ring = PolyRing(fld, names)
     rels = tuple(ring.parse(s) for s in doc.get("relations", []))
     out = PresentedRing(ring, rels, grading, tag=doc.get("tag", ""))
     out.notes.update(doc.get("notes", {}))

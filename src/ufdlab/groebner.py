@@ -1,10 +1,10 @@
 """Groebner engine over exact fields: Buchberger, elimination, quotients.
 
-Everything here works in plain polynomial rings (no invertible variables);
-ideals in localizations must be rephrased first, e.g. by saturating at the
-would-be unit.  Reduced monic Groebner bases are computed, so a basis is a
-canonical form for its ideal: two ideals are equal iff their reduced bases
-under the same order coincide.
+Ideals in localizations must be rephrased in a polynomial ring first, e.g.
+by saturating at the would-be unit, or by adjoining w with z*w - 1 for an
+inverse z^-1 as `poly.laurent_iso` does.  Reduced monic Groebner bases are
+computed, so a basis is a canonical form for its ideal: two ideals are equal
+iff their reduced bases under the same order coincide.
 
 `brute_force_member` is an independent membership decision: it never calls
 the Buchberger machinery, only linear algebra over a truncated monomial
@@ -81,11 +81,6 @@ def elimination_order(front: Sequence[str], back: Sequence[str]) -> Order:
     return Order("block", (tuple(front), tuple(back)))
 
 
-def _check_plain_ring(ring: PolyRing) -> None:
-    if ring.invertible:
-        raise ValueError("saturate the unit first")
-
-
 # ---------------------------------------------------------------------------
 # division / reduction
 # ---------------------------------------------------------------------------
@@ -105,7 +100,6 @@ def divide(
     each step only the terms of the subtracted m*g not queued yet are pushed.
     """
     ring = p.ring
-    _check_plain_ring(ring)
     keyfn = order.key_for(ring)
     fld = ring.field
     caps = current_caps()
@@ -203,7 +197,6 @@ def buchberger(
     if not gens:
         return []
     ring = gens[0].ring
-    _check_plain_ring(ring)
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
@@ -287,7 +280,6 @@ class Ideal:
     """An ideal given by generators, with cached reduced Groebner bases."""
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
-        _check_plain_ring(ring)
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         for g in self.gens:
@@ -392,7 +384,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
     ring = a.ring
-    tname = fresh_name(ring.names, "_t")
+    tname = fresh_name(ring.names, "t")
     big = ring.extend((tname,))
     t = big.var(tname)
     gens = [t * g.lift(big) for g in a.gens]
@@ -459,7 +451,6 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     low-degree certificate", which is exact if max_deg is large enough.
     """
     ring = p.ring
-    _check_plain_ring(ring)
     gens = [g for g in gens if g]
     if not gens:
         return not p
@@ -539,7 +530,6 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> FactorVerdict:
     exceed the cap.
     """
     ring = f.ring
-    _check_plain_ring(ring)
     fld = ring.field
     if not isinstance(fld, PrimeField):
         raise ValueError("irreducibility search needs a finite field")

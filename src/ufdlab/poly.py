@@ -1,14 +1,14 @@
-"""Sparse multivariate (optionally Laurent) polynomials over an exact field.
+"""Sparse multivariate polynomials over an exact field.
 
 A polynomial is a map from exponent tuples to nonzero field elements; the
-exponent tuple is aligned with the ring's fixed variable order.  Exponents
-are >= 0 unless the variable is flagged invertible.  Zero coefficients are
-never stored, so equal polynomials have identical term maps.
+exponent tuple is aligned with the ring's fixed variable order, and every
+exponent is >= 0.  Zero coefficients are never stored, so equal polynomials
+have identical term maps.
 
 Text syntax (render/parse round-trips exactly): terms in graded-reverse-
 lexicographic order, explicit `*` between factors, `^` for powers, e.g.
 
-    2*u^2*X - 1/3*v + 4        x^-1*z0^2 + 1
+    2*u^2*X - 1/3*v + 4
 """
 
 from __future__ import annotations
@@ -16,27 +16,29 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .coeff import Field, QQ, gcd_bezout
 
 Exp = tuple[int, ...]
 
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
 
 @dataclass(frozen=True)
 class PolyRing:
-    """A polynomial ring: exact coefficient field, ordered variable names and
-    the names flagged invertible (Laurent variables)."""
+    """A polynomial ring: exact coefficient field and ordered variable names,
+    each an identifier the text syntax can read back."""
 
     field: Field
     names: tuple[str, ...]
-    invertible: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
-        if not self.invertible <= set(self.names):
-            raise ValueError("invertible flag on unknown variable")
+        for name in self.names:
+            if not (isinstance(name, str) and _IDENT_RE.fullmatch(name)):
+                raise ValueError(f"variable name {name!r} is not an identifier")
 
     def index(self, name: str) -> int:
         try:
@@ -76,8 +78,8 @@ class PolyRing:
         exp = [0] * self.nvars
         for name, k in exps.items():
             i = self.index(name)
-            if k < 0 and name not in self.invertible:
-                raise ValueError(f"negative exponent on non-invertible variable {name!r}")
+            if k < 0:
+                raise ValueError(f"negative exponent on variable {name!r}")
             exp[i] = k
         cf = self.field.of(coeff)
         if cf == self.field.zero():
@@ -90,15 +92,15 @@ class PolyRing:
     def restrict(self, names: Sequence[str]) -> "PolyRing":
         """Subring on a subset of the variables (original order kept)."""
         keep = [n for n in self.names if n in set(names)]
-        return PolyRing(self.field, tuple(keep), self.invertible & set(keep))
+        return PolyRing(self.field, tuple(keep))
 
     def extend(self, new_names: Sequence[str]) -> "PolyRing":
         """Superring with extra variables appended after the existing ones."""
-        return PolyRing(self.field, self.names + tuple(new_names), self.invertible)
+        return PolyRing(self.field, self.names + tuple(new_names))
 
 
-def poly_ring(field: Field, names: Sequence[str], invertible: Iterable[str] = ()) -> PolyRing:
-    return PolyRing(field, tuple(names), frozenset(invertible))
+def poly_ring(field: Field, names: Sequence[str]) -> PolyRing:
+    return PolyRing(field, tuple(names))
 
 
 def fresh_name(names: tuple[str, ...], stem: str) -> str:
@@ -193,7 +195,7 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
-            return self.unit_inverse() ** (-n)
+            raise ValueError("negative power of a polynomial")
         result = self.ring.one()
         base = self
         while n:
@@ -229,23 +231,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(all(k == 0 for k in e) for e in self.terms)
-
-    def is_unit_monomial(self) -> bool:
-        """Single term whose support is all invertible (constants count)."""
-        if len(self.terms) != 1:
-            return False
-        (exp,) = self.terms
-        inv = self.ring.invertible
-        return all(k == 0 or self.ring.names[i] in inv for i, k in enumerate(exp))
-
-    def unit_inverse(self) -> "Polynomial":
-        if not self.is_unit_monomial():
-            raise ValueError("inverse of a non-unit")
-        (exp,) = self.terms
-        c = self.terms[exp]
-        return Polynomial(
-            self.ring, {tuple(-k for k in exp): self.ring.field.inv(c)}
-        )
 
     def leading(self, keyfn=grevlex_key) -> tuple[Exp, object]:
         if not self.terms:
@@ -346,8 +331,7 @@ class RingMap:
     """A substitution homomorphism given by images of the source variables.
 
     Variables without an explicit image are sent to the same-named variable
-    of the target ring.  An invertible source variable must map to a unit
-    monomial, so that negative exponents have a well-defined image.
+    of the target ring.
     """
 
     def __init__(self, source: PolyRing, target: PolyRing, images: Mapping[str, Polynomial]):
@@ -358,8 +342,6 @@ class RingMap:
             source.index(name)
             if img.ring != target:
                 raise ValueError(f"image of {name!r} lives in the wrong ring")
-            if name in source.invertible and not img.is_unit_monomial():
-                raise ValueError("non-invertible image")
 
     def image_of(self, name: str) -> Polynomial:
         img = self.images.get(name)
@@ -380,10 +362,7 @@ class RingMap:
                 name = p.ring.names[i]
                 cached = power_cache.get((name, k))
                 if cached is None:
-                    img = self.image_of(name)
-                    if k < 0 and not img.is_unit_monomial():
-                        raise ValueError("non-invertible image")
-                    cached = img**k
+                    cached = self.image_of(name) ** k
                     power_cache[(name, k)] = cached
                 piece = piece * cached
             out = out + piece
@@ -395,12 +374,17 @@ class RingMap:
 # ---------------------------------------------------------------------------
 
 
-def laurent_iso(a: int, b: int, lam, field: Field = QQ) -> tuple[RingMap, RingMap]:
-    """Mutually inverse maps realizing k[x,y] / (x^a*y^b - lam) = k[z, z^-1].
+def laurent_iso(
+    a: int, b: int, lam, field: Field = QQ
+) -> tuple[RingMap, RingMap, Polynomial, Polynomial]:
+    """Mutually inverse maps realizing k[x,y]/(x^a*y^b - lam) = k[z,w]/(z*w - 1),
+    the Laurent ring k[z, z^-1] with w standing for z^-1.
 
     With a*m + b*n = 1 (Bezout pair normalized to minimal |m|), fwd sends
-    z -> x^n * y^-m and inv sends x -> lam^m * z^b, y -> lam^n * z^-a.
-    inv(fwd(z)) = z, and inv(x^a * y^b) = lam.
+    z -> x^n*y^-m and w -> x^-n*y^m, and inv sends x -> lam^m*z^b and
+    y -> lam^n*w^a.  Since x^a*y^b/lam is 1 modulo the relation, a negative
+    power in an image of fwd is multiplied by (x^a*y^b/lam)^t for the least
+    t >= 0 that clears it.  Returns (fwd, inv, x^a*y^b - lam, z*w - 1).
     """
     if a <= 0 or b <= 0:
         raise ValueError("exponents must be positive")
@@ -415,18 +399,23 @@ def laurent_iso(a: int, b: int, lam, field: Field = QQ) -> tuple[RingMap, RingMa
     lam_c = field.of(lam)
     if lam_c == field.zero():
         raise ValueError("lambda must be nonzero")
-    r_xy = poly_ring(field, ("x", "y"), invertible=("x", "y"))
-    r_z = poly_ring(field, ("z",), invertible=("z",))
-    fwd = RingMap(r_z, r_xy, {"z": r_xy.monomial({"x": n, "y": -m})})
+    r_xy = poly_ring(field, ("x", "y"))
+    r_zw = poly_ring(field, ("z", "w"))
+
+    def cleared(ex: int, ey: int) -> Polynomial:
+        t = max(0, -(ex // a), -(ey // b))
+        return r_xy.monomial({"x": ex + t * a, "y": ey + t * b}, coeff=field.pow(lam_c, -t))
+
+    fwd = RingMap(r_zw, r_xy, {"z": cleared(n, -m), "w": cleared(-n, m)})
     inv = RingMap(
         r_xy,
-        r_z,
+        r_zw,
         {
-            "x": r_z.monomial({"z": b}, coeff=field.pow(lam_c, m)),
-            "y": r_z.monomial({"z": -a}, coeff=field.pow(lam_c, n)),
+            "x": r_zw.monomial({"z": b}, coeff=field.pow(lam_c, m)),
+            "y": r_zw.monomial({"w": a}, coeff=field.pow(lam_c, n)),
         },
     )
-    return fwd, inv
+    return fwd, inv, r_xy.monomial({"x": a, "y": b}) - lam_c, r_zw.parse("z*w - 1")
 
 
 def derivative(p: Polynomial, name: str) -> Polynomial:
@@ -483,7 +472,7 @@ def render_poly(p: Polynomial) -> str:
     return text
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_IDENT_RE.pattern})|([-+*/^()]))")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -552,7 +541,7 @@ class _Parser:
                     raise ValueError("zero denominator")
                 value = value / int(den)
             return self.ring.const(value)
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        if _IDENT_RE.fullmatch(tok):
             exponent = 1
             if self.peek() == "^":
                 self.take()

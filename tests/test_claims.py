@@ -92,6 +92,10 @@ def test_unfilled_parameters_stay_absent():
      r"\[1\] is not an element of Q"),
     ("coeff.prime-avoid", {"lo": 0, "hi": 0}, "holds no admissible tuple"),
     ("pham.cases", {"field": "Q"}, "no instance was given"),
+    ("pham.cases", {"chain": [2, 3, 4, 5], "triple_weights": {"X1": 1}},
+     "triple_weights was given without its instance coprime_triple"),
+    ("samuel.kernel", {"a": "X", "b": "u"}, "must not involve the adjoined variable 'X'"),
+    ("samuel.kernel", {"vars": [], "a": "1", "b": "1"}, "must end with the adjoined variable"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):

@@ -170,16 +170,24 @@ def test_ring_export_rejects_bad_inputs(tmp_path, capsys):
         main(["ring", "export", "--input", PHAM_FIXTURE, "--format", "xml"]) == 3
     )
     capsys.readouterr()
-    # a null weight on one variable, a float weight, a string invertible flag
-    for name, key, value in (("Z", "weight", None), ("X1", "weight", 15.0),
-                             ("X1", "invertible", "no")):
+    # a null weight on one variable, a float weight, an invertible flag, a
+    # variable name the parser cannot read back, a field name that is not text;
+    # the error names the offending variable or value
+    for name, key, value, shown in (("Z", "weight", None, "'Z'"),
+                                    ("X1", "weight", 15.0, "'X1'"),
+                                    ("X1", "invertible", "no", "'X1'"),
+                                    ("X1", "invertible", True, "'X1'"),
+                                    ("X1", "name", 7, "7"),
+                                    ("X1", "name", "X 1", "'X 1'"),
+                                    (None, "field", 5, "5")):
         with open(PHAM_FIXTURE) as fh:
             doc = json.load(fh)
-        next(v for v in doc["variables"] if v["name"] == name)[key] = value
+        target = doc if name is None else next(v for v in doc["variables"] if v["name"] == name)
+        target[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        assert main(["ring", "export", "--input", str(bad), "--format", "json"]) == 3, name
-        assert repr(name) in capsys.readouterr().err
+        assert main(["ring", "export", "--input", str(bad), "--format", "json"]) == 3, value
+        assert shown in capsys.readouterr().err, value
 
 
 def test_help_exits_zero(capsys):

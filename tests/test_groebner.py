@@ -237,12 +237,6 @@ def test_brute_force_member_prime_above_2_to_the_32():
     assert not brute_force_member(x, gens, 2)
 
 
-def test_groebner_refuses_laurent_ring():
-    r = poly_ring(QQ, ("x", "y"), invertible=("x",))
-    with pytest.raises(ValueError, match="saturate the unit first"):
-        ideal(r, r.var("y"))
-
-
 def test_degree_cap_trips(monkeypatch):
     monkeypatch.setenv("UFDLAB_CAPS", "degree=2")
     r = QXY()

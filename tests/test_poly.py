@@ -5,6 +5,8 @@ import random
 import pytest
 
 from ufdlab.coeff import GF, QQ
+from ufdlab.errors import CapExceeded
+from ufdlab.groebner import ideal
 from ufdlab.poly import (
     Polynomial,
     RingMap,
@@ -15,8 +17,8 @@ from ufdlab.poly import (
 )
 
 
-def R(names="xyz", field=QQ, invertible=()):
-    return poly_ring(field, tuple(names), invertible=invertible)
+def R(names="xyz", field=QQ):
+    return poly_ring(field, tuple(names))
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -45,13 +47,13 @@ def test_sub_and_scalar_coercion():
     assert x * 0 == r.zero()
 
 
-def test_pow_negative_unit_monomial():
-    r = R("xy", invertible=("x", "y"))
+def test_negative_exponents_are_rejected():
+    r = R("xy")
     x, y = r.gens()
-    u = 2 * x * y**2
-    assert u**-1 * u == r.one()
-    with pytest.raises(ValueError, match="non-unit"):
-        (x + y) ** -1
+    with pytest.raises(ValueError, match="negative power"):
+        x**-1
+    with pytest.raises(ValueError, match="negative exponent on variable 'y'"):
+        r.monomial({"x": 1, "y": -1})
 
 
 def test_exact_div():
@@ -61,13 +63,6 @@ def test_exact_div():
     assert prod.exact_div(x + y) == x - y
     with pytest.raises(ValueError, match="not exactly divisible"):
         (x**2 + y).exact_div(x + y)
-
-
-def test_negative_exponent_requires_invertible():
-    r = R("xy", invertible=("x",))
-    assert r.monomial({"x": -2}).terms == {(-2, 0): 1}
-    with pytest.raises(ValueError, match="non-invertible"):
-        r.monomial({"y": -1})
 
 
 def test_project_and_lift():
@@ -104,13 +99,6 @@ def test_render_over_prime_field_reduces_unreduced_coefficient():
     assert str(Polynomial(ring, {(1,): -3})) == "4*x"
 
 
-def test_render_laurent_term():
-    r = R(["x", "z0"], invertible=("x",))
-    p = r.parse("x^-1*z0^2 + 1")
-    assert str(p) == "x^-1*z0^2 + 1"
-    assert p.terms[(-1, 2)] == 1
-
-
 def test_parse_rejects_garbage():
     r = R("xy")
     with pytest.raises(ValueError, match="unknown variable"):
@@ -135,11 +123,11 @@ def test_prime_field_render_round_trip():
 def test_round_trip_random():
     rng = random.Random(11)
     for field in (QQ, GF(7)):
-        r = poly_ring(field, ("x", "y", "t"), invertible=("t",))
+        r = poly_ring(field, ("x", "y", "t"))
         for _ in range(120):
             terms = {}
             for _ in range(rng.randrange(0, 6)):
-                e = (rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(-3, 4))
+                e = (rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(0, 4))
                 terms[e] = field.sample(rng)
             p = Polynomial(r, terms)
             assert r.parse(str(p)) == p, str(p)
@@ -152,7 +140,7 @@ OMEGA_STYLE = {"x": -1, "z0": 1, "z1": 2, "z2": 4}
 
 
 def omega_ring():
-    return poly_ring(QQ, ("x", "z0", "z1", "z2"), invertible=("x",))
+    return poly_ring(QQ, ("x", "z0", "z1", "z2"))
 
 
 def test_degree_of_homogeneous():
@@ -197,64 +185,69 @@ def test_apply_map_identity_default():
     assert phi.apply(src.parse("x^2 + y")) == tgt.parse("x^2 + y")
 
 
-def test_map_invertible_needs_unit_image():
-    src = R("t", invertible=("t",))
-    tgt = R("xy")
-    x, y = tgt.gens()
-    with pytest.raises(ValueError, match="non-invertible image"):
-        RingMap(src, tgt, {"t": x + y})
-
-
-def test_map_negative_power_through_unit():
-    src = R("t", invertible=("t",))
-    tgt = R("xy", invertible=("x", "y"))
-    phi = RingMap(src, tgt, {"t": tgt.parse("x*y^2")})
-    img = phi.apply(src.monomial({"t": -3}))
-    assert img == tgt.monomial({"x": -3, "y": -6})
-
-
 # -- the Laurent isomorphism ---------------------------------------------------
+
+LAURENT_TABLE = [(2, 3), (3, 5), (4, 9), (1, 7), (5, 6)]
+
+
+def check_laurent_iso(a, b, lam, field=QQ):
+    """fwd and inv are mutually inverse ring maps between the two quotients:
+    each sends the other side's relation into its ideal, and both composites
+    fix the generators modulo the relations."""
+    fwd, inv, rel_xy, rel_zw = laurent_iso(a, b, lam, field)
+    i_xy, i_zw = ideal(fwd.target, rel_xy), ideal(inv.target, rel_zw)
+    assert i_xy.contains(fwd.apply(rel_zw))
+    assert i_zw.contains(inv.apply(rel_xy))
+    for v in fwd.source.gens():
+        assert i_zw.contains(inv.apply(fwd.apply(v)) - v), (a, b, lam, field, v)
+    for v in inv.source.gens():
+        assert i_xy.contains(fwd.apply(inv.apply(v)) - v), (a, b, lam, field, v)
 
 
 def test_laurent_iso_2_3():
-    fwd, inv = laurent_iso(2, 3, 1)
-    z = fwd.source.var("z")
-    xy = fwd.apply(z)
-    assert xy == fwd.target.parse("x*y")
-    assert inv.apply(inv.source.parse("x")) == inv.target.parse("z^3")
-    assert inv.apply(inv.source.parse("y")) == inv.target.parse("z^-2")
-    assert inv.apply(fwd.apply(z**5 + z**-1)) == z**5 + z**-1
+    fwd, inv, rel_xy, rel_zw = laurent_iso(2, 3, 1)
+    assert str(rel_xy) == "x^2*y^3 - 1" and str(rel_zw) == "z*w - 1"
+    assert fwd.apply(fwd.source.var("z")) == fwd.target.parse("x*y")
+    assert fwd.apply(fwd.source.var("w")) == fwd.target.parse("x*y^2")
+    assert inv.apply(inv.source.var("x")) == inv.target.parse("z^3")
+    assert inv.apply(inv.source.var("y")) == inv.target.parse("w^2")
+    check_laurent_iso(2, 3, 1)
 
 
 def test_laurent_iso_scaled_lambda():
-    fwd, inv = laurent_iso(2, 3, 2)
-    assert inv.apply(inv.source.parse("x")) == inv.target.parse("1/2*z^3")
-    assert inv.apply(inv.source.parse("y")) == inv.target.parse("2*z^-2")
-    rel = inv.source.parse("x^2*y^3")
-    assert inv.apply(rel) == inv.target.const(2)
-    z = fwd.source.var("z")
-    assert inv.apply(fwd.apply(z)) == z
+    fwd, inv, rel_xy, rel_zw = laurent_iso(2, 3, 2)
+    assert fwd.apply(fwd.source.var("w")) == fwd.target.parse("1/2*x*y^2")
+    assert inv.apply(inv.source.var("x")) == inv.target.parse("1/2*z^3")
+    assert inv.apply(inv.source.var("y")) == inv.target.parse("2*w^2")
+    image = inv.apply(inv.source.parse("x^2*y^3"))
+    assert image == inv.target.parse("2*z^6*w^6")
+    assert ideal(inv.target, rel_zw).normal_form(image) == inv.target.const(2)
+    check_laurent_iso(2, 3, 2)
 
 
 def test_laurent_iso_1_1():
-    fwd, inv = laurent_iso(1, 1, 1)
-    z = fwd.source.var("z")
-    assert fwd.apply(z) == fwd.target.parse("x")
-    assert inv.apply(inv.source.parse("x")) == z
-    assert inv.apply(inv.source.parse("y")) == inv.target.parse("z^-1")
+    fwd, inv, _, _ = laurent_iso(1, 1, 1)
+    assert fwd.apply(fwd.source.var("z")) == fwd.target.parse("x")
+    assert fwd.apply(fwd.source.var("w")) == fwd.target.parse("y")
+    assert inv.apply(inv.source.parse("x")) == inv.target.parse("z")
+    assert inv.apply(inv.source.parse("y")) == inv.target.parse("w")
+    check_laurent_iso(1, 1, 1)
 
 
-def test_laurent_iso_random_round_trip():
+def test_laurent_iso_random_round_trip(monkeypatch):
     rng = random.Random(5)
-    pairs = [(2, 3), (3, 5), (4, 9), (1, 7), (5, 6)]
-    for a, b in pairs:
-        lam = rng.choice([1, 2, 3, -2])
-        fwd, inv = laurent_iso(a, b, lam)
-        z = fwd.source.var("z")
-        for k in range(-4, 5):
-            p = z**k + 3 * z ** (k + 2)
-            assert inv.apply(fwd.apply(p)) == p
-        assert inv.apply(inv.source.parse("x") ** a * inv.source.parse("y") ** b) == inv.target.const(lam)
+    for field in (QQ, GF(7)):
+        for a, b in LAURENT_TABLE:
+            lam = rng.choice([1, 2, 3, -2])
+            if (a, b) == (4, 9):
+                # inv(x^4*y^9 - lam) has degree 2ab = 72, above the default cap
+                with pytest.raises(CapExceeded):
+                    check_laurent_iso(a, b, lam, field)
+                with monkeypatch.context() as m:
+                    m.setenv("UFDLAB_CAPS", "degree=128")
+                    check_laurent_iso(a, b, lam, field)
+            else:
+                check_laurent_iso(a, b, lam, field)
 
 
 def test_laurent_iso_rejects_non_coprime():
