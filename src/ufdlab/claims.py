@@ -239,12 +239,23 @@ def _h_prime_avoid(params):
     return "verified", None, {"tuples_checked": checked, "box": [lo, hi]}
 
 
+def _vars_ring(fld, params):
+    """The polynomial ring on the variable names of parameter `vars`."""
+    names = params["vars"]
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"parameter 'vars' must list variable names as text, got {names!r}")
+    try:
+        return poly_ring(fld, names)
+    except ValueError as err:
+        raise ValueError(f"parameter 'vars': {err}") from None
+
+
 def _h_samuel_kernel(params):
     fld = field_from_name(params["field"])
-    names = tuple(params["vars"])
+    ring = _vars_ring(fld, params)
+    names = ring.names
     if not names:
         raise ValueError("vars must end with the adjoined variable")
-    ring = poly_ring(fld, names)
     a = ring.parse(params["a"])
     b = ring.parse(params["b"])
     if names[-1] in a.support() | b.support():
@@ -495,6 +506,9 @@ def _h_pham_cases(params):
             return "refuted", None, witness
     reject = params.get("reject")
     if reject is not None:
+        # only the gcd hypothesis may fail: a malformed list is a usage error
+        if len(reject) < 3 or not all(is_int(e) and e >= 1 for e in reject):
+            raise ValueError("reject must list at least 3 positive integer exponents")
         try:
             pham_brieskorn(fld, reject)
             witness["reject"] = {"accepted": True}
@@ -508,7 +522,7 @@ def _h_pham_cases(params):
 
 def _h_groebner_irreducible(params):
     fld = field_from_name(params["field"])
-    ring = poly_ring(fld, tuple(params["vars"]))
+    ring = _vars_ring(fld, params)
     f = ring.parse(params["poly"])
     verdict = brute_force_irreducible(f, params["max_deg"])
     witness = {"poly": str(f), "searched_degree": params["max_deg"]}

@@ -13,6 +13,7 @@ basis, and is complete once the degree bound covers the true cofactors.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -46,7 +47,9 @@ class Order:
     """A monomial order: "lex", "grevlex", or "block" (elimination).
 
     A block order compares block by block, grevlex inside each block, so it
-    eliminates the variables of the earlier blocks.
+    eliminates the variables of the earlier blocks.  `key_for` returns the
+    same function object for the same order and ring, which lets
+    `Polynomial.leading` recognise a key it has already answered for.
     """
 
     kind: str
@@ -54,23 +57,32 @@ class Order:
 
     def key_for(self, ring: PolyRing):
         if self.kind == "lex":
-            return lambda exp: exp
+            return _lex_key
         if self.kind == "grevlex":
             return grevlex_key
         if self.kind == "block":
-            seen: list[str] = [n for blk in self.blocks for n in blk]
-            if sorted(seen) != sorted(ring.names):
-                raise ValueError("block order must partition the ring variables")
-            index_blocks = [tuple(ring.index(n) for n in blk) for blk in self.blocks]
-
-            def key(exp: Exp):
-                parts = ()
-                for idx in index_blocks:
-                    parts += grevlex_key(tuple(exp[i] for i in idx))
-                return parts
-
-            return key
+            return _block_key(self.blocks, ring)
         raise ValueError(f"unknown order kind {self.kind!r}")
+
+
+def _lex_key(exp: Exp) -> Exp:
+    return exp
+
+
+@functools.lru_cache(maxsize=256)
+def _block_key(blocks: tuple[tuple[str, ...], ...], ring: PolyRing):
+    seen: list[str] = [n for blk in blocks for n in blk]
+    if sorted(seen) != sorted(ring.names):
+        raise ValueError("block order must partition the ring variables")
+    index_blocks = [tuple(ring.index(n) for n in blk) for blk in blocks]
+
+    def key(exp: Exp):
+        parts = ()
+        for idx in index_blocks:
+            parts += grevlex_key(tuple(exp[i] for i in idx))
+        return parts
+
+    return key
 
 
 LEX = Order("lex")
@@ -93,11 +105,15 @@ def divide(
     divisible by any divisor's leading term.  Returns (r, [q_i]).
 
     Each divisor's order key, leading exponent and leading coefficient are
-    computed once.  The leading term of the running difference `work` comes
-    from a heap of order-reversed keys (Yan 1998 keeps order keys cached the
-    same way in his geobuckets): every exponent of `work` is queued once, an
-    entry whose term has cancelled is dropped when it surfaces, and after
-    each step only the terms of the subtracted m*g not queued yet are pushed.
+    computed once (`Polynomial.leading` remembers the latter two across
+    calls).  The leading term of the running difference `work` comes from a
+    heap of order-reversed keys (Yan 1998 keeps order keys cached the same
+    way in his geobuckets): every exponent of `work` is queued once, an entry
+    whose term has cancelled is dropped when it surfaces, and after each step
+    only the terms of the subtracted m*g not queued yet are pushed.  A term
+    that no leading term divides moves to the remainder but stays in `work`:
+    every later step subtracts only terms smaller than it, so `work` never
+    touches it again, and the heap running empty ends the division.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
@@ -117,13 +133,13 @@ def divide(
     heap = [(_reversed_key(keyfn(e)), e) for e in work.terms]
     heapq.heapify(heap)
     queued = set(work.terms)
-    while work:
-        if work.term_count() > caps.terms:
+    while heap:
+        we = heapq.heappop(heap)[1]
+        wc = work.terms.get(we)
+        if wc is None:
+            continue  # cancelled since it was queued
+        if len(work.terms) - len(remainder) > caps.terms:
             raise CapExceeded("instance too large")
-        while heap[0][1] not in work.terms:
-            queued.discard(heapq.heappop(heap)[1])
-        we = heap[0][1]
-        wc = work.terms[we]
         if sum(we) > caps.degree:
             raise CapExceeded("instance too large")
         # Among usable divisors prefer the smallest leading term: a rule that
@@ -137,7 +153,6 @@ def divide(
                 hit = (dk, i, de, dc)
         if hit is None:
             remainder[we] = wc
-            work = work - Polynomial(ring, {we: wc})
             continue
         _, i, de, dc = hit
         qe = mono_div(we, de)
@@ -168,9 +183,13 @@ def reduce(
     return r
 
 
+def _lcm(a: Exp, b: Exp) -> Exp:
+    return tuple(map(max, a, b))
+
+
 def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
     """S-polynomial of f and g, given their leading exponents fe and ge."""
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+    lcm = _lcm(fe, ge)
     fld = f.ring.field
     mf = Polynomial(f.ring, {mono_div(lcm, fe): fld.inv(f.terms[fe])})
     mg = Polynomial(g.ring, {mono_div(lcm, ge): fld.inv(g.terms[ge])})
@@ -183,10 +202,22 @@ def buchberger(
     """Monic Groebner basis of the ideal generated by gens.
 
     Pair selection is by smallest lcm (normal strategy), ties broken by the
-    pair's indices; the coprime and chain criteria prune pairs.  The leading
-    exponents live in a list beside the basis, and the open pairs in a heap
-    of (order key of the lcm, (i, j), lcm), each entry computed once when
-    the pair is pushed (Giovini et al. 1991 keep their pairs in a heap too).
+    pair's indices.  Pairs are pruned by the Gebauer-Moeller update (Gebauer
+    & Moeller 1988) each time an element h joins the basis.  An open pair
+    (i, j) goes when lead(h) divides its lcm and that lcm differs from both
+    lcm(i, h) and lcm(j, h) (criterion B_k).  Of the new pairs (g, h), one
+    goes when another new pair's lcm properly divides its lcm (M), only the
+    last of several with equal lcms stays (F), and the coprime ones go after
+    they have served in M and F.  The elements whose leading term no later
+    leading term divides form the `live` list: new pairs are made with them
+    only, and S-polynomials are divided by them only.  A dropped element's
+    leading term is a multiple of a live one, so wherever it divides, a live
+    leading term that is no larger divides too, and `divide` picks that one
+    (they are equal only for generators with a common leading term).  The
+    leading exponents live in a list beside the basis, and the open pairs in
+    a heap of (order key of the lcm, (i, j), lcm), each entry computed once
+    when the pair is pushed (Giovini et al. 1991 keep their pairs in a heap
+    too).
     With interreduce=True (the default) the output is the unique reduced
     basis, sorted with the largest leading term first.  With
     interreduce=False the basis is only minimal (no leading term divides
@@ -205,15 +236,40 @@ def buchberger(
 
     basis: list[Polynomial] = []
     leads: list[Exp] = []
+    live: list[int] = []
     pairs: list[tuple[object, tuple[int, int], Exp]] = []
 
     def add(g: Polynomial) -> None:
         new = len(basis)
         basis.append(g)
-        leads.append(g.leading(keyfn)[0])
-        for k in range(new):
-            lcm = tuple(max(a, b) for a, b in zip(leads[k], leads[new]))
-            heapq.heappush(pairs, (keyfn(lcm), (k, new), lcm))
+        he = g.leading(keyfn)[0]
+        leads.append(he)
+        # B_k: drop an open pair (i, j) whose lcm lead(h) divides, unless
+        # lcm(i, h) or lcm(j, h) equals it
+        kept = [
+            (key, (i, j), lcm)
+            for key, (i, j), lcm in pairs
+            if not mono_divides(he, lcm)
+            or _lcm(leads[i], he) == lcm
+            or _lcm(leads[j], he) == lcm
+        ]
+        if len(kept) != len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        # M and F on the new pairs, then the coprime ones go
+        fresh = [(k, _lcm(leads[k], he)) for k in live]
+        chosen: list[tuple[int, Exp]] = []
+        for pos, (k, lcm) in enumerate(fresh):
+            if mono_mul(leads[k], he) == lcm or not any(
+                mono_divides(other, lcm)
+                for _, other in itertools.chain(fresh[pos + 1 :], chosen)
+            ):
+                chosen.append((k, lcm))
+        for k, lcm in chosen:
+            if mono_mul(leads[k], he) != lcm:
+                heapq.heappush(pairs, (keyfn(lcm), (k, new), lcm))
+        live[:] = [k for k in live if not mono_divides(he, leads[k])]
+        live.append(new)
 
     for g in gens:
         if not g:
@@ -226,24 +282,10 @@ def buchberger(
     if not basis:
         return []
 
-    done: set[tuple[int, int]] = set()
     while pairs:
-        _, (i, j), lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        if mono_mul(leads[i], leads[j]) == lcm:
-            continue  # coprime leading terms: S-poly reduces to zero
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if mono_divides(leads[k], lcm) and a in done and b in done:
-                chain = True
-                break
-        if chain:
-            continue
+        _, (i, j), _ = heapq.heappop(pairs)
         s = _s_poly(basis[i], leads[i], basis[j], leads[j])
-        r, _ = divide(s, basis, order)
+        r, _ = divide(s, [basis[k] for k in live], order)
         if not r:
             continue
         if r.total_degree() > caps.degree or r.term_count() > caps.terms:
@@ -254,7 +296,7 @@ def buchberger(
     # terms, in ascending order of their leading terms
     keep: list[Polynomial] = []
     keep_leads: list[Exp] = []
-    for idx in sorted(range(len(basis)), key=lambda i: keyfn(leads[i])):
+    for idx in sorted(live, key=lambda i: keyfn(leads[i])):
         e = leads[idx]
         if not any(mono_divides(h, e) for h in keep_leads):
             keep.append(basis[idx])

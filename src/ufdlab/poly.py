@@ -13,6 +13,7 @@ lexicographic order, explicit `*` between factors, `^` for powers, e.g.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,16 +115,16 @@ def fresh_name(names: tuple[str, ...], stem: str) -> str:
 
 
 def mono_mul(a: Exp, b: Exp) -> Exp:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_div(a: Exp, b: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_divides(a: Exp, b: Exp) -> bool:
     """True if monomial a divides monomial b (componentwise <=)."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def grevlex_key(exp: Exp):
@@ -132,14 +133,20 @@ def grevlex_key(exp: Exp):
 
 
 class Polynomial:
-    """Immutable sparse polynomial; do not mutate `terms` after construction."""
+    """Immutable sparse polynomial; do not mutate `terms` after construction.
 
-    __slots__ = ("ring", "terms")
+    `leading` remembers its last answer with the order key it was asked
+    under, so repeated divisions by the same polynomial find its leading term
+    once per order key.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict[Exp, object]):
         self.ring = ring
         zero = ring.field.zero()
         self.terms = {e: c for e, c in terms.items() if c != zero}
+        self._lead = None  # (keyfn, exp, coeff) of the last `leading` call
 
     # -- equality -----------------------------------------------------------
 
@@ -175,7 +182,12 @@ class Polynomial:
         return Polynomial(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        fld = self.ring.field
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = fld.sub(out.get(e, fld.zero()), c)
+        return Polynomial(self.ring, out)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self
@@ -233,9 +245,13 @@ class Polynomial:
         return all(all(k == 0 for k in e) for e in self.terms)
 
     def leading(self, keyfn=grevlex_key) -> tuple[Exp, object]:
+        lead = self._lead
+        if lead is not None and lead[0] is keyfn:
+            return lead[1], lead[2]
         if not self.terms:
             raise ValueError("leading term of zero")
         e = max(self.terms, key=keyfn)
+        self._lead = (keyfn, e, self.terms[e])
         return e, self.terms[e]
 
     def monic(self, keyfn=grevlex_key) -> "Polynomial":

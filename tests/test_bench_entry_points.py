@@ -2,7 +2,9 @@
 
 The tracer wraps functions and methods by name, and the workloads call
 module attributes through `from ufdlab import ...` aliases.  Renaming or
-deleting one of them would otherwise surface only in a benchmark run.
+deleting one of them would otherwise surface only in a benchmark run.  The
+traced self-checks also need the engine to call the wrapped names on its hot
+paths, so the last tests check that it still does.
 """
 
 import ast
@@ -68,3 +70,54 @@ def test_workload_reads_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def _recording(monkeypatch, owner, attr):
+    """Replace owner.attr by a wrapper that records the result of each call."""
+    original = getattr(owner, attr)
+    results = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(owner, attr, recorded)
+    return results
+
+
+def test_buchberger_divides_through_the_module_attribute(monkeypatch):
+    # the tracer wraps `groebner.divide` by name, and its useful_ratio is the
+    # share of S-polynomial divisions inside buchberger with a nonzero
+    # remainder; a private division entry point would hide them.  Without
+    # inter-reduction every division here is an S-polynomial's.
+    from ufdlab import groebner
+    from ufdlab.coeff import GF
+    from ufdlab.poly import poly_ring
+
+    names = ("a", "b", "c", "d")
+    ring = poly_ring(GF(32003), names)
+    gens = [
+        ring.parse(" + ".join("*".join(names[(i + j) % 4] for j in range(k)) for i in range(4)))
+        for k in range(1, 4)
+    ] + [ring.parse("a*b*c*d - 1")]
+    results = _recording(monkeypatch, groebner, "divide")
+    groebner.buchberger(gens, interreduce=False)
+    remainders = [bool(rem) for rem, _ in results]
+    assert True in remainders and False in remainders
+
+
+def test_divide_subtracts_through_polynomial_sub(monkeypatch):
+    # the tracer's reduce self-check needs `poly.add`, which wraps __sub__
+    from ufdlab.coeff import GF
+    from ufdlab.groebner import divide, ideal
+    from ufdlab.poly import Polynomial, poly_ring
+
+    ring = poly_ring(GF(7), ("x", "y"))
+    x, y = ring.gens()
+    gb = list(ideal(ring, x**2 + y, x * y - 1).groebner())
+    member = (x + 3) * gb[0] + y**2 * gb[-1]
+    results = _recording(monkeypatch, Polynomial, "__sub__")
+    rem, _ = divide(member, gb)
+    assert not rem
+    assert results

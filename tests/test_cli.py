@@ -138,6 +138,23 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cid, params, named", [
+    ("pham.cases", {"reject": [2]}, "reject"),
+    ("pham.cases", {"reject": [2, 0, 3]}, "reject"),
+    ("samuel.kernel", {"vars": [[]], "a": "u", "b": "v"}, "vars"),
+    ("samuel.kernel", {"vars": ["u", "v", "X 1"], "a": "u", "b": "v"}, "vars"),
+    ("groebner.irreducible", {"vars": [[]]}, "vars"),
+])
+def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["claim", "run", cid, "--params", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_reducible_jacobian_point_over_prime_field_exits_3(tmp_path, capsys):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"field": "GF(5)", "p": ["x^2 - 1"], "q": "x^2 - 1"}))

@@ -91,10 +91,11 @@ def _naive_divide(p, divisors, order):
     return Polynomial(ring, remainder), [Polynomial(ring, q) for q in quotients]
 
 
+ORDERS_XYZ = [GREVLEX, LEX, elimination_order(("x",), ("y", "z"))]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)])
-@pytest.mark.parametrize(
-    "order", [GREVLEX, LEX, elimination_order(("x",), ("y", "z"))], ids=lambda o: o.kind
-)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
 def test_divide_matches_naive_reference(field, order):
     rng = random.Random(23)
     r = poly_ring(field, ("x", "y", "z"))
@@ -117,6 +118,64 @@ def test_divide_matches_naive_reference(field, order):
         assert (rem, quotients) == _naive_divide(p, divisors, order)
         checked += int(bool(rem) and any(quotients))
     assert checked >= 10  # enough cases with both a remainder and a quotient
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_divide_identity_and_irreducible_remainder(field, order):
+    rng = random.Random(41)
+    r = poly_ring(field, ("x", "y", "z"))
+    keyfn = order.key_for(r)
+
+    def rand_poly(nterms, max_exp):
+        terms = {}
+        for _ in range(nterms):
+            e = tuple(rng.randrange(0, max_exp + 1) for _ in range(3))
+            terms[e] = field.sample(rng)
+        return Polynomial(r, terms)
+
+    with_remainder = 0
+    for _ in range(60):
+        divisors = [g for g in (rand_poly(rng.randrange(1, 4), 2)
+                                for _ in range(rng.randrange(1, 4))) if g]
+        p = rand_poly(rng.randrange(1, 9), 4)
+        if not divisors:
+            continue
+        rem, quotients = divide(p, divisors, order)
+        total = rem
+        for q, g in zip(quotients, divisors):
+            total = total + q * g
+        assert total == p
+        leads = [max(g.terms, key=keyfn) for g in divisors]
+        for e in rem.terms:
+            assert not any(all(a <= b for a, b in zip(de, e)) for de in leads)
+        with_remainder += bool(rem) and any(quotients)
+    assert with_remainder >= 10
+
+
+def test_leading_answers_each_order_it_is_asked_under():
+    r = poly_ring(QQ, ("x", "y", "z"))
+    p = r.parse("x^2 + y^3 + 2*x*z^3 + 3*z^4")
+    y_first = elimination_order(("y",), ("x", "z"))
+    z_first = elimination_order(("z",), ("x", "y"))
+    expected = [
+        (LEX, (2, 0, 0), 1),
+        (GREVLEX, (1, 0, 3), 2),
+        (y_first, (0, 3, 0), 1),
+        (z_first, (0, 0, 4), 3),
+        (y_first, (0, 3, 0), 1),
+        (LEX, (2, 0, 0), 1),
+    ]
+    for order, exp, coeff in expected:
+        assert p.leading(order.key_for(r)) == (exp, coeff), order
+    # one key function per order and ring, so the memo can recognise it
+    assert y_first.key_for(r) is elimination_order(("y",), ("x", "z")).key_for(r)
+    assert y_first.key_for(r) is not z_first.key_for(r)
+    # the same block order on a ring with another variable order
+    r2 = poly_ring(QQ, ("z", "y", "x"))
+    q = r2.parse("x^2 + y^3 + 2*x*z^3 + 3*z^4")
+    assert z_first.key_for(r2) is not z_first.key_for(r)
+    assert q.leading(z_first.key_for(r2)) == ((4, 0, 0), 3)
 
 
 # -- buchberger ----------------------------------------------------------------
@@ -147,6 +206,78 @@ def test_gb_canonical_under_permutation():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert buchberger(shuffled, GREVLEX) == reference
+
+
+def _reference_buchberger(gens, order):
+    """Criterion-free Buchberger: every pair of the growing basis is reduced
+    (by the naive division above), then the basis is minimalized and
+    inter-reduced.  Slow, but nothing in it prunes."""
+    r = gens[0].ring
+    keyfn = order.key_for(r)
+
+    def lead(g):
+        return max(g.terms, key=keyfn)
+
+    def lcm_of(pair):
+        return tuple(max(a, b) for a, b in zip(*(lead(basis[k]) for k in pair)))
+
+    basis = [g.monic(keyfn) for g in gens if g]
+    todo = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while todo:
+        # smallest lcm first, as any fair selection would do
+        i, j = min(todo, key=lambda pair: (keyfn(lcm_of(pair)), pair))
+        todo.remove((i, j))
+        f, g = basis[i], basis[j]
+        fe, ge, lcm = lead(f), lead(g), lcm_of((i, j))
+        mf = Polynomial(r, {tuple(a - b for a, b in zip(lcm, fe)): r.field.inv(f.terms[fe])})
+        mg = Polynomial(r, {tuple(a - b for a, b in zip(lcm, ge)): r.field.inv(g.terms[ge])})
+        rem, _ = _naive_divide(mf * f - mg * g, basis, order)
+        if rem:
+            basis.append(rem.monic(keyfn))
+            todo |= {(k, len(basis) - 1) for k in range(len(basis) - 1)}
+    minimal = []
+    for g in sorted(basis, key=lambda g: keyfn(lead(g))):
+        if not any(all(a <= b for a, b in zip(lead(h), lead(g))) for h in minimal):
+            minimal.append(g)
+    reduced = [
+        _naive_divide(g, minimal[:k] + minimal[k + 1 :], order)[0].monic(keyfn)
+        for k, g in enumerate(minimal)
+    ]
+    return sorted(reduced, key=lambda g: keyfn(lead(g)), reverse=True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_buchberger_matches_criterion_free_reference(field, order):
+    rng = random.Random(43)
+    r = poly_ring(field, ("x", "y", "z"))
+    nontrivial = 0
+    for _ in range(12):
+        # multilinear generators: the unpruned reference stays fast on them
+        gens = []
+        for _ in range(rng.randrange(2, 5)):
+            terms = {}
+            for _ in range(rng.randrange(2, 6)):
+                e = tuple(rng.randrange(0, 2) for _ in range(3))
+                terms[e] = field.sample(rng)
+            gens.append(Polynomial(r, terms))
+        gens = [g for g in gens if g]
+        if not gens:
+            continue
+        gb = buchberger(gens, order)
+        assert gb == _reference_buchberger(gens, order)
+        nontrivial += gb != [r.one()]
+    assert nontrivial >= 8
+
+
+def test_buchberger_matches_reference_on_cyclic_4():
+    names = ("a", "b", "c", "d")
+    r = poly_ring(GF(32003), names)
+    gens = [
+        r.parse(" + ".join("*".join(names[(i + j) % 4] for j in range(k)) for i in range(4)))
+        for k in range(1, 4)
+    ] + [r.parse("a*b*c*d - 1")]
+    assert buchberger(gens, GREVLEX) == _reference_buchberger(gens, GREVLEX)
 
 
 def test_gb_of_unit_ideal():
