@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -50,6 +51,8 @@ class Order:
     eliminates the variables of the earlier blocks.  `key_for` returns the
     same function object for the same order and ring, which lets
     `Polynomial.leading` recognise a key it has already answered for.
+    `descending_key_for` returns a key that sorts exactly the other way
+    round, one function object per order and ring as well.
     """
 
     kind: str
@@ -64,13 +67,31 @@ class Order:
             return _block_key(self.blocks, ring)
         raise ValueError(f"unknown order kind {self.kind!r}")
 
+    def descending_key_for(self, ring: PolyRing):
+        if self.kind == "lex":
+            return _lex_descending_key
+        if self.kind == "grevlex":
+            return _grevlex_descending_key
+        if self.kind == "block":
+            return _block_descending_key(self.blocks, ring)
+        raise ValueError(f"unknown order kind {self.kind!r}")
+
 
 def _lex_key(exp: Exp) -> Exp:
     return exp
 
 
-@functools.lru_cache(maxsize=256)
-def _block_key(blocks: tuple[tuple[str, ...], ...], ring: PolyRing):
+def _lex_descending_key(exp: Exp) -> Exp:
+    return tuple(map(operator.neg, exp))
+
+
+def _grevlex_descending_key(exp: Exp):
+    # grevlex_key is (sum(exp), exp reversed and negated)
+    return (-sum(exp), exp[::-1])
+
+
+def _blockwise(blocks: tuple[tuple[str, ...], ...], ring: PolyRing, block_key):
+    """The key on ring that joins block_key of each block, in block order."""
     seen: list[str] = [n for blk in blocks for n in blk]
     if sorted(seen) != sorted(ring.names):
         raise ValueError("block order must partition the ring variables")
@@ -79,10 +100,20 @@ def _block_key(blocks: tuple[tuple[str, ...], ...], ring: PolyRing):
     def key(exp: Exp):
         parts = ()
         for idx in index_blocks:
-            parts += grevlex_key(tuple(exp[i] for i in idx))
+            parts += block_key(tuple(exp[i] for i in idx))
         return parts
 
     return key
+
+
+@functools.lru_cache(maxsize=256)
+def _block_key(blocks: tuple[tuple[str, ...], ...], ring: PolyRing):
+    return _blockwise(blocks, ring, grevlex_key)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_descending_key(blocks: tuple[tuple[str, ...], ...], ring: PolyRing):
+    return _blockwise(blocks, ring, _grevlex_descending_key)
 
 
 LEX = Order("lex")
@@ -107,8 +138,12 @@ def divide(
     Each divisor's order key, leading exponent and leading coefficient are
     computed once (`Polynomial.leading` remembers the latter two across
     calls).  The leading term of the running difference `work` comes from a
-    heap of order-reversed keys (Yan 1998 keeps order keys cached the same
-    way in his geobuckets): every exponent of `work` is queued once, an entry
+    min-heap keyed by `order.descending_key_for(ring)`, which sorts exactly
+    opposite to the order key and is built directly from the exponent (for
+    grevlex, (-sum(e), e reversed)), so the largest term pops first (Yan
+    1998 keeps order keys cached the same way in his geobuckets).  Distinct
+    exponents have distinct keys, so the heap never compares two exponents
+    themselves.  Every exponent of `work` is queued once, an entry
     whose term has cancelled is dropped when it surfaces, and after each step
     only the terms of the subtracted m*g not queued yet are pushed.  A term
     that no leading term divides moves to the remainder but stays in `work`:
@@ -117,6 +152,7 @@ def divide(
     """
     ring = p.ring
     keyfn = order.key_for(ring)
+    heap_key = order.descending_key_for(ring)
     fld = ring.field
     caps = current_caps()
     leads = []
@@ -130,7 +166,7 @@ def divide(
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
     remainder: dict[Exp, object] = {}
     work = p
-    heap = [(_reversed_key(keyfn(e)), e) for e in work.terms]
+    heap = [(heap_key(e), e) for e in work.terms]
     heapq.heapify(heap)
     queued = set(work.terms)
     while heap:
@@ -163,15 +199,8 @@ def divide(
         for e in step.terms:
             if e not in queued:
                 queued.add(e)
-                heapq.heappush(heap, (_reversed_key(keyfn(e)), e))
+                heapq.heappush(heap, (heap_key(e), e))
     return Polynomial(ring, remainder), [Polynomial(ring, q) for q in quotients]
-
-
-def _reversed_key(key):
-    """An order key with every integer negated, so that a min-heap of these
-    pops the largest term first (order keys are nested tuples of ints of one
-    shape, so negation exactly reverses their comparison)."""
-    return tuple(-k if type(k) is int else _reversed_key(k) for k in key)
 
 
 def reduce(

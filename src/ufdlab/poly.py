@@ -135,6 +135,13 @@ def grevlex_key(exp: Exp):
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `terms` after construction.
 
+    The public constructor copies `terms` and drops zero coefficients; it
+    expects coefficients in the form `Field.of` returns.  The arithmetic
+    builds each result in one pass with no zero in it, and adopts that dict
+    through `_adopt` without copying or filtering it again: a sum deletes a
+    term that cancels, and over a field a product of nonzero coefficients, a
+    negation, a scaling by a nonzero constant and `monic` cannot make a zero.
+
     `leading` remembers its last answer with the order key it was asked
     under, so repeated divisions by the same polynomial find its leading term
     once per order key.
@@ -169,25 +176,42 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        fld = self.ring.field
+        add = self.ring.field.add
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = fld.add(out.get(e, fld.zero()), c)
-        return Polynomial(self.ring, out)
+            old = out.get(e)
+            if old is None:
+                out[e] = c
+            else:
+                c = add(old, c)
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return _adopt(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        fld = self.ring.field
-        return Polynomial(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
+        neg = self.ring.field.neg
+        return _adopt(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         fld = self.ring.field
+        sub, neg = fld.sub, fld.neg
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = fld.sub(out.get(e, fld.zero()), c)
-        return Polynomial(self.ring, out)
+            old = out.get(e)
+            if old is None:
+                out[e] = neg(c)
+            else:
+                c = sub(old, c)
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return _adopt(self.ring, out)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self
@@ -195,12 +219,21 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         fld = self.ring.field
+        mul = fld.mul
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            # a term times a polynomial: the exponents stay distinct and the
+            # products of nonzero field elements nonzero
+            if len(a) != 1:
+                a, b = b, a
+            ((e1, c1),) = a.items()
+            return _adopt(self.ring, {mono_mul(e1, e2): mul(c1, c2) for e2, c2 in b.items()})
         out: dict[Exp, object] = {}
         zero = fld.zero()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = mono_mul(e1, e2)
-                out[e] = fld.add(out.get(e, zero), fld.mul(c1, c2))
+                out[e] = fld.add(out.get(e, zero), mul(c1, c2))
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -221,7 +254,9 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         fld = self.ring.field
         cf = fld.of(c)
-        return Polynomial(self.ring, {e: fld.mul(v, cf) for e, v in self.terms.items()})
+        if cf == fld.zero():
+            return self.ring.zero()
+        return _adopt(self.ring, {e: fld.mul(v, cf) for e, v in self.terms.items()})
 
     # -- structure ----------------------------------------------------------
 
@@ -260,7 +295,7 @@ class Polynomial:
         _, c = self.leading(keyfn)
         fld = self.ring.field
         ci = fld.inv(c)
-        return Polynomial(self.ring, {e: fld.mul(v, ci) for e, v in self.terms.items()})
+        return _adopt(self.ring, {e: fld.mul(v, ci) for e, v in self.terms.items()})
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises ValueError when not divisible."""
@@ -281,17 +316,21 @@ class Polynomial:
         return Polynomial(self.ring, quotient)
 
     def project(self, subring: PolyRing) -> "Polynomial":
-        """Reinterpret in a subring (support must live in it)."""
-        idx = []
-        sub = set(subring.names)
-        for i, name in enumerate(self.ring.names):
-            if name in sub:
-                idx.append(i)
+        """Reinterpret in a ring over the same field whose variables are all
+        in this ring (the support must live in them)."""
+        if subring.field != self.ring.field:
+            raise ValueError("project across different coefficient fields")
+        names = self.ring.names
+        for name in subring.names:
+            if name not in names:
+                raise ValueError(f"subring variable {name!r} not in the ring")
+        idx = [names.index(n) for n in subring.names]
+        dropped = [i for i in range(len(names)) if i not in idx]
         out = {}
         for e, c in self.terms.items():
-            for i, k in enumerate(e):
-                if k != 0 and self.ring.names[i] not in sub:
-                    raise ValueError(f"variable {self.ring.names[i]!r} not in subring")
+            for i in dropped:
+                if e[i] != 0:
+                    raise ValueError(f"variable {names[i]!r} not in subring")
             out[tuple(e[i] for i in idx)] = c
         return Polynomial(subring, out)
 
@@ -315,6 +354,19 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{render_poly(self)} over {self.ring.field}[{','.join(self.ring.names)}]>"
+
+
+_new_polynomial = object.__new__
+
+
+def _adopt(ring: PolyRing, terms: dict[Exp, object]) -> Polynomial:
+    """A Polynomial that keeps `terms` itself: a fresh dict with no zero
+    coefficient, which nothing else holds."""
+    p = _new_polynomial(Polynomial)
+    p.ring = ring
+    p.terms = terms
+    p._lead = None
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ufdlab.groebner import (
     GREVLEX,
     LEX,
     SATURATION_ROUNDS_CAP,
+    Order,
     brute_force_irreducible,
     brute_force_member,
     buchberger,
@@ -151,6 +152,37 @@ def test_divide_identity_and_irreducible_remainder(field, order):
             assert not any(all(a <= b for a, b in zip(de, e)) for de in leads)
         with_remainder += bool(rem) and any(quotients)
     assert with_remainder >= 10
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        LEX,
+        GREVLEX,
+        elimination_order(("x",), ("y", "z", "w")),
+        elimination_order(("z", "x"), ("w", "y")),
+    ],
+    ids=["lex", "grevlex", "block-x", "block-zx"],
+)
+def test_descending_key_reverses_the_order_key(order):
+    # the heap key of `divide`: built from the exponent directly, it must
+    # sort exactly opposite to the order key and tell exponents apart
+    rng = random.Random(37)
+    names = ("x", "y", "z", "w")
+    r = poly_ring(QQ, names)
+    exps = {tuple(rng.randrange(0, 3) for _ in names) for _ in range(60)}
+    # ties: same total degree, same degree within each block, permutations
+    exps |= {(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1), (2, 0, 0, 0), (0, 0, 0, 2)}
+    exps = sorted(exps)
+    key, desc = order.key_for(r), order.descending_key_for(r)
+    assert sorted(exps, key=desc) == sorted(exps, key=key, reverse=True)
+    for a in exps:
+        for b in exps:
+            assert (desc(a) < desc(b)) == (key(a) > key(b))
+            assert (desc(a) == desc(b)) == (a == b)
+    # one function object per order and ring, however they are rebuilt
+    again = Order(order.kind, tuple(tuple(blk) for blk in order.blocks))
+    assert again.descending_key_for(poly_ring(QQ, names)) is desc
 
 
 def test_leading_answers_each_order_it_is_asked_under():

@@ -12,6 +12,7 @@ from ufdlab.poly import (
     RingMap,
     degree_of,
     derivative,
+    grevlex_key,
     laurent_iso,
     poly_ring,
 )
@@ -75,6 +76,104 @@ def test_project_and_lift():
     assert q.lift(big) == p
     with pytest.raises(ValueError, match="not in subring"):
         (x * y).project(small)
+
+
+def test_project_follows_the_target_variable_order():
+    x, y, z = R("xyz").gens()
+    q = (x * z**2 + 3 * y).project(R("zyx"))
+    assert q == R("zyx").parse("z^2*x + 3*y")
+
+
+def test_project_rejects_another_field():
+    # the coefficients of GF(7) are no elements of Q
+    p = R("x", field=GF(7)).parse("5*x + 3")
+    with pytest.raises(ValueError, match="different coefficient fields"):
+        p.project(R("x"))
+
+
+def test_project_rejects_a_variable_the_ring_lacks():
+    p = R("x", field=GF(7)).parse("5*x + 3")
+    with pytest.raises(ValueError, match="subring variable 'q' not in the ring"):
+        p.project(R("xq", field=GF(7)))
+
+
+# -- arithmetic against a naive reference -------------------------------------
+#
+# The reference accumulates every term into a dict with the field's own
+# add/sub/mul and drops the zeros at the end, so it shares no shortcut with
+# Polynomial's one-pass arithmetic.
+
+
+def _drop_zeros(fld, out):
+    return {e: c for e, c in out.items() if c != fld.zero()}
+
+
+def _naive_sum(fld, a, b, op):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = op(out.get(e, fld.zero()), c)
+    return _drop_zeros(fld, out)
+
+
+def _naive_mul(fld, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = fld.add(out.get(e, fld.zero()), fld.mul(c1, c2))
+    return _drop_zeros(fld, out)
+
+
+def _naive_scale(fld, a, c):
+    return _drop_zeros(fld, {e: fld.mul(v, c) for e, v in a.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+def test_arithmetic_matches_naive_reference(field):
+    rng = random.Random(29)
+    r = poly_ring(field, ("x", "y", "z"))
+    zero = field.zero()
+
+    def rand_terms(nterms):
+        return {
+            tuple(rng.randrange(0, 3) for _ in range(3)): field.sample(rng)
+            for _ in range(nterms)
+        }
+
+    def check(got, want):
+        assert got.terms == want
+        assert zero not in got.terms.values()
+
+    cancelled = 0
+    for _ in range(150):
+        a = Polynomial(r, rand_terms(rng.randrange(0, 6)))
+        b = Polynomial(r, rand_terms(rng.randrange(0, 6)))
+        # c shares some terms of a with equal coefficients and some with
+        # negated ones, so a - c and a + c cancel them
+        c = Polynomial(r, {
+            e: v if rng.random() < 0.5 else field.neg(v)
+            for e, v in a.terms.items() if rng.random() < 0.7
+        } | rand_terms(rng.randrange(0, 3)))
+        m = Polynomial(r, rand_terms(1))
+        for f, g in ((a, b), (a, c), (c, a), (a, a), (b, m), (m, b)):
+            check(f + g, _naive_sum(field, f.terms, g.terms, field.add))
+            check(f - g, _naive_sum(field, f.terms, g.terms, field.sub))
+            check(f * g, _naive_mul(field, f.terms, g.terms))
+            shared = f.terms.keys() & g.terms.keys()
+            cancelled += len(shared - (f + g).terms.keys()) + len(shared - (f - g).terms.keys())
+        check(a + (-a), {})
+        check(-a, _naive_sum(field, {}, a.terms, field.sub))
+        check(m * a, _naive_mul(field, m.terms, a.terms))
+        check(a * m, _naive_mul(field, a.terms, m.terms))
+        check(m * m, _naive_mul(field, m.terms, m.terms))
+        k = field.sample(rng)
+        check(a.scale(k), _naive_scale(field, a.terms, k))
+        check(a.scale(0), {})
+        check(3 * a, _naive_scale(field, a.terms, field.of(3)))
+        if a:
+            lead = max(a.terms, key=grevlex_key)
+            check(a.monic(), _naive_scale(field, a.terms, field.inv(a.terms[lead])))
+    assert cancelled > 100  # plenty of terms cancelled in the sums and differences
 
 
 # -- text syntax ------------------------------------------------------------
