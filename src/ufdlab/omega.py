@@ -18,7 +18,11 @@ exponent e_m = 2a + b >= 2 and expand (z_m^2)^a binomially.  Each step
 lowers the total z-exponent (the z-size), so one sweep over buckets of
 terms by z-size, largest first, finishes: only larger sizes feed a bucket,
 so it is complete when reached.  The result is independent of pivot choices
-(exercised by the confluence tests).  Everything here is exact and immutable.
+(exercised by the confluence tests).  Inside the sweep a term is one int:
+each z-exponent has a field as wide as the input's top z-size in bits, the
+x-exponent sits above the Z_INDEX_CAP + 1 z-fields, and the terms one
+rewrite makes form an arithmetic progression of such ints.  Everything here
+is exact and immutable.
 """
 
 from __future__ import annotations
@@ -159,36 +163,6 @@ class BasisExpansion:
             last_m = m
 
 
-def _rewrite_step(e: tuple[tuple[int, int], ...], pivot: str):
-    """One rewrite of the z-part e at its pivot, or None when e is squarefree.
-
-    The pivot is the largest (or smallest) index k with exponent 2a + b >= 2;
-    z_k^(2a+b) = z_k^b (-1)^a sum_j C(a, j) z_(k+1)^(a-j) (x^(2^(k+1)) z_(k+2))^j.
-    Returns (k, a, children) with children[j] the z-part of the j-th term.
-    """
-    for p in range(len(e) - 1, -1, -1) if pivot == "largest" else range(len(e)):
-        k, exp = e[p]
-        if exp >= 2:
-            break
-    else:
-        return None
-    if k + 2 > Z_INDEX_CAP:
-        raise CapExceeded("z-index cap exceeded")
-    a, b = divmod(exp, 2)
-    head = e[:p] + ((k, b),) if b else e[:p]
-    t = p + 1
-    n1 = e[t][1] if t < len(e) and e[t][0] == k + 1 else 0
-    t += n1 > 0
-    n2 = e[t][1] if t < len(e) and e[t][0] == k + 2 else 0
-    tail = e[t + (n2 > 0) :]
-    children = []
-    for j in range(a + 1):
-        u, v = n1 + a - j, n2 + j
-        mid = (((k + 1, u),) if u else ()) + (((k + 2, v),) if v else ())
-        children.append(head + mid + tail)
-    return k, a, children
-
-
 def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansion]:
     """Rewrite p onto the x^m F_n basis, one homogeneous component per degree.
 
@@ -198,19 +172,34 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     sizes feed it, and they are done.  A squarefree term is final; any other
     is rewritten at its pivot, the largest (or, for the confluence check,
     smallest) repeated z-index.
+
+    A term x^r z^e is one int key: e_i in the field of w bits at bit i*w,
+    where w is the bit length of the input's top z-size (no rewrite raises
+    a z-size, so no field overflows), and r above the Z_INDEX_CAP + 1
+    z-fields.  The mask hi covers bits 1..w-1 of every field, so a term is
+    squarefree iff key & hi is 0, and the pivot is the field of its highest
+    (or lowest) set bit.  The rewrite
+    z_k^(2a+b) = z_k^b (-1)^a sum_j C(a, j) z_(k+1)^(a-j) (x^(2^(k+1)) z_(k+2))^j
+    makes the children base + j * step: base trades z_k^(2a) for z_(k+1)^a,
+    and step trades one z_(k+1) for x^(2^(k+1)) z_(k+2).
     """
     if pivot not in ("largest", "smallest"):
         raise ValueError("pivot must be 'largest' or 'smallest'")
+    largest = pivot == "largest"
     limit = current_caps().terms
     field = p.field
     zero = field.zero()
     add, mul = field.add, field.mul
-    buckets: list[dict] = []
-    for exp, coeff in p.poly.terms.items():
-        size = sum(exp) - exp[0]
-        buckets.extend({} for _ in range(size + 1 - len(buckets)))
-        e = tuple((i, k) for i, k in enumerate(exp[1:]) if k)
-        buckets[size][e, exp[0]] = coeff
+    sizes = [sum(exp) - exp[0] for exp in p.poly.terms]
+    top = max(sizes, default=-1)
+    w = max(1, top.bit_length())
+    zb = (Z_INDEX_CAP + 1) * w
+    shifts = range(0, zb, w)
+    zmask = (1 << zb) - 1
+    hi = zmask - zmask // ((1 << w) - 1)  # zmask less the lowest bit of each field
+    buckets: list[dict[int, object]] = [{} for _ in range(top + 1)]
+    for (exp, coeff), size in zip(p.poly.terms.items(), sizes):
+        buckets[size][sum(e << s for e, s in zip(exp[1:], shifts)) + (exp[0] << zb)] = coeff
     # only a rewrite changes the live-term count, so checking it here and
     # after each rewrite also covers the output
     live = len(p.poly.terms)
@@ -219,13 +208,24 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     factors: dict[int, list[tuple[int, object]]] = {}
     by_degree: dict[int, list[tuple[int, int, object]]] = {}
     while buckets:
-        for (e, r), coeff in buckets.pop().items():
-            step = _rewrite_step(e, pivot)
-            if step is None:
-                n = sum(1 << i for i, _ in e)
+        for key, coeff in buckets.pop().items():
+            h = key & hi
+            if not h:
+                z, n = key & zmask, 0
+                while z:
+                    n |= 1 << ((z & -z).bit_length() - 1) // w
+                    z &= z - 1
+                r = key >> zb
                 by_degree.setdefault(n - r, []).append((r, n, coeff))
                 continue
-            k, a, children = step
+            k = ((h if largest else h & -h).bit_length() - 1) // w
+            if k + 2 > Z_INDEX_CAP:
+                raise CapExceeded("z-index cap exceeded")
+            kw = k * w
+            two_a = h >> kw & ((1 << w) - 1)
+            a = two_a >> 1
+            base = key - (two_a << kw) + (a << kw + w)
+            step = (1 << kw + 2 * w) - (1 << kw + w) + (1 << zb + k + 1)
             if a not in factors:
                 sign = field.pow(field.of(-1), a)
                 factors[a] = [
@@ -236,14 +236,14 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
             target = buckets[len(buckets) - a]
             live -= len(target) + 1
             for j, f in factors[a]:
-                key = (children[j], r + (j << (k + 1)))
-                old = target.get(key)
+                child = base + j * step
+                old = target.get(child)
                 if old is None:
-                    target[key] = mul(coeff, f)
+                    target[child] = mul(coeff, f)
                 elif (c := add(old, mul(coeff, f))) != zero:
-                    target[key] = c
+                    target[child] = c
                 else:
-                    del target[key]
+                    del target[child]
             live += len(target)
             if live > limit:
                 raise CapExceeded("instance too large")

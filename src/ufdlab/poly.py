@@ -311,6 +311,8 @@ class Polynomial:
                 raise ValueError("not exactly divisible")
             qe = mono_div(re_, de)
             qc = fld.div(rc, dc)
+            if qc == fld.zero():
+                raise ValueError(f"coefficient {rc!r} is not reduced in {fld}")
             quotient[qe] = fld.add(quotient.get(qe, fld.zero()), qc)
             rest = rest - Polynomial(self.ring, {qe: qc}) * divisor
         return Polynomial(self.ring, quotient)

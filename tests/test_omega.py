@@ -18,7 +18,6 @@ from ufdlab.errors import CapExceeded
 from ufdlab.omega import (
     BasisExpansion,
     OmegaPoly,
-    _rewrite_step,
     defining_relation,
     expansion_poly,
     expansion_text,
@@ -246,13 +245,26 @@ def test_confluence_both_pivots():
         assert expansion_text(left, GF(9973)) == expansion_text(right, GF(9973))
 
 
-def test_pivots_take_different_steps():
-    # the confluence check compares two routes only if the pivots differ
-    e = ((0, 2), (1, 2))
-    assert _rewrite_step(e, "largest") == (1, 1, [((0, 2), (2, 1)), ((0, 2), (3, 1))])
-    assert _rewrite_step(e, "smallest") == (0, 1, [((1, 3),), ((1, 2), (2, 1))])
-    assert _rewrite_step(((0, 1), (1, 1), (3, 1)), "largest") is None
+def test_pivots_take_different_steps(monkeypatch):
+    # the confluence check compares two routes only if the pivots differ.
+    # z0^2 z1^2 rewrites to -(z1^3 + x^2 z1^2 z2) at z0 and to
+    # -(z0^2 z2 + x^4 z0^2 z3) at z1.  Adding one route's children back
+    # gives 0, which that route reaches in its first rewrite.  A z-index
+    # cap lowered to 2 forbids a rewrite at z1, so under it the route that
+    # starts at z1 raises, and the route at z0 must finish in that one
+    # rewrite: any other children would leave a term to rewrite at z1.
     p = parse_omega("z0^2*z1^2")
+    at_z0 = p + parse_omega("z1^3 + x^2*z1^2*z2")
+    at_z1 = p + parse_omega("z0^2*z2 + x^4*z0^2*z3")
+    monkeypatch.setattr("ufdlab.omega.Z_INDEX_CAP", 2)
+    assert normal_form(at_z0, "smallest") == {}
+    with pytest.raises(CapExceeded, match="z-index"):
+        normal_form(at_z0, "largest")
+    monkeypatch.setattr("ufdlab.omega.Z_INDEX_CAP", 3)
+    assert normal_form(at_z1, "largest") == {}
+    monkeypatch.undo()
+    # a squarefree term takes no step: it is its own normal form
+    assert normal_form(parse_omega("x*z0*z1*z3")) == {10: BasisExpansion(10, ((1, 11, 1),))}
     assert normal_form(p, "largest") == normal_form(p, "smallest")
 
 
@@ -327,6 +339,10 @@ def test_normal_form_matches_monomial_rewrite_reference(field, seed):
         a = _random_poly(field, rng, nterms=2, max_size=4, max_index=3)
         b = _random_poly(field, rng, nterms=2, max_size=5, max_index=3)
         cases.append(a * b)
+    # a z-exponent's field is as wide as the top z-size in bits; these
+    # sizes cross every change of bit length up to 17
+    for s in (1, 2, 3, 4, 7, 8, 15, 16, 17):
+        cases += [parse_omega(t, field) for t in (f"z0^{s}", f"z2^{s}", f"x^3*z1^{s}*z3")]
     nonzero = 0
     for p in cases:
         for pivot in ("largest", "smallest"):

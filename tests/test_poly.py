@@ -66,6 +66,15 @@ def test_exact_div():
         (x**2 + y).exact_div(x + y)
 
 
+def test_exact_div_rejects_a_coefficient_the_field_reduces_to_zero():
+    # the constructor keeps 7 over GF(7) as given, and a quotient step with
+    # coefficient 0 would never shrink the rest
+    r = R("xy", GF(7))
+    x, _ = r.gens()
+    with pytest.raises(ValueError, match="coefficient 7 is not reduced in GF\\(7\\)"):
+        Polynomial(r, {(1, 0): 7}).exact_div(x)
+
+
 def test_project_and_lift():
     big = R("xyz")
     small = big.restrict(("x", "z"))
