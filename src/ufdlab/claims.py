@@ -9,9 +9,10 @@ decides it for concrete parameters.  A handler returns one of three statuses:
 
 Handlers are pure library calls, so a report is deterministic given its
 parameters and the tool version (`elapsed_ms` excepted).  Each claim is
-registered with one parameter table (`Param` rows: type, shipped value, lower
-bound, whether the runner fills it in); the runner validates against it and
-`default_params` reads the shipped values from it.
+registered with one parameter table (`Param` rows: how to parse a value, the
+shipped value, whether the runner fills it in).  The runner parses every
+parameter through it, so a handler receives fields, rings and polynomials,
+and `default_params` reads the shipped values from it.
 """
 
 from __future__ import annotations
@@ -128,18 +129,58 @@ class ClaimReport:
 class Param(NamedTuple):
     """One row of a claim's parameter table.
 
-    `kind` is the JSON type a value must have (a JSON boolean is not an int),
-    `default` the shipped value (None when nothing ships) and `min` a lower
-    bound for an int.  With `fill` the runner hands the shipped value to the
-    handler when the caller leaves the parameter out; a parameter without it
-    is required, optional (left out, its check is skipped) or derived by the
-    handler from the others.
+    `kind(value, parsed)` turns a JSON value into what the handler receives,
+    where `parsed` holds the parameters above it in the table, already
+    parsed; it raises ValueError for a value it cannot take.  `default` is
+    the shipped value (None when nothing ships).  With `fill` the runner
+    hands the shipped value to the handler when the caller leaves the
+    parameter out; a parameter without it is required, optional (left out,
+    its check is skipped) or derived by the handler from the others.
     """
 
-    kind: type
+    kind: Callable[[object, dict], object]
     default: object = None
-    min: Optional[int] = None
     fill: bool = True
+
+
+def _json(typ: type, least: Optional[int] = None):
+    """A JSON value of type `typ` (a JSON boolean is not an int), passed on
+    as given; an int must not be below `least`."""
+    def parse(value, parsed):
+        if not (is_int(value) if typ is int else isinstance(value, typ)):
+            raise ValueError(f"must be {typ.__name__}, got {type(value).__name__}")
+        if least is not None and value < least:
+            raise ValueError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+def _each(kind, typ: type = list):
+    """A JSON list, or a table (dict), whose entries `kind` parses."""
+    def parse(value, parsed):
+        entries = _json(typ)(value, parsed)
+        if typ is dict:
+            return {key: kind(entry, parsed) for key, entry in entries.items()}
+        return [kind(entry, parsed) for entry in entries]
+    return parse
+
+
+def _field(value, parsed):
+    return field_from_name(value)
+
+
+def _vars(value, parsed):
+    """The polynomial ring over parameter `field` on the listed names."""
+    return poly_ring(parsed["field"], _json(list)(value, parsed))
+
+
+def _poly(names: Optional[tuple[str, ...]] = None):
+    """Polynomial text in k[names] over parameter `field`, or in the ring of
+    parameter `vars` without names."""
+    def parse(value, parsed):
+        ring = parsed["vars"] if names is None else poly_ring(parsed["field"], names)
+        return ring.parse(value)
+    return parse
 
 
 @dataclass(frozen=True)
@@ -167,7 +208,7 @@ def _random_poly(ring, rng: random.Random, max_deg: int, max_terms: int) -> Poly
 
 
 def _h_groebner_soundness(params):
-    fld = field_from_name(params["field"])
+    fld = params["field"]
     rng = random.Random(params["seed"])
     trials = params["trials"]
     queries = params["queries"]
@@ -175,6 +216,7 @@ def _h_groebner_soundness(params):
     names = ("u", "v", "w")
     s_polys = 0
     agreements = 0
+    uncertified = []
     for trial in range(trials):
         ring = poly_ring(fld, names[: rng.randint(1, 3)])
         gens = [_random_poly(ring, rng, 3, 4) for _ in range(rng.randint(1, 4))]
@@ -196,6 +238,10 @@ def _h_groebner_soundness(params):
             q = _random_poly(ring, rng, 3, 4)
             via_basis = not reduce(q, gb) if gb else not q
             via_oracle = brute_force_member(q, gens, member_bound)
+            if via_basis and not via_oracle:
+                # the oracle's False only means "no certificate up to the bound"
+                uncertified.append(str(q))
+                continue
             if via_basis != via_oracle:
                 return "refuted", None, {
                     "reason": "membership disagreement",
@@ -212,6 +258,9 @@ def _h_groebner_soundness(params):
         "member_bound": member_bound,
         "seed": params["seed"],
     }
+    if uncertified:
+        witness["uncertified_members"] = uncertified
+        return "unknown", member_bound, witness
     return "verified", None, witness
 
 
@@ -239,25 +288,12 @@ def _h_prime_avoid(params):
     return "verified", None, {"tuples_checked": checked, "box": [lo, hi]}
 
 
-def _vars_ring(fld, params):
-    """The polynomial ring on the variable names of parameter `vars`."""
-    names = params["vars"]
-    if not all(isinstance(name, str) for name in names):
-        raise ValueError(f"parameter 'vars' must list variable names as text, got {names!r}")
-    try:
-        return poly_ring(fld, names)
-    except ValueError as err:
-        raise ValueError(f"parameter 'vars': {err}") from None
-
-
 def _h_samuel_kernel(params):
-    fld = field_from_name(params["field"])
-    ring = _vars_ring(fld, params)
+    ring = params["vars"]
     names = ring.names
     if not names:
         raise ValueError("vars must end with the adjoined variable")
-    a = ring.parse(params["a"])
-    b = ring.parse(params["b"])
+    a, b = params["a"], params["b"]
     if names[-1] in a.support() | b.support():
         raise ValueError(f"a and b must not involve the adjoined variable {names[-1]!r}")
     gen = a * ring.var(names[-1]) - b
@@ -273,9 +309,8 @@ def _h_samuel_kernel(params):
 
 
 def _h_wchain_regular(params):
-    fld = field_from_name(params["field"])
     i_max = params["i_max"]
-    ring = poly_ring(fld, ("u", "v", "w"))
+    ring = poly_ring(params["field"], ("u", "v", "w"))
     u, v, w = ring.gens()
     chain = w_chain(ring, u, v, w, i_max)
     uv = ideal(ring, u, v)
@@ -291,9 +326,8 @@ def _h_wchain_regular(params):
 
 
 def _h_wchain_absorbing(params):
-    fld = field_from_name(params["field"])
     i_max = params["i_max"]
-    ring = poly_ring(fld, ("u", "v"))
+    ring = poly_ring(params["field"], ("u", "v"))
     u = ring.var("u")
     chain = w_chain(ring, u, u, u, i_max)
     principal = ideal(ring, u)
@@ -308,15 +342,10 @@ def _h_wchain_absorbing(params):
 
 
 def _h_lemma32_levels(params):
-    fld = field_from_name(params["field"])
-    ring = poly_ring(fld, ("u", "v"))
-    s = ring.parse(params["s"])
-    t = ring.parse(params["t"])
-    b = ring.parse(params["b"])
-    i_max = params["i_max"]
-    report = lemma_level_check(ring, b, s, t, i_max)
-    witness = {"levels": report.levels, "b": str(b), "s": str(s), "t": str(t)}
-    return ("verified" if report.ok else "refuted"), None, witness
+    s, t, b = params["s"], params["t"], params["b"]
+    levels = lemma_level_check(s.ring, b, s, t, params["i_max"])
+    witness = {"levels": levels, "b": str(b), "s": str(s), "t": str(t)}
+    return ("verified" if all(levels) else "refuted"), None, witness
 
 
 def _h_omega_basis(params):
@@ -434,12 +463,11 @@ def _h_cex_sseq(params):
 
 
 def _h_jacobian_rank(params):
-    fld = field_from_name(params["field"])
-    xring = poly_ring(fld, ("x",))
-    ps = [xring.parse(s) for s in params["p"]]
+    fld = params["field"]
+    ps = params["p"]
     a = params["a"]
     b = params["b"]
-    q = xring.parse(params["q"])
+    q = params["q"]
     family = threefold_family(fld, ps, params.get("u", [1] * len(ps)),
                               params.get("v", [1] * len(ps)), a, b)
     rank, dim = jacobian_tangent_dim(family, q)
@@ -462,8 +490,7 @@ def _h_jacobian_rank(params):
 
 
 def _h_trinomial_validate(params):
-    fld = field_from_name(params["field"])
-    ring = trinomial_ring(fld, params["beta"], params["lambdas"])
+    ring = trinomial_ring(params["field"], params["beta"], params["lambdas"])
     steps = ring.notes["step_gradings"]
     first = steps[0]
     witness = {
@@ -487,7 +514,7 @@ def _h_trinomial_validate(params):
 
 
 def _h_pham_cases(params):
-    fld = field_from_name(params["field"])
+    fld = params["field"]
     witness = {}
     for key, weights_key in (("coprime_triple", "triple_weights"),
                              ("chain", "chain_weights")):
@@ -521,17 +548,14 @@ def _h_pham_cases(params):
 
 
 def _h_groebner_irreducible(params):
-    fld = field_from_name(params["field"])
-    ring = _vars_ring(fld, params)
-    f = ring.parse(params["poly"])
-    verdict = brute_force_irreducible(f, params["max_deg"])
+    f = params["poly"]
+    factors = brute_force_irreducible(f, params["max_deg"])
     witness = {"poly": str(f), "searched_degree": params["max_deg"]}
-    if verdict.irreducible:
+    if factors is None:
         witness["verdict"] = "irreducible"
         return "verified", None, witness
-    g, h = verdict.factors
     witness["verdict"] = "reducible"
-    witness["factors"] = [str(g), str(h)]
+    witness["factors"] = [str(g) for g in factors]
     return "refuted", None, witness
 
 
@@ -539,7 +563,7 @@ def _h_groebner_irreducible(params):
 # registry
 # ---------------------------------------------------------------------------
 
-_SEED = Param(int, 20250814)
+_SEED = Param(_json(int), 20250814)
 
 REGISTRY: dict[str, ClaimSpec] = {}
 
@@ -552,44 +576,45 @@ _register(
     "groebner.soundness",
     "Buchberger output passes the S-polynomial test and agrees with the "
     "linear-algebra membership oracle on random ideals over a prime field.",
-    {"field": Param(str, "GF(5)"), "seed": _SEED, "trials": Param(int, 20, 1),
-     "queries": Param(int, 100, 1), "member_bound": Param(int, 6, 0)},
+    {"field": Param(_field, "GF(5)"), "seed": _SEED, "trials": Param(_json(int, 1), 20),
+     "queries": Param(_json(int, 1), 100), "member_bound": Param(_json(int, 0), 6)},
     _h_groebner_soundness,
 )
 _register(
     "coeff.prime-avoid",
     "For every (a1, a2, b, c) in the box with gcd(a1, a2, b) = 1 and c != 0, "
     "the returned shift m gives gcd(c, b + m1*a1 + m2*a2) = 1.",
-    {"lo": Param(int, -6), "hi": Param(int, 6)},
+    {"lo": Param(_json(int), -6), "hi": Param(_json(int), 6)},
     _h_prime_avoid,
 )
 _register(
     "samuel.kernel",
     "(a*X - b) is already saturated at a: ((a*X - b) : a^infinity) = (a*X - b).",
-    {"field": Param(str, "GF(5)"), "vars": Param(list, ["u", "v", "X"]),
-     "a": Param(str, "u", fill=False), "b": Param(str, "v", fill=False)},
+    {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["u", "v", "X"]),
+     "a": Param(_poly(), "u", fill=False), "b": Param(_poly(), "v", fill=False)},
     _h_samuel_kernel,
 )
 _register(
     "wchain.regular",
     "For b, s, t three independent variables, W_i = (b, s)^i and J_i = W_i "
     "up to the level bound.",
-    {"field": Param(str, "Q"), "i_max": Param(int, 5, 1)},
+    {"field": Param(_field, "Q"), "i_max": Param(_json(int, 1), 5)},
     _h_wchain_regular,
 )
 _register(
     "wchain.absorbing",
     "For b = s = t = u the chain stabilizes: W_i = (u) and J_i = (1) for "
     "every level i >= 1 up to the bound.",
-    {"field": Param(str, "Q"), "i_max": Param(int, 5, 1)},
+    {"field": Param(_field, "Q"), "i_max": Param(_json(int, 1), 5)},
     _h_wchain_absorbing,
 )
 _register(
     "lemma32.levels",
     "Level-wise elimination identity: eliminating X from (s^i, s*t*X - b) "
     "recovers W_i at every level up to the bound.",
-    {"field": Param(str, "GF(5)"), "s": Param(str, "u"), "t": Param(str, "v"),
-     "b": Param(str, "u+v"), "i_max": Param(int, 4, 1)},
+    {"field": Param(_field, "GF(5)"), "s": Param(_poly(("u", "v")), "u"),
+     "t": Param(_poly(("u", "v")), "v"), "b": Param(_poly(("u", "v")), "u+v"),
+     "i_max": Param(_json(int, 1), 4)},
     _h_lemma32_levels,
 )
 _register(
@@ -603,23 +628,23 @@ _register(
     "z_i + z0^(2^i) lies in x*Omega for i up to the bound, while z_i itself "
     "never does.",
     # i, when given, sets both bounds
-    {"i": Param(int, None, 1, fill=False), "i_max": Param(int, 3, 1),
-     "not_in_max": Param(int, 4, 0)},
+    {"i": Param(_json(int, 1), fill=False), "i_max": Param(_json(int, 1), 3),
+     "not_in_max": Param(_json(int, 0), 4)},
     _h_omega_z_relations,
 )
 _register(
     "omega.confluence",
     "Rewriting is pivot-independent: largest- and smallest-pivot strategies "
     "give byte-identical normal forms on random monomials.",
-    {"seed": _SEED, "trials": Param(int, 100, 1), "max_size": Param(int, 6, 1),
-     "max_index": Param(int, 4, 0)},
+    {"seed": _SEED, "trials": Param(_json(int, 1), 100), "max_size": Param(_json(int, 1), 6),
+     "max_index": Param(_json(int, 0), 4)},
     _h_omega_confluence,
 )
 _register(
     "cex.m-order",
     "The (x, y)-order certificate is accepted for every n up to the bound, "
     "and at small depth the full expansion has min (x, y)-degree >= n.",
-    {"n_max": Param(int, 10, 0), "exact_max": Param(int, 3, 1)},
+    {"n_max": Param(_json(int, 0), 10), "exact_max": Param(_json(int, 1), 3)},
     _h_cex_m_order,
 )
 _register(
@@ -627,20 +652,20 @@ _register(
     "After the substitution y = x*T the order certificate is accepted for "
     "every n up to the bound, and at small depth the expansion is exactly "
     "divisible by x^n.",
-    {"n_max": Param(int, 10, 0), "exact_max": Param(int, 2, 1)},
+    {"n_max": Param(_json(int, 0), 10), "exact_max": Param(_json(int, 1), 2)},
     _h_cex_x_order,
 )
 _register(
     "cex.coords",
     "All three coordinate identities hold for the truncated relation ideals: "
     "the shear composite linearizes, and the ideals match mod x and mod y.",
-    {"n_max": Param(int, 3, 0)},
+    {"n_max": Param(_json(int, 0), 3)},
     _h_cex_coords,
 )
 _register(
     "cex.sseq",
     "The exponent sequence begins 2, 3, 6, 24, 180.",
-    {"n": Param(int, 5, 1), "expect": Param(list, [2, 3, 6, 24, 180])},
+    {"n": Param(_json(int, 1), 5), "expect": Param(_each(_json(int)), [2, 3, 6, 24, 180])},
     _h_cex_sseq,
 )
 _register(
@@ -648,11 +673,11 @@ _register(
     "The relation Jacobian at the distinguished point has the expected rank "
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
     # u and v are derived from p when left out
-    {"field": Param(str, "Q"), "p": Param(list, ["x"]),
-     "u": Param(list, [1], fill=False), "v": Param(list, [1], fill=False),
-     "a": Param(list, [2]), "b": Param(list, [3]), "q": Param(str, "x"),
-     "expect_rank": Param(int, 0), "expect_tangent_dim": Param(int, 4),
-     "reject_exponent_one": Param(bool, True)},
+    {"field": Param(_field, "Q"), "p": Param(_each(_poly(("x",))), ["x"]),
+     "u": Param(_json(list), [1], fill=False), "v": Param(_json(list), [1], fill=False),
+     "a": Param(_json(list), [2]), "b": Param(_json(list), [3]), "q": Param(_poly(("x",)), "x"),
+     "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
+     "reject_exponent_one": Param(_json(bool), True)},
     _h_jacobian_rank,
 )
 _register(
@@ -660,10 +685,10 @@ _register(
     "The trinomial data validates: the first step grading has the expected "
     "weights and degree, and the last exponent block is coprime to it.",
     # beta and lambdas are required; a missing expectation is not checked
-    {"field": Param(str, "Q"), "beta": Param(list, [[2], [3], [5]], fill=False),
-     "lambdas": Param(list, [1], fill=False),
-     "expect_degree": Param(int, 6, fill=False),
-     "expect_weights": Param(dict, {"t0": 3, "t1": 2}, fill=False)},
+    {"field": Param(_field, "Q"), "beta": Param(_json(list), [[2], [3], [5]], fill=False),
+     "lambdas": Param(_json(list), [1], fill=False),
+     "expect_degree": Param(_json(int), 6, fill=False),
+     "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,
 )
 _register(
@@ -671,20 +696,21 @@ _register(
     "Diagonal-hypersurface data builds under the right case with the "
     "expected weight table; non-coprime data is rejected.",
     # each instance, expectation and rejection is checked only when given
-    {"field": Param(str, "Q"),
-     "coprime_triple": Param(list, [2, 3, 5], fill=False),
-     "triple_weights": Param(dict, {"X1": 15, "X2": 10, "Z": 6}, fill=False),
-     "chain": Param(list, [2, 3, 4, 5], fill=False),
-     "chain_weights": Param(dict, {"X1": 30, "X2": 20, "X3": 15, "Z": 12}, fill=False),
-     "reject": Param(list, [2, 2, 3], fill=False)},
+    {"field": Param(_field, "Q"),
+     "coprime_triple": Param(_json(list), [2, 3, 5], fill=False),
+     "triple_weights": Param(_each(_json(int), dict), {"X1": 15, "X2": 10, "Z": 6}, fill=False),
+     "chain": Param(_json(list), [2, 3, 4, 5], fill=False),
+     "chain_weights": Param(_each(_json(int), dict), {"X1": 30, "X2": 20, "X3": 15, "Z": 12},
+                            fill=False),
+     "reject": Param(_json(list), [2, 2, 3], fill=False)},
     _h_pham_cases,
 )
 _register(
     "groebner.irreducible",
     "Exhaustive factor search certifies irreducibility over a prime field "
     "at the stated degree bound.",
-    {"field": Param(str, "GF(5)"), "vars": Param(list, ["x", "y"]),
-     "poly": Param(str, "x^2 + y^3", fill=False), "max_deg": Param(int, 2, 1)},
+    {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["x", "y"]),
+     "poly": Param(_poly(), "x^2 + y^3", fill=False), "max_deg": Param(_json(int, 1), 2)},
     _h_groebner_irreducible,
 )
 
@@ -752,21 +778,16 @@ def suite_claims(name: str) -> list[str]:
     return list(REGISTRY)
 
 
-def _validate_params(spec: ClaimSpec, params: dict) -> None:
-    for key, value in params.items():
-        param = spec.params.get(key)
-        if param is None:
-            raise UsageError(f"unknown parameter {key!r} for claim {spec.claim_id}")
-        if not (is_int(value) if param.kind is int else isinstance(value, param.kind)):
-            raise UsageError(
-                f"parameter {key!r} of claim {spec.claim_id} must be "
-                f"{param.kind.__name__}, got {type(value).__name__}"
-            )
-        if param.min is not None and value < param.min:
-            raise UsageError(
-                f"parameter {key!r} of claim {spec.claim_id} must be "
-                f">= {param.min}, got {value}"
-            )
+def _parse_params(spec: ClaimSpec, given: dict) -> dict:
+    """The given parameters parsed by their kinds, in table order."""
+    parsed = {}
+    for key, param in spec.params.items():
+        if key in given:
+            try:
+                parsed[key] = param.kind(given[key], parsed)
+            except ValueError as err:
+                raise UsageError(f"parameter {key!r} of claim {spec.claim_id}: {err}") from err
+    return parsed
 
 
 def run_claim(claim_id: str, params: Optional[dict] = None,
@@ -774,19 +795,22 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     """Dispatch one claim and assemble its report.
 
     With params=None the shipped parameters are used.  Otherwise the given
-    parameters are checked against the claim's table (type and lower bound)
-    and the handler sees them on top of the shipped values of the filled
-    parameters; the report records the parameters exactly as given.  A cap
-    or timeout downgrades the status to unknown with the bound saying which.
-    Parameter-level failures (unknown claim, wrong types, out-of-range
-    values, a malformed UFDLAB_CAPS, hypothesis errors raised while setting
-    the instance up) raise UsageError instead.
+    parameters go on top of the shipped values of the filled parameters;
+    the report records the parameters exactly as given.  Each is parsed by
+    its kind in table order before the handler runs, and the handler sees
+    the parsed values.  A cap or timeout downgrades the status to unknown
+    with the bound saying which.  Parameter-level failures (unknown claim,
+    unknown parameters, values their kind cannot parse, a malformed
+    UFDLAB_CAPS, hypothesis errors raised while setting the instance up)
+    raise UsageError instead.
     """
     spec = _spec(claim_id)
     shipped = default_params(claim_id)
     if params is None:
         params = shipped
-    _validate_params(spec, params)
+    for key in params:
+        if key not in spec.params:
+            raise UsageError(f"unknown parameter {key!r} for claim {claim_id}")
     filled = {key: value for key, value in shipped.items() if spec.params[key].fill}
     try:
         current_caps()
@@ -795,7 +819,7 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     start = time.monotonic()
     try:
         with _alarm(timeout):
-            status, bound, witness = spec.handler({**filled, **params})
+            status, bound, witness = spec.handler(_parse_params(spec, {**filled, **params}))
     except _Timeout:
         status, bound, witness = "unknown", "timeout", None
     except CapExceeded as err:

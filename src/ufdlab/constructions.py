@@ -341,10 +341,6 @@ def check_condition_P(
 
 @dataclass
 class WChain:
-    ring: PolyRing
-    b: Polynomial
-    s: Polynomial
-    t: Polynomial
     pairs: list[tuple[Ideal, Ideal]]  # (W_i, J_i) for i = 0..N
 
     def W(self, i: int) -> Ideal:
@@ -374,20 +370,14 @@ def w_chain(ring: PolyRing, b: Polynomial, s: Polynomial, t: Polynomial, N: int)
             if not prev_j.contains(g):
                 raise HypothesisError(f"nesting failure: {g} in J_{i} but not J_{i-1}")
         pairs.append((w, j))
-    return WChain(ring, b, s, t, pairs)
-
-
-@dataclass
-class LevelReport:
-    ok: bool
-    levels: list[bool]
+    return WChain(pairs)
 
 
 def lemma_level_check(
     ring: PolyRing, b: Polynomial, s: Polynomial, t: Polynomial, N: int
-) -> LevelReport:
+) -> list[bool]:
     """Verify, level by level, that contracting (s^i) + (aX - b) to the base
-    ring recovers W_i, where a = s*t.
+    ring recovers W_i, where a = s*t; the i-th entry is level i's verdict.
 
     Preconditions checked: s,t relatively prime and a,b relatively prime,
     both via exact ideal intersection.
@@ -408,7 +398,7 @@ def lemma_level_check(
     for i in range(N + 1):
         lhs = elim_ideal(Ideal(big, (s.lift(big) ** i, rel)), ring.names)
         levels.append(ideal_equal(lhs, chain.W(i)))
-    return LevelReport(all(levels), levels)
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +601,7 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
         if not _divides(q, p):
             raise HypothesisError("q does not divide every p_i")
     if isinstance(B.ring.field, PrimeField):
-        if not brute_force_irreducible(q, q.total_degree() // 2).irreducible:
+        if brute_force_irreducible(q, q.total_degree() // 2) is not None:
             raise HypothesisError("q must be irreducible")
     ring = B.ring
     names = ring.names  # x, z0, ..., z_{n+1}

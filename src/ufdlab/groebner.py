@@ -193,7 +193,7 @@ def divide(
         _, i, de, dc = hit
         qe = mono_div(we, de)
         qc = fld.div(wc, dc)
-        quotients[i][qe] = fld.add(quotients[i].get(qe, fld.zero()), qc)
+        quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
         step = Polynomial(ring, {qe: qc}) * divisors[i]
         work = work - step
         for e in step.terms:
@@ -573,27 +573,10 @@ def row_echelon(fld: Field, vectors: Iterable[dict[int, object]]) -> list[bool]:
     return added
 
 
-@dataclass(frozen=True)
-class FactorVerdict:
-    """Outcome of the exhaustive factor search."""
-
-    status: str  # "irreducible" | "reducible"
-    factors: Optional[tuple[Polynomial, Polynomial]] = None
-
-    @property
-    def irreducible(self) -> bool:
-        return self.status == "irreducible"
-
-    def __repr__(self):
-        if self.factors:
-            g, h = self.factors
-            return f"reducible({g}, {h})"
-        return self.status
-
-
-def brute_force_irreducible(f: Polynomial, max_deg: int) -> FactorVerdict:
+def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polynomial, Polynomial]]:
     """Exhaustive factor search over a prime field: trial division by every
-    monic polynomial of total degree 1..max_deg in f's variables.
+    monic polynomial of total degree 1..max_deg in f's variables.  Returns
+    a factorization (g, h) with f = g*h, or None when f is irreducible.
 
     Requires deg f <= 2*max_deg + 1 so that "no factor found" really means
     irreducible (a proper factorization always has a factor of degree
@@ -633,5 +616,5 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> FactorVerdict:
                 h = f.exact_div(g)
             except ValueError:
                 continue
-            return FactorVerdict("reducible", (g, h))
-    return FactorVerdict("irreducible")
+            return g, h
+    return None

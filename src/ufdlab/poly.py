@@ -35,11 +35,11 @@ class PolyRing:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
         for name in self.names:
             if not (isinstance(name, str) and _IDENT_RE.fullmatch(name)):
                 raise ValueError(f"variable name {name!r} is not an identifier")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate variable names")
 
     def index(self, name: str) -> int:
         try:
@@ -313,7 +313,7 @@ class Polynomial:
             qc = fld.div(rc, dc)
             if qc == fld.zero():
                 raise ValueError(f"coefficient {rc!r} is not reduced in {fld}")
-            quotient[qe] = fld.add(quotient.get(qe, fld.zero()), qc)
+            quotient[qe] = qc  # leading exponents of rest strictly decrease
             rest = rest - Polynomial(self.ring, {qe: qc}) * divisor
         return Polynomial(self.ring, quotient)
 

@@ -5,12 +5,13 @@ import json
 import jsonschema
 import pytest
 
+from ufdlab import claims
 from ufdlab.claims import (
     REGISTRY,
     ClaimReport,
     Param,
     UsageError,
-    _validate_params,
+    _parse_params,
     default_params,
     exit_code,
     report_schema,
@@ -43,7 +44,7 @@ def test_every_claim_ships_fixture_parameters():
 
 def test_shipped_parameters_pass_their_own_validation():
     for cid, spec in REGISTRY.items():
-        _validate_params(spec, default_params(cid))
+        _parse_params(spec, default_params(cid))
 
 
 def test_default_params_returns_a_fresh_copy():
@@ -214,6 +215,32 @@ def test_soundness_runs_exactly_the_queries_asked_for(trials, queries):
     assert rep.status == "verified"
     assert rep.witness["ideals"] == trials
     assert rep.witness["membership_agreements"] == queries
+
+
+def test_soundness_without_a_certificate_up_to_the_bound_is_unknown():
+    # at bound 0 the oracle cannot certify members that `reduce` finds, such
+    # as 3*u^2*v + u; its False means only "no certificate up to the bound"
+    rep = run_claim("groebner.soundness", {"member_bound": 0})
+    assert rep.status == "unknown"
+    assert rep.bound == 0
+    assert "3*u^2*v + u" in rep.witness["uncertified_members"]
+    assert (rep.witness["membership_agreements"] + len(rep.witness["uncertified_members"])
+            == default_params("groebner.soundness")["queries"])
+    assert "uncertified_members" not in run_claim("groebner.soundness").witness
+
+
+def test_soundness_refutes_a_reduce_that_misses_a_certified_member(monkeypatch):
+    real_reduce = claims.reduce
+
+    def lying_reduce(p, basis):
+        # a one-element basis has no S-pairs, so only membership queries see the lie
+        return p if len(basis) == 1 else real_reduce(p, basis)
+
+    monkeypatch.setattr(claims, "reduce", lying_reduce)
+    rep = run_claim("groebner.soundness")
+    assert rep.status == "refuted"
+    assert rep.witness["reason"] == "membership disagreement"
+    assert rep.witness["oracle_says"] and not rep.witness["reduce_says"]
 
 
 def test_refutation_carries_the_counterexample():

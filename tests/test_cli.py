@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ufdlab.claims import REGISTRY, report_schema
+from ufdlab.claims import REGISTRY, default_params, report_schema
 from ufdlab.cli import main
 
 PHAM_FIXTURE = str(
@@ -153,6 +153,37 @@ def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp
     assert captured.out == ""
     assert named in captured.err
     assert "Traceback" not in captured.err
+
+
+_WRONG = [None, True, 2, 1.5, "x", [], {}]
+
+
+def _wrong_shapes(shipped):
+    """Values of another JSON type than `shipped`; for a list or a table also
+    one whose single entry has another type than the shipped entries."""
+    out = [w for w in _WRONG if type(w) is not type(shipped)]
+    if isinstance(shipped, list):
+        out += [[w] for w in _WRONG if type(w) is not type(shipped[0])]
+    elif isinstance(shipped, dict):
+        key = next(iter(shipped))
+        out += [{key: w} for w in _WRONG if type(w) is not type(shipped[key])]
+    return out
+
+
+@pytest.mark.parametrize("cid", list(REGISTRY))
+def test_every_parameter_rejects_wrong_shaped_values(cid, tmp_path, capsys):
+    path = tmp_path / "params.json"
+    wrong = []
+    for key, param in REGISTRY[cid].params.items():
+        # omega.z-relations' `i` is the one parameter that ships no value; it is an int
+        shipped = 1 if param.default is None else param.default
+        for value in _wrong_shapes(shipped):
+            path.write_text(json.dumps({**default_params(cid), key: value}))
+            code = main(["claim", "run", cid, "--params", str(path)])
+            captured = capsys.readouterr()
+            if code != 3 or captured.out or "Traceback" in captured.err:
+                wrong.append((key, value, code))
+    assert wrong == []
 
 
 def test_reducible_jacobian_point_over_prime_field_exits_3(tmp_path, capsys):
