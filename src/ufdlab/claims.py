@@ -312,14 +312,14 @@ def _h_wchain_regular(params):
     i_max = params["i_max"]
     ring = poly_ring(params["field"], ("u", "v", "w"))
     u, v, w = ring.gens()
-    chain = w_chain(ring, u, v, w, i_max)
+    W, J = w_chain(ring, u, v, w, i_max)
     uv = ideal(ring, u, v)
     levels = []
     for i in range(1, i_max + 1):
-        w_ok = ideal_equal(chain.W(i), ideal_power(uv, i))
-        j_ok = ideal_equal(chain.J(i), chain.W(i))
+        w_ok = ideal_equal(W[i], ideal_power(uv, i))
+        j_ok = ideal_equal(J[i], W[i])
         levels.append({"i": i, "W_is_power": w_ok, "J_equals_W": j_ok,
-                       "W_basis": [str(g) for g in chain.W(i).groebner()]})
+                       "W_basis": [str(g) for g in W[i].groebner()]})
         if not (w_ok and j_ok):
             return "refuted", None, levels[-1]
     return "verified", None, {"levels": levels}
@@ -329,12 +329,12 @@ def _h_wchain_absorbing(params):
     i_max = params["i_max"]
     ring = poly_ring(params["field"], ("u", "v"))
     u = ring.var("u")
-    chain = w_chain(ring, u, u, u, i_max)
+    W, J = w_chain(ring, u, u, u, i_max)
     principal = ideal(ring, u)
     levels = []
     for i in range(1, i_max + 1):
-        w_ok = ideal_equal(chain.W(i), principal)
-        j_ok = chain.J(i).is_trivial()
+        w_ok = ideal_equal(W[i], principal)
+        j_ok = J[i].is_trivial()
         levels.append({"i": i, "W_is_principal": w_ok, "J_trivial": j_ok})
         if not (w_ok and j_ok):
             return "refuted", None, levels[-1]
@@ -456,7 +456,7 @@ def _h_cex_coords(params):
 def _h_cex_sseq(params):
     n = params["n"]
     expect = params["expect"]
-    values = list(s_sequence(n).values)
+    values = list(s_sequence(n).values())
     ok = values == list(expect)
     return ("verified" if ok else "refuted"), None, {"values": values,
                                                      "expected": list(expect)}
@@ -729,13 +729,10 @@ class _Timeout(Exception):
 
 @contextmanager
 def _alarm(seconds: Optional[float]):
-    """SIGALRM-based soft timeout; inert off the main thread or when None."""
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
+    """SIGALRM-based soft timeout; inert off the main thread or when None.
+    A time the interval timer cannot take raises UsageError before the body
+    runs."""
+    if seconds is None or threading.current_thread() is not threading.main_thread():
         yield
         return
 
@@ -743,7 +740,11 @@ def _alarm(seconds: Optional[float]):
         raise _Timeout()
 
     old = signal.signal(signal.SIGALRM, _raise)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    except (OverflowError, ValueError) as err:
+        signal.signal(signal.SIGALRM, old)
+        raise UsageError(f"timeout {seconds} s: {err}") from err
     try:
         yield
     finally:
@@ -799,12 +800,16 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     the report records the parameters exactly as given.  Each is parsed by
     its kind in table order before the handler runs, and the handler sees
     the parsed values.  A cap or timeout downgrades the status to unknown
-    with the bound saying which.  Parameter-level failures (unknown claim,
-    unknown parameters, values their kind cannot parse, a malformed
-    UFDLAB_CAPS, hypothesis errors raised while setting the instance up)
-    raise UsageError instead.
+    with the bound saying which; timeout=None runs without a time limit.
+    Parameter-level failures (unknown claim, unknown parameters, values
+    their kind cannot parse, a timeout that is not a finite number of
+    seconds > 0 the interval timer accepts, a malformed UFDLAB_CAPS,
+    hypothesis errors raised while setting the instance up) raise
+    UsageError instead.
     """
     spec = _spec(claim_id)
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise UsageError(f"timeout must be a finite number of seconds > 0, got {timeout}")
     shipped = default_params(claim_id)
     if params is None:
         params = shipped

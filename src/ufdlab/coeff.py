@@ -29,19 +29,37 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Miller-Rabin on the primes 2..41 as bases decides primality for every n
+# below PRIME_BOUND (Sorenson & Webster 2015, "Strong pseudoprimes to twelve
+# prime bases"); above it a pass would only make n a probable prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    """Primality by trial division (moduli here are desk-scale)."""
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} is too large: primality is decided "
+                         f"only below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

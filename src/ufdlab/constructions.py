@@ -218,7 +218,7 @@ def check_condition_P(
     _, ac = a.leading()
     _, pc = product.leading()
     scale = fld.div(ac, pc)
-    if product.scale(scale) != a:
+    if product * scale != a:
         raise HypothesisError("factor product does not equal a")
     factor_str = " * ".join(str(p) for p in prime_factors_of_a) or "1"
 
@@ -339,38 +339,30 @@ def check_condition_P(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WChain:
-    pairs: list[tuple[Ideal, Ideal]]  # (W_i, J_i) for i = 0..N
-
-    def W(self, i: int) -> Ideal:
-        return self.pairs[i][0]
-
-    def J(self, i: int) -> Ideal:
-        return self.pairs[i][1]
-
-
-def w_chain(ring: PolyRing, b: Polynomial, s: Polynomial, t: Polynomial, N: int) -> WChain:
+def w_chain(
+    ring: PolyRing, b: Polynomial, s: Polynomial, t: Polynomial, N: int
+) -> tuple[list[Ideal], list[Ideal]]:
     """Compute the descending chain W_0=(1)=J_0, W_i = b*J_{i-1} + (s^i),
-    J_i = (W_i : t), verifying the nesting W_{i+1} <= W_i, J_{i+1} <= J_i."""
+    J_i = (W_i : t), verifying the nesting W_{i+1} <= W_i, J_{i+1} <= J_i.
+    Returns the lists (W, J), indexed by i = 0..N."""
     if not b or not s or not t:
         raise ValueError("b, s, t must be nonzero")
     if N > W_CHAIN_CAP:
         raise CapExceeded("instance too large")
     one = Ideal(ring, (ring.one(),))
-    pairs: list[tuple[Ideal, Ideal]] = [(one, one)]
+    W, J = [one], [one]
     for i in range(1, N + 1):
-        prev_w, prev_j = pairs[-1]
-        w = Ideal(ring, tuple(b * g for g in prev_j.gens) + (s**i,))
+        w = Ideal(ring, tuple(b * g for g in J[-1].gens) + (s**i,))
         j = ideal_quotient(w, t)
         for g in w.gens:
-            if not prev_w.contains(g):
+            if not W[-1].contains(g):
                 raise HypothesisError(f"nesting failure: {g} in W_{i} but not W_{i-1}")
         for g in j.gens:
-            if not prev_j.contains(g):
+            if not J[-1].contains(g):
                 raise HypothesisError(f"nesting failure: {g} in J_{i} but not J_{i-1}")
-        pairs.append((w, j))
-    return WChain(pairs)
+        W.append(w)
+        J.append(j)
+    return W, J
 
 
 def lemma_level_check(
@@ -390,14 +382,14 @@ def lemma_level_check(
     ok, offender = relatively_prime(free, a, b)
     if not ok:
         raise HypothesisError(f"a and b not relatively prime: witness {offender}")
-    chain = w_chain(ring, b, s, t, N)
+    W, _ = w_chain(ring, b, s, t, N)
     xname = fresh_name(ring.names, "X")
     big = ring.extend((xname,))
     rel = a.lift(big) * big.var(xname) - b.lift(big)
     levels = []
     for i in range(N + 1):
         lhs = elim_ideal(Ideal(big, (s.lift(big) ** i, rel)), ring.names)
-        levels.append(ideal_equal(lhs, chain.W(i)))
+        levels.append(ideal_equal(lhs, W[i]))
     return levels
 
 
@@ -549,7 +541,7 @@ def threefold_family(
         reduced.append(u_c[i - 1] * zs[i] ** a[i - 1] + v_c[i - 1] * zs[i - 1] ** b[i - 1])
     out = PresentedRing(ring, tuple(rels), None, tag="hypersurface-chain")
     out.notes["params"] = {
-        "p": [str(p) for p in p_list],
+        "p": list(p_list),
         "u": [str(x) for x in u_c],
         "v": [str(x) for x in v_c],
         "a": list(a),
@@ -570,7 +562,7 @@ def threefold_family(
         in_small = [g.project(small) for g in reduced]
         i_n = Ideal(small, in_small)
         out.notes["zn_outside_In"] = not i_n.contains(small.var(f"z{n}"))
-        out.notes["kappa"] = str(kappa)
+        out.notes["kappa"] = kappa
     return out
 
 
@@ -592,7 +584,9 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     if any(e < 2 for e in params["a"] + params["b"]):
         raise HypothesisError("hypothesis a_i >= 2 and b_i >= 2 fails")
     xring = poly_ring(B.ring.field, ("x",))
-    ps = [xring.parse(s) for s in params["p"]]
+    ps = params["p"]
+    if not all(isinstance(p, Polynomial) and p.ring == xring for p in ps):
+        raise ValueError("p must hold polynomials of k[x]")
     if any(p.is_constant() for p in ps):
         raise HypothesisError("p_i must be nonconstant")
     if q.ring != xring or q.is_constant() or not q:

@@ -37,18 +37,9 @@ SSEQ_CAP = 20  # s(21) has 5132 digits, past json's int-to-text limit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SSeq:
-    """The memoized exponent sequence: values[i] = s(i+1)."""
-
-    values: tuple[int, ...]
-
-    def value(self, i: int) -> int:
-        return self.values[i - 1]
-
-
-def s_sequence(n: int) -> SSeq:
-    """s(1)=2, s(2)=3, s(n) = n * product of s(1)..s(n-2) for n >= 3."""
+def s_sequence(n: int) -> dict[int, int]:
+    """{i: s(i)} for i = 1..n, where s(1)=2, s(2)=3 and
+    s(n) = n * product of s(1)..s(n-2) for n >= 3."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > SSEQ_CAP:
@@ -58,7 +49,7 @@ def s_sequence(n: int) -> SSeq:
     for m in range(3, n + 1):
         prefix *= vals[m - 3]
         vals.append(m * prefix)
-    return SSeq(tuple(vals[:n]))
+    return dict(enumerate(vals[:n], start=1))
 
 
 def _warn_positive_characteristic(field: Field, stacklevel: int = 3):
@@ -76,10 +67,10 @@ def _warn_positive_characteristic(field: Field, stacklevel: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def _solved_rhs(ring: PolyRing, j: int, s: SSeq, x_for_y: bool) -> Polynomial:
+def _solved_rhs(ring: PolyRing, j: int, s: dict[int, int], x_for_y: bool) -> Polynomial:
     """z_j = x*z_(j+2) + y^(s-1) * z_(j+1)^s with s = s(j+2); with the
     substitution y = x*T the coefficient becomes x^(s-1) * T^(s-1)."""
-    sv = s.value(j + 2)
+    sv = s[j + 2]
     coeff = {"x": sv - 1, "T": sv - 1} if x_for_y else {"y": sv - 1}
     return ring.monomial({"x": 1, f"z{j+2}": 1}) + ring.monomial({**coeff, f"z{j+1}": sv})
 
@@ -272,7 +263,7 @@ def coordinate_checks(n: int, field: Field = QQ) -> dict[str, bool]:
         return ring.var(f"Z{i}")
 
     fs = [
-        x * zvar(i + 1) + y ** (s.value(i + 1) - 1) * zvar(i) ** s.value(i + 1) - zvar(i - 1)
+        x * zvar(i + 1) + y ** (s[i + 1] - 1) * zvar(i) ** s[i + 1] - zvar(i - 1)
         for i in range(1, n + 1)
     ]
     J = ideal(ring, *fs)
@@ -285,7 +276,7 @@ def coordinate_checks(n: int, field: Field = QQ) -> dict[str, bool]:
             {
                 f"Z{i-1}": zvar(i - 1)
                 + x * zvar(i + 1)
-                + y ** (s.value(i + 1) - 1) * zvar(i) ** s.value(i + 1)
+                + y ** (s[i + 1] - 1) * zvar(i) ** s[i + 1]
             },
         )
         images = [shear.apply(g) for g in images]
@@ -295,7 +286,7 @@ def coordinate_checks(n: int, field: Field = QQ) -> dict[str, bool]:
     mod_x_rhs = ideal(
         ring,
         x,
-        *(y ** (s.value(i + 1) - 1) * zvar(i) ** s.value(i + 1) - zvar(i - 1) for i in range(1, n + 1)),
+        *(y ** (s[i + 1] - 1) * zvar(i) ** s[i + 1] - zvar(i - 1) for i in range(1, n + 1)),
     )
     mod_x_ok = ideal_equal(J + Ideal(ring, (x,)), mod_x_rhs, LEX)
 

@@ -113,7 +113,7 @@ class OmegaPoly:
         return self._via_poly(lambda q: q**n)
 
     def scale(self, c) -> "OmegaPoly":
-        return self._via_poly(lambda q: q.scale(c))
+        return self._via_poly(lambda q: q * c)
 
     def degrees(self) -> set[int]:
         return {

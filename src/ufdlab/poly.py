@@ -51,9 +51,6 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.names)
 
-    def zero_exp(self) -> Exp:
-        return (0,) * self.nvars
-
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
@@ -61,16 +58,10 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        cf = self.field.of(c)
-        if cf == self.field.zero():
-            return self.zero()
-        return Polynomial(self, {self.zero_exp(): cf})
+        return self.monomial({}, c)
 
     def var(self, name: str) -> "Polynomial":
-        i = self.index(name)
-        exp = [0] * self.nvars
-        exp[i] = 1
-        return Polynomial(self, {tuple(exp): self.field.one()})
+        return self.monomial({name: 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(n) for n in self.names)
@@ -140,7 +131,7 @@ class Polynomial:
     builds each result in one pass with no zero in it, and adopts that dict
     through `_adopt` without copying or filtering it again: a sum deletes a
     term that cancels, and over a field a product of nonzero coefficients, a
-    negation, a scaling by a nonzero constant and `monic` cannot make a zero.
+    negation and `monic` cannot make a zero.
 
     `leading` remembers its last answer with the order key it was asked
     under, so repeated divisions by the same polynomial find its leading term
@@ -250,13 +241,6 @@ class Polynomial:
             if n:
                 base = base * base
         return result
-
-    def scale(self, c) -> "Polynomial":
-        fld = self.ring.field
-        cf = fld.of(c)
-        if cf == fld.zero():
-            return self.ring.zero()
-        return _adopt(self.ring, {e: fld.mul(v, cf) for e, v in self.terms.items()})
 
     # -- structure ----------------------------------------------------------
 
@@ -502,8 +486,8 @@ def derivative(p: Polynomial, name: str) -> Polynomial:
             continue
         ne = list(e)
         ne[i] = k - 1
-        ne_t = tuple(ne)
-        out[ne_t] = fld.add(out.get(ne_t, fld.zero()), fld.mul(c, factor))
+        # lowering one exponent keeps distinct terms distinct
+        out[tuple(ne)] = fld.mul(c, factor)
     return Polynomial(p.ring, out)
 
 
@@ -630,7 +614,4 @@ class _Parser:
 def parse_poly(ring: PolyRing, text: str) -> Polynomial:
     if not isinstance(text, str):
         raise ValueError(f"a polynomial must be given as text, got {type(text).__name__}")
-    text = text.strip()
-    if text == "0":
-        return ring.zero()
-    return _Parser(ring, _tokenize(text)).parse()
+    return _Parser(ring, _tokenize(text.strip())).parse()

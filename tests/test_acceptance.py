@@ -76,23 +76,23 @@ def test_criterion_04_w_chain_level_identities():
     start = time.monotonic()
     ring = poly_ring(QQ, ("u", "v", "w"))
     u, v, w = ring.gens()
-    chain = w_chain(ring, u, v, w, 5)
+    W, J = w_chain(ring, u, v, w, 5)
     uv = ideal(ring, u, v)
     regular_ok = all(
-        ideal_equal(chain.W(i), ideal_power(uv, i))
-        and ideal_equal(chain.J(i), chain.W(i))
+        ideal_equal(W[i], ideal_power(uv, i))
+        and ideal_equal(J[i], W[i])
         for i in range(1, 6)
     )
 
     small = poly_ring(QQ, ("u", "v"))
     us, vs = small.gens()
-    unit_chain = w_chain(small, us, vs, small.one(), 5)
+    unit_W, unit_J = w_chain(small, us, vs, small.one(), 5)
     uv_small = ideal(small, us, vs)
     unit_w_ok = all(
-        ideal_equal(unit_chain.W(i), ideal_power(uv_small, i)) for i in range(1, 6)
+        ideal_equal(unit_W[i], ideal_power(uv_small, i)) for i in range(1, 6)
     )
     unit_j_ok = all(
-        ideal_equal(unit_chain.J(i), unit_chain.W(i)) for i in range(1, 6)
+        ideal_equal(unit_J[i], unit_W[i]) for i in range(1, 6)
     )
     # the contraction of (v^i, vX - u) to QQ[u, v] equals W_i at every level
     elimination = lemma_level_check(small, us, vs, small.one(), 5)
@@ -100,8 +100,8 @@ def test_criterion_04_w_chain_level_identities():
     # the statement first written for this instance, W_i = (u) + (v^i) and
     # J_i = (1), is false: W_2 = (u^2, uv, v^2) and J_1 = (u, v)
     refuted = (
-        not ideal_equal(unit_chain.W(2), ideal(small, us, vs**2))
-        and not unit_chain.J(1).is_trivial()
+        not ideal_equal(unit_W[2], ideal(small, us, vs**2))
+        and not unit_J[1].is_trivial()
     )
 
     seconds = time.monotonic() - start

@@ -1,5 +1,6 @@
 """Claim registry and runner: statuses, witnesses, bounds, determinism."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -263,6 +264,22 @@ def test_timeout_becomes_unknown_with_bound_timeout():
     assert rep.status == "unknown"
     assert rep.bound == "timeout"
     jsonschema.validate(rep.to_json(), report_schema())
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0, -1, 1e300])
+def test_timeout_outside_the_timer_range_is_usage_error(timeout, monkeypatch):
+    def handler(params):
+        raise AssertionError("the handler ran")
+
+    spec = REGISTRY["cex.sseq"]
+    monkeypatch.setitem(REGISTRY, "cex.sseq", dataclasses.replace(spec, handler=handler))
+    with pytest.raises(UsageError, match="timeout"):
+        run_claim("cex.sseq", timeout=timeout)
+
+
+def test_large_prime_field_runs_a_claim():
+    rep = run_claim("wchain.regular", {"field": "GF(1000000000000000003)"}, timeout=3)
+    assert rep.status == "verified"
 
 
 def test_exit_code_priorities():

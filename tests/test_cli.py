@@ -72,6 +72,15 @@ def test_claim_run_timeout_degrades_to_unknown(capsys):
     assert doc["bound"] == "timeout"
 
 
+@pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "1e300"])
+def test_claim_run_rejects_a_timeout_the_timer_cannot_take(timeout, capsys):
+    assert main(["claim", "run", "omega.basis", "--timeout", timeout]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "timeout" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("caps", ["depth=3", "degree=abc"])
 @pytest.mark.parametrize("argv", [["claim", "run", "cex.sseq"],
                                   ["claim", "run", "samuel.kernel"],

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from ufdlab.coeff import GF, QQ, field_from_name, gcd_bezout, prime_avoid
+from ufdlab.coeff import (
+    GF,
+    PRIME_BOUND,
+    QQ,
+    PrimeField,
+    field_from_name,
+    gcd_bezout,
+    prime_avoid,
+)
 from ufdlab.errors import HypothesisError
 from ufdlab.poly import Polynomial, poly_ring
 
@@ -85,6 +93,27 @@ def test_prime_avoid_exhaustive_small_window():
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError, match="not prime"):
         GF(6)
+
+
+def test_large_prime_modulus_is_accepted_at_once():
+    fld = field_from_name("GF(1000000000000000003)")
+    assert fld.p == 10**18 + 3
+
+
+@pytest.mark.parametrize("n", [
+    561,                  # Carmichael number 3*11*17
+    3215031751,           # 151*751*28351, a strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # a strong pseudoprime to every prime base up to 31
+])
+def test_composite_pseudoprime_modulus_is_rejected(n):
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+def test_modulus_above_the_primality_bound_is_rejected():
+    # 2^89 - 1 is prime, but above the bound up to which bases 2..41 decide primality
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        PrimeField(2**89 - 1)
 
 
 def test_field_from_name():

@@ -24,6 +24,7 @@ from ufdlab.constructions import (
 )
 from ufdlab.errors import CapExceeded, HypothesisError
 from ufdlab.groebner import ideal, ideal_equal, ideal_power, reduce
+from ufdlab import poly
 from ufdlab.poly import degree_of, poly_ring
 
 
@@ -194,33 +195,33 @@ def test_w_chain_regular_parameters():
     # b = u, s = v, t = w: every level is the full power (u, v)^i.
     ring = poly_ring(QQ, ("u", "v", "w"))
     u, v, w = ring.gens()
-    chain = w_chain(ring, u, v, w, 4)
+    W, J = w_chain(ring, u, v, w, 4)
     base = ideal(ring, u, v)
     for i in range(5):
-        assert ideal_equal(chain.W(i), ideal_power(base, i))
-        assert ideal_equal(chain.J(i), ideal_power(base, i))
+        assert ideal_equal(W[i], ideal_power(base, i))
+        assert ideal_equal(J[i], ideal_power(base, i))
 
 
 def test_w_chain_t_equal_one():
     # t = 1 makes the quotient a no-op; the chain still collapses to powers.
     ring = poly_ring(QQ, ("u", "v"))
     u, v = ring.gens()
-    chain = w_chain(ring, u, v, ring.one(), 3)
+    W, _ = w_chain(ring, u, v, ring.one(), 3)
     base = ideal(ring, u, v)
     for i in range(4):
-        assert ideal_equal(chain.W(i), ideal_power(base, i))
+        assert ideal_equal(W[i], ideal_power(base, i))
 
 
 def test_w_chain_absorbing_parameters():
     # b = s = t = u: W_1 = (u), J_1 = (1), and the chain stabilizes.
     ring = poly_ring(QQ, ("u", "v"))
     u, _ = ring.gens()
-    chain = w_chain(ring, u, u, u, 3)
-    assert ideal_equal(chain.W(1), ideal(ring, u))
-    assert chain.J(1).is_trivial()
+    W, J = w_chain(ring, u, u, u, 3)
+    assert ideal_equal(W[1], ideal(ring, u))
+    assert J[1].is_trivial()
     for i in range(2, 4):
-        assert ideal_equal(chain.W(i), ideal(ring, u))
-        assert chain.J(i).is_trivial()
+        assert ideal_equal(W[i], ideal(ring, u))
+        assert J[i].is_trivial()
 
 
 def test_w_chain_caps_depth():
@@ -410,6 +411,27 @@ def test_jacobian_two_step_chain():
     rank, dim = jacobian_tangent_dim(B, x)
     assert rank == 0
     assert dim == 5
+
+
+def test_jacobian_uses_the_stored_polynomials(monkeypatch):
+    xring = poly_ring(QQ, ("x",))
+    x = xring.var("x")
+    B = threefold_family(QQ, [x**2, x**3], [1, 1], [1, 1], [3, 5], [2, 2], kappa=x)
+
+    def no_parse(ring, text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(poly, "parse_poly", no_parse)
+    assert jacobian_tangent_dim(B, x) == (0, 5)
+
+
+def test_jacobian_rejects_p_read_back_as_text():
+    xring = poly_ring(QQ, ("x",))
+    x = xring.var("x")
+    B = load_presentation_json(export_presentation(_chain_n1(), "json"))
+    assert B.notes["params"]["p"] == ["x"]
+    with pytest.raises(ValueError, match="p must hold polynomials"):
+        jacobian_tangent_dim(B, x)
 
 
 def test_jacobian_rejects_nondividing_point():

@@ -48,6 +48,34 @@ def test_sub_and_scalar_coercion():
     assert x * 0 == r.zero()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_const_and_var_are_monomials(field):
+    r = R("xy", field=field)
+    for c in (0, 1, 3, -3, 4, 7, 14):
+        assert r.const(c) == r.monomial({}, c)
+    assert r.const(0) == r.zero()
+    for name in r.names:
+        assert r.var(name) == r.monomial({name: 1})
+    with pytest.raises(ValueError, match="unknown variable"):
+        r.var("q")
+
+
+def test_const_reduces_into_the_field():
+    r = R("x", field=GF(7))
+    assert r.const(7) == r.zero()
+    assert not r.const(7).terms
+    assert r.const(-3) == r.const(4)
+    assert r.const(-3).terms == {(0,): 4}
+
+
+@pytest.mark.parametrize("text", ["0", " 0 ", "-0", "0*x"])
+def test_zero_texts_parse_to_zero(text):
+    r = R("xy")
+    p = r.parse(text)
+    assert p == r.zero()
+    assert p.terms == {}
+
+
 def test_negative_exponents_are_rejected():
     r = R("xy")
     x, y = r.gens()
@@ -176,8 +204,8 @@ def test_arithmetic_matches_naive_reference(field):
         check(a * m, _naive_mul(field, a.terms, m.terms))
         check(m * m, _naive_mul(field, m.terms, m.terms))
         k = field.sample(rng)
-        check(a.scale(k), _naive_scale(field, a.terms, k))
-        check(a.scale(0), {})
+        check(a * k, _naive_scale(field, a.terms, k))
+        check(a * 0, {})
         check(3 * a, _naive_scale(field, a.terms, field.of(3)))
         if a:
             lead = max(a.terms, key=grevlex_key)
