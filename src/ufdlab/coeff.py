@@ -276,9 +276,9 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     if all(v == 0 for v in a):
         # gcd(b, c) = 1 already; nothing to add.
         return [0] * n
-    d, e = gcd_bezout(list(a))
     if c == 0:
         # gcd(0, y) = |y|: need b + t*d = +-1 exactly.
+        d, e = gcd_bezout(list(a))
         for target in (1, -1):
             if (target - b) % d == 0:
                 t = (target - b) // d
@@ -286,7 +286,11 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
         raise HypothesisError(
             "prime avoidance with c = 0 needs b + t*gcd(a) = +-1; no integer t works"
         )
-    for t in range(abs(c) + 1):
+    if math.gcd(c, b) == 1:
+        # the scan below would stop at t = 0; no Bezout vector is needed.
+        return [0] * n
+    d, e = gcd_bezout(list(a))
+    for t in range(1, abs(c) + 1):
         if math.gcd(c, b + t * d) == 1:
             return [t * ei for ei in e]
     raise AssertionError("prime avoidance scan exhausted its certified bound")

@@ -8,7 +8,11 @@ iff their reduced bases under the same order coincide.
 
 `brute_force_member` is an independent membership decision: it never calls
 the Buchberger machinery, only linear algebra over a truncated monomial
-basis, and is complete once the degree bound covers the true cofactors.
+basis, and is complete once the degree bound covers the true cofactors.  It
+keeps the last cofactor span it built, so queries against the same
+generators and bound eliminate the cofactor matrix once; a query is only
+reduced against that span, never added to it, so each answer depends only
+on the call's arguments.
 """
 
 from __future__ import annotations
@@ -513,6 +517,26 @@ def _monomials_up_to(ring: PolyRing, degree: int) -> list[Exp]:
     return out
 
 
+# (key, (row_index, pivots)) of the last brute_force_member call, one tuple
+# so that a reader never pairs one call's key with another call's rows.
+_last_span: Optional[tuple] = None
+
+
+def _cofactor_span(ring: PolyRing, gens: Sequence[Polynomial], max_deg: int, target_deg: int):
+    """Row index of the monomials of degree <= target_deg, and echelon pivot
+    rows spanning the columns m*g for every g in gens and every monomial m
+    of degree <= max_deg."""
+    row_index = {e: i for i, e in enumerate(_monomials_up_to(ring, target_deg))}
+    multipliers = _monomials_up_to(ring, max_deg)
+    fld = ring.field
+    pivots: dict[int, dict[int, object]] = {}
+    for g in gens:
+        terms = g.terms.items()
+        for m in multipliers:
+            _insert_pivot(fld, pivots, {row_index[mono_mul(m, e)]: c for e, c in terms})
+    return row_index, pivots
+
+
 def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) -> bool:
     """Decide membership of p in (gens) allowing cofactors up to max_deg.
 
@@ -520,23 +544,29 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     degree: complete whenever some representation p = sum(q_i g_i) exists
     with deg q_i <= max_deg.  A False answer therefore only means "no
     low-degree certificate", which is exact if max_deg is large enough.
+    The span of the cofactor columns is kept for the next call with the
+    same ring, generators and degrees; p is only reduced against it.
     """
+    global _last_span
     ring = p.ring
     gens = [g for g in gens if g]
     if not gens:
         return not p
     if not p:
         return True
+    if any(g.ring != ring for g in gens):
+        raise ValueError("polynomials from different rings")
     target_deg = max(max_deg + max(g.total_degree() for g in gens), p.total_degree())
-    rows = _monomials_up_to(ring, target_deg)
-    row_index = {e: i for i, e in enumerate(rows)}
-    columns: list[dict[int, object]] = []
-    for g in gens:
-        for m in _monomials_up_to(ring, max_deg):
-            prod = Polynomial(ring, {m: ring.field.one()}) * g
-            columns.append({row_index[e]: c for e, c in prod.terms.items()})
+    key = (ring, max_deg, target_deg, tuple(tuple(g.terms.items()) for g in gens))
+    cached = _last_span
+    if cached is not None and cached[0] == key:
+        span = cached[1]
+    else:
+        span = _cofactor_span(ring, gens, max_deg, target_deg)
+        _last_span = (key, span)
+    row_index, pivots = span
     rhs = {row_index[e]: c for e, c in p.terms.items()}
-    return not row_echelon(ring.field, columns + [rhs])[-1]
+    return not _reduce_vector(ring.field, pivots, rhs)
 
 
 def row_echelon(fld: Field, vectors: Iterable[dict[int, object]]) -> list[bool]:
@@ -550,27 +580,44 @@ def row_echelon(fld: Field, vectors: Iterable[dict[int, object]]) -> list[bool]:
     before it: the rank is the number of True entries, and a vector fed in
     last lies in the span of the others iff its entry is False.
     """
-    zero = fld.zero()
     pivots: dict[int, dict[int, object]] = {}
-    added: list[bool] = []
-    for vector in vectors:
-        work = dict(vector)
-        while work:
-            lead = max(work)
-            row = pivots.get(lead)
-            if row is None:
-                scale = fld.inv(work[lead])
-                pivots[lead] = {i: fld.mul(c, scale) for i, c in work.items()}
-                break
-            factor = work[lead]
-            for i, c in row.items():
-                new = fld.sub(work.get(i, zero), fld.mul(factor, c))
-                if new == zero:
-                    del work[i]
-                else:
-                    work[i] = new
-        added.append(bool(work))
-    return added
+    return [_insert_pivot(fld, pivots, vector) for vector in vectors]
+
+
+def _insert_pivot(fld: Field, pivots: dict[int, dict[int, object]],
+                  vector: dict[int, object]) -> bool:
+    """Reduce vector against pivots and, if a remainder is left, add it
+    scaled to lead with 1.  Returns whether a pivot was added."""
+    work = _reduce_vector(fld, pivots, vector)
+    if not work:
+        return False
+    lead = max(work)
+    scale = fld.inv(work[lead])
+    pivots[lead] = {i: fld.mul(c, scale) for i, c in work.items()}
+    return True
+
+
+def _reduce_vector(fld: Field, pivots: dict[int, dict[int, object]],
+                   vector: dict[int, object]) -> dict[int, object]:
+    """The remainder of vector after eliminating its largest index with the
+    pivot row that leads there (leading coefficient 1), until no pivot
+    leads at its largest index.  The pivot rows are left unchanged; the
+    remainder is empty iff vector lies in their span."""
+    zero = fld.zero()
+    work = dict(vector)
+    while work:
+        lead = max(work)
+        row = pivots.get(lead)
+        if row is None:
+            break
+        factor = work[lead]
+        for i, c in row.items():
+            new = fld.sub(work.get(i, zero), fld.mul(factor, c))
+            if new == zero:
+                del work[i]
+            else:
+                work[i] = new
+    return work
 
 
 def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polynomial, Polynomial]]:

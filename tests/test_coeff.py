@@ -90,6 +90,46 @@ def test_prime_avoid_exhaustive_small_window():
                     assert math.gcd(c, b + m[0] * a1 + m[1] * a2) == 1
 
 
+def _scan_prime_avoid(a, b, c):
+    # prime_avoid without its t = 0 shortcut: Bezout first, then the scan
+    if math.gcd(*a, b, c) != 1:
+        raise HypothesisError("hypothesis of prime avoidance fails")
+    if all(v == 0 for v in a):
+        return [0] * len(a)
+    d, e = gcd_bezout(list(a))
+    if c == 0:
+        for target in (1, -1):
+            if (target - b) % d == 0:
+                return [(target - b) // d * ei for ei in e]
+        raise HypothesisError("prime avoidance with c = 0 needs b + t*gcd(a) = +-1")
+    for t in range(abs(c) + 1):
+        if math.gcd(c, b + t * d) == 1:
+            return [t * ei for ei in e]
+    raise AssertionError("scan exhausted")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except HypothesisError:
+        return "HypothesisError"
+
+
+def test_prime_avoid_matches_the_plain_scan_on_a_box():
+    box = range(-8, 9)
+    for a1 in box:
+        for a2 in box:
+            for b in box:
+                for c in box:
+                    want = _outcome(_scan_prime_avoid, [a1, a2], b, c)
+                    assert _outcome(prime_avoid, [a1, a2], b, c) == want, (a1, a2, b, c)
+
+
+def test_prime_avoid_c_zero_ignores_the_coprime_shortcut():
+    # gcd(0, -1) = 1, yet c = 0 asks for b + t*d = +-1 and finds t = 2
+    assert prime_avoid([1, 0], -1, 0) == [2, 0]
+
+
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError, match="not prime"):
         GF(6)

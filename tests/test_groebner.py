@@ -1,9 +1,11 @@
 """Groebner engine: pinned textbook bases, randomized soundness, oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from ufdlab import groebner
 from ufdlab.coeff import GF, QQ
 from ufdlab.errors import CapExceeded
 from ufdlab.groebner import (
@@ -24,6 +26,7 @@ from ufdlab.groebner import (
     ideal_quotient,
     intersect,
     reduce,
+    row_echelon,
     saturation,
 )
 from ufdlab.poly import Polynomial, poly_ring
@@ -538,6 +541,110 @@ def test_brute_force_member_gf():
     p = (x + 2 * y) * (x**2 - y) + (3 * x) * (y**2 + 1)
     assert brute_force_member(p, [x**2 - y, y**2 + 1], 1)
     assert not brute_force_member(r.one(), [x**2 - y], 2)
+
+
+def _random_terms(field, rng, max_deg, count):
+    terms = {}
+    for _ in range(count):
+        a = rng.randint(0, max_deg)
+        terms[(a, rng.randint(0, max_deg - a))] = field.sample(rng)
+    return terms
+
+
+def test_brute_force_member_rejects_generators_from_another_ring():
+    x, y = QXY().gens()
+    for other in (poly_ring(QQ, ("x",)), poly_ring(GF(5), ("x", "y"))):
+        with pytest.raises(ValueError, match="different rings"):
+            brute_force_member(x**2, [other.gens()[0]], 2)
+
+
+def test_brute_force_member_reuses_its_span_exactly():
+    # Interleave fields, two ideals with two generators each, two cofactor
+    # bounds and queries above the row degree, so that the kept span is hit
+    # and missed in every way; each answer must match a cleared cache.
+    rng = random.Random(43)
+    configs = []
+    for field in (GF(5), GF(7), QQ):
+        r = poly_ring(field, ("x", "y"))
+        x, y = r.gens()
+        for gens in ([x**2 + y, x * y - 1], [x**2 - y, y**2 + x]):
+            gb = buchberger(gens)
+            for bound in (1, 2):
+                configs.append((r, gens, gb, bound))
+    calls = []
+    config = rng.choice(configs)
+    for _ in range(240):
+        if rng.random() < 0.4:
+            config = rng.choice(configs)
+        r, gens, gb, bound = config
+        kind = rng.choice(("member", "member", "random", "again", "high"))
+        if kind == "again" and calls and calls[-1][1] is config:
+            p = calls[-1][0]
+        elif kind == "member":
+            p = r.zero()
+            for g in gens:
+                p = p + Polynomial(r, _random_terms(r.field, rng, bound, 3)) * g
+        elif kind == "high":
+            # above bound + 2, the generators' degree: a larger row basis
+            p = Polynomial(r, _random_terms(r.field, rng, 3, 3)) + r.monomial({"y": bound + 3})
+        else:
+            p = Polynomial(r, _random_terms(r.field, rng, 3, 4))
+        calls.append((p, config, kind, brute_force_member(p, gens, bound)))
+    for p, (r, gens, gb, bound), kind, answer in calls:
+        groebner._last_span = None
+        assert answer == brute_force_member(p, gens, bound), (str(p), kind)
+        member = not reduce(p, gb)
+        assert not answer or member  # a yes is an explicit combination
+        if kind == "member":
+            assert answer and member
+        if kind == "high":
+            assert not answer
+
+
+def _dense_added_flags(vectors, width, p):
+    # Gaussian elimination on dense rows of Fractions (p = None) or of
+    # residues mod p: does each vector raise the rank of those before it?
+    def norm(v):
+        return v % p if p else Fraction(v)
+
+    def inv(v):
+        return pow(v, -1, p) if p else 1 / v
+
+    basis = []  # (pivot column, row with 1 there), in insertion order
+    flags = []
+    for vector in vectors:
+        row = [norm(vector.get(i, 0)) for i in range(width)]
+        for col, pivot_row in basis:
+            if row[col]:
+                factor = row[col]
+                row = [norm(a - factor * b) for a, b in zip(row, pivot_row)]
+        col = next((i for i, a in enumerate(row) if a), None)
+        if col is not None:
+            scale = inv(row[col])
+            basis.append((col, [norm(a * scale) for a in row]))
+        flags.append(col is not None)
+    return flags
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ], ids=str)
+def test_row_echelon_matches_dense_elimination(field):
+    rng = random.Random(47)
+    width = 7
+    p = getattr(field, "p", None)
+    for _ in range(40):
+        vectors = []
+        for _ in range(rng.randint(1, 12)):
+            if vectors and rng.random() < 0.2:
+                vectors.append(dict(rng.choice(vectors)))  # a duplicate
+                continue
+            vector = {}
+            for i in rng.sample(range(width), rng.randint(0, 3)):  # 0: a zero vector
+                if p:
+                    vector[i] = rng.randrange(1, p)
+                else:
+                    vector[i] = field.of(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+            vectors.append(vector)
+        assert row_echelon(field, vectors) == _dense_added_flags(vectors, width, p)
 
 
 def test_irreducible_gf2_quadratics():
