@@ -134,13 +134,15 @@ class Param(NamedTuple):
     parsed; it raises ValueError for a value it cannot take.  `default` is
     the shipped value (None when nothing ships).  With `fill` the runner
     hands the shipped value to the handler when the caller leaves the
-    parameter out; a parameter without it is required, optional (left out,
-    its check is skipped) or derived by the handler from the others.
+    parameter out; a parameter without it is optional (left out, its check
+    is skipped) or derived by the handler from the others, unless it is
+    `required`, when leaving it out is a usage error.
     """
 
     kind: Callable[[object, dict], object]
     default: object = None
     fill: bool = True
+    required: bool = False
 
 
 def _json(typ: type, least: Optional[int] = None):
@@ -591,7 +593,8 @@ _register(
     "samuel.kernel",
     "(a*X - b) is already saturated at a: ((a*X - b) : a^infinity) = (a*X - b).",
     {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["u", "v", "X"]),
-     "a": Param(_poly(), "u", fill=False), "b": Param(_poly(), "v", fill=False)},
+     "a": Param(_poly(), "u", fill=False, required=True),
+     "b": Param(_poly(), "v", fill=False, required=True)},
     _h_samuel_kernel,
 )
 _register(
@@ -684,9 +687,10 @@ _register(
     "trinomial.validate",
     "The trinomial data validates: the first step grading has the expected "
     "weights and degree, and the last exponent block is coprime to it.",
-    # beta and lambdas are required; a missing expectation is not checked
-    {"field": Param(_field, "Q"), "beta": Param(_json(list), [[2], [3], [5]], fill=False),
-     "lambdas": Param(_json(list), [1], fill=False),
+    # a missing expectation is not checked
+    {"field": Param(_field, "Q"),
+     "beta": Param(_json(list), [[2], [3], [5]], fill=False, required=True),
+     "lambdas": Param(_json(list), [1], fill=False, required=True),
      "expect_degree": Param(_json(int), 6, fill=False),
      "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,
@@ -710,7 +714,8 @@ _register(
     "Exhaustive factor search certifies irreducibility over a prime field "
     "at the stated degree bound.",
     {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["x", "y"]),
-     "poly": Param(_poly(), "x^2 + y^3", fill=False), "max_deg": Param(_json(int, 1), 2)},
+     "poly": Param(_poly(), "x^2 + y^3", fill=False, required=True),
+     "max_deg": Param(_json(int, 1), 2)},
     _h_groebner_irreducible,
 )
 
@@ -780,7 +785,8 @@ def suite_claims(name: str) -> list[str]:
 
 
 def _parse_params(spec: ClaimSpec, given: dict) -> dict:
-    """The given parameters parsed by their kinds, in table order."""
+    """The given parameters parsed by their kinds, in table order; a
+    required parameter left out is a usage error."""
     parsed = {}
     for key, param in spec.params.items():
         if key in given:
@@ -788,6 +794,8 @@ def _parse_params(spec: ClaimSpec, given: dict) -> dict:
                 parsed[key] = param.kind(given[key], parsed)
             except ValueError as err:
                 raise UsageError(f"parameter {key!r} of claim {spec.claim_id}: {err}") from err
+        elif param.required:
+            raise UsageError(f"parameter {key!r} of claim {spec.claim_id} is required")
     return parsed
 
 
@@ -801,11 +809,11 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     its kind in table order before the handler runs, and the handler sees
     the parsed values.  A cap or timeout downgrades the status to unknown
     with the bound saying which; timeout=None runs without a time limit.
-    Parameter-level failures (unknown claim, unknown parameters, values
-    their kind cannot parse, a timeout that is not a finite number of
-    seconds > 0 the interval timer accepts, a malformed UFDLAB_CAPS,
-    hypothesis errors raised while setting the instance up) raise
-    UsageError instead.
+    Parameter-level failures (unknown claim, unknown parameters, required
+    parameters left out, values their kind cannot parse, a timeout that is
+    not a finite number of seconds > 0 the interval timer accepts, a
+    malformed UFDLAB_CAPS, hypothesis errors raised while setting the
+    instance up) raise UsageError instead.
     """
     spec = _spec(claim_id)
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):

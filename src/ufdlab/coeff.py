@@ -244,7 +244,7 @@ def gcd_bezout(values: Sequence[int]) -> tuple[int, list[int]]:
     """
     if not values:
         raise ValueError("gcd of empty list")
-    if all(v == 0 for v in values):
+    if not any(values):
         raise ValueError("gcd of zero list")
     g = abs(values[0])
     coeffs = [1 if values[0] >= 0 else -1]
@@ -267,13 +267,12 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     for each prime divisor of c not dividing d, a single residue class, and
     the product of those primes is at most |c|.
     """
-    values = list(a) + [b, c]
-    if math.gcd(*values) != 1:
+    if math.gcd(*a, b, c) != 1:
         raise HypothesisError("hypothesis of prime avoidance fails")
     n = len(a)
     if n == 0:
         return []
-    if all(v == 0 for v in a):
+    if not any(a):
         # gcd(b, c) = 1 already; nothing to add.
         return [0] * n
     if c == 0:

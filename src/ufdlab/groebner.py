@@ -627,8 +627,14 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
 
     Requires deg f <= 2*max_deg + 1 so that "no factor found" really means
     irreducible (a proper factorization always has a factor of degree
-    <= deg f // 2 <= max_deg).  Raises when the candidate count would
-    exceed the cap.
+    <= deg f // 2 <= max_deg).  Candidates are grouped by their leading
+    monomial (grevlex), and only the groups whose leading monomial has
+    degree < deg f and divides lead(f) are tried: lead(g*h) = lead(g) *
+    lead(h) under any monomial order, so every other candidate has too
+    high a degree or fails at the first step of `exact_div`.  The groups
+    keep their order, so the factor returned is the one the full search
+    finds first.  The cap still counts every candidate, tried or not:
+    raises when that count would exceed it.
     """
     ring = f.ring
     fld = ring.field
@@ -636,19 +642,23 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
         raise ValueError("irreducibility search needs a finite field")
     if not f or f.is_constant():
         raise ValueError("irreducibility of a constant")
-    if f.total_degree() > 2 * max_deg + 1:
+    deg = f.total_degree()
+    if deg > 2 * max_deg + 1:
         raise ValueError("degree bound too small to certify irreducibility")
+    fe, _ = f.leading()
     monos = _monomials_up_to(ring, max_deg)
     total = 0
     plans = []
     for lead_pos, lead in enumerate(monos):
-        if sum(lead) == 0:
+        # monos is ascending grevlex, so a candidate's degree is its lead's
+        lead_deg = sum(lead)
+        if lead_deg == 0:
             continue
-        count = fld.p ** lead_pos
-        plans.append((lead, monos[:lead_pos]))
-        total += count
+        total += fld.p ** lead_pos
         if total > IRREDUCIBLE_CANDIDATE_CAP:
             raise CapExceeded("instance too large")
+        if lead_deg < deg and mono_divides(lead, fe):
+            plans.append((lead, monos[:lead_pos]))
     elements = list(range(fld.p))
     for lead, lower in plans:
         for coeffs in itertools.product(elements, repeat=len(lower)):
@@ -657,8 +667,6 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
                 if c:
                     terms[m] = c
             g = Polynomial(ring, terms)
-            if g.total_degree() >= f.total_degree():
-                continue
             try:
                 h = f.exact_div(g)
             except ValueError:

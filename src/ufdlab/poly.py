@@ -120,7 +120,7 @@ def mono_divides(a: Exp, b: Exp) -> bool:
 
 def grevlex_key(exp: Exp):
     """Sort key: ascending under graded reverse lexicographic order."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(operator.neg, exp[::-1])))
 
 
 class Polynomial:

@@ -75,7 +75,7 @@ def test_unfilled_parameters_stay_absent():
     ("cex.m-order", {"n_max": -1}, "must be >= 0, got -1"),
     ("wchain.regular", {"i_max": 0}, "must be >= 1, got 0"),
     ("coeff.prime-avoid", {"lo": 1, "hi": 0}, "empty box"),
-    ("samuel.kernel", {"field": "Q"}, "samuel.kernel: 'a'"),
+    ("samuel.kernel", {"field": "Q"}, "samuel.kernel is required"),
     ("jacobian.rank", {"a": ["x"]}, "exponents must be positive integers"),
     ("jacobian.rank", {"b": [True]}, "exponents must be positive integers"),
     ("jacobian.rank", {"p": [3]}, "must be given as text, got int"),

@@ -164,6 +164,29 @@ def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp
     assert "Traceback" not in captured.err
 
 
+_REQUIRED = [(cid, key) for cid, spec in REGISTRY.items()
+             for key, param in spec.params.items() if param.required]
+
+
+def test_required_parameters_are_declared():
+    assert _REQUIRED == [("samuel.kernel", "a"), ("samuel.kernel", "b"),
+                         ("trinomial.validate", "beta"), ("trinomial.validate", "lambdas"),
+                         ("groebner.irreducible", "poly")]
+
+
+@pytest.mark.parametrize("cid, key", _REQUIRED)
+def test_left_out_required_parameter_exits_3_naming_it(cid, key, tmp_path, capsys):
+    params = default_params(cid)
+    del params[key]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["claim", "run", cid, "--params", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter {key!r} of claim {cid} is required" in captured.err
+    assert "Traceback" not in captured.err
+
+
 _WRONG = [None, True, 2, 1.5, "x", [], {}]
 
 

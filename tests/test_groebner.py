@@ -1,5 +1,6 @@
 """Groebner engine: pinned textbook bases, randomized soundness, oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -689,3 +690,75 @@ def test_irreducible_candidate_cap():
     r = poly_ring(GF(101), ("x", "y", "z"))
     with pytest.raises(CapExceeded, match="instance too large"):
         brute_force_irreducible(r.parse("x^5 + y^5 + z^5 + 1"), 4)
+
+
+def _unpruned_factor_search(f, max_deg):
+    """The factor search without pruning: every monic candidate of degree
+    1..max_deg in ascending grevlex of its leading monomial, each checked
+    for degree and then tried by exact division."""
+    ring = f.ring
+    monos = groebner._monomials_up_to(ring, max_deg)
+    for lead_pos, lead in enumerate(monos):
+        if sum(lead) == 0:
+            continue
+        for coeffs in itertools.product(range(ring.field.p), repeat=lead_pos):
+            terms = {lead: 1}
+            terms.update((m, c) for m, c in zip(monos, coeffs) if c)
+            g = Polynomial(ring, terms)
+            if g.total_degree() >= f.total_degree():
+                continue
+            try:
+                return g, f.exact_div(g)
+            except ValueError:
+                continue
+    return None
+
+
+def _random_poly(rng, ring, degree):
+    """A polynomial with a term of exactly `degree` and up to three more of
+    degree <= degree, nonzero coefficients in 1..p-1."""
+    p, n = ring.field.p, ring.nvars
+
+    def exp(d):
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+    terms = {exp(degree): rng.randrange(1, p)}
+    for _ in range(rng.randint(0, 3)):
+        terms[exp(rng.randint(0, degree))] = rng.randrange(1, p)
+    return Polynomial(ring, terms)
+
+
+# (p, variables, max_deg): small enough for the unpruned search
+_FACTOR_SEARCH_CASES = [
+    (2, "x", 3), (2, "xy", 2), (2, "xyz", 2),
+    (3, "x", 3), (3, "xy", 2), (3, "xyz", 1),
+    (5, "x", 3), (5, "xy", 2), (5, "xyz", 1),
+]
+
+
+@pytest.mark.parametrize("p, names, max_deg", _FACTOR_SEARCH_CASES)
+def test_pruned_factor_search_matches_the_unpruned_one(p, names, max_deg):
+    ring = poly_ring(GF(p), tuple(names))
+    rng = random.Random(p * 100 + len(names) * 10 + max_deg)
+    polys = [_random_poly(rng, ring, rng.randint(1, 2 * max_deg + 1)) for _ in range(4)]
+    polys += [_random_poly(rng, ring, rng.randint(1, max_deg))
+              * _random_poly(rng, ring, rng.randint(1, max_deg)) for _ in range(4)]
+    for f in polys:
+        if f.is_constant():
+            continue
+        assert brute_force_irreducible(f, max_deg) == _unpruned_factor_search(f, max_deg), str(f)
+
+
+def test_factor_search_skips_candidates_of_f_s_own_degree():
+    r = poly_ring(GF(5), ("x", "y"))
+    # x*y + 1 itself is a monic candidate of degree 2 <= max_deg, not a proper factor
+    assert brute_force_irreducible(r.parse("x*y + 1"), 2) is None
+
+
+def test_factor_search_cap_counts_the_candidates_it_skips():
+    r = poly_ring(GF(7), ("x", "y"))
+    # only the 7 candidates y + c could divide lead(f) = y^2, but the cap
+    # counts all 7 + 7^2 + ... + 7^9 candidates of degree <= 3
+    with pytest.raises(CapExceeded, match="instance too large"):
+        brute_force_irreducible(r.parse("y^2 + x"), 3)

@@ -213,6 +213,14 @@ def test_arithmetic_matches_naive_reference(field):
     assert cancelled > 100  # plenty of terms cancelled in the sums and differences
 
 
+def test_grevlex_key_is_degree_then_reversed_negated_exponent():
+    rng = random.Random(22)
+    for n in range(7):
+        for _ in range(30):
+            e = tuple(rng.randint(0, 5) for _ in range(n))
+            assert grevlex_key(e) == (sum(e), tuple(-x for x in reversed(e)))
+
+
 # -- text syntax ------------------------------------------------------------
 
 
