@@ -24,13 +24,14 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .caps import current_caps
+from .caps import Caps, current_caps
 from .coeff import Field, PrimeField
 from .errors import CapExceeded
 from .poly import (
     Exp,
     Polynomial,
     PolyRing,
+    _adopt,
     fresh_name,
     grevlex_key,
     mono_div,
@@ -40,6 +41,13 @@ from .poly import (
 
 SATURATION_ROUNDS_CAP = 32
 IRREDUCIBLE_CANDIDATE_CAP = 10_000_000
+
+
+def _too_large(site: str, cap: str, limit: int, size: int) -> CapExceeded:
+    """The error for a cap hit: which function, which cap, its limit and the
+    size that went over it."""
+    return CapExceeded(f"instance too large: {site} reached {cap} {size}, "
+                       f"over the {cap} cap of {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +148,48 @@ def divide(
     divisible by any divisor's leading term.  Returns (r, [q_i]).
 
     Each divisor's order key, leading exponent and leading coefficient are
-    computed once (`Polynomial.leading` remembers the latter two across
-    calls).  The leading term of the running difference `work` comes from a
-    min-heap keyed by `order.descending_key_for(ring)`, which sorts exactly
-    opposite to the order key and is built directly from the exponent (for
-    grevlex, (-sum(e), e reversed)), so the largest term pops first (Yan
-    1998 keeps order keys cached the same way in his geobuckets).  Distinct
-    exponents have distinct keys, so the heap never compares two exponents
-    themselves.  Every exponent of `work` is queued once, an entry
-    whose term has cancelled is dropped when it surfaces, and after each step
-    only the terms of the subtracted m*g not queued yet are pushed.  A term
-    that no leading term divides moves to the remainder but stays in `work`:
-    every later step subtracts only terms smaller than it, so `work` never
-    touches it again, and the heap running empty ends the division.
+    computed once per call (`Polynomial.leading` remembers the latter two
+    across calls), and the divisors are sorted by (order key of the leading
+    term, index): the first one in that list whose leading term divides is
+    the one with the smallest leading term, the lowest index on a tie.  A
+    leading coefficient other than one is inverted once per call.  Every
+    basis that `buchberger` and `Ideal` divide by is monic, and a monic
+    divisor needs no field operation for the quotient coefficient.  The
+    leading term of the running difference `work` comes from a min-heap
+    keyed by `order.descending_key_for(ring)`, which sorts exactly opposite
+    to the order key and is built directly from the exponent (for grevlex,
+    (-sum(e), e reversed)), so the largest term pops first (Yan 1998 keeps
+    order keys cached the same way in his geobuckets).  Distinct exponents
+    have distinct keys, so the heap never compares two exponents themselves.
+    Every exponent of `work` is queued once, an entry whose term has
+    cancelled is dropped when it surfaces, and after each step only the
+    terms of the subtracted multiple c*m*g not queued yet are pushed; that
+    multiple is built in one pass over g's terms.  A term that no leading
+    term divides moves to the remainder but stays in `work`: every later
+    step subtracts only terms smaller than it, so `work` never touches it
+    again, and the heap running empty ends the division.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
     heap_key = order.descending_key_for(ring)
     fld = ring.field
+    mul = fld.mul
+    one = fld.one()
     caps = current_caps()
+    # Among usable divisors prefer the smallest leading term: a rule that
+    # solves for a big monomial (Z -> long tail) forward-substitutes and can
+    # balloon the intermediate work, while a small rule (a lone variable,
+    # say) kills the term outright.  The remainder itself is
+    # path-independent, this only picks a cheap route to it.
     leads = []
-    for g in divisors:
+    for i, g in enumerate(divisors):
         if g.ring != ring:
             raise ValueError("divisor from a different ring")
         if not g:
             raise ValueError("zero divisor in reduction")
         de, dc = g.leading(keyfn)
-        leads.append((keyfn(de), de, dc))
+        leads.append((keyfn(de), i, de, None if dc == one else fld.inv(dc), g.terms))
+    leads.sort(key=operator.itemgetter(0, 1))
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
     remainder: dict[Exp, object] = {}
     work = p
@@ -178,33 +201,27 @@ def divide(
         wc = work.terms.get(we)
         if wc is None:
             continue  # cancelled since it was queued
-        if len(work.terms) - len(remainder) > caps.terms:
-            raise CapExceeded("instance too large")
+        size = len(work.terms) - len(remainder)
+        if size > caps.terms:
+            raise _too_large("divide", "terms", caps.terms, size)
         if sum(we) > caps.degree:
-            raise CapExceeded("instance too large")
-        # Among usable divisors prefer the smallest leading term: a rule that
-        # solves for a big monomial (Z -> long tail) forward-substitutes and
-        # can balloon the intermediate work, while a small rule (a lone
-        # variable, say) kills the term outright.  The remainder itself is
-        # path-independent, this only picks a cheap route to it.
-        hit = None
-        for i, (dk, de, dc) in enumerate(leads):
-            if mono_divides(de, we) and (hit is None or dk < hit[0]):
-                hit = (dk, i, de, dc)
-        if hit is None:
+            raise _too_large("divide", "degree", caps.degree, sum(we))
+        for _, i, de, dinv, gterms in leads:
+            if mono_divides(de, we):
+                break
+        else:
             remainder[we] = wc
             continue
-        _, i, de, dc = hit
         qe = mono_div(we, de)
-        qc = fld.div(wc, dc)
+        qc = wc if dinv is None else mul(wc, dinv)
         quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
-        step = Polynomial(ring, {qe: qc}) * divisors[i]
-        work = work - step
-        for e in step.terms:
+        step = {mono_mul(qe, e): mul(qc, c) for e, c in gterms.items()}
+        work = work - _adopt(ring, step)
+        for e in step:
             if e not in queued:
                 queued.add(e)
                 heapq.heappush(heap, (heap_key(e), e))
-    return Polynomial(ring, remainder), [Polynomial(ring, q) for q in quotients]
+    return _adopt(ring, remainder), [_adopt(ring, q) for q in quotients]
 
 
 def reduce(
@@ -221,12 +238,34 @@ def _lcm(a: Exp, b: Exp) -> Exp:
 
 
 def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
-    """S-polynomial of f and g, given their leading exponents fe and ge."""
+    """S-polynomial of f and g, given their leading exponents fe and ge:
+    mf*f - mg*g with mf = x^(lcm - fe) / lc(f) and mg likewise, so both
+    products lead with the same monic term.  Each product is built in one
+    pass over its factor's terms, and a leading coefficient is inverted only
+    when it is not one (every basis element in `buchberger` is monic)."""
     lcm = _lcm(fe, ge)
+    return _monic_multiple(f, fe, lcm) - _monic_multiple(g, ge, lcm)
+
+
+def _monic_multiple(f: Polynomial, fe: Exp, lcm: Exp) -> Polynomial:
+    """x^(lcm - fe) * f / lc(f), where fe is f's leading exponent."""
+    shift = mono_div(lcm, fe)
     fld = f.ring.field
-    mf = Polynomial(f.ring, {mono_div(lcm, fe): fld.inv(f.terms[fe])})
-    mg = Polynomial(g.ring, {mono_div(lcm, ge): fld.inv(g.terms[ge])})
-    return mf * f - mg * g
+    lc = f.terms[fe]
+    if lc == fld.one():
+        terms = {mono_mul(shift, e): c for e, c in f.terms.items()}
+    else:
+        mul, scale = fld.mul, fld.inv(lc)
+        terms = {mono_mul(shift, e): mul(scale, c) for e, c in f.terms.items()}
+    return _adopt(f.ring, terms)
+
+
+def _check_caps(g: Polynomial, caps: Caps) -> None:
+    """Raise when a polynomial joining `buchberger` is over a size cap."""
+    if g.total_degree() > caps.degree:
+        raise _too_large("buchberger", "degree", caps.degree, g.total_degree())
+    if g.term_count() > caps.terms:
+        raise _too_large("buchberger", "terms", caps.terms, g.term_count())
 
 
 def buchberger(
@@ -250,7 +289,10 @@ def buchberger(
     leading exponents live in a list beside the basis, and the open pairs in
     a heap of (order key of the lcm, (i, j), lcm), each entry computed once
     when the pair is pushed (Giovini et al. 1991 keep their pairs in a heap
-    too).
+    too).  Every element joins the basis monic, so neither `_s_poly` nor
+    `divide` inverts a leading coefficient of it.  A generator or a new
+    remainder over the degree or terms cap raises `CapExceeded` naming the
+    cap.
     With interreduce=True (the default) the output is the unique reduced
     basis, sorted with the largest leading term first.  With
     interreduce=False the basis is only minimal (no leading term divides
@@ -307,8 +349,7 @@ def buchberger(
     for g in gens:
         if not g:
             continue
-        if g.total_degree() > caps.degree or g.term_count() > caps.terms:
-            raise CapExceeded("instance too large")
+        _check_caps(g, caps)
         g = g.monic(keyfn)
         if g not in basis:
             add(g)
@@ -321,8 +362,7 @@ def buchberger(
         r, _ = divide(s, [basis[k] for k in live], order)
         if not r:
             continue
-        if r.total_degree() > caps.degree or r.term_count() > caps.terms:
-            raise CapExceeded("instance too large")
+        _check_caps(r, caps)
         add(r.monic(keyfn))
 
     # minimalize: keep only elements with pairwise non-divisible leading
@@ -491,7 +531,9 @@ def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
         if ideal_equal(nxt, current):
             return current, k
         current = nxt
-    raise CapExceeded("instance too large")
+    # (a : f^k) changed in each of the rounds k = 0..cap-1: the index is
+    # at least cap, which takes one round more
+    raise _too_large("saturation", "rounds", SATURATION_ROUNDS_CAP, SATURATION_ROUNDS_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +698,8 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
             continue
         total += fld.p ** lead_pos
         if total > IRREDUCIBLE_CANDIDATE_CAP:
-            raise CapExceeded("instance too large")
+            raise _too_large("brute_force_irreducible", "candidates",
+                             IRREDUCIBLE_CANDIDATE_CAP, total)
         if lead_deg < deg and mono_divides(lead, fe):
             plans.append((lead, monos[:lead_pos]))
     elements = list(range(fld.p))

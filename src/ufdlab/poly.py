@@ -73,10 +73,7 @@ class PolyRing:
             if k < 0:
                 raise ValueError(f"negative exponent on variable {name!r}")
             exp[i] = k
-        cf = self.field.of(coeff)
-        if cf == self.field.zero():
-            return self.zero()
-        return Polynomial(self, {tuple(exp): cf})
+        return Polynomial(self, {tuple(exp): coeff})
 
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(self, text)
@@ -126,12 +123,14 @@ def grevlex_key(exp: Exp):
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `terms` after construction.
 
-    The public constructor copies `terms` and drops zero coefficients; it
-    expects coefficients in the form `Field.of` returns.  The arithmetic
-    builds each result in one pass with no zero in it, and adopts that dict
-    through `_adopt` without copying or filtering it again: a sum deletes a
-    term that cancels, and over a field a product of nonzero coefficients, a
-    negation and `monic` cannot make a zero.
+    The public constructor copies `terms`, brings every coefficient into
+    the form `Field.of` returns (so over GF(7) -3 is stored as 4, and a
+    value that is not a field element raises `ValueError`) and drops the
+    ones that become zero.  The arithmetic builds each result in one pass
+    with no zero in it, and adopts that dict through `_adopt` without
+    copying or filtering it again: a sum deletes a term that cancels, and
+    over a field a product of nonzero coefficients, a negation and `monic`
+    cannot make a zero.
 
     `leading` remembers its last answer with the order key it was asked
     under, so repeated divisions by the same polynomial find its leading term
@@ -142,8 +141,8 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms: dict[Exp, object]):
         self.ring = ring
-        zero = ring.field.zero()
-        self.terms = {e: c for e, c in terms.items() if c != zero}
+        of = ring.field.of
+        self.terms = {e: c for e, v in terms.items() if (c := of(v))}
         self._lead = None  # (keyfn, exp, coeff) of the last `leading` call
 
     # -- equality -----------------------------------------------------------
@@ -225,7 +224,7 @@ class Polynomial:
             for e2, c2 in b.items():
                 e = mono_mul(e1, e2)
                 out[e] = fld.add(out.get(e, zero), mul(c1, c2))
-        return Polynomial(self.ring, out)
+        return _adopt(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -295,8 +294,6 @@ class Polynomial:
                 raise ValueError("not exactly divisible")
             qe = mono_div(re_, de)
             qc = fld.div(rc, dc)
-            if qc == fld.zero():
-                raise ValueError(f"coefficient {rc!r} is not reduced in {fld}")
             quotient[qe] = qc  # leading exponents of rest strictly decrease
             rest = rest - Polynomial(self.ring, {qe: qc}) * divisor
         return Polynomial(self.ring, quotient)

@@ -99,10 +99,37 @@ def _naive_divide(p, divisors, order):
 ORDERS_XYZ = [GREVLEX, LEX, elimination_order(("x",), ("y", "z"))]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)])
-@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
-def test_divide_matches_naive_reference(field, order):
+def _shaped(divisors, shape, order, rng):
+    """The divisor list as drawn, made monic, scaled to fractional leading
+    coefficients, or with a twin of one divisor (the same leading monomial,
+    another polynomial) placed before or after it."""
+    if shape == "drawn":
+        return divisors
+    ring = divisors[0].ring
+    keyfn = order.key_for(ring)
+    if shape == "monic":
+        return [g.monic(keyfn) for g in divisors]
+    if shape == "fraction-lead":
+        out = []
+        for g in divisors:
+            lead = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([2, 3, 4, 7]))
+            out.append(g * (lead / g.leading(keyfn)[1]))
+        return out
+    assert shape == "tied"
+    k = rng.randrange(len(divisors))
+    de, _ = divisors[k].leading(keyfn)
+    terms = {e: ring.field.sample(rng) for e in itertools.product(range(3), repeat=3)
+             if keyfn(e) < keyfn(de) and rng.random() < 0.2}
+    terms[de] = ring.field.sample(rng) or ring.field.one()
+    twin = Polynomial(ring, terms)
+    out = list(divisors)
+    out.insert(k + rng.randrange(2), twin)
+    return out
+
+
+def _check_against_naive(field, order, shape):
     rng = random.Random(23)
+    shape_rng = random.Random(29)
     r = poly_ring(field, ("x", "y", "z"))
 
     def rand_poly(nterms, max_exp):
@@ -119,10 +146,50 @@ def test_divide_matches_naive_reference(field, order):
         p = rand_poly(rng.randrange(1, 7), 3)
         if not divisors:
             continue
+        divisors = _shaped(divisors, shape, order, shape_rng)
         rem, quotients = divide(p, divisors, order)
         assert (rem, quotients) == _naive_divide(p, divisors, order)
         checked += int(bool(rem) and any(quotients))
     assert checked >= 10  # enough cases with both a remainder and a quotient
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_divide_matches_naive_reference(field, order):
+    _check_against_naive(field, order, "drawn")
+
+
+@pytest.mark.parametrize(
+    "field, shape",
+    [(QQ, "monic"), (GF(7), "monic"), (QQ, "fraction-lead"), (QQ, "tied"), (GF(7), "tied")],
+    ids=str,
+)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_divide_matches_naive_reference_on_shaped_divisors(field, shape, order):
+    _check_against_naive(field, order, shape)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_s_poly_matches_its_definition_for_non_monic_polynomials(field):
+    rng = random.Random(37)
+    r = poly_ring(field, ("x", "y", "z"))
+    keyfn = GREVLEX.key_for(r)
+    non_monic = 0
+    for _ in range(40):
+        f, g = (
+            Polynomial(r, {tuple(rng.randrange(3) for _ in range(3)): field.sample(rng)
+                           for _ in range(rng.randrange(1, 5))})
+            for _ in range(2)
+        )
+        if not f or not g:
+            continue
+        (fe, fc), (ge, gc) = f.leading(keyfn), g.leading(keyfn)
+        lcm = tuple(map(max, fe, ge))
+        mf = Polynomial(r, {tuple(a - b for a, b in zip(lcm, fe)): field.inv(fc)})
+        mg = Polynomial(r, {tuple(a - b for a, b in zip(lcm, ge)): field.inv(gc)})
+        assert groebner._s_poly(f, fe, g, ge) == mf * f - mg * g
+        non_monic += fc != 1 and gc != 1
+    assert non_monic >= 20
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
@@ -408,7 +475,8 @@ def test_degree_cap_trips(monkeypatch):
     monkeypatch.setenv("UFDLAB_CAPS", "degree=2")
     r = QXY()
     x, y = r.gens()
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: buchberger reached degree 3, "
+                                          "over the degree cap of 2$"):
         buchberger([x**3 + 1, y], GREVLEX)
 
 
@@ -417,7 +485,8 @@ def test_divide_term_cap_trips_when_work_grows(monkeypatch):
     r = poly_ring(QQ, ("x", "y", "z", "w", "v"))
     x, y, z, w, v = r.gens()
     # x^2 itself fits; one step turns it into four terms
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: divide reached terms 4, "
+                                          "over the terms cap of 3$"):
         divide(x**2, [x**2 - y - z - w - v])
 
 
@@ -426,7 +495,8 @@ def test_divide_degree_cap_trips_on_a_later_leading_term(monkeypatch):
     r = QXY()
     x, y = r.gens()
     # x has degree 1; under lex the first step leaves y^3 leading
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: divide reached degree 3, "
+                                          "over the degree cap of 2$"):
         divide(x, [x - y**3], LEX)
 
 
@@ -438,7 +508,8 @@ def test_buchberger_term_cap_trips_on_a_new_remainder(monkeypatch):
     # the only pair's S-polynomial divides within the cap, to four terms
     rem, _ = divide(y**2 * f - x * g, [f, g])
     assert rem.term_count() == 4
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: buchberger reached terms 4, "
+                                          "over the terms cap of 3$"):
         buchberger([f, g], GREVLEX)
 
 
@@ -500,7 +571,9 @@ def test_saturation_round_cap_trips():
     x, y = r.gens()
     _, index = saturation(ideal(r, x ** (SATURATION_ROUNDS_CAP - 1) * y), x)
     assert index == SATURATION_ROUNDS_CAP - 1
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=f"^instance too large: saturation reached rounds "
+                                          f"{SATURATION_ROUNDS_CAP + 1}, over the rounds cap "
+                                          f"of {SATURATION_ROUNDS_CAP}$"):
         saturation(ideal(r, x**SATURATION_ROUNDS_CAP * y), x)
 
 
@@ -688,7 +761,9 @@ def test_irreducible_needs_finite_field():
 
 def test_irreducible_candidate_cap():
     r = poly_ring(GF(101), ("x", "y", "z"))
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: brute_force_irreducible reached "
+                                          "candidates [0-9]+, over the candidates cap of "
+                                          f"{groebner.IRREDUCIBLE_CANDIDATE_CAP}$"):
         brute_force_irreducible(r.parse("x^5 + y^5 + z^5 + 1"), 4)
 
 

@@ -1,6 +1,7 @@
 """Polynomial layer: arithmetic, gradings, maps, text round-trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -94,13 +95,27 @@ def test_exact_div():
         (x**2 + y).exact_div(x + y)
 
 
-def test_exact_div_rejects_a_coefficient_the_field_reduces_to_zero():
-    # the constructor keeps 7 over GF(7) as given, and a quotient step with
-    # coefficient 0 would never shrink the rest
+def test_exact_div_of_a_multiple_of_the_modulus_is_zero():
+    # the constructor reduces 7 over GF(7) to 0 and drops it, so no quotient
+    # step of exact_div can meet a coefficient that divides to 0
     r = R("xy", GF(7))
     x, _ = r.gens()
-    with pytest.raises(ValueError, match="coefficient 7 is not reduced in GF\\(7\\)"):
-        Polynomial(r, {(1, 0): 7}).exact_div(x)
+    p = Polynomial(r, {(1, 0): 7})
+    assert not p
+    assert p.exact_div(x) == r.zero()
+
+
+def test_constructor_normalises_coefficients():
+    r = R("x", GF(7))
+    assert Polynomial(r, {(1,): -3}) == Polynomial(r, {(1,): 4})
+    assert Polynomial(r, {(1,): -3}).terms == {(1,): 4}
+    assert Polynomial(r, {(1,): 7}) == r.zero()
+    assert Polynomial(r, {(1,): Fraction(1, 2)}).terms == {(1,): 4}
+    q = R("x")
+    assert Polynomial(q, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+    assert type(Polynomial(q, {(1,): Fraction(4, 2)}).terms[(1,)]) is int
+    with pytest.raises(ValueError, match="not an element of Q"):
+        Polynomial(q, {(1,): 0.5})
 
 
 def test_project_and_lift():
