@@ -27,7 +27,7 @@ from .coeff import (
     gcd_bezout,
     is_int,
 )
-from .errors import CapExceeded, HypothesisError
+from .errors import HypothesisError, too_large
 from .groebner import (
     GREVLEX,
     Ideal,
@@ -348,7 +348,7 @@ def w_chain(
     if not b or not s or not t:
         raise ValueError("b, s, t must be nonzero")
     if N > W_CHAIN_CAP:
-        raise CapExceeded("instance too large")
+        raise too_large("w_chain", "depth", W_CHAIN_CAP, N)
     one = Ideal(ring, (ring.one(),))
     W, J = [one], [one]
     for i in range(1, N + 1):

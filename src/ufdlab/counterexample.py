@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .coeff import Field, PrimeField, QQ
-from .errors import CapExceeded
+from .errors import too_large
 from .groebner import LEX, Ideal, ideal, ideal_equal
 from .poly import Polynomial, PolyRing, RingMap, poly_ring
 
@@ -43,7 +43,7 @@ def s_sequence(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("need n >= 1")
     if n > SSEQ_CAP:
-        raise CapExceeded("instance too large")
+        raise too_large("s_sequence", "length", SSEQ_CAP, n)
     vals = [2, 3]
     prefix = 1  # product of s(1)..s(len(vals)-2)
     for m in range(3, n + 1):
@@ -95,7 +95,8 @@ def _expanded_z0(depth: int, field: Field, x_for_y: bool) -> Polynomial:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > EXPAND_DEPTH_CAP:
-        raise CapExceeded("instance too large")
+        site = "expand_z0_bprime" if x_for_y else "expand_z0"
+        raise too_large(site, "depth", EXPAND_DEPTH_CAP, depth)
     _warn_positive_characteristic(field, stacklevel=4)
     p = _expand(depth, field, x_for_y)
     keep = ("x", "T" if x_for_y else "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
@@ -126,7 +127,7 @@ def check_expansion_identity(depth: int, field: Field = QQ) -> bool:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > IDENTITY_DEPTH_CAP:
-        raise CapExceeded("instance too large")
+        raise too_large("check_expansion_identity", "depth", IDENTITY_DEPTH_CAP, depth)
     p = _expand(depth, field, x_for_y=False)
     ring = p.ring
     s = s_sequence(max(2 * depth, 2))
@@ -202,7 +203,7 @@ def _order_certificate(n: int, ideal_tag: str) -> OrderCert:
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > ORDER_CAP:
-        raise CapExceeded("instance too large")
+        raise too_large("order_certificate", "order", ORDER_CAP, n)
     state = {(0, 0)}
     log: list[tuple[int, int, int]] = []
     for rnd in range(1, n + 1):
@@ -247,7 +248,7 @@ def coordinate_checks(n: int, field: Field = QQ) -> dict[str, bool]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > COORDINATE_CAP:
-        raise CapExceeded("instance too large")
+        raise too_large("coordinate_checks", "relations", COORDINATE_CAP, n)
     if n == 0:
         return {"composite_linearizes": True, "mod_x_matches": True, "mod_y_matches": True}
     _warn_positive_characteristic(field)

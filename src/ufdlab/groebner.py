@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .caps import Caps, current_caps
 from .coeff import Field, PrimeField
-from .errors import CapExceeded
+from .errors import too_large
 from .poly import (
     Exp,
     Polynomial,
@@ -41,13 +41,6 @@ from .poly import (
 
 SATURATION_ROUNDS_CAP = 32
 IRREDUCIBLE_CANDIDATE_CAP = 10_000_000
-
-
-def _too_large(site: str, cap: str, limit: int, size: int) -> CapExceeded:
-    """The error for a cap hit: which function, which cap, its limit and the
-    size that went over it."""
-    return CapExceeded(f"instance too large: {site} reached {cap} {size}, "
-                       f"over the {cap} cap of {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +196,9 @@ def divide(
             continue  # cancelled since it was queued
         size = len(work.terms) - len(remainder)
         if size > caps.terms:
-            raise _too_large("divide", "terms", caps.terms, size)
+            raise too_large("divide", "terms", caps.terms, size)
         if sum(we) > caps.degree:
-            raise _too_large("divide", "degree", caps.degree, sum(we))
+            raise too_large("divide", "degree", caps.degree, sum(we))
         for _, i, de, dinv, gterms in leads:
             if mono_divides(de, we):
                 break
@@ -263,9 +256,9 @@ def _monic_multiple(f: Polynomial, fe: Exp, lcm: Exp) -> Polynomial:
 def _check_caps(g: Polynomial, caps: Caps) -> None:
     """Raise when a polynomial joining `buchberger` is over a size cap."""
     if g.total_degree() > caps.degree:
-        raise _too_large("buchberger", "degree", caps.degree, g.total_degree())
+        raise too_large("buchberger", "degree", caps.degree, g.total_degree())
     if g.term_count() > caps.terms:
-        raise _too_large("buchberger", "terms", caps.terms, g.term_count())
+        raise too_large("buchberger", "terms", caps.terms, g.term_count())
 
 
 def buchberger(
@@ -375,12 +368,12 @@ def buchberger(
             keep.append(basis[idx])
             keep_leads.append(e)
     if interreduce:
-        # inter-reduce tails (leading terms are stable, so one pass suffices)
-        for idx in range(len(keep)):
-            others = keep[:idx] + keep[idx + 1 :]
-            if others:
-                r, _ = divide(keep[idx], others, order)
-                keep[idx] = r.monic(keyfn)
+        # inter-reduce tails, smallest element first: every term of keep[idx]
+        # lies at or below its lead, so only the smaller, already reduced
+        # keep[:idx] can divide one, and the lead, which none divides, keeps
+        # the remainder monic
+        for idx in range(1, len(keep)):
+            keep[idx], _ = divide(keep[idx], keep[:idx], order)
     # the leading terms are distinct, so this is the descending order
     keep.reverse()
     return keep
@@ -533,7 +526,7 @@ def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
         current = nxt
     # (a : f^k) changed in each of the rounds k = 0..cap-1: the index is
     # at least cap, which takes one round more
-    raise _too_large("saturation", "rounds", SATURATION_ROUNDS_CAP, SATURATION_ROUNDS_CAP + 1)
+    raise too_large("saturation", "rounds", SATURATION_ROUNDS_CAP, SATURATION_ROUNDS_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +691,7 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
             continue
         total += fld.p ** lead_pos
         if total > IRREDUCIBLE_CANDIDATE_CAP:
-            raise _too_large("brute_force_irreducible", "candidates",
+            raise too_large("brute_force_irreducible", "candidates",
                              IRREDUCIBLE_CANDIDATE_CAP, total)
         if lead_deg < deg and mono_divides(lead, fe):
             plans.append((lead, monos[:lead_pos]))

@@ -19,10 +19,13 @@ lowers the total z-exponent (the z-size), so one sweep over buckets of
 terms by z-size, largest first, finishes: only larger sizes feed a bucket,
 so it is complete when reached.  The result is independent of pivot choices
 (exercised by the confluence tests).  Inside the sweep a term is one int:
-each z-exponent has a field as wide as the input's top z-size in bits, the
-x-exponent sits above the Z_INDEX_CAP + 1 z-fields, and the terms one
-rewrite makes form an arithmetic progression of such ints.  Everything here
-is exact and immutable.
+each z-exponent has a field as wide as the input's top z-size in bits, and
+the x-exponent sits above the Z_INDEX_CAP + 1 z-fields.  A rewrite then
+depends on the term only through its pivot k and half-exponent a, so one
+table per call holds each (k, a)'s move: the children's offsets from the
+term, grouped by binomial factor.  A final term's basis index is read off
+its z-fields eight at a time, through a 256-entry table per field width.
+Everything here is exact and immutable.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Mapping
 
 from .caps import current_caps
 from .coeff import Field, QQ
-from .errors import CapExceeded
+from .errors import too_large
 from .poly import Polynomial, PolyRing, poly_ring
 
 Z_INDEX_CAP = 64
@@ -48,7 +51,7 @@ _Z_NAME = re.compile(r"\bz(\d+)\b")
 def omega_ring(field: Field, top: int) -> PolyRing:
     """k[x, z0..z_top], where the elements with z-indices up to top live."""
     if top > Z_INDEX_CAP:
-        raise CapExceeded("z-index cap exceeded")
+        raise too_large("omega_ring", "z-index", Z_INDEX_CAP, top)
     return poly_ring(field, ("x",) + tuple(f"z{i}" for i in range(top + 1)))
 
 
@@ -180,8 +183,12 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     squarefree iff key & hi is 0, and the pivot is the field of its highest
     (or lowest) set bit.  The rewrite
     z_k^(2a+b) = z_k^b (-1)^a sum_j C(a, j) z_(k+1)^(a-j) (x^(2^(k+1)) z_(k+2))^j
-    makes the children base + j * step: base trades z_k^(2a) for z_(k+1)^a,
-    and step trades one z_(k+1) for x^(2^(k+1)) z_(k+2).
+    depends on the key only through (k, a), so each call keeps a table of
+    moves, one per (k, a) met, made by `_move` on first use: child j is
+    key + delta_j, and the deltas are grouped by their factor
+    (-1)^a C(a, j), so a rewrite multiplies the coefficient once per
+    distinct factor.  A final term's basis index n is read off its z-fields
+    eight at a time through `_digit_table`.
     """
     if pivot not in ("largest", "smallest"):
         raise ValueError("pivot must be 'largest' or 'smallest'")
@@ -193,10 +200,14 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     sizes = [sum(exp) - exp[0] for exp in p.poly.terms]
     top = max(sizes, default=-1)
     w = max(1, top.bit_length())
-    zb = (Z_INDEX_CAP + 1) * w
+    fields = Z_INDEX_CAP + 1
+    zb = fields * w
     shifts = range(0, zb, w)
     zmask = (1 << zb) - 1
-    hi = zmask - zmask // ((1 << w) - 1)  # zmask less the lowest bit of each field
+    fmask = (1 << w) - 1
+    hi = zmask - zmask // fmask  # zmask less the lowest bit of each field
+    digits = _digit_table(w)
+    chunk, cmask = 8 * w, (1 << 8 * w) - 1
     buckets: list[dict[int, object]] = [{} for _ in range(top + 1)]
     for (exp, coeff), size in zip(p.poly.terms.items(), sizes):
         buckets[size][sum(e << s for e, s in zip(exp[1:], shifts)) + (exp[0] << zb)] = coeff
@@ -204,52 +215,76 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     # after each rewrite also covers the output
     live = len(p.poly.terms)
     if live > limit:
-        raise CapExceeded("instance too large")
-    factors: dict[int, list[tuple[int, object]]] = {}
+        raise too_large("normal_form", "terms", limit, live)
+    moves: dict[int, tuple] = {}  # (k, a) as 2a * fields + k: the `_move` for it
     by_degree: dict[int, list[tuple[int, int, object]]] = {}
     while buckets:
         for key, coeff in buckets.pop().items():
             h = key & hi
             if not h:
-                z, n = key & zmask, 0
+                z, n, s = key & zmask, 0, 0
                 while z:
-                    n |= 1 << ((z & -z).bit_length() - 1) // w
-                    z &= z - 1
+                    n |= digits[z & cmask] << s
+                    z >>= chunk
+                    s += 8
                 r = key >> zb
                 by_degree.setdefault(n - r, []).append((r, n, coeff))
                 continue
             k = ((h if largest else h & -h).bit_length() - 1) // w
-            if k + 2 > Z_INDEX_CAP:
-                raise CapExceeded("z-index cap exceeded")
-            kw = k * w
-            two_a = h >> kw & ((1 << w) - 1)
-            a = two_a >> 1
-            base = key - (two_a << kw) + (a << kw + w)
-            step = (1 << kw + 2 * w) - (1 << kw + w) + (1 << zb + k + 1)
-            if a not in factors:
-                sign = field.pow(field.of(-1), a)
-                factors[a] = [
-                    (j, f)
-                    for j in range(a + 1)
-                    if (f := mul(sign, field.of(math.comb(a, j)))) != zero
-                ]
+            two_a = h >> k * w & fmask
+            move = moves.get(two_a * fields + k)
+            if move is None:
+                move = moves[two_a * fields + k] = _move(field, k, two_a >> 1, w, zb)
+            a, groups = move
             target = buckets[len(buckets) - a]
             live -= len(target) + 1
-            for j, f in factors[a]:
-                child = base + j * step
-                old = target.get(child)
-                if old is None:
-                    target[child] = mul(coeff, f)
-                elif (c := add(old, mul(coeff, f))) != zero:
-                    target[child] = c
-                else:
-                    del target[child]
+            for f, deltas in groups:
+                c = mul(coeff, f)
+                for delta in deltas:
+                    child = key + delta
+                    old = target.get(child)
+                    if old is None:
+                        target[child] = c
+                    elif (total := add(old, c)) != zero:
+                        target[child] = total
+                    else:
+                        del target[child]
             live += len(target)
             if live > limit:
-                raise CapExceeded("instance too large")
+                raise too_large("normal_form", "terms", limit, live)
     return {
         d: BasisExpansion(d, tuple(sorted(entries, key=lambda t: t[0])))
         for d, entries in sorted(by_degree.items())
+    }
+
+
+def _move(
+    field: Field, k: int, a: int, w: int, zb: int
+) -> tuple[int, tuple[tuple[object, tuple[int, ...]], ...]]:
+    """The rewrite of z_k^(2a) in `normal_form`'s packing: (a, groups), where
+    each group (f, deltas) holds a factor f = (-1)^a C(a, j) that is nonzero
+    in the field and the key offsets of the children j with that factor.
+    Child j trades z_k^(2a) for z_(k+1)^(a-j) z_(k+2)^j x^(j 2^(k+1))."""
+    if k + 2 > Z_INDEX_CAP:
+        raise too_large("normal_form", "z-index", Z_INDEX_CAP, k + 2)
+    kw = k * w
+    base = (a << kw + w) - (2 * a << kw)
+    step = (1 << kw + 2 * w) - (1 << kw + w) + (1 << zb + k + 1)
+    sign = field.pow(field.of(-1), a)
+    groups: dict[object, list[int]] = {}
+    for j in range(a + 1):
+        f = field.mul(sign, field.of(math.comb(a, j)))
+        if f != field.zero():
+            groups.setdefault(f, []).append(base + j * step)
+    return a, tuple((f, tuple(deltas)) for f, deltas in groups.items())
+
+
+@functools.lru_cache(maxsize=64)
+def _digit_table(w: int) -> dict[int, int]:
+    """{sum of b_i << i*w: sum of b_i << i} over the 256 bytes b_7..b_0: eight
+    squarefree w-bit z-fields to the eight binary digits of a basis index."""
+    return {
+        sum(1 << i * w for i in range(8) if byte >> i & 1): byte for byte in range(256)
     }
 
 

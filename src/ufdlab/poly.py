@@ -273,10 +273,14 @@ class Polynomial:
         return e, self.terms[e]
 
     def monic(self, keyfn=grevlex_key) -> "Polynomial":
+        """self divided by its leading coefficient; self itself when that is
+        already one (or self is zero)."""
         if not self.terms:
             return self
         _, c = self.leading(keyfn)
         fld = self.ring.field
+        if c == fld.one():
+            return self
         ci = fld.inv(c)
         return _adopt(self.ring, {e: fld.mul(v, ci) for e, v in self.terms.items()})
 

@@ -227,7 +227,8 @@ def test_w_chain_absorbing_parameters():
 def test_w_chain_caps_depth():
     ring = poly_ring(QQ, ("u", "v"))
     u, v = ring.gens()
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: w_chain reached depth 33, "
+                                          "over the depth cap of 32$"):
         w_chain(ring, u, v, ring.one(), 33)
 
 

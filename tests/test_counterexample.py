@@ -53,6 +53,13 @@ def test_s_sequence_rejects_zero():
         s_sequence(0)
 
 
+def test_s_sequence_length_cap():
+    assert len(s_sequence(20)) == 20
+    with pytest.raises(CapExceeded, match="^instance too large: s_sequence reached length 21, "
+                                          "over the length cap of 20$"):
+        s_sequence(21)
+
+
 # ---------------------------------------------------------------------------
 # exact expansions
 # ---------------------------------------------------------------------------
@@ -86,7 +93,8 @@ def test_expand_depth_three_runs():
 
 
 def test_expand_depth_cap():
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: expand_z0 reached depth 4, "
+                                          "over the depth cap of 3$"):
         expand_z0(4)
     with pytest.raises(ValueError):
         expand_z0(-1)
@@ -138,7 +146,8 @@ def test_expansion_identity_certificates():
     assert check_expansion_identity(0)
     assert check_expansion_identity(1)
     assert check_expansion_identity(2)
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: check_expansion_identity "
+                                          "reached depth 3, over the depth cap of 2$"):
         check_expansion_identity(3)
 
 
@@ -213,7 +222,8 @@ def test_bprime_depth_two_divisible():
 
 
 def test_bprime_depth_cap():
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: expand_z0_bprime reached "
+                                          "depth 4, over the depth cap of 3$"):
         expand_z0_bprime(4)
 
 
@@ -241,7 +251,8 @@ def test_order_certificate_log_shape():
 def test_order_certificate_trivial_and_caps():
     cert = m_order_certificate(0)
     assert cert.accepted and cert.log == ()
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: order_certificate reached "
+                                          "order 33, over the order cap of 32$"):
         m_order_certificate(33)
     with pytest.raises(ValueError):
         m_order_certificate(-1)
@@ -291,7 +302,8 @@ def test_coordinate_checks_verify(n):
 
 
 def test_coordinate_checks_caps():
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: coordinate_checks reached "
+                                          "relations 4, over the relations cap of 3$"):
         coordinate_checks(4)
     with pytest.raises(ValueError):
         coordinate_checks(-1)

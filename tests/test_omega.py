@@ -258,7 +258,8 @@ def test_pivots_take_different_steps(monkeypatch):
     at_z1 = p + parse_omega("z0^2*z2 + x^4*z0^2*z3")
     monkeypatch.setattr("ufdlab.omega.Z_INDEX_CAP", 2)
     assert normal_form(at_z0, "smallest") == {}
-    with pytest.raises(CapExceeded, match="z-index"):
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached z-index 3, "
+                                          "over the z-index cap of 2$"):
         normal_form(at_z0, "largest")
     monkeypatch.setattr("ufdlab.omega.Z_INDEX_CAP", 3)
     assert normal_form(at_z1, "largest") == {}
@@ -343,6 +344,10 @@ def test_normal_form_matches_monomial_rewrite_reference(field, seed):
     # sizes cross every change of bit length up to 17
     for s in (1, 2, 3, 4, 7, 8, 15, 16, 17):
         cases += [parse_omega(t, field) for t in (f"z0^{s}", f"z2^{s}", f"x^3*z1^{s}*z3")]
+    # final terms with z-indices past the first eight fields, which the
+    # basis index decodes in a later chunk of eight
+    cases += [parse_omega(t, field)
+              for t in ("x*z7*z8*z9*z15*z16", "z6^5*z9", "z12^3*z3^2 + x^2*z8^4")]
     nonzero = 0
     for p in cases:
         for pivot in ("largest", "smallest"):
@@ -350,6 +355,20 @@ def test_normal_form_matches_monomial_rewrite_reference(field, seed):
             assert expansion_text(normal_form(p, pivot), field) == want, (str(p), pivot)
             nonzero += want != "0"
     assert nonzero > 40
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+@pytest.mark.parametrize("text", ["z0^132 + z1^3", "z4^132*z5^3"])
+def test_move_table_keeps_each_pivot_and_half_exponent_apart(monkeypatch, field, text):
+    # z_k^132 is rewritten with a = 66 at k and its children z_(k+1)^3 with
+    # a = 1 at k + 1, two moves that a table keyed by k * 65 + a would mix up
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=200000")
+    p = parse_omega(text, field)
+    got = normal_form(p, "smallest")
+    want = _reference_normal_form(p, "smallest")
+    assert expansion_text(got, field) == expansion_text(want, field)
+    if field.char:
+        assert normal_form(p, "largest") == got
 
 
 def test_normal_form_rejects_unknown_pivot():
@@ -395,25 +414,29 @@ def test_in_x_omega_explicit_factor():
 
 def test_z_index_cap():
     assert OmegaPoly.z(64).poly.ring == omega_ring(QQ, 64)
-    with pytest.raises(CapExceeded, match="z-index cap"):
+    in_ring = "^instance too large: omega_ring reached z-index 65, over the z-index cap of 64$"
+    with pytest.raises(CapExceeded, match=in_ring):
         OmegaPoly.z(65)
-    with pytest.raises(CapExceeded, match="z-index cap"):
+    with pytest.raises(CapExceeded, match=in_ring):
         parse_omega("z65")
     # rewriting z_63^2 would introduce z_65
-    with pytest.raises(CapExceeded, match="z-index cap"):
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached z-index 65, "
+                                          "over the z-index cap of 64$"):
         normal_form(parse_omega("z63^2"))
 
 
 def test_z_index_cap_under_an_x_power():
     # the pivot z_63 is below the cap; its rewrite would reach z_65
-    with pytest.raises(CapExceeded, match="z-index cap"):
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached z-index 65, "
+                                          "over the z-index cap of 64$"):
         normal_form(parse_omega("x^5*z63^2"))
 
 
 def test_terms_cap(monkeypatch):
     monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
     assert current_caps().terms == 3
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached terms 4, "
+                                          "over the terms cap of 3$"):
         normal_form(parse_omega("z0^4*z1^4"))
 
 
@@ -421,7 +444,8 @@ def test_terms_cap_on_squarefree_input(monkeypatch):
     # nothing to rewrite, but the input alone is over the cap
     monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
     p = parse_omega(" + ".join(f"x^{m}*z0*z1*z2" for m in range(4)))
-    with pytest.raises(CapExceeded, match="instance too large"):
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached terms 4, "
+                                          "over the terms cap of 3$"):
         normal_form(p)
 
 

@@ -118,6 +118,19 @@ def test_constructor_normalises_coefficients():
         Polynomial(q, {(1,): 0.5})
 
 
+def test_monic_returns_a_monic_polynomial_itself():
+    r = R("xy")
+    x, y = r.gens()
+    p = x**2 - 3 * y
+    assert p.monic() is p
+    assert (2 * x**2 + y).monic() == x**2 + Fraction(1, 2) * y
+    assert r.zero().monic() == r.zero()
+    s = R("xy", GF(7))
+    u, v = s.gens()
+    assert (3 * u + v).monic() == u + 5 * v
+    assert (u - v).monic().terms == (u - v).terms
+
+
 def test_project_and_lift():
     big = R("xyz")
     small = big.restrict(("x", "z"))
