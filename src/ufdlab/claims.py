@@ -132,7 +132,7 @@ class Param(NamedTuple):
     `kind(value, parsed)` turns a JSON value into what the handler receives,
     where `parsed` holds the parameters above it in the table, already
     parsed; it raises ValueError for a value it cannot take.  `default` is
-    the shipped value (None when nothing ships).  With `fill` the runner
+    the shipped value; every parameter ships one.  With `fill` the runner
     hands the shipped value to the handler when the caller leaves the
     parameter out; a parameter without it is optional (left out, its check
     is skipped) or derived by the handler from the others, unless it is
@@ -140,7 +140,7 @@ class Param(NamedTuple):
     """
 
     kind: Callable[[object, dict], object]
-    default: object = None
+    default: object
     fill: bool = True
     required: bool = False
 
@@ -360,11 +360,8 @@ def _h_omega_basis(params):
 
 
 def _h_omega_z_relations(params):
-    if "i" in params:
-        i_max = not_in_max = params["i"]
-    else:
-        i_max = params["i_max"]
-        not_in_max = params["not_in_max"]
+    i_max = params["i_max"]
+    not_in_max = params["not_in_max"]
     floors = {}
     for i in range(1, i_max + 1):
         p = OmegaPoly.z(i) + OmegaPoly.z(0) ** (2**i)
@@ -630,9 +627,7 @@ _register(
     "omega.z-relations",
     "z_i + z0^(2^i) lies in x*Omega for i up to the bound, while z_i itself "
     "never does.",
-    # i, when given, sets both bounds
-    {"i": Param(_json(int, 1), fill=False), "i_max": Param(_json(int, 1), 3),
-     "not_in_max": Param(_json(int, 0), 4)},
+    {"i_max": Param(_json(int, 1), 3), "not_in_max": Param(_json(int, 0), 4)},
     _h_omega_z_relations,
 )
 _register(
@@ -767,8 +762,7 @@ def _spec(claim_id: str) -> ClaimSpec:
 def default_params(claim_id: str) -> dict:
     """A fresh copy of the parameters shipped for a claim, in table order."""
     table = _spec(claim_id).params
-    return copy.deepcopy({key: p.default for key, p in table.items()
-                          if p.default is not None})
+    return copy.deepcopy({key: p.default for key, p in table.items()})
 
 
 def report_schema() -> dict:

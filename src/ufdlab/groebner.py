@@ -2,9 +2,10 @@
 
 Ideals in localizations must be rephrased in a polynomial ring first, e.g.
 by saturating at the would-be unit, or by adjoining w with z*w - 1 for an
-inverse z^-1 as `poly.laurent_iso` does.  Reduced monic Groebner bases are
-computed, so a basis is a canonical form for its ideal: two ideals are equal
-iff their reduced bases under the same order coincide.
+inverse z^-1 as `poly.laurent_iso` does.  `buchberger` and `Ideal.groebner`
+return reduced monic bases, a canonical form: two ideals are equal iff their
+reduced bases under the same order coincide.  Normal forms and elimination
+need only the minimal basis that an `Ideal` caches first.
 
 `brute_force_member` is an independent membership decision: it never calls
 the Buchberger machinery, only linear algebra over a truncated monomial
@@ -367,14 +368,21 @@ def buchberger(
         if not any(mono_divides(h, e) for h in keep_leads):
             keep.append(basis[idx])
             keep_leads.append(e)
-    if interreduce:
-        # inter-reduce tails, smallest element first: every term of keep[idx]
-        # lies at or below its lead, so only the smaller, already reduced
-        # keep[:idx] can divide one, and the lead, which none divides, keeps
-        # the remainder monic
-        for idx in range(1, len(keep)):
-            keep[idx], _ = divide(keep[idx], keep[:idx], order)
     # the leading terms are distinct, so this is the descending order
+    keep.reverse()
+    return _interreduce(keep, order) if interreduce else keep
+
+
+def _interreduce(basis: Sequence[Polynomial], order: Order) -> list[Polynomial]:
+    """The reduced basis of a minimal monic one, both sorted with the
+    largest leading term first."""
+    keep = list(reversed(basis))
+    # inter-reduce tails, smallest element first: every term of keep[idx]
+    # lies at or below its lead, so only the smaller, already reduced
+    # keep[:idx] can divide one, and the lead, which none divides, keeps
+    # the remainder monic
+    for idx in range(1, len(keep)):
+        keep[idx], _ = divide(keep[idx], keep[:idx], order)
     keep.reverse()
     return keep
 
@@ -385,7 +393,9 @@ def buchberger(
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators, with one cached Groebner basis per
+    order: the minimal one from `buchberger` until `groebner()` interreduces
+    it and stores the reduced basis in its place."""
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         self.ring = ring
@@ -393,42 +403,40 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        self._gb: dict[Order, tuple[Polynomial, ...]] = {}
-        self._gb_min: dict[Order, tuple[Polynomial, ...]] = {}
+        # order -> (whether interreduced, basis)
+        self._bases: dict[Order, tuple[bool, tuple[Polynomial, ...]]] = {}
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inner})"
 
-    def groebner(self, order: Order = GREVLEX) -> tuple[Polynomial, ...]:
-        cached = self._gb.get(order)
-        if cached is None:
-            cached = tuple(buchberger(self.gens, order))
-            self._gb[order] = cached
-            self._gb_min[order] = cached  # reduced is in particular minimal
-        return cached
+    def _basis(self, order: Order, reduced: bool = False) -> tuple[Polynomial, ...]:
+        """The cached basis under order: minimal from its first use, as normal
+        forms and elimination need, and interreduced once if `reduced`."""
+        done, basis = self._bases.get(order, (False, None))
+        if basis is None:
+            basis = tuple(buchberger(self.gens, order, interreduce=False))
+        if reduced and not done:
+            done, basis = True, tuple(_interreduce(basis, order))
+        self._bases[order] = done, basis
+        return basis
 
-    def _min_basis(self, order: Order = GREVLEX) -> tuple[Polynomial, ...]:
-        """Minimal (not tail-reduced) basis: enough for normal forms, and
-        immune to the tail blowup that full reduction can trigger."""
-        cached = self._gb_min.get(order)
-        if cached is None:
-            cached = tuple(buchberger(self.gens, order, interreduce=False))
-            self._gb_min[order] = cached
-        return cached
+    def groebner(self, order: Order = GREVLEX) -> tuple[Polynomial, ...]:
+        """The reduced Groebner basis, largest leading term first."""
+        return self._basis(order, reduced=True)
 
     def contains(self, p: Polynomial, order: Order = GREVLEX) -> bool:
         return not self.normal_form(p, order)
 
     def normal_form(self, p: Polynomial, order: Order = GREVLEX) -> Polynomial:
-        gb = self._min_basis(order)
+        gb = self._basis(order)
         if not gb:
             return p
         r, _ = divide(p, gb, order)
         return r
 
     def is_trivial(self) -> bool:
-        gb = self._min_basis()
+        gb = self._basis(GREVLEX)
         return len(gb) == 1 and gb[0] == self.ring.one()
 
     def __add__(self, other: "Ideal") -> "Ideal":
@@ -444,10 +452,11 @@ def ideal(ring: PolyRing, *gens: Polynomial) -> Ideal:
 def ideal_equal(a: Ideal, b: Ideal, order: Order = GREVLEX) -> bool:
     """Mutual containment, checked by normal forms of the generators.
 
-    Equivalent to comparing reduced bases, but never tail-reduces: the
-    reduced basis of an ideal can be exponentially larger than any of its
-    minimal bases (forward substitution of chained relations), while the
-    generator normal forms stay small.
+    Equivalent to comparing reduced bases, but never tail-reduces: it divides
+    by each ideal's cached basis, minimal unless `groebner()` has reduced it.
+    A reduced basis can be exponentially larger than any minimal basis
+    (forward substitution of chained relations), while the generator normal
+    forms stay small.
     """
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
@@ -472,16 +481,17 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
 
 
 def elim_ideal(a: Ideal, keep: Sequence[str]) -> Ideal:
-    """I intersected with the subring on `keep`: compute a basis under a
-    block order that puts the discarded variables first, then take the
-    basis elements supported on the kept variables only."""
+    """I intersected with the subring on `keep`: the elements supported on
+    the kept variables of the cached basis under a block order that puts
+    the discarded variables first.  Any Groebner basis under an
+    elimination order eliminates, so the minimal one does."""
     keep_set = set(keep)
     for n in keep_set:
         a.ring.index(n)
     front = [n for n in a.ring.names if n not in keep_set]
     back = [n for n in a.ring.names if n in keep_set]
     order = elimination_order(front, back)
-    gb = a.groebner(order)
+    gb = a._basis(order)
     small = a.ring.restrict(back)
     kept = [g.project(small) for g in gb if g.support() <= keep_set]
     return Ideal(small, kept)
@@ -497,9 +507,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     t = big.var(tname)
     gens = [t * g.lift(big) for g in a.gens]
     gens += [(big.one() - t) * g.lift(big) for g in b.gens]
-    elim = elim_ideal(Ideal(big, gens), ring.names)
-    assert elim.ring == ring
-    return Ideal(ring, elim.gens)
+    return elim_ideal(Ideal(big, gens), ring.names)
 
 
 def ideal_quotient(a: Ideal, f: Polynomial) -> Ideal:
@@ -552,21 +560,17 @@ def _monomials_up_to(ring: PolyRing, degree: int) -> list[Exp]:
     return out
 
 
-# (key, (row_index, pivots)) of the last brute_force_member call, one tuple
-# so that a reader never pairs one call's key with another call's rows.
-_last_span: Optional[tuple] = None
-
-
-def _cofactor_span(ring: PolyRing, gens: Sequence[Polynomial], max_deg: int, target_deg: int):
+@functools.lru_cache(maxsize=1)
+def _cofactor_span(ring: PolyRing, gens_terms: tuple, max_deg: int, target_deg: int):
     """Row index of the monomials of degree <= target_deg, and echelon pivot
-    rows spanning the columns m*g for every g in gens and every monomial m
-    of degree <= max_deg."""
+    rows spanning the columns m*g for every g, given by its term tuple in
+    gens_terms, and every monomial m of degree <= max_deg.  The last span
+    built is kept for the next call with the same arguments."""
     row_index = {e: i for i, e in enumerate(_monomials_up_to(ring, target_deg))}
     multipliers = _monomials_up_to(ring, max_deg)
     fld = ring.field
     pivots: dict[int, dict[int, object]] = {}
-    for g in gens:
-        terms = g.terms.items()
+    for terms in gens_terms:
         for m in multipliers:
             _insert_pivot(fld, pivots, {row_index[mono_mul(m, e)]: c for e, c in terms})
     return row_index, pivots
@@ -582,7 +586,6 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     The span of the cofactor columns is kept for the next call with the
     same ring, generators and degrees; p is only reduced against it.
     """
-    global _last_span
     ring = p.ring
     gens = [g for g in gens if g]
     if not gens:
@@ -592,14 +595,8 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     if any(g.ring != ring for g in gens):
         raise ValueError("polynomials from different rings")
     target_deg = max(max_deg + max(g.total_degree() for g in gens), p.total_degree())
-    key = (ring, max_deg, target_deg, tuple(tuple(g.terms.items()) for g in gens))
-    cached = _last_span
-    if cached is not None and cached[0] == key:
-        span = cached[1]
-    else:
-        span = _cofactor_span(ring, gens, max_deg, target_deg)
-        _last_span = (key, span)
-    row_index, pivots = span
+    gens_terms = tuple(tuple(g.terms.items()) for g in gens)
+    row_index, pivots = _cofactor_span(ring, gens_terms, max_deg, target_deg)
     rhs = {row_index[e]: c for e, c in p.terms.items()}
     return not _reduce_vector(ring.field, pivots, rhs)
 

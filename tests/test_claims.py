@@ -296,12 +296,6 @@ def test_hypothesis_violations_in_parameters_surface_verbatim():
         run_claim("lemma32.levels", {"s": "u", "t": "u+v", "b": "u"})
 
 
-def test_single_index_alias_for_z_relations():
-    rep = run_claim("omega.z-relations", {"i": 2})
-    assert rep.status == "verified"
-    assert rep.params == {"i": 2}
-
-
 def test_field_name_alias_f5_accepted():
     rep = run_claim("samuel.kernel", {"field": "F5", "a": "u", "b": "v"})
     assert rep.status == "verified"

@@ -153,6 +153,9 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     ("samuel.kernel", {"vars": [[]], "a": "u", "b": "v"}, "vars"),
     ("samuel.kernel", {"vars": ["u", "v", "X 1"], "a": "u", "b": "v"}, "vars"),
     ("groebner.irreducible", {"vars": [[]]}, "vars"),
+    # the bounds are i_max and not_in_max only; no single index overrides them
+    ("omega.z-relations", {"i": 2}, "unknown parameter 'i'"),
+    ("omega.z-relations", {"i": 1, "i_max": 3, "not_in_max": 4}, "unknown parameter 'i'"),
 ])
 def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
     path = tmp_path / "params.json"
@@ -207,9 +210,7 @@ def test_every_parameter_rejects_wrong_shaped_values(cid, tmp_path, capsys):
     path = tmp_path / "params.json"
     wrong = []
     for key, param in REGISTRY[cid].params.items():
-        # omega.z-relations' `i` is the one parameter that ships no value; it is an int
-        shipped = 1 if param.default is None else param.default
-        for value in _wrong_shapes(shipped):
+        for value in _wrong_shapes(param.default):
             path.write_text(json.dumps({**default_params(cid), key: value}))
             code = main(["claim", "run", cid, "--params", str(path)])
             captured = capsys.readouterr()

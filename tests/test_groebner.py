@@ -391,6 +391,87 @@ def test_gb_of_unit_ideal():
     assert list(i.groebner()) == [r.one()]
 
 
+def _seeded_ideal_gens(field, rng, r):
+    gens = []
+    for _ in range(rng.randrange(2, 4)):
+        terms = {}
+        for _ in range(rng.randrange(2, 5)):
+            # exponents up to 2 in x, multilinear in y and z: lex over Q stays small
+            e = (rng.randrange(0, 3), rng.randrange(0, 2), rng.randrange(0, 2))
+            terms[e] = field.sample(rng)
+        gens.append(Polynomial(r, terms))
+    return [g for g in gens if g]
+
+
+def test_ideal_runs_buchberger_once_per_order(monkeypatch):
+    r = QXY()
+    x, y = r.gens()
+    calls = []
+    original = groebner.buchberger
+
+    def counted(gens, order=GREVLEX, interreduce=True):
+        calls.append((order, interreduce))
+        return original(gens, order, interreduce)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    i = ideal(r, x**2 + y, x * y - 1)
+    assert i.contains(x**3 + x * y)
+    gb = i.groebner()
+    assert i.groebner() is gb
+    assert i.contains(y * (x * y - 1))
+    # one minimal run, interreduced in place; no second Buchberger run
+    assert calls == [(GREVLEX, False)]
+    i.groebner(LEX)
+    assert calls == [(GREVLEX, False), (LEX, False)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_ideal_groebner_after_contains_is_the_reduced_basis(field, order):
+    rng = random.Random(61)
+    r = poly_ring(field, ("x", "y", "z"))
+    nontrivial = tails = 0
+    for _ in range(10):
+        gens = _seeded_ideal_gens(field, rng, r)
+        if not gens:
+            continue
+        i = ideal(r, *gens)
+        probe = Polynomial(r, {(1, 1, 0): field.one(), (0, 0, 2): field.one()})
+        i.contains(probe, order)
+        gb = buchberger(gens, order)
+        assert list(i.groebner(order)) == gb
+        # normal forms after the interreduction divide by the reduced basis
+        assert i.normal_form(probe, order) == reduce(probe, gb, order)
+        nontrivial += gb != [r.one()]
+        # ideals whose minimal basis has unreduced tails
+        tails += buchberger(gens, order, interreduce=False) != gb
+    assert nontrivial >= 5 and tails >= 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_elim_ideal_matches_elimination_of_the_reduced_basis(field):
+    rng = random.Random(67)
+    r = poly_ring(field, ("x", "y", "z"))
+    small = r.restrict(("y", "z"))
+    order = elimination_order(("x",), ("y", "z"))
+    nonzero = 0
+    for _ in range(10):
+        gens = _seeded_ideal_gens(field, rng, r)
+        if not gens:
+            continue
+        reduced = [g.project(small) for g in buchberger(gens, order)
+                   if g.support() <= {"y", "z"}]
+        want = ideal(small, *reduced)
+        i = ideal(r, *gens)
+        got = elim_ideal(i, ("y", "z"))
+        assert got.ring == small
+        assert ideal_equal(got, want)
+        i.groebner(order)
+        assert ideal_equal(elim_ideal(i, ("y", "z")), want)
+        nonzero += bool(reduced)
+    assert nonzero >= 5
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_gb_random_spolys_reduce_to_zero(field):
     rng = random.Random(17)
@@ -665,7 +746,7 @@ def test_brute_force_member_reuses_its_span_exactly():
             p = Polynomial(r, _random_terms(r.field, rng, 3, 4))
         calls.append((p, config, kind, brute_force_member(p, gens, bound)))
     for p, (r, gens, gb, bound), kind, answer in calls:
-        groebner._last_span = None
+        groebner._cofactor_span.cache_clear()
         assert answer == brute_force_member(p, gens, bound), (str(p), kind)
         member = not reduce(p, gb)
         assert not answer or member  # a yes is an explicit combination
