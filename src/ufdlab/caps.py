@@ -10,6 +10,7 @@ Override with the environment variable UFDLAB_CAPS, e.g.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -25,23 +26,29 @@ class Caps:
 
 def current_caps() -> Caps:
     """Read the active caps (environment override wins)."""
-    raw = os.environ.get("UFDLAB_CAPS", "")
+    return _parse_caps(os.environ.get("UFDLAB_CAPS", ""))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_caps(raw: str) -> Caps:
+    """The caps that a UFDLAB_CAPS value sets, parsed once per distinct value
+    (the engines ask on every call); a malformed value raises each time, as
+    lru_cache does not keep exceptions."""
     degree, terms = DEFAULT_DEGREE_CAP, DEFAULT_TERM_CAP
-    if raw:
-        for piece in raw.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            key, _, value = piece.partition("=")
-            key = key.strip()
-            try:
-                number = int(value)
-            except ValueError as exc:
-                raise ValueError(f"bad UFDLAB_CAPS entry {piece!r}") from exc
-            if key == "degree":
-                degree = number
-            elif key == "terms":
-                terms = number
-            else:
-                raise ValueError(f"unknown UFDLAB_CAPS key {key!r}")
+    for piece in raw.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        key, _, value = piece.partition("=")
+        key = key.strip()
+        try:
+            number = int(value)
+        except ValueError as exc:
+            raise ValueError(f"bad UFDLAB_CAPS entry {piece!r}") from exc
+        if key == "degree":
+            degree = number
+        elif key == "terms":
+            terms = number
+        else:
+            raise ValueError(f"unknown UFDLAB_CAPS key {key!r}")
     return Caps(degree=degree, terms=terms)

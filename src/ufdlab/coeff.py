@@ -9,14 +9,21 @@ are represented by the natural host type of each field:
 
 Both field classes expose the same small arithmetic protocol so the polynomial
 layer stays field-agnostic.
+
+Q arithmetic works on (numerator, denominator) int pairs, not through
+Fraction's operators, whose type dispatch and re-normalisation were most of
+the cost of Groebner work over Q.  Cross-cancelling formulas leave every
+result in lowest terms already, so it is built once, by `_reduced`: the one
+place that builds a Fraction without normalising it (the tests hold every
+other module to that).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import HypothesisError
@@ -63,13 +70,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _q(a: Coeff) -> Coeff:
-    """An element of Q in its canonical type: int when integral, else Fraction."""
-    if type(a) is int or a.denominator != 1:
-        return a
-    return a.numerator
-
-
 def _rational(value, field) -> Fraction:
     """value as a Fraction when it is an int (not a bool), a Fraction or text
     such as "2/4"; a ValueError naming the value and the field otherwise."""
@@ -81,18 +81,67 @@ def _rational(value, field) -> Fraction:
     raise ValueError(f"{value!r} is not an element of {field}")
 
 
+def _reduced(n: int, d: int) -> Coeff:
+    """The element n/d of Q for coprime n and d > 0: the int n when d is 1,
+    else a Fraction whose two slots are set directly, as Python 3.12's
+    Fraction._from_coprime_ints does (here on every supported Python)."""
+    if d == 1:
+        return n
+    r = object.__new__(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Coeff:
+    """na/da + nb/db for two fractions in lowest terms, by Henrici's formula
+    (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(da, db), only a divisor of g
+    can cancel from the cross sum, so gcd(t, g) finishes the reduction."""
+    g = gcd(da, db)
+    if g == 1:
+        return _reduced(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _reduced(t, s * db)
+    return _reduced(t // g2, s * (db // g2))
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Coeff:
+    """(na/da) * (nb/db) for two fractions in lowest terms: cancelling
+    gcd(na, db) and gcd(nb, da) first leaves a product in lowest terms."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _reduced(na * nb, da * db)
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The field of rational numbers; an element is an int when it is
     integral and a Fraction (denominator > 1) otherwise.  int and Fraction
-    compare, hash and mix alike, so callers see one number type."""
+    compare, hash and mix alike, so callers see one number type.
+
+    The arithmetic reads (numerator, denominator) pairs and returns elements
+    in this canonical form without normalising them again: two ints combine
+    as ints; an int m and a fraction n/d add to (m*d + n)/d, already in
+    lowest terms as gcd(m*d + n, d) = gcd(n, d) = 1; two fractions go
+    through the cross-cancelling `_sum` and `_product`, and `inv` swaps the
+    pair.  Each result is built once, by `_reduced`."""
 
     char = 0
 
     def of(self, value) -> Coeff:
         if type(value) is int:
             return value
-        return _q(_rational(value, self))
+        r = _rational(value, self)
+        return _reduced(r.numerator, r.denominator)
 
     def zero(self) -> int:
         return 0
@@ -101,35 +150,59 @@ class RationalField:
         return 1
 
     def add(self, a: Coeff, b: Coeff) -> Coeff:
-        return _q(a + b)
+        if type(a) is int:
+            if type(b) is int:
+                return a + b
+            return _reduced(a * b._denominator + b._numerator, b._denominator)
+        if type(b) is int:
+            return _reduced(a._numerator + b * a._denominator, a._denominator)
+        return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
 
     def sub(self, a: Coeff, b: Coeff) -> Coeff:
-        return _q(a - b)
+        if type(a) is int:
+            if type(b) is int:
+                return a - b
+            return _reduced(a * b._denominator - b._numerator, b._denominator)
+        if type(b) is int:
+            return _reduced(a._numerator - b * a._denominator, a._denominator)
+        return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
 
     def neg(self, a: Coeff) -> Coeff:
-        return -a
+        if type(a) is int:
+            return -a
+        return _reduced(-a._numerator, a._denominator)
 
     def mul(self, a: Coeff, b: Coeff) -> Coeff:
-        return _q(a * b)
+        if type(a) is int:
+            if type(b) is int:
+                return a * b
+            return _product(a, 1, b._numerator, b._denominator)
+        if type(b) is int:
+            return _product(a._numerator, a._denominator, b, 1)
+        return _product(a._numerator, a._denominator, b._numerator, b._denominator)
 
     def inv(self, a: Coeff) -> Coeff:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _q(Fraction(1) / a)
+        n, d = a.numerator, a.denominator
+        if n > 0:
+            return _reduced(d, n)
+        if n < 0:
+            return _reduced(-d, -n)
+        raise ZeroDivisionError("inverse of zero")
 
     def div(self, a: Coeff, b: Coeff) -> Coeff:
-        return _q(a * self.inv(b))
+        c = self.inv(b)
+        return _product(a.numerator, a.denominator, c.numerator, c.denominator)
 
     def pow(self, a: Coeff, n: int) -> Coeff:
         if n < 0:
-            return _q(self.inv(a) ** (-n))
-        return _q(a**n)
+            a, n = self.inv(a), -n
+        return _reduced(a.numerator**n, a.denominator**n)
 
     def render(self, a: Coeff) -> str:
         return str(a)
 
     def sample(self, rng) -> Coeff:
-        return _q(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        return self.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def __str__(self) -> str:
         return "Q"
@@ -267,7 +340,7 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     for each prime divisor of c not dividing d, a single residue class, and
     the product of those primes is at most |c|.
     """
-    if math.gcd(*a, b, c) != 1:
+    if gcd(*a, b, c) != 1:
         raise HypothesisError("hypothesis of prime avoidance fails")
     n = len(a)
     if n == 0:
@@ -285,12 +358,12 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
         raise HypothesisError(
             "prime avoidance with c = 0 needs b + t*gcd(a) = +-1; no integer t works"
         )
-    if math.gcd(c, b) == 1:
+    if gcd(c, b) == 1:
         # the scan below would stop at t = 0; no Bezout vector is needed.
         return [0] * n
     d, e = gcd_bezout(list(a))
     for t in range(1, abs(c) + 1):
-        if math.gcd(c, b + t * d) == 1:
+        if gcd(c, b + t * d) == 1:
             return [t * ei for ei in e]
     raise AssertionError("prime avoidance scan exhausted its certified bound")
 

@@ -208,11 +208,14 @@ def test_rational_ops_on_ints_stay_exact():
 
 
 def _assert_canonical(r, expected):
+    """r is the element `expected` of Q in its one canonical form."""
     assert r == expected
+    assert str(r) == str(expected) and hash(r) == hash(expected)
     if expected.denominator == 1:
         assert type(r) is int
     else:
         assert type(r) is Fraction
+        assert math.gcd(r.numerator, r.denominator) == 1 and r.denominator > 1
 
 
 def test_rational_element_type_matches_fraction_reference():
@@ -245,6 +248,52 @@ def test_rational_element_type_matches_fraction_reference():
         _assert_canonical(QQ.of(value), Fraction(value))
     _assert_canonical(QQ.zero(), Fraction(0))
     _assert_canonical(QQ.one(), Fraction(1))
+
+
+def test_rational_ops_on_multiword_and_unit_operands_match_fraction_reference():
+    # operands beyond 2^64 whose denominators share small factors, so the
+    # cross-gcds of sums and products cancel, and 0, +-1 and fractions given
+    # with a negative denominator through `of`
+    rng = random.Random(9)
+
+    def smooth():
+        return 2 ** rng.randrange(5) * 3 ** rng.randrange(3) * 5 ** rng.randrange(2)
+
+    def operand():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return QQ.of(rng.choice((0, 1, -1)))
+        if kind == 1:
+            return QQ.of(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(65, 200)))
+        n = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 200)) * smooth()
+        d = rng.getrandbits(rng.randint(1, 200)) * smooth() + 1
+        if kind == 2:
+            return QQ.of(Fraction(n, -d))
+        return QQ.of(Fraction(n, d))
+
+    for _ in range(1500):
+        a, b = operand(), operand()
+        fa, fb = Fraction(a), Fraction(b)
+        _assert_canonical(a, fa)
+        _assert_canonical(QQ.add(a, b), fa + fb)
+        _assert_canonical(QQ.sub(a, b), fa - fb)
+        _assert_canonical(QQ.mul(a, b), fa * fb)
+        _assert_canonical(QQ.neg(a), -fa)
+        if fb != 0:
+            _assert_canonical(QQ.inv(b), 1 / fb)
+            _assert_canonical(QQ.div(a, b), fa / fb)
+    for a in (0, 1, -1, Fraction(-1, 2), 2**64 + 1, Fraction(-(2**64), 2**65 + 1)):
+        fa = Fraction(a)
+        _assert_canonical(QQ.sub(a, a), Fraction(0))
+        _assert_canonical(QQ.add(a, QQ.neg(a)), Fraction(0))
+        if a != 0:
+            _assert_canonical(QQ.div(a, a), Fraction(1))
+            _assert_canonical(QQ.mul(a, QQ.inv(a)), Fraction(1))
+            _assert_canonical(QQ.inv(QQ.inv(a)), fa)
+    for n, d in ((3, -4), (-3, -4), (6, -3), (0, -5), (2**70, -(2**70)), (-1, -1)):
+        _assert_canonical(QQ.of(Fraction(n, d)), Fraction(n, d))
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        QQ.inv(QQ.of(Fraction(0, -3)))
 
 
 @pytest.mark.parametrize("p", [2, 32003, 4294967311])

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from ufdlab.caps import current_caps
+from ufdlab.caps import DEFAULT_DEGREE_CAP, Caps, current_caps
 from ufdlab.coeff import GF, QQ
 from ufdlab.errors import CapExceeded
 from ufdlab.omega import (
@@ -438,6 +438,29 @@ def test_terms_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="^instance too large: normal_form reached terms 4, "
                                           "over the terms cap of 3$"):
         normal_form(parse_omega("z0^4*z1^4"))
+
+
+def test_caps_follow_the_variable_from_call_to_call(monkeypatch):
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
+    first = current_caps()
+    assert first == Caps(degree=DEFAULT_DEGREE_CAP, terms=3)
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=9, terms=5")
+    assert current_caps() == Caps(degree=9, terms=5)
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=3")
+    assert current_caps() is first  # the value was parsed once
+    monkeypatch.delenv("UFDLAB_CAPS")
+    assert current_caps() == Caps()
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("terms=many", "bad UFDLAB_CAPS entry 'terms=many'"),
+    ("depth=3", "unknown UFDLAB_CAPS key 'depth'"),
+])
+def test_malformed_caps_raise_on_every_call(monkeypatch, raw, message):
+    monkeypatch.setenv("UFDLAB_CAPS", raw)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            current_caps()
 
 
 def test_terms_cap_on_squarefree_input(monkeypatch):
