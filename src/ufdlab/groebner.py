@@ -466,9 +466,16 @@ def ideal_equal(a: Ideal, b: Ideal, order: Order = GREVLEX) -> bool:
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
+    """Generated by the products f*g, each kept at its first occurrence only."""
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
-    return Ideal(a.ring, tuple(f * g for f in a.gens for g in b.gens))
+    products: list[Polynomial] = []
+    for f in a.gens:
+        for g in b.gens:
+            h = f * g
+            if h not in products:
+                products.append(h)
+    return Ideal(a.ring, products)
 
 
 def ideal_power(a: Ideal, n: int) -> Ideal:

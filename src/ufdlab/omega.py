@@ -303,13 +303,12 @@ def expansion_poly(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> Omega
     return OmegaPoly(Polynomial(omega_ring(field, width - 1), terms))
 
 
-def expansion_text(nf: Mapping[int, BasisExpansion], field: Field = QQ) -> str:
-    """Canonical one-line rendering of a normal-form map, for exact comparison."""
+def expansion_text(nf: Mapping[int, BasisExpansion]) -> str:
+    """Canonical one-line rendering of a normal-form map, for exact comparison
+    (its coefficients are reduced field elements, which `str` renders)."""
     parts = []
     for d in sorted(nf):
-        inner = ", ".join(
-            f"({m}, {n}, {field.render(c)})" for m, n, c in nf[d].entries
-        )
+        inner = ", ".join(f"({m}, {n}, {c})" for m, n, c in nf[d].entries)
         parts.append(f"deg {d}: [{inner}]")
     return "; ".join(parts) if parts else "0"
 

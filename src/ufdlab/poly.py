@@ -5,8 +5,12 @@ exponent tuple is aligned with the ring's fixed variable order, and every
 exponent is >= 0.  Zero coefficients are never stored, so equal polynomials
 have identical term maps.
 
-Text syntax (render/parse round-trips exactly): terms in graded-reverse-
-lexicographic order, explicit `*` between factors, `^` for powers, e.g.
+Text syntax (render/parse round-trips exactly): a flat sum of signed
+products, `sign* product (("+" | "-") product)*`, where a product is
+`factor ("*" factor)*` and a factor is `digits ["/" digits]` or
+`name ["^" ["-"] digits]`; spaces may separate tokens, and a negative
+exponent is rejected (x^-0 is 1).  Terms render in graded-reverse-
+lexicographic order, e.g.
 
     2*u^2*X - 1/3*v + 4
 """
@@ -542,77 +546,66 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, ring: PolyRing, tokens: list[str]):
-        self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial text")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        result = self.parse_signed_term()
-        while self.peek() in ("+", "-"):
-            sign = self.take()
-            term = self.parse_term()
-            result = result + term if sign == "+" else result - term
-        if self.peek() is not None:
-            raise ValueError(f"trailing token {self.peek()!r}")
-        return result
-
-    def parse_signed_term(self) -> Polynomial:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        term = self.parse_term()
-        return term if sign > 0 else -term
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.peek() == "*":
-            self.take()
-            result = result * self.parse_factor()
-        return result
-
-    def parse_factor(self) -> Polynomial:
-        tok = self.take()
-        if tok.isdigit():
-            value = Fraction(int(tok))
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit():
-                    raise ValueError("expected integer denominator")
-                if int(den) == 0:
-                    raise ValueError("zero denominator")
-                value = value / int(den)
-            return self.ring.const(value)
-        if _IDENT_RE.fullmatch(tok):
-            exponent = 1
-            if self.peek() == "^":
-                self.take()
-                neg = False
-                nxt = self.take()
-                if nxt == "-":
-                    neg = True
-                    nxt = self.take()
-                if not nxt.isdigit():
-                    raise ValueError("expected integer exponent")
-                exponent = -int(nxt) if neg else int(nxt)
-            return self.ring.monomial({tok: exponent})
-        raise ValueError(f"unexpected token {tok!r}")
-
-
 def parse_poly(ring: PolyRing, text: str) -> Polynomial:
+    """Read text in one pass: one coefficient and one exponent vector per
+    signed product, and products with equal vectors summed in the field."""
     if not isinstance(text, str):
         raise ValueError(f"a polynomial must be given as text, got {type(text).__name__}")
-    return _Parser(ring, _tokenize(text.strip())).parse()
+    fld = ring.field
+    of, mul, add, one = fld.of, fld.mul, fld.add, fld.one()
+    tokens = iter(_tokenize(text.strip()))
+
+    def take() -> str:
+        tok = next(tokens, None)
+        if tok is None:
+            raise ValueError("unexpected end of polynomial text")
+        return tok
+
+    terms: dict[Exp, object] = {}
+    negative, tok = False, take()
+    while tok in ("+", "-"):  # signs repeat only before the first product
+        negative ^= tok == "-"
+        tok = take()
+    while True:
+        coeff, exp = fld.neg(one) if negative else one, [0] * ring.nvars
+        while True:  # one factor per pass, starting at tok
+            if tok.isdigit():
+                value, tok = int(tok), next(tokens, None)
+                if tok == "/":
+                    den = take()
+                    if not den.isdigit():
+                        raise ValueError("expected integer denominator")
+                    if int(den) == 0:
+                        raise ValueError("zero denominator")
+                    value, tok = Fraction(value, int(den)), next(tokens, None)
+                coeff = mul(coeff, of(value))
+            elif _IDENT_RE.fullmatch(tok):
+                name, tok, k = tok, next(tokens, None), "1"
+                if tok == "^":
+                    k = take()
+                    if k == "-":
+                        k += take()
+                    if not k.removeprefix("-").isdigit():
+                        raise ValueError("expected integer exponent")
+                    tok = next(tokens, None)
+                i = ring.index(name)
+                if int(k) < 0:
+                    raise ValueError(f"negative exponent on variable {name!r}")
+                exp[i] += int(k)
+            else:
+                raise ValueError(f"unexpected token {tok!r}")
+            if tok != "*":
+                break
+            tok = take()
+        e = tuple(exp)
+        if e in terms:
+            coeff = add(terms[e], coeff)
+        if coeff:  # a sum that cancels leaves the dict, as Polynomial.__add__ does
+            terms[e] = coeff
+        else:
+            terms.pop(e, None)
+        if tok is None:
+            return _adopt(ring, terms)
+        if tok not in ("+", "-"):
+            raise ValueError(f"trailing token {tok!r}")
+        negative, tok = tok == "-", take()

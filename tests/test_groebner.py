@@ -673,6 +673,14 @@ def test_ideal_product():
     assert ideal_equal(prod, ideal(r, x**2, x * y))
 
 
+def test_ideal_power_keeps_each_product_once():
+    r = poly_ring(QQ, ("u", "v", "w"))
+    u, v, _ = r.gens()
+    power = ideal_power(ideal(r, u, v), 5)
+    assert power.gens == tuple(u ** (5 - k) * v**k for k in range(6))
+    assert ideal_product(ideal(r, u, v), ideal(r, v, u)).gens == (u * v, u**2, v**2)
+
+
 def test_elimination_order_blocks_validated():
     r = poly_ring(QQ, ("x", "y", "z"))
     with pytest.raises(ValueError, match="partition"):

@@ -10,6 +10,7 @@ from ufdlab.errors import CapExceeded
 from ufdlab.groebner import ideal
 from ufdlab.poly import (
     Polynomial,
+    PolyRing,
     RingMap,
     degree_of,
     derivative,
@@ -283,6 +284,109 @@ def test_parse_rejects_garbage():
         r.parse(3)
     with pytest.raises(ValueError, match="zero denominator"):
         r.parse("x^2 + 1/0")
+
+
+def _random_sum(rng, field):
+    """A text of 1-4 signed products and the (sign, factors) list it spells:
+    a factor is ("num", n, d) with d None for an integer, or ("var", name, k)
+    with k None for a bare name; the first product may carry a sign run."""
+    dens = [d for d in range(1, 10) if field.char == 0 or d % field.char]
+    products = []
+    text = ""
+    for j in range(rng.randint(1, 4)):
+        if j == 0:
+            run = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 1, 2, 3])))
+            sign = -1 if run.count("-") % 2 else 1
+            text += run + rng.choice(["", " "])
+        else:
+            sign = rng.choice([1, -1])
+            text += rng.choice([" ", "", "  "]) + ("+" if sign > 0 else "-") + rng.choice([" ", ""])
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.35:
+                n = rng.choice([0, 1, 2, 3, 5, 7, 10, 32003, rng.randint(0, 10**6)])
+                factors.append(("num", n, rng.choice(dens) if rng.random() < 0.4 else None))
+            else:
+                name = rng.choice("xyz")  # repeats within a product are common
+                factors.append(("var", name, rng.choice([None, 0, 1, 2, 3]) if rng.random() < 0.6 else None))
+        if j and rng.random() < 0.3:  # the product of an earlier term again: sums and cancellations
+            factors = rng.choice(products)[1]
+        products.append((sign, factors))
+        pieces = []
+        for kind, a, b in factors:
+            if kind == "num":
+                pieces.append(str(a) if b is None else f"{a}/{b}")
+            else:
+                pieces.append(a if b is None else f"{a}^{b}")
+        text += rng.choice(["*", " * ", "* "]).join(pieces)
+    return rng.choice(["", " "]) + text + rng.choice(["", " "]), products
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)], ids=str)
+def test_parse_matches_ring_arithmetic_on_its_factor_list(field):
+    rng = random.Random(2700 + (field.char or 1))
+    r = R("xyz", field=field)
+    for _ in range(300):
+        text, products = _random_sum(rng, field)
+        want = r.zero()
+        for sign, factors in products:
+            term = r.const(sign)
+            for kind, a, b in factors:
+                if kind == "num":
+                    term = term * r.const(Fraction(a, b or 1))
+                else:
+                    term = term * r.var(a) ** (1 if b is None else b)
+            want = want + term
+        got = r.parse(text)
+        assert got == want, text
+        # the same terms, in the order the arithmetic inserts them, and types
+        assert [(e, c, type(c)) for e, c in got.terms.items()] == [
+            (e, c, type(c)) for e, c in want.terms.items()
+        ], text
+
+
+@pytest.mark.parametrize("text, field, message", [
+    ("x + $", QQ, "bad character in polynomial text at ' $'"),
+    ("x +", QQ, "unexpected end of polynomial text"),
+    ("x^", QQ, "unexpected end of polynomial text"),
+    ("3/x", QQ, "expected integer denominator"),
+    ("1/0", QQ, "zero denominator"),
+    ("1/5", GF(5), "Fraction(1, 5) is not an element of GF(5)"),
+    ("x^y", QQ, "expected integer exponent"),
+    ("q^y", QQ, "expected integer exponent"),
+    ("q", QQ, "unknown variable 'q'"),
+    ("x^-1", QQ, "negative exponent on variable 'x'"),
+    ("(x)", QQ, "unexpected token '('"),
+    ("x y", QQ, "trailing token 'y'"),
+    ("x - -y", QQ, "unexpected token '-'"),
+    (3, QQ, "a polynomial must be given as text, got int"),
+], ids=repr)
+def test_parse_error_messages(text, field, message):
+    with pytest.raises(ValueError) as err:
+        R("xy", field=field).parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_sign_run_and_negative_zero_exponent():
+    r = R("xy")
+    assert r.parse("x^-0") == r.one()
+    assert r.parse("--x") == r.var("x")
+    assert r.parse("+-+y") == -r.var("y")
+
+
+def test_parse_runs_no_polynomial_arithmetic(monkeypatch):
+    r = R("xy", field=GF(5))
+    x, y = r.gens()
+    want = 3 * x**2 * y - 2 * y + 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reader called polynomial arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    monkeypatch.setattr(PolyRing, "const", refuse)
+    monkeypatch.setattr(PolyRing, "monomial", refuse)
+    assert r.parse("3*x*x*y - 2*y + 9 + x^0*1/2*x*y*x - 2/4*y*x^2").terms == want.terms
 
 
 def test_prime_field_render_round_trip():
