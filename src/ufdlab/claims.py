@@ -59,6 +59,7 @@ from .groebner import (
     ideal,
     ideal_equal,
     ideal_power,
+    ideal_product,
     reduce,
     saturation,
 )
@@ -316,9 +317,11 @@ def _h_wchain_regular(params):
     u, v, w = ring.gens()
     W, J = w_chain(ring, u, v, w, i_max)
     uv = ideal(ring, u, v)
+    power = ideal_power(uv, 0)
     levels = []
     for i in range(1, i_max + 1):
-        w_ok = ideal_equal(W[i], ideal_power(uv, i))
+        power = ideal_product(power, uv)
+        w_ok = ideal_equal(W[i], power)
         j_ok = ideal_equal(J[i], W[i])
         levels.append({"i": i, "W_is_power": w_ok, "J_equals_W": j_ok,
                        "W_basis": [str(g) for g in W[i].groebner()]})

@@ -331,6 +331,14 @@ def gcd_bezout(values: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
+@functools.lru_cache(maxsize=1)
+def _bezout(a: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """gcd_bezout(a) as an immutable pair; the last one is kept, since a
+    caller scanning b and c keeps a fixed."""
+    g, coeffs = gcd_bezout(list(a))
+    return g, tuple(coeffs)
+
+
 def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     """Find integers m with gcd(c, b + sum(m[i]*a[i])) = 1.
 
@@ -338,7 +346,9 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     expresses d = sum(e[i]*a[i]) and scans t = 0, 1, ... testing
     gcd(c, b + t*d) = 1; some t <= |c| always works because the bad t form,
     for each prime divisor of c not dividing d, a single residue class, and
-    the product of those primes is at most |c|.
+    the product of those primes is at most |c|.  The Bezout vector (d, e)
+    of the last a is cached, so repeated calls with the same a compute it
+    once; each call still returns a fresh list.
     """
     if gcd(*a, b, c) != 1:
         raise HypothesisError("hypothesis of prime avoidance fails")
@@ -350,7 +360,7 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
         return [0] * n
     if c == 0:
         # gcd(0, y) = |y|: need b + t*d = +-1 exactly.
-        d, e = gcd_bezout(list(a))
+        d, e = _bezout(tuple(a))
         for target in (1, -1):
             if (target - b) % d == 0:
                 t = (target - b) // d
@@ -361,7 +371,7 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     if gcd(c, b) == 1:
         # the scan below would stop at t = 0; no Bezout vector is needed.
         return [0] * n
-    d, e = gcd_bezout(list(a))
+    d, e = _bezout(tuple(a))
     for t in range(1, abs(c) + 1):
         if gcd(c, b + t * d) == 1:
             return [t * ei for ei in e]

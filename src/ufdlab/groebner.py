@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -572,12 +573,21 @@ def _cofactor_span(ring: PolyRing, gens_terms: tuple, max_deg: int, target_deg: 
     """Row index of the monomials of degree <= target_deg, and echelon pivot
     rows spanning the columns m*g for every g, given by its term tuple in
     gens_terms, and every monomial m of degree <= max_deg.  The last span
-    built is kept for the next call with the same arguments."""
-    row_index = {e: i for i, e in enumerate(_monomials_up_to(ring, target_deg))}
-    multipliers = _monomials_up_to(ring, max_deg)
+    built is kept for the next call with the same arguments.
+
+    The columns go in shortest generator first (a stable sort on term
+    count), the sparse-rows-first rule of sparse elimination: a monomial or
+    binomial generator lays down sparse pivot rows, and the longer columns
+    then reduce against them with little fill-in.  The span itself does not
+    depend on the order.  The rows ascend in grevlex, degree first, and
+    max_deg <= target_deg, so the multipliers are the first
+    C(nvars + max_deg, nvars) rows."""
+    rows = _monomials_up_to(ring, target_deg)
+    row_index = {e: i for i, e in enumerate(rows)}
+    multipliers = rows[:math.comb(ring.nvars + max_deg, ring.nvars)]
     fld = ring.field
     pivots: dict[int, dict[int, object]] = {}
-    for terms in gens_terms:
+    for terms in sorted(gens_terms, key=len):
         for m in multipliers:
             _insert_pivot(fld, pivots, {row_index[mono_mul(m, e)]: c for e, c in terms})
     return row_index, pivots
@@ -590,8 +600,10 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     degree: complete whenever some representation p = sum(q_i g_i) exists
     with deg q_i <= max_deg.  A False answer therefore only means "no
     low-degree certificate", which is exact if max_deg is large enough.
-    The span of the cofactor columns is kept for the next call with the
-    same ring, generators and degrees; p is only reduced against it.
+    The span of the cofactor columns is built shortest generator first, so
+    that sparse pivot rows come first and the longer columns fill in little
+    against them; it is kept for the next call with the same ring,
+    generators and degrees, and p is only reduced against it.
     """
     ring = p.ring
     gens = [g for g in gens if g]

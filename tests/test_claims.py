@@ -21,6 +21,9 @@ from ufdlab.claims import (
     suite_claims,
 )
 from ufdlab.cli import _checked_json
+from ufdlab.coeff import field_from_name
+from ufdlab.constructions import w_chain
+from ufdlab.poly import Polynomial, poly_ring
 
 
 def test_registry_is_nonempty_and_self_describing():
@@ -307,6 +310,28 @@ def test_wchain_regular_witness_records_every_level():
     levels = rep.witness["levels"]
     assert [lv["i"] for lv in levels] == [1, 2, 3]
     assert all(lv["W_is_power"] and lv["J_equals_W"] for lv in levels)
+
+
+def test_wchain_regular_builds_each_power_from_the_last(monkeypatch):
+    # Level i multiplies the i generators of (u, v)^(i-1) by u and v: 30
+    # products at the shipped i_max 5, where rebuilding (u, v)^i from the
+    # unit ideal at every level makes 70.  Counted as the products the claim
+    # makes beyond those of w_chain itself.
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    params = default_params("wchain.regular")
+    ring = poly_ring(field_from_name(params["field"]), ("u", "v", "w"))
+    w_chain(ring, *ring.gens(), params["i_max"])
+    chain = len(products)
+    products.clear()
+    assert run_claim("wchain.regular").status == "verified"
+    assert len(products) - chain == 30
 
 
 def test_groebner_irreducible_refutes_a_reducible_instance():

@@ -130,6 +130,34 @@ def test_prime_avoid_c_zero_ignores_the_coprime_shortcut():
     assert prime_avoid([1, 0], -1, 0) == [2, 0]
 
 
+def test_prime_avoid_returns_a_fresh_list_each_call():
+    # the Bezout vector of the last a is cached; the list handed out is not it
+    for a, b, c in (([6, 10], 3, 15), ([6, 10], 3, 0), ([4, 6, 9], 2, 8)):
+        want = _scan_prime_avoid(a, b, c)
+        first = prime_avoid(a, b, c)
+        assert first == want
+        first[0] += 100
+        first.append(7)
+        assert prime_avoid(a, b, c) == want
+
+
+def test_prime_avoid_c_zero_matches_the_plain_scan_between_other_calls():
+    # c = 0 and c != 0 calls interleaved, a kept or changed between them, so
+    # the cached Bezout vector is hit and missed from both branches
+    rng = random.Random(53)
+    a = [1]
+    c_zero = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+        b = rng.randint(-9, 9)
+        c = 0 if rng.random() < 0.5 else rng.randint(-12, 12)
+        want = _outcome(_scan_prime_avoid, a, b, c)
+        assert _outcome(prime_avoid, a, b, c) == want, (a, b, c)
+        c_zero += c == 0 and want != "HypothesisError"
+    assert c_zero > 100
+
+
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError, match="not prime"):
         GF(6)

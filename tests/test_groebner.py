@@ -764,6 +764,65 @@ def test_brute_force_member_reuses_its_span_exactly():
             assert not answer
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003)], ids=str)
+def test_brute_force_member_does_not_depend_on_generator_order(field):
+    # The span is built shortest generator first.  The given, reversed and
+    # length-sorted lists span the same columns, so their answers agree, and
+    # agree with Ideal.contains wherever the bound certifies.
+    rng = random.Random(59)
+    r = poly_ring(field, ("x", "y"))
+    bound = 2
+    seen = {"member": 0, "non-member": 0}
+    for _ in range(8):
+        counts = [1, 2, 4]
+        rng.shuffle(counts)
+        gens = [g for g in (Polynomial(r, _random_terms(field, rng, 3, k)) for k in counts) if g]
+        orders = (gens, gens[::-1], sorted(gens, key=lambda g: len(g.terms)))
+        i = ideal(r, *gens)
+        queries = []
+        for _ in range(3):
+            p = r.zero()
+            for g in gens:
+                p = p + Polynomial(r, _random_terms(field, rng, bound, 3)) * g
+            queries.append((p, True))
+            queries.append((Polynomial(r, _random_terms(field, rng, 3, 4)), False))
+        for p, built in queries:
+            answers = {brute_force_member(p, order, bound) for order in orders}
+            assert len(answers) == 1, (str(p), [str(g) for g in gens])
+            answer = answers.pop()
+            member = i.contains(p)
+            assert not answer or member  # a yes is an explicit combination
+            if built:
+                assert answer
+                seen["member"] += 1
+            elif not member:
+                seen["non-member"] += 1
+    assert seen["member"] and seen["non-member"]
+
+
+def test_brute_force_member_row_updates_are_bounded(monkeypatch):
+    # One Field.sub per row update, no timing.  In the given order the two
+    # dense squares lay down their rows first and every later column fills
+    # in against them (2,096 updates); shortest generator first takes 326.
+    field = GF(5)
+    updates = []
+    sub = type(field).sub
+
+    def counting_sub(self, a, b):
+        updates.append(1)
+        return sub(self, a, b)
+
+    monkeypatch.setattr(type(field), "sub", counting_sub)
+    r = poly_ring(field, ("x", "y", "z"))
+    x, y, z = r.gens()
+    gens = [(x + y + z + 1) ** 2, (x + 2 * y - z) ** 2, x * y - z, y**2]
+    p = gens[0] * (x + z) + gens[-1] * y**2
+    groebner._cofactor_span.cache_clear()
+    updates.clear()
+    assert brute_force_member(p, gens, 2)
+    assert len(updates) <= 450
+
+
 def _dense_added_flags(vectors, width, p):
     # Gaussian elimination on dense rows of Fractions (p = None) or of
     # residues mod p: does each vector raise the rank of those before it?
