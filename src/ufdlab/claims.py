@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .caps import current_caps
-from .coeff import QQ, field_from_name, is_int, prime_avoid
+from .coeff import QQ, PrimeField, field_from_name, is_int, prime_avoid
 from .constructions import (
     jacobian_tangent_dim,
     lemma_level_check,
@@ -177,12 +177,27 @@ def _vars(value, parsed):
     return poly_ring(parsed["field"], _json(list)(value, parsed))
 
 
-def _poly(names: Optional[tuple[str, ...]] = None):
+def _poly(names: Optional[tuple[str, ...]] = None, must_be: Optional[str] = None):
     """Polynomial text in k[names] over parameter `field`, or in the ring of
-    parameter `vars` without names."""
+    parameter `vars` without names; must_be "nonzero" refuses 0, and
+    "nonconstant" every constant."""
     def parse(value, parsed):
         ring = parsed["vars"] if names is None else poly_ring(parsed["field"], names)
-        return ring.parse(value)
+        p = ring.parse(value)
+        if must_be and (p.is_constant() if must_be == "nonconstant" else not p):
+            raise ValueError(f"must be {must_be}, got {value!r}")
+        return p
+    return parse
+
+
+def _one_per(key: str):
+    """A JSON list with one entry per entry of parameter `key`."""
+    def parse(value, parsed):
+        entries = _json(list)(value, parsed)
+        if len(entries) != len(parsed[key]):
+            raise ValueError(f"must have one entry per entry of {key} "
+                             f"({len(parsed[key])}), got {len(entries)}")
+        return entries
     return parse
 
 
@@ -473,6 +488,9 @@ def _h_jacobian_rank(params):
     family = threefold_family(fld, ps, params.get("u", [1] * len(ps)),
                               params.get("v", [1] * len(ps)), a, b)
     rank, dim = jacobian_tangent_dim(family, q)
+    if not isinstance(fld, PrimeField) and q.total_degree() >= 2:
+        # the rank is taken over k[x]/(q), a field only for an irreducible q
+        return "unknown", f"q = {q} is not checked to be irreducible over {fld}", None
     expect_rank = params["expect_rank"]
     expect_dim = params["expect_tangent_dim"]
     witness = {"rank": rank, "tangent_dim": dim}
@@ -593,7 +611,7 @@ _register(
     "samuel.kernel",
     "(a*X - b) is already saturated at a: ((a*X - b) : a^infinity) = (a*X - b).",
     {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["u", "v", "X"]),
-     "a": Param(_poly(), "u", fill=False, required=True),
+     "a": Param(_poly(must_be="nonzero"), "u", fill=False, required=True),
      "b": Param(_poly(), "v", fill=False, required=True)},
     _h_samuel_kernel,
 )
@@ -615,8 +633,9 @@ _register(
     "lemma32.levels",
     "Level-wise elimination identity: eliminating X from (s^i, s*t*X - b) "
     "recovers W_i at every level up to the bound.",
-    {"field": Param(_field, "GF(5)"), "s": Param(_poly(("u", "v")), "u"),
-     "t": Param(_poly(("u", "v")), "v"), "b": Param(_poly(("u", "v")), "u+v"),
+    {"field": Param(_field, "GF(5)"), "s": Param(_poly(("u", "v"), "nonzero"), "u"),
+     "t": Param(_poly(("u", "v"), "nonzero"), "v"),
+     "b": Param(_poly(("u", "v"), "nonzero"), "u+v"),
      "i_max": Param(_json(int, 1), 4)},
     _h_lemma32_levels,
 )
@@ -675,8 +694,9 @@ _register(
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
     # u and v are derived from p when left out
     {"field": Param(_field, "Q"), "p": Param(_each(_poly(("x",))), ["x"]),
-     "u": Param(_json(list), [1], fill=False), "v": Param(_json(list), [1], fill=False),
-     "a": Param(_json(list), [2]), "b": Param(_json(list), [3]), "q": Param(_poly(("x",)), "x"),
+     "u": Param(_one_per("p"), [1], fill=False), "v": Param(_one_per("p"), [1], fill=False),
+     "a": Param(_one_per("p"), [2]), "b": Param(_one_per("p"), [3]),
+     "q": Param(_poly(("x",), "nonconstant"), "x"),
      "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
      "reject_exponent_one": Param(_json(bool), True)},
     _h_jacobian_rank,

@@ -575,7 +575,8 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     maximal ideal and reduces the x-part modulo q; the rank is computed over
     the residue field k[x]/(q).  So q must be irreducible.  Over a prime
     field this is checked by exhaustive factor search; over Q it is not
-    checked, and for a reducible q the rank returned is meaningless.
+    checked, and for a reducible q the rank returned is meaningless (the
+    `jacobian.rank` claim reports unknown for every q of degree >= 2 there).
     """
     params = B.notes.get("params")
     if params is None:

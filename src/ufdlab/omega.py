@@ -19,13 +19,15 @@ lowers the total z-exponent (the z-size), so one sweep over buckets of
 terms by z-size, largest first, finishes: only larger sizes feed a bucket,
 so it is complete when reached.  The result is independent of pivot choices
 (exercised by the confluence tests).  Inside the sweep a term is one int:
-each z-exponent has a field as wide as the input's top z-size in bits, and
-the x-exponent sits above the Z_INDEX_CAP + 1 z-fields.  A rewrite then
-depends on the term only through its pivot k and half-exponent a, so one
-table per call holds each (k, a)'s move: the children's offsets from the
-term, grouped by binomial factor.  A final term's basis index is read off
-its z-fields eight at a time, through a 256-entry table per field width.
-Everything here is exact and immutable.
+each z-exponent has a field as wide as the input's top z-size in bits, one
+field per z-index the input can reach (a bound no rewrite crosses, from a
+potential no rewrite raises), and the x-exponent sits above those fields.
+A rewrite then depends on the term only through its pivot k and
+half-exponent a, so each (k, a)'s move, the children's offsets from the
+term grouped by binomial factor, is built once per field and packing and
+shared by every call.  A final term's basis index is read off its z-fields
+eight at a time, through a 256-entry table per field width.  Everything
+here is exact and immutable.
 """
 
 from __future__ import annotations
@@ -178,17 +180,33 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
 
     A term x^r z^e is one int key: e_i in the field of w bits at bit i*w,
     where w is the bit length of the input's top z-size (no rewrite raises
-    a z-size, so no field overflows), and r above the Z_INDEX_CAP + 1
-    z-fields.  The mask hi covers bits 1..w-1 of every field, so a term is
-    squarefree iff key & hi is 0, and the pivot is the field of its highest
-    (or lowest) set bit.  The rewrite
+    a z-size, so no field overflows), and r above the z-fields.  There is
+    one z-field per index up to the input's reach.  The potential
+    P = sum e_i 2^ceil(i/2) of a term never rises under a rewrite, since
+    z_k^(2a) -> z_(k+1)^(a-j) z_(k+2)^j trades 2a 2^ceil(k/2) for at most
+    (a-j) 2^(ceil(k/2)+1) + j 2^(ceil(k/2)+1); and a term holding z_L has
+    P >= 2^ceil(L/2).  So with P the input's largest potential no index
+    past 2 (bit_length(P) - 1) appears (z0^(2^t) reaches z_(2t)), and the
+    fields stop there, or at Z_INDEX_CAP if that is lower.  The mask hi
+    covers bits 1..w-1 of every field, so a term is squarefree iff
+    key & hi is 0, and the pivot is the field of its highest (or lowest)
+    set bit.  The rewrite
     z_k^(2a+b) = z_k^b (-1)^a sum_j C(a, j) z_(k+1)^(a-j) (x^(2^(k+1)) z_(k+2))^j
-    depends on the key only through (k, a), so each call keeps a table of
-    moves, one per (k, a) met, made by `_move` on first use: child j is
+    depends on the key only through (k, a), so a rewrite takes its move
+    from a per-call table, filled on first use from `_move`, which builds
+    each move once per field and packing for all calls: child j is
     key + delta_j, and the deltas are grouped by their factor
     (-1)^a C(a, j), so a rewrite multiplies the coefficient once per
     distinct factor.  A final term's basis index n is read off its z-fields
     eight at a time through `_digit_table`.
+
+    The terms cap bounds the live terms (waiting and final) after each
+    rewrite.  A rewrite of a term of z-size S adds at most its move's net
+    child count, at most S // 2, so `upper`, raised by that count, bounds
+    the live terms from above; while a whole bucket's rewrites cannot lift
+    it past the limit, the bucket runs without counting.  The first bucket
+    that could is preceded by one exact count, after which every rewrite
+    counts exactly: a cap hit names the same live count wherever it falls.
     """
     if pivot not in ("largest", "smallest"):
         raise ValueError("pivot must be 'largest' or 'smallest'")
@@ -197,10 +215,14 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     field = p.field
     zero = field.zero()
     add, mul = field.add, field.mul
-    sizes = [sum(exp) - exp[0] for exp in p.poly.terms]
+    terms = p.poly.terms
+    sizes = [sum(exp) - exp[0] for exp in terms]
     top = max(sizes, default=-1)
     w = max(1, top.bit_length())
-    fields = Z_INDEX_CAP + 1
+    potential = max(
+        (sum(e << (i + 1) // 2 for i, e in enumerate(exp[1:])) for exp in terms), default=0
+    )
+    fields = min(Z_INDEX_CAP, max(0, 2 * (potential.bit_length() - 1))) + 1
     zb = fields * w
     shifts = range(0, zb, w)
     zmask = (1 << zb) - 1
@@ -209,17 +231,22 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     digits = _digit_table(w)
     chunk, cmask = 8 * w, (1 << 8 * w) - 1
     buckets: list[dict[int, object]] = [{} for _ in range(top + 1)]
-    for (exp, coeff), size in zip(p.poly.terms.items(), sizes):
+    for (exp, coeff), size in zip(terms.items(), sizes):
         buckets[size][sum(e << s for e, s in zip(exp[1:], shifts)) + (exp[0] << zb)] = coeff
     # only a rewrite changes the live-term count, so checking it here and
     # after each rewrite also covers the output
-    live = len(p.poly.terms)
-    if live > limit:
-        raise too_large("normal_form", "terms", limit, live)
+    upper = len(terms)
+    if upper > limit:
+        raise too_large("normal_form", "terms", limit, upper)
+    live = None  # the exact live-term count, once `upper` may pass the limit
     moves: dict[int, tuple] = {}  # (k, a) as 2a * fields + k: the `_move` for it
     by_degree: dict[int, list[tuple[int, int, object]]] = {}
     while buckets:
-        for key, coeff in buckets.pop().items():
+        bucket = buckets.pop()
+        size = len(buckets)
+        if live is None and upper + len(bucket) * (size // 2) > limit:
+            live = len(bucket) + sum(map(len, buckets)) + sum(map(len, by_degree.values()))
+        for key, coeff in bucket.items():
             h = key & hi
             if not h:
                 z, n, s = key & zmask, 0, 0
@@ -234,10 +261,15 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
             two_a = h >> k * w & fmask
             move = moves.get(two_a * fields + k)
             if move is None:
+                if k + 2 > Z_INDEX_CAP:
+                    raise too_large("normal_form", "z-index", Z_INDEX_CAP, k + 2)
                 move = moves[two_a * fields + k] = _move(field, k, two_a >> 1, w, zb)
-            a, groups = move
-            target = buckets[len(buckets) - a]
-            live -= len(target) + 1
+            a, net, groups = move
+            target = buckets[size - a]
+            if live is None:
+                upper += net
+            else:
+                live -= len(target) + 1
             for f, deltas in groups:
                 c = mul(coeff, f)
                 for delta in deltas:
@@ -249,24 +281,25 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
                         target[child] = total
                     else:
                         del target[child]
-            live += len(target)
-            if live > limit:
-                raise too_large("normal_form", "terms", limit, live)
+            if live is not None:
+                live += len(target)
+                if live > limit:
+                    raise too_large("normal_form", "terms", limit, live)
     return {
         d: BasisExpansion(d, tuple(sorted(entries, key=lambda t: t[0])))
         for d, entries in sorted(by_degree.items())
     }
 
 
+@functools.lru_cache(maxsize=1024)
 def _move(
     field: Field, k: int, a: int, w: int, zb: int
-) -> tuple[int, tuple[tuple[object, tuple[int, ...]], ...]]:
-    """The rewrite of z_k^(2a) in `normal_form`'s packing: (a, groups), where
-    each group (f, deltas) holds a factor f = (-1)^a C(a, j) that is nonzero
-    in the field and the key offsets of the children j with that factor.
-    Child j trades z_k^(2a) for z_(k+1)^(a-j) z_(k+2)^j x^(j 2^(k+1))."""
-    if k + 2 > Z_INDEX_CAP:
-        raise too_large("normal_form", "z-index", Z_INDEX_CAP, k + 2)
+) -> tuple[int, int, tuple[tuple[object, tuple[int, ...]], ...]]:
+    """The rewrite of z_k^(2a) in `normal_form`'s packing: (a, net, groups),
+    where each group (f, deltas) holds a factor f = (-1)^a C(a, j) that is
+    nonzero in the field and the key offsets of the children j with that
+    factor, and net is the number of children less one.  Child j trades
+    z_k^(2a) for z_(k+1)^(a-j) z_(k+2)^j x^(j 2^(k+1))."""
     kw = k * w
     base = (a << kw + w) - (2 * a << kw)
     step = (1 << kw + 2 * w) - (1 << kw + w) + (1 << zb + k + 1)
@@ -276,7 +309,8 @@ def _move(
         f = field.mul(sign, field.of(math.comb(a, j)))
         if f != field.zero():
             groups.setdefault(f, []).append(base + j * step)
-    return a, tuple((f, tuple(deltas)) for f, deltas in groups.items())
+    net = sum(map(len, groups.values())) - 1
+    return a, net, tuple((f, tuple(deltas)) for f, deltas in groups.items())
 
 
 @functools.lru_cache(maxsize=64)

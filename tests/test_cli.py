@@ -156,6 +156,23 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     # the bounds are i_max and not_in_max only; no single index overrides them
     ("omega.z-relations", {"i": 2}, "unknown parameter 'i'"),
     ("omega.z-relations", {"i": 1, "i_max": 3, "not_in_max": 4}, "unknown parameter 'i'"),
+    # refused while parsing, before the handler runs
+    ("samuel.kernel", {"a": "0", "b": "v"},
+     "parameter 'a' of claim samuel.kernel: must be nonzero, got '0'"),
+    ("lemma32.levels", {"b": "0"},
+     "parameter 'b' of claim lemma32.levels: must be nonzero, got '0'"),
+    ("jacobian.rank", {"q": "1"},
+     "parameter 'q' of claim jacobian.rank: must be nonconstant, got '1'"),
+    ("jacobian.rank", {"u": [1, 1]},
+     "parameter 'u' of claim jacobian.rank: must have one entry per entry of p (1), got 2"),
+    ("jacobian.rank", {"v": []},
+     "parameter 'v' of claim jacobian.rank: must have one entry per entry of p (1), got 0"),
+    ("jacobian.rank", {"p": ["x", "x^2"], "u": [1, 1], "v": [1, 1], "b": [3, 3]},
+     "parameter 'a' of claim jacobian.rank: must have one entry per entry of p (2), got 1"),
+    ("jacobian.rank", {"a": [2, 3]},
+     "parameter 'a' of claim jacobian.rank: must have one entry per entry of p (1), got 2"),
+    ("jacobian.rank", {"b": [3, 3]},
+     "parameter 'b' of claim jacobian.rank: must have one entry per entry of p (1), got 2"),
 ])
 def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
     path = tmp_path / "params.json"
@@ -224,6 +241,18 @@ def test_reducible_jacobian_point_over_prime_field_exits_3(tmp_path, capsys):
     path.write_text(json.dumps({"field": "GF(5)", "p": ["x^2 - 1"], "q": "x^2 - 1"}))
     assert main(["claim", "run", "jacobian.rank", "--params", str(path)]) == 3
     assert "q must be irreducible" in capsys.readouterr().err
+
+
+def test_jacobian_point_of_higher_degree_over_q_is_unknown(tmp_path, capsys):
+    # Q[x]/(x^2 - 1) is not a field, and over Q nothing checks q, so the
+    # rank over it proves nothing: the report says so instead of verifying
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"field": "Q", "p": ["x^2 - 1"], "q": "x^2 - 1"}))
+    assert main(["claim", "run", "jacobian.rank", "--params", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unknown"
+    assert doc["bound"] == "q = x^2 - 1 is not checked to be irreducible over Q"
+    assert doc["witness"] is None
 
 
 def test_ring_export_cas_text(capsys):

@@ -371,6 +371,31 @@ def test_move_table_keeps_each_pivot_and_half_exponent_apart(monkeypatch, field,
         assert normal_form(p, "largest") == got
 
 
+@pytest.mark.parametrize("t", range(1, 6))
+def test_packing_reaches_the_top_z_field(t):
+    # the potential of z0^(2^t) is 2^t, so its reach is z_(2t), and the
+    # rewrite z0^(2^t) -> ... -> x^m z_(2t) gets there: the top z-field is
+    # used, with the x-exponent right above it.  x^3 z1^(2^t) reaches
+    # z_(2t+1), one under its bound, and starts with an x-exponent.
+    for text, top in ((f"z0^{1 << t}", 2 * t), (f"x^3*z1^{1 << t}", 2 * t + 1)):
+        p = parse_omega(text)
+        for pivot in ("largest", "smallest"):
+            got = normal_form(p, pivot)
+            assert expansion_text(got) == expansion_text(_reference_normal_form(p, pivot))
+            assert max(n for e in got.values() for _, n, _ in e.entries).bit_length() == top + 1
+
+
+def test_shared_move_table_keeps_fields_apart():
+    # one move for z0^4 and z1^4 built over Q, then met over GF(2), where
+    # C(2, 1) vanishes, and over Q again
+    text = "z0^4*z1^4 + x*z1^6 - z0^5*z2^2"
+    for field in (QQ, GF(2), QQ):
+        p = parse_omega(text, field)
+        for pivot in ("largest", "smallest"):
+            want = expansion_text(_reference_normal_form(p, pivot))
+            assert expansion_text(normal_form(p, pivot)) == want, (field, pivot)
+
+
 def test_normal_form_rejects_unknown_pivot():
     with pytest.raises(ValueError, match="pivot"):
         normal_form(OmegaPoly.z(0), pivot="median")
@@ -438,6 +463,55 @@ def test_terms_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="^instance too large: normal_form reached terms 4, "
                                           "over the terms cap of 3$"):
         normal_form(parse_omega("z0^4*z1^4"))
+
+
+def test_lowered_z_index_cap_holds_after_the_moves_were_built(monkeypatch):
+    # every move of z0^2*z1^2 is built under the default cap first
+    p = parse_omega("z0^2*z1^2")
+    want = normal_form(p, "largest")
+    assert normal_form(p, "smallest") == want
+    monkeypatch.setattr("ufdlab.omega.Z_INDEX_CAP", 2)
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached z-index 3, "
+                                          "over the z-index cap of 2$"):
+        normal_form(p, "largest")
+    monkeypatch.undo()
+    assert normal_form(p, "largest") == want
+
+
+# (field, input, pivot, peak): the largest live-term count a normal form
+# passes through, as measured on the rewrite that counted every step
+_PEAKS = [
+    (QQ, "z0^6*z1^6*z2^6", "largest", 175),
+    (QQ, "z0^6*z1^6*z2^6", "smallest", 103),
+    (QQ, "z2^9*z3^5 + x*z0^7*z1^6", "largest", 88),
+    (QQ, "z2^9*z3^5 + x*z0^7*z1^6", "smallest", 71),
+    (GF(3), "z0^16", "largest", 39),
+    (GF(3), "z0^16", "smallest", 34),
+    (GF(2), "x*z0^10*z3^3 - z1^12", "largest", 24),
+    (GF(2), "x*z0^10*z3^3 - z1^12", "smallest", 21),
+    # no slack: each rewrite below makes all a + 1 children and none merge,
+    # so the bound before the peak's bucket is the peak itself, and a count
+    # that falls one short per rewrite misses the cap
+    *[(field, text, pivot, peak)
+      for field, text, peak in ((QQ, "z0^2*z3^2", 4), (QQ, "z1^2*z4^2*z7^2", 8),
+                                (QQ, "z0^4*z5^4", 16),
+                                (GF(3), " + ".join(f"x^{100 * r}*z0^2*z3^2" for r in range(5)), 20))
+      for pivot in ("largest", "smallest")],
+]
+
+
+@pytest.mark.parametrize("field, text, pivot, peak", _PEAKS)
+def test_terms_cap_at_the_peak(monkeypatch, field, text, pivot, peak):
+    # the cap is counted exactly only near the limit, so a limit one under
+    # the peak must still be hit, naming the peak, and the peak must pass
+    p = parse_omega(text, field)
+    want = normal_form(p, pivot)
+    monkeypatch.setenv("UFDLAB_CAPS", f"terms={peak - 1}")
+    with pytest.raises(CapExceeded, match=f"^instance too large: normal_form reached terms "
+                                          f"{peak}, over the terms cap of {peak - 1}$"):
+        normal_form(p, pivot)
+    monkeypatch.setenv("UFDLAB_CAPS", f"terms={peak}")
+    assert normal_form(p, pivot) == want
 
 
 def test_caps_follow_the_variable_from_call_to_call(monkeypatch):
