@@ -172,6 +172,14 @@ def _field(value, parsed):
     return field_from_name(value)
 
 
+def _prime_field(value, parsed):
+    """A field name that names a prime field GF(p)."""
+    fld = field_from_name(value)
+    if not isinstance(fld, PrimeField):
+        raise ValueError(f"must be a prime field GF(p), got {value!r}")
+    return fld
+
+
 def _vars(value, parsed):
     """The polynomial ring over parameter `field` on the listed names."""
     return poly_ring(parsed["field"], _json(list)(value, parsed))
@@ -731,7 +739,7 @@ _register(
     "groebner.irreducible",
     "Exhaustive factor search certifies irreducibility over a prime field "
     "at the stated degree bound.",
-    {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["x", "y"]),
+    {"field": Param(_prime_field, "GF(5)"), "vars": Param(_vars, ["x", "y"]),
      "poly": Param(_poly(), "x^2 + y^3", fill=False, required=True),
      "max_deg": Param(_json(int, 1), 2)},
     _h_groebner_irreducible,

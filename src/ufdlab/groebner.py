@@ -102,15 +102,25 @@ def _blockwise(blocks: tuple[tuple[str, ...], ...], ring: PolyRing, block_key):
     seen: list[str] = [n for blk in blocks for n in blk]
     if sorted(seen) != sorted(ring.names):
         raise ValueError("block order must partition the ring variables")
-    index_blocks = [tuple(ring.index(n) for n in blk) for blk in blocks]
+    getters = [_index_getter(tuple(ring.index(n) for n in blk)) for blk in blocks]
 
     def key(exp: Exp):
         parts = ()
-        for idx in index_blocks:
-            parts += block_key(tuple(exp[i] for i in idx))
+        for get in getters:
+            parts += block_key(get(exp))
         return parts
 
     return key
+
+
+def _index_getter(idx: tuple[int, ...]):
+    """A function that picks the entries idx of an exponent as a tuple, even
+    for a single index: a slice for consecutive indices, else an itemgetter,
+    which returns a tuple for two indices or more."""
+    start = idx[0] if idx else 0
+    if idx == tuple(range(start, start + len(idx))):
+        return operator.itemgetter(slice(start, start + len(idx)))
+    return operator.itemgetter(*idx)
 
 
 @functools.lru_cache(maxsize=256)
@@ -142,27 +152,32 @@ def divide(
     """Multivariate division: p = sum(q_i * divisors_i) + r with no term of r
     divisible by any divisor's leading term.  Returns (r, [q_i]).
 
-    Each divisor's order key, leading exponent and leading coefficient are
-    computed once per call (`Polynomial.leading` remembers the latter two
-    across calls), and the divisors are sorted by (order key of the leading
-    term, index): the first one in that list whose leading term divides is
-    the one with the smallest leading term, the lowest index on a tie.  A
-    leading coefficient other than one is inverted once per call.  Every
-    basis that `buchberger` and `Ideal` divide by is monic, and a monic
-    divisor needs no field operation for the quotient coefficient.  The
-    leading term of the running difference `work` comes from a min-heap
-    keyed by `order.descending_key_for(ring)`, which sorts exactly opposite
-    to the order key and is built directly from the exponent (for grevlex,
+    Each divisor's order key, leading exponent and leading coefficient come
+    from its `_lead` entry when that was recorded under this order's key
+    function, and from `Polynomial.leading` (which records them) otherwise,
+    so a divisor used again under the same order costs no `keyfn` call.  The
+    divisors are sorted by (order key of the leading term, index): the first
+    one in that list whose leading term divides is the one with the
+    smallest leading term, the lowest index on a tie.  A leading coefficient
+    other than one is inverted once per call.  Every basis that `buchberger`
+    and `Ideal` divide by is monic, and a monic divisor needs no field
+    operation for the quotient coefficient.  The leading term of the running
+    difference `work` comes from a min-heap keyed by
+    `order.descending_key_for(ring)`, which sorts exactly opposite to the
+    order key and is built directly from the exponent (for grevlex,
     (-sum(e), e reversed)), so the largest term pops first (Yan 1998 keeps
     order keys cached the same way in his geobuckets).  Distinct exponents
     have distinct keys, so the heap never compares two exponents themselves.
     Every exponent of `work` is queued once, an entry whose term has
     cancelled is dropped when it surfaces, and after each step only the
     terms of the subtracted multiple c*m*g not queued yet are pushed; that
-    multiple is built in one pass over g's terms.  A term that no leading
-    term divides moves to the remainder but stays in `work`: every later
-    step subtracts only terms smaller than it, so `work` never touches it
-    again, and the heap running empty ends the division.
+    multiple is built in one pass over g's terms, with the divisibility test
+    and the exponent shifts done inline.  A term that no leading term
+    divides moves to the remainder but stays in `work`: every later step
+    subtracts only terms smaller than it, so `work` never touches it again,
+    and the heap running empty ends the division.  The remainder's terms
+    thus arrive largest first, and the first one is recorded as its leading
+    term under this order.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
@@ -170,6 +185,7 @@ def divide(
     fld = ring.field
     mul = fld.mul
     one = fld.one()
+    le, add, sub = operator.le, operator.add, operator.sub
     caps = current_caps()
     # Among usable divisors prefer the smallest leading term: a rule that
     # solves for a big monomial (Z -> long tail) forward-substitutes and can
@@ -178,12 +194,16 @@ def divide(
     # path-independent, this only picks a cheap route to it.
     leads = []
     for i, g in enumerate(divisors):
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise ValueError("divisor from a different ring")
-        if not g:
-            raise ValueError("zero divisor in reduction")
-        de, dc = g.leading(keyfn)
-        leads.append((keyfn(de), i, de, None if dc == one else fld.inv(dc), g.terms))
+        lead = g._lead
+        if lead is None or lead[0] is not keyfn:
+            if not g:
+                raise ValueError("zero divisor in reduction")
+            g.leading(keyfn)
+            lead = g._lead
+        _, key, de, dc = lead
+        leads.append((key, i, de, None if dc == one else fld.inv(dc), g.terms))
     leads.sort(key=operator.itemgetter(0, 1))
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
     remainder: dict[Exp, object] = {}
@@ -202,21 +222,25 @@ def divide(
         if sum(we) > caps.degree:
             raise too_large("divide", "degree", caps.degree, sum(we))
         for _, i, de, dinv, gterms in leads:
-            if mono_divides(de, we):
+            if all(map(le, de, we)):
                 break
         else:
             remainder[we] = wc
             continue
-        qe = mono_div(we, de)
+        qe = tuple(map(sub, we, de))
         qc = wc if dinv is None else mul(wc, dinv)
         quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
-        step = {mono_mul(qe, e): mul(qc, c) for e, c in gterms.items()}
+        step = {tuple(map(add, qe, e)): mul(qc, c) for e, c in gterms.items()}
         work = work - _adopt(ring, step)
         for e in step:
             if e not in queued:
                 queued.add(e)
                 heapq.heappush(heap, (heap_key(e), e))
-    return _adopt(ring, remainder), [_adopt(ring, q) for q in quotients]
+    rem = _adopt(ring, remainder)
+    if remainder:
+        e = next(iter(remainder))  # popped first, so the largest
+        rem._lead = (keyfn, keyfn(e), e, remainder[e])
+    return rem, [_adopt(ring, q) for q in quotients]
 
 
 def reduce(
@@ -235,24 +259,38 @@ def _lcm(a: Exp, b: Exp) -> Exp:
 def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
     """S-polynomial of f and g, given their leading exponents fe and ge:
     mf*f - mg*g with mf = x^(lcm - fe) / lc(f) and mg likewise, so both
-    products lead with the same monic term.  Each product is built in one
-    pass over its factor's terms, and a leading coefficient is inverted only
-    when it is not one (every basis element in `buchberger` is monic)."""
+    products lead with the same monic term.  The two leading terms cancel
+    and are left out; the tails are shifted and scaled into one dict, f's
+    first and g's subtracted from it, and a leading coefficient is inverted
+    only when it is not one (every basis element in `buchberger` is
+    monic)."""
     lcm = _lcm(fe, ge)
-    return _monic_multiple(f, fe, lcm) - _monic_multiple(g, ge, lcm)
-
-
-def _monic_multiple(f: Polynomial, fe: Exp, lcm: Exp) -> Polynomial:
-    """x^(lcm - fe) * f / lc(f), where fe is f's leading exponent."""
-    shift = mono_div(lcm, fe)
     fld = f.ring.field
-    lc = f.terms[fe]
-    if lc == fld.one():
-        terms = {mono_mul(shift, e): c for e, c in f.terms.items()}
+    one, mul, sub, neg = fld.one(), fld.mul, fld.sub, fld.neg
+    add = operator.add
+    ftail, gtail = dict(f.terms), dict(g.terms)
+    fc, gc = ftail.pop(fe), gtail.pop(ge)
+    fshift, gshift = mono_div(lcm, fe), mono_div(lcm, ge)
+    if fc == one:
+        out = {tuple(map(add, fshift, e)): c for e, c in ftail.items()}
     else:
-        mul, scale = fld.mul, fld.inv(lc)
-        terms = {mono_mul(shift, e): mul(scale, c) for e, c in f.terms.items()}
-    return _adopt(f.ring, terms)
+        scale = fld.inv(fc)
+        out = {tuple(map(add, fshift, e)): mul(scale, c) for e, c in ftail.items()}
+    gscale = None if gc == one else fld.inv(gc)
+    for e, c in gtail.items():
+        e = tuple(map(add, gshift, e))
+        if gscale is not None:
+            c = mul(gscale, c)
+        old = out.get(e)
+        if old is None:
+            out[e] = neg(c)
+        else:
+            c = sub(old, c)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return _adopt(f.ring, out)
 
 
 def _check_caps(g: Polynomial, caps: Caps) -> None:
@@ -285,9 +323,13 @@ def buchberger(
     a heap of (order key of the lcm, (i, j), lcm), each entry computed once
     when the pair is pushed (Giovini et al. 1991 keep their pairs in a heap
     too).  Every element joins the basis monic, so neither `_s_poly` nor
-    `divide` inverts a leading coefficient of it.  A generator or a new
-    remainder over the degree or terms cap raises `CapExceeded` naming the
-    cap.
+    `divide` inverts a leading coefficient of it.  No leading term is found
+    twice: a remainder comes back from `divide` with its leading term and
+    order key recorded, `monic` hands that record on, `Polynomial.leading`
+    in the pair update reads it, and later divisions by the element read it
+    too.  The coprime test of each new pair is made once.  A generator or a
+    new remainder over the degree or terms cap raises `CapExceeded` naming
+    the cap.
     With interreduce=True (the default) the output is the unique reduced
     basis, sorted with the largest leading term first.  With
     interreduce=False the basis is only minimal (no leading term divides
@@ -326,17 +368,18 @@ def buchberger(
         if len(kept) != len(pairs):
             pairs[:] = kept
             heapq.heapify(pairs)
-        # M and F on the new pairs, then the coprime ones go
+        # M and F on the new pairs; a coprime one serves in both but makes
+        # no pair
         fresh = [(k, _lcm(leads[k], he)) for k in live]
         chosen: list[tuple[int, Exp]] = []
         for pos, (k, lcm) in enumerate(fresh):
-            if mono_mul(leads[k], he) == lcm or not any(
+            if mono_mul(leads[k], he) == lcm:
+                chosen.append((k, lcm))
+            elif not any(
                 mono_divides(other, lcm)
                 for _, other in itertools.chain(fresh[pos + 1 :], chosen)
             ):
                 chosen.append((k, lcm))
-        for k, lcm in chosen:
-            if mono_mul(leads[k], he) != lcm:
                 heapq.heappush(pairs, (keyfn(lcm), (k, new), lcm))
         live[:] = [k for k in live if not mono_divides(he, leads[k])]
         live.append(new)

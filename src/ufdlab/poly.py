@@ -136,9 +136,13 @@ class Polynomial:
     over a field a product of nonzero coefficients, a negation and `monic`
     cannot make a zero.
 
-    `leading` remembers its last answer with the order key it was asked
-    under, so repeated divisions by the same polynomial find its leading term
-    once per order key.
+    `_lead` holds (keyfn, keyfn(exp), exp, coeff) for the leading term under
+    the key function keyfn, or None.  `leading` fills it, and code that
+    already knows the leading term of a polynomial it builds may set it:
+    `monic` hands its lead on with coefficient one, and `groebner.divide`
+    records the first term it moves to a remainder.  So repeated divisions
+    by the same polynomial find its leading term and its order key once per
+    key function.
     """
 
     __slots__ = ("ring", "terms", "_lead")
@@ -147,7 +151,7 @@ class Polynomial:
         self.ring = ring
         of = ring.field.of
         self.terms = {e: c for e, v in terms.items() if (c := of(v))}
-        self._lead = None  # (keyfn, exp, coeff) of the last `leading` call
+        self._lead = None
 
     # -- equality -----------------------------------------------------------
 
@@ -163,7 +167,7 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         return self.ring.const(other)
@@ -267,26 +271,37 @@ class Polynomial:
         return all(all(k == 0 for k in e) for e in self.terms)
 
     def leading(self, keyfn=grevlex_key) -> tuple[Exp, object]:
+        """(exponent, coefficient) of the largest term under the key function
+        keyfn.  The answer comes from `_lead` when that was recorded under
+        the same function object (`Order.key_for` returns one per order and
+        ring); otherwise it is found by one scan of the terms and recorded,
+        with its order key, in place of the last one."""
         lead = self._lead
         if lead is not None and lead[0] is keyfn:
-            return lead[1], lead[2]
+            return lead[2], lead[3]
         if not self.terms:
             raise ValueError("leading term of zero")
         e = max(self.terms, key=keyfn)
-        self._lead = (keyfn, e, self.terms[e])
-        return e, self.terms[e]
+        c = self.terms[e]
+        self._lead = (keyfn, keyfn(e), e, c)
+        return e, c
 
     def monic(self, keyfn=grevlex_key) -> "Polynomial":
         """self divided by its leading coefficient; self itself when that is
-        already one (or self is zero)."""
+        already one (or self is zero).  A new result keeps the leading term
+        under keyfn, with coefficient one."""
         if not self.terms:
             return self
         _, c = self.leading(keyfn)
         fld = self.ring.field
-        if c == fld.one():
+        one = fld.one()
+        if c == one:
             return self
         ci = fld.inv(c)
-        return _adopt(self.ring, {e: fld.mul(v, ci) for e, v in self.terms.items()})
+        out = _adopt(self.ring, {e: fld.mul(v, ci) for e, v in self.terms.items()})
+        _, key, e, _ = self._lead
+        out._lead = (keyfn, key, e, one)
+        return out
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises ValueError when not divisible."""

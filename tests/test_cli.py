@@ -173,6 +173,8 @@ def test_usage_errors_exit_three(tmp_path, capsys):
      "parameter 'a' of claim jacobian.rank: must have one entry per entry of p (1), got 2"),
     ("jacobian.rank", {"b": [3, 3]},
      "parameter 'b' of claim jacobian.rank: must have one entry per entry of p (1), got 2"),
+    ("groebner.irreducible", {"field": "Q"},
+     "parameter 'field' of claim groebner.irreducible: must be a prime field GF(p), got 'Q'"),
 ])
 def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
     path = tmp_path / "params.json"

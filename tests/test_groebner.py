@@ -30,7 +30,7 @@ from ufdlab.groebner import (
     row_echelon,
     saturation,
 )
-from ufdlab.poly import Polynomial, poly_ring
+from ufdlab.poly import Polynomial, grevlex_key, poly_ring
 
 
 def QXY():
@@ -256,6 +256,26 @@ def test_descending_key_reverses_the_order_key(order):
     assert again.descending_key_for(poly_ring(QQ, names)) is desc
 
 
+@pytest.mark.parametrize("blocks", [
+    (("x",), ("y", "z", "w")),
+    (("z", "x"), ("w", "y")),
+    (("y",), ("w",), ("x", "z")),
+    ((), ("x", "y", "z", "w")),
+], ids=str)
+def test_block_key_joins_the_grevlex_key_of_each_block(blocks):
+    # one-variable and empty blocks pick a tuple too, as grevlex_key needs
+    rng = random.Random(39)
+    names = ("x", "y", "z", "w")
+    r = poly_ring(QQ, names)
+    key = Order("block", blocks).key_for(r)
+    for _ in range(50):
+        exp = tuple(rng.randrange(4) for _ in names)
+        expected = ()
+        for blk in blocks:
+            expected += grevlex_key(tuple(exp[names.index(n)] for n in blk))
+        assert key(exp) == expected
+
+
 def test_leading_answers_each_order_it_is_asked_under():
     r = poly_ring(QQ, ("x", "y", "z"))
     p = r.parse("x^2 + y^3 + 2*x*z^3 + 3*z^4")
@@ -279,6 +299,124 @@ def test_leading_answers_each_order_it_is_asked_under():
     q = r2.parse("x^2 + y^3 + 2*x*z^3 + 3*z^4")
     assert z_first.key_for(r2) is not z_first.key_for(r)
     assert q.leading(z_first.key_for(r2)) == ((4, 0, 0), 3)
+
+
+# -- carried leading terms -----------------------------------------------------
+
+
+def _recomputed_lead(p, keyfn):
+    """The `_lead` entry that a copy of p carrying nothing computes."""
+    e, c = Polynomial(p.ring, dict(p.terms)).leading(keyfn)
+    return keyfn, keyfn(e), e, c
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_carried_leads_equal_recomputed_ones(field, order, monkeypatch):
+    # divide records the first term it moves to a remainder as the lead and
+    # monic hands its lead on; buchberger's elements carry what they record
+    rng = random.Random(71)
+    r = poly_ring(field, ("x", "y", "z"))
+    keyfn = order.key_for(r)
+    recorded = []
+    plain_divide, plain_monic = groebner.divide, Polynomial.monic
+
+    def recording_divide(p, divisors, order=GREVLEX):
+        rem, quotients = plain_divide(p, divisors, order)
+        recorded.append((rem, order.key_for(rem.ring)))
+        return rem, quotients
+
+    def recording_monic(self, keyfn=grevlex_key):
+        out = plain_monic(self, keyfn)
+        recorded.append((out, keyfn))
+        return out
+
+    monkeypatch.setattr(groebner, "divide", recording_divide)
+    monkeypatch.setattr(Polynomial, "monic", recording_monic)
+    checked = {"elements": 0, "multi_term": 0}
+
+    def check_recorded():
+        # checked as they come: a wrong lead can keep buchberger from ending
+        for p, key in recorded:
+            assert p._lead == (_recomputed_lead(p, key) if p else None), p
+            checked["multi_term"] += len(p.terms) > 1
+        recorded.clear()
+
+    for _ in range(10):
+        gens = _seeded_ideal_gens(field, rng, r)
+        if not gens:
+            continue
+        p = Polynomial(r, {tuple(rng.randrange(3) for _ in range(3)): field.sample(rng)
+                           for _ in range(rng.randrange(1, 7))})
+        groebner.divide(p, gens, order)
+        for g in gens:
+            g.monic(keyfn)
+        check_recorded()
+        for interreduce in (False, True):
+            for g in buchberger(gens, order, interreduce=interreduce):
+                recorded.append((g, keyfn))
+                checked["elements"] += 1
+            check_recorded()
+    assert checked["elements"] >= 20 and checked["multi_term"] >= 40
+
+
+def test_divide_ignores_a_lead_recorded_under_another_order():
+    # the same divisors under each order in turn: a lead recorded under the
+    # last order must not stand for the lead under this one
+    rng = random.Random(73)
+    r = poly_ring(QQ, ("x", "y", "z"))
+
+    def rand_poly(nterms, max_exp):
+        return Polynomial(r, {tuple(rng.randrange(max_exp + 1) for _ in range(3)):
+                              QQ.sample(rng) for _ in range(nterms)})
+
+    for _ in range(20):
+        divisors = [g for g in (rand_poly(rng.randrange(2, 4), 2) for _ in range(2)) if g]
+        p = rand_poly(rng.randrange(2, 7), 3)
+        if not divisors or not p:
+            continue
+        for order in ORDERS_XYZ + ORDERS_XYZ:
+            fresh = [Polynomial(r, dict(g.terms)) for g in divisors]
+            assert divide(p, divisors, order) == _naive_divide(p, fresh, order), order
+
+
+def _two_multiple_s_poly(f, fe, g, ge):
+    """mf*f - mg*g, each multiple built on its own and then subtracted."""
+    lcm = tuple(map(max, fe, ge))
+    fld = f.ring.field
+
+    def multiple(h, he):
+        shift = tuple(a - b for a, b in zip(lcm, he))
+        return Polynomial(h.ring, {shift: fld.inv(h.terms[he])}) * h
+
+    return multiple(f, fe) - multiple(g, ge)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_s_poly_matches_the_two_multiple_formula(field, order):
+    rng = random.Random(79)
+    r = poly_ring(field, ("x", "y", "z"))
+    keyfn = order.key_for(r)
+    cancelled = 0
+    for _ in range(60):
+        f, g = (
+            Polynomial(r, {tuple(rng.randrange(3) for _ in range(3)): field.sample(rng)
+                           for _ in range(rng.randrange(1, 6))})
+            for _ in range(2)
+        )
+        if not f or not g:
+            continue
+        if rng.random() < 0.3:
+            g = f * Polynomial(r, {(0, 1, 0): field.one()}) + g  # shared tails
+        for a, b in ((f, g), (f, f), (f.monic(keyfn), g.monic(keyfn))):
+            if not b:
+                continue
+            ae, be = a.leading(keyfn)[0], b.leading(keyfn)[0]
+            s = groebner._s_poly(a, ae, b, be)
+            assert s == _two_multiple_s_poly(a, ae, b, be)
+            cancelled += len(s.terms) < len(a.terms) + len(b.terms) - 2
+    assert cancelled >= 20
 
 
 # -- buchberger ----------------------------------------------------------------
