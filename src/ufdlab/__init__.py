@@ -1,6 +1,6 @@
 """ufdlab: exact commutative-algebra computations at desk scale.
 
-Subpackages:
+Modules:
   coeff           exact integer / rational / prime-field arithmetic
   poly            sparse polynomials, ring maps
   groebner        Buchberger engine, ideal quotients, saturation, oracles

@@ -3,7 +3,8 @@
 The defaults (total degree 64, 20000 terms) are deliberately small: every
 instance this tool is meant for fits far below them, and anything above is a
 sign the caller asked for something the desk-scale algorithms cannot finish.
-Override with the environment variable UFDLAB_CAPS, e.g.
+Override with the environment variable UFDLAB_CAPS, each value a positive
+integer, e.g.
 
     UFDLAB_CAPS="degree=128,terms=50000"
 """
@@ -45,6 +46,8 @@ def _parse_caps(raw: str) -> Caps:
             number = int(value)
         except ValueError as exc:
             raise ValueError(f"bad UFDLAB_CAPS entry {piece!r}") from exc
+        if number < 1:
+            raise ValueError(f"bad UFDLAB_CAPS entry {piece!r}: a cap must be at least 1")
         if key == "degree":
             degree = number
         elif key == "terms":

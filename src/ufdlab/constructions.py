@@ -532,13 +532,9 @@ def threefold_family(
     znames = tuple(f"z{i}" for i in range(n + 2))
     ring = poly_ring(field, ("x",) + znames)
     zs = [ring.var(z) for z in znames]
-    rels = []
-    reduced = []
-    for i in range(1, n + 1):
-        pi = p_list[i - 1].lift(ring)
-        fi = pi * zs[i + 1] + u_c[i - 1] * zs[i] ** a[i - 1] + v_c[i - 1] * zs[i - 1] ** b[i - 1]
-        rels.append(fi)
-        reduced.append(u_c[i - 1] * zs[i] ** a[i - 1] + v_c[i - 1] * zs[i - 1] ** b[i - 1])
+    # reduced[i-1] = u_i z_i^a_i + v_i z_(i-1)^b_i, the tail of relation i
+    reduced = [u_c[i] * zs[i + 1] ** a[i] + v_c[i] * zs[i] ** b[i] for i in range(n)]
+    rels = [p.lift(ring) * zs[i + 2] + tail for i, (p, tail) in enumerate(zip(p_list, reduced))]
     out = PresentedRing(ring, tuple(rels), None, tag="hypersurface-chain")
     out.notes["params"] = {
         "p": list(p_list),

@@ -5,14 +5,16 @@ The ring is k[x, y][z_0, z_1, ...] modulo the relations
     x*z_(i+1) + y^(s(i+1)-1) * z_i^s(i+1) - z_(i-1)     (i >= 1),
 
 where s is the integer sequence s(1)=2, s(2)=3, s(n)=n*prod(s(i), i<=n-2).
-Solving relation i for z_(i-1) and substituting repeatedly pushes z_0 ever
-deeper into powers of the maximal ideal (x, y) — and, after inverting the
-substitution y = x*T, into powers of (x).  The exact expansions blow up
-with s, so the certificates come in two tiers: at small depth the identity
-z_0 - expansion = sum g_i * f_i, whose cofactors g_i are exact quotients
-computed only by `check_expansion_identity`; up to depth 32 an abstract
-order-tracking derivation (each substitution multiplies every branch by
-an element of the ideal, so orders increase by one per round).
+Solving relation i for z_(i-1) (`_solved_rhs`, the one place a relation
+is written) and substituting repeatedly pushes z_0 ever deeper into powers
+of the maximal ideal (x, y) — and, after the change of variables y = x*T,
+which sends x^a*y^b to x^(a+b)*T^b, into powers of (x).  The exact
+expansions blow up with s, so the certificates come in two tiers: at small
+depth the identity z_0 - expansion = sum g_i * f_i, whose cofactors g_i
+are exact quotients computed only by `check_expansion_identity`; up to
+depth 32 an abstract order-tracking derivation (each substitution
+multiplies every branch by an element of the ideal, so orders increase by
+one per round).
 """
 
 from __future__ import annotations
@@ -67,52 +69,53 @@ def _warn_positive_characteristic(field: Field, stacklevel: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def _solved_rhs(ring: PolyRing, j: int, s: dict[int, int], x_for_y: bool) -> Polynomial:
-    """z_j = x*z_(j+2) + y^(s-1) * z_(j+1)^s with s = s(j+2); with the
-    substitution y = x*T the coefficient becomes x^(s-1) * T^(s-1)."""
+def _solved_rhs(ring: PolyRing, j: int, s: dict[int, int]) -> Polynomial:
+    """z_j = x*z_(j+2) + y^(s-1) * z_(j+1)^s with s = s(j+2): relation j+1
+    solved for z_j, the one place a chain relation is written."""
     sv = s[j + 2]
-    coeff = {"x": sv - 1, "T": sv - 1} if x_for_y else {"y": sv - 1}
-    return ring.monomial({"x": 1, f"z{j+2}": 1}) + ring.monomial({**coeff, f"z{j+1}": sv})
+    return ring.monomial({"x": 1, f"z{j+2}": 1}) + ring.monomial({"y": sv - 1, f"z{j+1}": sv})
 
 
-def _expand(depth: int, field: Field, x_for_y: bool) -> Polynomial:
+def _expand(depth: int, field: Field) -> Polynomial:
     """Iterated solve-and-substitute: round r is one simultaneous
     substitution of every z_j present (j = r-1 .. 2r-2) by its solved
     right-hand side."""
     s = s_sequence(max(2 * depth, 2))
-    xy = ("x", "T") if x_for_y else ("x", "y")
-    ring = poly_ring(field, xy + tuple(f"z{i}" for i in range(2 * depth + 1)))
+    ring = poly_ring(field, ("x", "y") + tuple(f"z{i}" for i in range(2 * depth + 1)))
     p = ring.var("z0")
     for r in range(1, depth + 1):
-        images = {f"z{j}": _solved_rhs(ring, j, s, x_for_y) for j in range(r - 1, 2 * r - 1)}
+        images = {f"z{j}": _solved_rhs(ring, j, s) for j in range(r - 1, 2 * r - 1)}
         p = RingMap(ring, ring, images).apply(p)
     return p
 
 
-def _expanded_z0(depth: int, field: Field, x_for_y: bool) -> Polynomial:
-    """`_expand` projected onto x, y (or T) and the z_i that can remain,
-    z_depth .. z_(2*depth)."""
+def _expanded_z0(depth: int, field: Field, site: str) -> Polynomial:
+    """`_expand` projected onto x, y and the z_i that can remain,
+    z_depth .. z_(2*depth); `site` names the caller in the cap message."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > EXPAND_DEPTH_CAP:
-        site = "expand_z0_bprime" if x_for_y else "expand_z0"
         raise too_large(site, "depth", EXPAND_DEPTH_CAP, depth)
     _warn_positive_characteristic(field, stacklevel=4)
-    p = _expand(depth, field, x_for_y)
-    keep = ("x", "T" if x_for_y else "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
+    p = _expand(depth, field)
+    keep = ("x", "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
     return p.project(p.ring.restrict(keep))
 
 
 def expand_z0(depth: int, field: Field = QQ) -> Polynomial:
     """The exact representative of z_0 after `depth` substitution rounds,
     a polynomial in x, y and z_depth .. z_(2*depth)."""
-    return _expanded_z0(depth, field, x_for_y=False)
+    return _expanded_z0(depth, field, "expand_z0")
 
 
 def expand_z0_bprime(depth: int, field: Field = QQ) -> Polynomial:
-    """The expansion of z_0 after substituting y = x*T: every round
+    """`expand_z0` under the change of variables y = x*T, a polynomial in
+    x, T and z_depth .. z_(2*depth): the term x^a*y^b becomes x^(a+b)*T^b.
+    That map is injective on exponents, so no terms merge.  Every round
     contributes one full factor of x, so the result is divisible by x^depth."""
-    return _expanded_z0(depth, field, x_for_y=True)
+    p = _expanded_z0(depth, field, "expand_z0_bprime")
+    ring = poly_ring(field, ("x", "T") + p.ring.names[2:])
+    return Polynomial(ring, {(e[0] + e[1],) + e[1:]: c for e, c in p.terms.items()})
 
 
 def check_expansion_identity(depth: int, field: Field = QQ) -> bool:
@@ -128,14 +131,14 @@ def check_expansion_identity(depth: int, field: Field = QQ) -> bool:
         raise ValueError("depth must be nonnegative")
     if depth > IDENTITY_DEPTH_CAP:
         raise too_large("check_expansion_identity", "depth", IDENTITY_DEPTH_CAP, depth)
-    p = _expand(depth, field, x_for_y=False)
+    p = _expand(depth, field)
     ring = p.ring
     s = s_sequence(max(2 * depth, 2))
     q = ring.var("z0")
     cofactors: dict[int, Polynomial] = {}
     for r in range(1, depth + 1):
         for j in range(2 * r - 2, r - 2, -1):  # decreasing j keeps what round r introduces
-            rhs = _solved_rhs(ring, j, s, x_for_y=False)
+            rhs = _solved_rhs(ring, j, s)
             after = RingMap(ring, ring, {f"z{j}": rhs}).apply(q)
             try:
                 g = (q - after).exact_div(ring.var(f"z{j}") - rhs)
@@ -146,7 +149,7 @@ def check_expansion_identity(depth: int, field: Field = QQ) -> bool:
             q = after
     total = ring.zero()
     for i, g in cofactors.items():
-        f_i = _solved_rhs(ring, i - 1, s, x_for_y=False) - ring.var(f"z{i-1}")
+        f_i = _solved_rhs(ring, i - 1, s) - ring.var(f"z{i-1}")
         total = total + g * f_i
     return ring.var("z0") - p == total
 
@@ -237,13 +240,16 @@ def x_order_certificate_bprime(n: int) -> OrderCert:
 
 def coordinate_checks(n: int, field: Field = QQ) -> dict[str, bool]:
     """Three exact ideal identities for J_n = (f_1, ..., f_n) in
-    k[x, y, Z0..Z_(n+1)]:
+    k[x, y, z0..z_(n+1)], where f_i = x*z_(i+1) + y^(s-1)*z_i^s - z_(i-1)
+    with s = s(i+1):
 
     composite_linearizes: the composite of the shear maps
-        Z_(i-1) -> Z_(i-1) + x*Z_(i+1) + y^(s-1)*Z_i^s (applied for i = 1..n)
-        carries J_n onto the coordinate ideal (Z0, ..., Z_(n-1));
-    mod_x_matches: (x) + J_n = (x, y^(s-1)*Z_i^s - Z_(i-1) for i = 1..n);
-    mod_y_matches: (y) + J_n = (y, x*Z_(i+1) - Z_(i-1) for i = 1..n).
+        z_(i-1) -> z_(i-1) + x*z_(i+1) + y^(s-1)*z_i^s (applied for i = 1..n)
+        carries J_n onto the coordinate ideal (z0, ..., z_(n-1));
+    mod_x_matches: (x) + J_n = (x, f_i at x = 0 for i = 1..n),
+        that is (x, y^(s-1)*z_i^s - z_(i-1));
+    mod_y_matches: (y) + J_n = (y, f_i at y = 0 for i = 1..n),
+        that is (y, x*z_(i+1) - z_(i-1)).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -253,49 +259,31 @@ def coordinate_checks(n: int, field: Field = QQ) -> dict[str, bool]:
         return {"composite_linearizes": True, "mod_x_matches": True, "mod_y_matches": True}
     _warn_positive_characteristic(field)
     s = s_sequence(n + 1)
-    # With the Z variables first, every relation below is lex-solved for its
-    # own Z_(i-1): the leading terms are distinct single variables, so each
+    # With the z variables first, every relation below is lex-solved for its
+    # own z_(i-1): the leading terms are distinct single variables, so each
     # generating set is already a Groebner basis and the equality checks stay
     # cheap (under grevlex the same ideals force enormous S-polynomials).
-    ring = poly_ring(field, tuple(f"Z{i}" for i in range(n + 2)) + ("x", "y"))
-    x, y = ring.var("x"), ring.var("y")
+    ring = poly_ring(field, tuple(f"z{i}" for i in range(n + 2)) + ("x", "y"))
+    zs = ring.gens()[: n + 2]
+    rhs = [_solved_rhs(ring, j, s) for j in range(n)]  # f_(j+1) solved for z_j
+    fs = [r - zs[j] for j, r in enumerate(rhs)]
 
-    def zvar(i):
-        return ring.var(f"Z{i}")
+    images = fs
+    for j, r in enumerate(rhs):
+        shear = RingMap(ring, ring, {f"z{j}": zs[j] + r})
+        images = [shear.apply(g) for g in images]
+    composite_ok = ideal_equal(ideal(ring, *images), ideal(ring, *zs[:n]), LEX)
 
-    fs = [
-        x * zvar(i + 1) + y ** (s[i + 1] - 1) * zvar(i) ** s[i + 1] - zvar(i - 1)
-        for i in range(1, n + 1)
-    ]
     J = ideal(ring, *fs)
 
-    images = list(fs)
-    for i in range(1, n + 1):
-        shear = RingMap(
-            ring,
-            ring,
-            {
-                f"Z{i-1}": zvar(i - 1)
-                + x * zvar(i + 1)
-                + y ** (s[i + 1] - 1) * zvar(i) ** s[i + 1]
-            },
-        )
-        images = [shear.apply(g) for g in images]
-    coords = ideal(ring, *(zvar(i) for i in range(n)))
-    composite_ok = ideal_equal(ideal(ring, *images), coords, LEX)
-
-    mod_x_rhs = ideal(
-        ring,
-        x,
-        *(y ** (s[i + 1] - 1) * zvar(i) ** s[i + 1] - zvar(i - 1) for i in range(1, n + 1)),
-    )
-    mod_x_ok = ideal_equal(J + Ideal(ring, (x,)), mod_x_rhs, LEX)
-
-    mod_y_rhs = ideal(ring, y, *(x * zvar(i + 1) - zvar(i - 1) for i in range(1, n + 1)))
-    mod_y_ok = ideal_equal(J + Ideal(ring, (y,)), mod_y_rhs, LEX)
+    def matches_at_zero(name: str) -> bool:
+        v = ring.var(name)
+        at_zero = RingMap(ring, ring, {name: ring.zero()})
+        reduced = ideal(ring, v, *(at_zero.apply(f) for f in fs))
+        return ideal_equal(J + Ideal(ring, (v,)), reduced, LEX)
 
     return {
         "composite_linearizes": composite_ok,
-        "mod_x_matches": mod_x_ok,
-        "mod_y_matches": mod_y_ok,
+        "mod_x_matches": matches_at_zero("x"),
+        "mod_y_matches": matches_at_zero("y"),
     }

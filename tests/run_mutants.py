@@ -5,8 +5,11 @@ occurs once in it, the replacement that breaks the code, and the tests
 expected to catch the break.  For every row this script applies the
 replacement in a temporary copy of the repository, runs the named tests
 there and reports the mutant as killed (a named test failed), survived (all
-of them passed) or error (pytest could not run them, or ran past
-TIMEOUT_S seconds).
+of them passed) or error (pytest could not run them, or ran past the row's
+time limit).  Each row's tests first run once on the unmutated copy: a row
+whose tests fail there is an error, and the mutated run may take ten times
+as long as that clean run, but at least MIN_TIMEOUT_S seconds, so a mutant
+that makes a test loop cannot hold the table for long.
 
     python tests/run_mutants.py
 
@@ -23,12 +26,28 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "mutants.json"
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
-TIMEOUT_S = 600.0  # per mutant
+CLEAN_TIMEOUT_S = 600.0  # for the unmutated run of a row's tests
+MIN_TIMEOUT_S = 60.0  # the mutated run's floor, whatever the clean run took
+TIMEOUT_FACTOR = 10  # the mutated run's limit in clean-run times
+
+
+def _pytest(copy: Path, tests: list[str], timeout: float) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def _exit_text(done: subprocess.CompletedProcess) -> str:
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"pytest exited {done.returncode}: {' '.join(tail)}"
 
 
 def run_row(copy: Path, row: dict) -> str:
@@ -36,23 +55,26 @@ def run_row(copy: Path, row: dict) -> str:
     original = target.read_text(encoding="utf-8")
     if original.count(row["anchor"]) != 1:
         return "error: the anchor does not occur exactly once"
-    target.write_text(original.replace(row["anchor"], row["replacement"]), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.monotonic()
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *row["tests"]],
-            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-        )
+        clean = _pytest(copy, row["tests"], CLEAN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return f"error: timed out after {TIMEOUT_S:g} s"
+        return f"error: the unmutated run timed out after {CLEAN_TIMEOUT_S:g} s"
+    if clean.returncode != 0:
+        return f"error: the unmutated run failed, {_exit_text(clean)}"
+    timeout = max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * (time.monotonic() - start))
+    target.write_text(original.replace(row["anchor"], row["replacement"]), encoding="utf-8")
+    try:
+        done = _pytest(copy, row["tests"], timeout)
+    except subprocess.TimeoutExpired:
+        return f"error: timed out after {timeout:.0f} s"
     finally:
         target.write_text(original, encoding="utf-8")
     if done.returncode == 1:  # pytest's "some tests failed"
         return "killed"
     if done.returncode == 0:
         return "survived"
-    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
-    return f"error: pytest exited {done.returncode}: {' '.join(tail)}"
+    return f"error: {_exit_text(done)}"
 
 
 def main() -> int:

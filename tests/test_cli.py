@@ -81,7 +81,7 @@ def test_claim_run_rejects_a_timeout_the_timer_cannot_take(timeout, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("caps", ["depth=3", "degree=abc"])
+@pytest.mark.parametrize("caps", ["depth=3", "degree=abc", "degree=-1", "terms=0"])
 @pytest.mark.parametrize("argv", [["claim", "run", "cex.sseq"],
                                   ["claim", "run", "samuel.kernel"],
                                   ["claim", "run-all", "--suite", "acceptance"]])

@@ -172,6 +172,7 @@ def test_large_prime_modulus_is_accepted_at_once():
     561,                  # Carmichael number 3*11*17
     3215031751,           # 151*751*28351, a strong pseudoprime to bases 2, 3, 5, 7
     3825123056546413051,  # a strong pseudoprime to every prime base up to 31
+    318665857834031151167461,  # to every prime base up to 37: only base 41 rejects it
 ])
 def test_composite_pseudoprime_modulus_is_rejected(n):
     with pytest.raises(ValueError, match="not prime"):

@@ -8,6 +8,7 @@ the recovered value of z_0 itself.
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -154,8 +155,8 @@ def test_expansion_identity_certificates():
 def test_expansion_identity_rejects_a_wrong_expansion(monkeypatch):
     expand = counterexample._expand
 
-    def off_by_x(depth, field, x_for_y):
-        p = expand(depth, field, x_for_y)
+    def off_by_x(depth, field):
+        p = expand(depth, field)
         return p + p.ring.var("x")
 
     monkeypatch.setattr(counterexample, "_expand", off_by_x)
@@ -177,19 +178,26 @@ def _substitute(p, name, image):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
-@pytest.mark.parametrize("x_for_y", [False, True], ids=["y", "T"])
+@pytest.mark.parametrize("t", ["y", "T"])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_round_substitution_matches_one_variable_at_a_time(depth, x_for_y, field):
+def test_round_substitution_matches_one_variable_at_a_time(depth, t, field):
+    # the rounds of `_expand` in (x, y, z...), and the public y = x*T
+    # expansion, against single substitutions written out in (x, t, z...)
     s = s_sequence(max(2 * depth, 2))
-    t = "T" if x_for_y else "y"
     ring = poly_ring(field, ("x", t) + tuple(f"z{i}" for i in range(2 * depth + 1)))
     p = ring.var("z0")
     for r in range(1, depth + 1):
         for j in range(2 * r - 2, r - 2, -1):
             sv = s[j + 2]
-            coeff = f"x^{sv - 1}*T^{sv - 1}" if x_for_y else f"y^{sv - 1}"
+            coeff = f"x^{sv - 1}*T^{sv - 1}" if t == "T" else f"y^{sv - 1}"
             p = _substitute(p, f"z{j}", ring.parse(f"x*z{j + 2} + {coeff}*z{j + 1}^{sv}"))
-    assert counterexample._expand(depth, field, x_for_y) == p
+    if t == "y":
+        assert counterexample._expand(depth, field) == p
+        return
+    keep = ("x", "T") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the positive-characteristic one
+        assert expand_z0_bprime(depth, field) == p.project(ring.restrict(keep))
 
 
 def test_min_xy_degree_shadow():
@@ -219,6 +227,15 @@ def test_bprime_depth_two_divisible():
     assert q * x**2 == p
     with pytest.raises(ValueError, match="not exactly divisible"):
         p.exact_div(x**3)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_bprime_x_power_is_the_min_xy_degree(depth):
+    # y = x*T sends x^a*y^b to x^(a+b)*T^b, so the largest power of x that
+    # divides the chart expansion is the least combined (x, y)-degree
+    p = expand_z0_bprime(depth)
+    x = p.ring.index("x")
+    assert min(e[x] for e in p.terms) == min_xy_degree(expand_z0(depth))
 
 
 def test_bprime_depth_cap():

@@ -529,6 +529,7 @@ def test_caps_follow_the_variable_from_call_to_call(monkeypatch):
 @pytest.mark.parametrize("raw, message", [
     ("terms=many", "bad UFDLAB_CAPS entry 'terms=many'"),
     ("depth=3", "unknown UFDLAB_CAPS key 'depth'"),
+    ("degree=0", "bad UFDLAB_CAPS entry 'degree=0': a cap must be at least 1"),
 ])
 def test_malformed_caps_raise_on_every_call(monkeypatch, raw, message):
     monkeypatch.setenv("UFDLAB_CAPS", raw)

@@ -20,7 +20,6 @@ ALLOWLIST = {
     "constructions.Clause": "ROADMAP item 5, the samuel.condition-p claim",
     "constructions.present_extension": "ROADMAP item 5, the samuel.condition-p claim",
     "poly.laurent_iso": "ROADMAP item 5, the laurent.iso claim",
-    "omega.defining_relation": "ROADMAP item 7, omega normal forms by Groebner division",
 }
 
 
