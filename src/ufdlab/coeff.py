@@ -282,16 +282,21 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_name(name: str) -> Field:
-    """Parse "Q" / "QQ" or "F<p>" / "GF(<p>)" into a field object."""
+    """Parse "Q" / "QQ" or "F<p>" / "GF(<p>)", p in decimal digits, into a
+    field object."""
     if not isinstance(name, str):
         raise ValueError(f"a field name must be text, got {name!r}")
     text = name.strip()
     if text in ("Q", "QQ"):
         return QQ
     if text.startswith("GF(") and text.endswith(")"):
-        return GF(int(text[3:-1]))
-    if text.startswith("F") and text[1:].isdigit():
-        return GF(int(text[1:]))
+        digits = text[3:-1]
+    elif text.startswith("F"):
+        digits = text[1:]
+    else:
+        digits = ""
+    if digits.isdecimal():
+        return GF(int(digits))
     raise ValueError(f"unrecognized field name {name!r}")
 
 

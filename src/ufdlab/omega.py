@@ -200,6 +200,13 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     distinct factor.  A final term's basis index n is read off its z-fields
     eight at a time through `_digit_table`.
 
+    Over Q, when every input coefficient is an int, the sweep adds and
+    multiplies with `operator.add` and `operator.mul`.  This is exact:
+    every move factor (-1)^a C(a, j) is an int, so every coefficient stays
+    an int, and for two ints `RationalField.add` and `mul` return a + b and
+    a * b.  An input holding a Fraction, and every prime field, keep the
+    field's methods.
+
     The terms cap bounds the live terms (waiting and final) after each
     rewrite.  A rewrite of a term of z-size S adds at most its move's net
     child count, at most S // 2, so `upper`, raised by that count, bounds
@@ -214,8 +221,11 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     limit = current_caps().terms
     field = p.field
     zero = field.zero()
-    add, mul = field.add, field.mul
     terms = p.poly.terms
+    if field == QQ and all(type(c) is int for c in terms.values()):
+        add, mul = operator.add, operator.mul
+    else:
+        add, mul = field.add, field.mul
     sizes = [sum(exp) - exp[0] for exp in terms]
     top = max(sizes, default=-1)
     w = max(1, top.bit_length())

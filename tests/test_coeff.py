@@ -189,8 +189,9 @@ def test_field_from_name():
     assert field_from_name("Q") is QQ
     assert field_from_name("F5") == GF(5)
     assert field_from_name("GF(7)") == GF(7)
-    with pytest.raises(ValueError):
-        field_from_name("R")
+    for name in ("R", "GF(abc)", "GF()", "GF(7.5)"):
+        with pytest.raises(ValueError, match=rf"^unrecognized field name '{re.escape(name)}'$"):
+            field_from_name(name)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(7)])

@@ -9,6 +9,7 @@ correct normal form must agree with its input at every one of them.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -348,11 +349,35 @@ def test_normal_form_matches_monomial_rewrite_reference(field, seed):
     # basis index decodes in a later chunk of eight
     cases += [parse_omega(t, field)
               for t in ("x*z7*z8*z9*z15*z16", "z6^5*z9", "z12^3*z3^2 + x^2*z8^4")]
+    if field == QQ:
+        # the random cases hold only ints, which normal_form adds and
+        # multiplies as ints; these hold a Fraction, so they keep the
+        # field's methods.  A 1/3 beside int coefficients; halves that sum
+        # to the int 1 at z1^2, which 1/2 z0^4 and -1/2 z0^2 z1 both reach
+        # and which is then rewritten again; a relation times a fraction,
+        # whose every term cancels
+        fractional = [
+            z0**5 * z1 + (x * z1**3 * z0**2).scale(Fraction(1, 3)),
+            (z0**4 - z0**2 * z1).scale(Fraction(1, 2)),
+            (defining_relation(0, field) * (z0**3 + x * z1**2)).scale(Fraction(-2, 3)),
+        ]
+        for _ in range(10):
+            ab = (_random_poly(field, rng, nterms=2, max_size=4, max_index=3)
+                  * _random_poly(field, rng, nterms=2, max_size=5, max_index=3))
+            # 1/d with d past every coefficient leaves no coefficient integral
+            d = 1 + max(map(abs, ab.poly.terms.values()))
+            fractional.append(ab.scale(Fraction(1, d)))
+        assert all(any(type(c) is Fraction for c in p.poly.terms.values()) for p in fractional)
+        cases += fractional
     nonzero = 0
     for p in cases:
         for pivot in ("largest", "smallest"):
             want = expansion_text(_reference_normal_form(p, pivot))
-            assert expansion_text(normal_form(p, pivot)) == want, (str(p), pivot)
+            got = normal_form(p, pivot)
+            assert expansion_text(got) == want, (str(p), pivot)
+            # an integral element of Q is an int, never a Fraction
+            assert all(type(c) is int or c.denominator > 1
+                       for e in got.values() for _, _, c in e.entries), (str(p), pivot)
             nonzero += want != "0"
     assert nonzero > 40
 
