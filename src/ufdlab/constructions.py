@@ -15,6 +15,7 @@ unknown-at-bound, never a guessed "verified".
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -48,7 +49,6 @@ from .poly import (
     RingMap,
     degree_of,
     derivative,
-    fresh_name,
     mono_divides,
     poly_ring,
 )
@@ -130,10 +130,9 @@ def present_extension(A: PresentedRing, a: Polynomial, b: Polynomial) -> Present
         raise HypothesisError(
             f"a and b are not relatively prime: {offender} lies in (a) cap (b) but not in (ab)"
         )
-    xname = fresh_name(A.ring.names, "X")
-    big = A.ring.extend((xname,))
+    big, X = A.ring.adjoin("X")
     rels = tuple(r.lift(big) for r in A.relations)
-    new_rel = a.lift(big) * big.var(xname) - b.lift(big)
+    new_rel = a.lift(big) * X - b.lift(big)
     presented = Ideal(big, rels + (new_rel,))
     sat, index = saturation(presented, a.lift(big))
     stable = ideal_equal(sat, presented)
@@ -145,7 +144,7 @@ def present_extension(A: PresentedRing, a: Polynomial, b: Polynomial) -> Present
     )
     out.notes["saturation_index"] = index
     out.notes["kernel_equals_presentation"] = stable
-    out.notes["new_variable"] = xname
+    out.notes["new_variable"] = big.names[-1]
     return out
 
 
@@ -383,9 +382,8 @@ def lemma_level_check(
     if not ok:
         raise HypothesisError(f"a and b not relatively prime: witness {offender}")
     W, _ = w_chain(ring, b, s, t, N)
-    xname = fresh_name(ring.names, "X")
-    big = ring.extend((xname,))
-    rel = a.lift(big) * big.var(xname) - b.lift(big)
+    big, X = ring.adjoin("X")
+    rel = a.lift(big) * X - b.lift(big)
     levels = []
     for i in range(N + 1):
         lhs = elim_ideal(Ideal(big, (s.lift(big) ** i, rel)), ring.names)
@@ -413,11 +411,11 @@ def radical_extension(A: PresentedRing, F: Polynomial, c: int) -> PresentedRing:
         raise HypothesisError("F not homogeneous")
     if math.gcd(c, abs(omega)) != 1:
         raise HypothesisError(f"gcd(c, deg F) = gcd({c}, {omega}) != 1")
-    zname = fresh_name(A.ring.names, "Z")
-    big = A.ring.extend((zname,))
+    big, Z = A.ring.adjoin("Z")
+    zname = big.names[-1]
     new_grading = {**{n: c * w for n, w in A.grading.items()}, zname: omega}
     rels = tuple(r.lift(big) for r in A.relations)
-    root_rel = big.var(zname) ** c - F.lift(big)
+    root_rel = Z**c - F.lift(big)
     out = PresentedRing(
         big, rels + (root_rel,), new_grading,
         tag=(A.tag + "+root" if A.tag else "radical-extension"),
@@ -523,12 +521,12 @@ def threefold_family(
         if not p or p.is_constant():
             raise HypothesisError("p_i must be nonconstant")
     M = max(p.total_degree() for p in p_list)
-    for pi in p_list:
-        for pj in p_list:
-            if not _divides(pi, pj**M):
-                raise HypothesisError(
-                    f"p_i do not share a common radical: {pi} does not divide ({pj})^{M}"
-                )
+    # ordered pairs of distinct positions: each p shares its radical with itself
+    for pi, pj in itertools.permutations(p_list, 2):
+        if not _divides(pi, pj**M):
+            raise HypothesisError(
+                f"p_i do not share a common radical: {pi} does not divide ({pj})^{M}"
+            )
     znames = tuple(f"z{i}" for i in range(n + 2))
     ring = poly_ring(field, ("x",) + znames)
     zs = [ring.var(z) for z in znames]

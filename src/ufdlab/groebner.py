@@ -34,7 +34,6 @@ from .poly import (
     Polynomial,
     PolyRing,
     _adopt,
-    fresh_name,
     grevlex_key,
     mono_div,
     mono_divides,
@@ -553,9 +552,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
     ring = a.ring
-    tname = fresh_name(ring.names, "t")
-    big = ring.extend((tname,))
-    t = big.var(tname)
+    big, t = ring.adjoin("t")
     gens = [t * g.lift(big) for g in a.gens]
     gens += [(big.one() - t) * g.lift(big) for g in b.gens]
     return elim_ideal(Ideal(big, gens), ring.names)

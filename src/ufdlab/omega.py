@@ -218,7 +218,8 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     if pivot not in ("largest", "smallest"):
         raise ValueError("pivot must be 'largest' or 'smallest'")
     largest = pivot == "largest"
-    limit = current_caps().terms
+    caps = current_caps()
+    limit = caps.terms
     field = p.field
     zero = field.zero()
     terms = p.poly.terms
@@ -228,6 +229,9 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
         add, mul = field.add, field.mul
     sizes = [sum(exp) - exp[0] for exp in terms]
     top = max(sizes, default=-1)
+    # the buckets and the first move grow with top, so it is checked first
+    if top > caps.degree:
+        raise too_large("normal_form", "degree", caps.degree, top)
     w = max(1, top.bit_length())
     potential = max(
         (sum(e << (i + 1) // 2 for i, e in enumerate(exp[1:])) for exp in terms), default=0

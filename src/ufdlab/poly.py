@@ -87,23 +87,19 @@ class PolyRing:
         keep = [n for n in self.names if n in set(names)]
         return PolyRing(self.field, tuple(keep))
 
-    def extend(self, new_names: Sequence[str]) -> "PolyRing":
-        """Superring with extra variables appended after the existing ones."""
-        return PolyRing(self.field, self.names + tuple(new_names))
+    def adjoin(self, stem: str) -> tuple["PolyRing", "Polynomial"]:
+        """This ring with one variable appended, and that variable: named
+        `stem`, or `stem` with the smallest counter 1, 2, ... not taken."""
+        name, k = stem, 0
+        while name in self.names:
+            k += 1
+            name = f"{stem}{k}"
+        big = PolyRing(self.field, self.names + (name,))
+        return big, big.var(name)
 
 
 def poly_ring(field: Field, names: Sequence[str]) -> PolyRing:
     return PolyRing(field, tuple(names))
-
-
-def fresh_name(names: tuple[str, ...], stem: str) -> str:
-    """`stem`, or `stem` with the smallest counter 1, 2, ... not in names."""
-    name = stem
-    k = 0
-    while name in names:
-        k += 1
-        name = f"{stem}{k}"
-    return name
 
 
 def mono_mul(a: Exp, b: Exp) -> Exp:

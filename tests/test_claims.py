@@ -262,6 +262,21 @@ def test_cap_exceeded_becomes_unknown_with_bound():
     assert exit_code([rep]) == 2
 
 
+def test_confluence_over_the_degree_cap_is_unknown():
+    # normal_form checks the z-size before it sizes any work by it
+    rep = run_claim("omega.confluence", {"max_size": 1000, "trials": 1})
+    assert rep.status == "unknown"
+    assert rep.bound == "cap"
+    assert rep.witness == ("instance too large: normal_form reached degree 361, "
+                           "over the degree cap of 64")
+
+
+def test_jacobian_rank_takes_one_p_of_high_degree():
+    rep = run_claim("jacobian.rank", {"p": ["x^9"], "q": "x"})
+    assert rep.status == "verified"
+    assert (rep.witness["rank"], rep.witness["tangent_dim"]) == (0, 4)
+
+
 def test_timeout_becomes_unknown_with_bound_timeout():
     rep = run_claim("coeff.prime-avoid", timeout=0.001)
     assert rep.status == "unknown"

@@ -264,6 +264,17 @@ def test_lemma_level_check_rejects_common_factor():
         lemma_level_check(ring, u, u, v, 2)
 
 
+def test_lemma_level_check_over_a_ring_holding_X():
+    # X is taken, so the new variable is X1; the levels are those of a
+    # renamed copy of the ring
+    held = poly_ring(GF(5), ("X", "v"))
+    free = poly_ring(GF(5), ("u", "v"))
+    X, v = held.gens()
+    u, w = free.gens()
+    levels = lemma_level_check(held, X + v**2, X, v, 3)
+    assert levels == lemma_level_check(free, u + w**2, u, w, 3) == [True] * 4
+
+
 # ---------------------------------------------------------------------------
 # radical extensions and diagonal hypersurfaces
 # ---------------------------------------------------------------------------
@@ -279,6 +290,16 @@ def test_radical_extension_grading():
     big = B.ring
     assert B.relations == (big.parse("Z^5 - x^3 - y^2"),)
     assert B.notes["deg_F"] == 6
+
+
+def test_radical_extension_root_steps_past_a_held_Z():
+    ring = poly_ring(QQ, ("x", "Z"))
+    A = PresentedRing(ring, (), {"x": 2, "Z": 3})
+    B = radical_extension(A, ring.parse("x^3 + Z^2"), 5)
+    assert B.ring.names == ("x", "Z", "Z1")
+    assert B.notes["new_variable"] == "Z1"
+    assert B.grading == {"x": 10, "Z": 15, "Z1": 6}
+    assert B.relations == (B.ring.parse("Z1^5 - x^3 - Z^2"),)
 
 
 def test_radical_extension_rejects_inhomogeneous():
@@ -381,6 +402,13 @@ def test_threefold_family_accepts_powers_of_one_prime():
     assert B.notes["quotient_shape_ok"] is True
     assert B.notes["zn_outside_In"] is True
     assert B.ring.names == ("x", "z0", "z1", "z2", "z3")
+
+
+def test_threefold_family_takes_one_p_of_high_degree():
+    # p | p^M needs no check: x^9 would reach x^81, past the degree cap
+    x = poly_ring(QQ, ("x",)).var("x")
+    B = threefold_family(QQ, [x**9], [1], [1], [2], [3])
+    assert B.relations == (B.ring.parse("x^9*z2 + z1^2 + z0^3"),)
 
 
 def test_threefold_family_rejects_bad_kappa():

@@ -796,6 +796,28 @@ def test_saturation_round_cap_trips():
         saturation(ideal(r, x**SATURATION_ROUNDS_CAP * y), x)
 
 
+def test_tag_variable_steps_past_names_the_ring_holds():
+    # the tag t is adjoined as t2 in a ring holding t and t1: each result
+    # must be the one a renamed copy of that ring gives
+    held = poly_ring(QQ, ("t", "t1", "y"))
+    free = poly_ring(QQ, ("u", "v", "y"))
+
+    def moved(i):
+        return ideal(free, *(Polynomial(free, g.terms) for g in i.gens))
+
+    t, t1, y = held.gens()
+    a, b, f = ideal(held, t**2 * y, t * t1**2), ideal(held, t * t1, y**2), t * y
+    g = Polynomial(free, f.terms)
+    cap = intersect(a, b)
+    assert not ideal_equal(cap, a) and not ideal_equal(cap, b)
+    assert ideal_equal(moved(cap), intersect(moved(a), moved(b)))
+    assert ideal_equal(moved(ideal_quotient(a, f)), ideal_quotient(moved(a), g))
+    sat, index = saturation(a, f)
+    free_sat, free_index = saturation(moved(a), g)
+    assert ideal_equal(moved(sat), free_sat)
+    assert index == free_index == 2
+
+
 def test_ideal_power_square():
     r = QXY()
     x, y = r.gens()

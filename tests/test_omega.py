@@ -387,7 +387,7 @@ def test_normal_form_matches_monomial_rewrite_reference(field, seed):
 def test_move_table_keeps_each_pivot_and_half_exponent_apart(monkeypatch, field, text):
     # z_k^132 is rewritten with a = 66 at k and its children z_(k+1)^3 with
     # a = 1 at k + 1, two moves that a table keyed by k * 65 + a would mix up
-    monkeypatch.setenv("UFDLAB_CAPS", "terms=200000")
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=200,terms=200000")
     p = parse_omega(text, field)
     got = normal_form(p, "smallest")
     want = _reference_normal_form(p, "smallest")
@@ -480,6 +480,21 @@ def test_z_index_cap_under_an_x_power():
     with pytest.raises(CapExceeded, match="^instance too large: normal_form reached z-index 65, "
                                           "over the z-index cap of 64$"):
         normal_form(parse_omega("x^5*z63^2"))
+
+
+def test_degree_cap_bounds_the_input_z_size(monkeypatch):
+    # the buckets and the first move grow with the top z-size, so it is
+    # checked before either exists; x-exponents do not count
+    p = parse_omega("z0^200", GF(2))
+    with pytest.raises(CapExceeded, match="^instance too large: normal_form reached degree 200, "
+                                          "over the degree cap of 64$"):
+        normal_form(p)
+    at_cap = parse_omega("x^100*z0^64")
+    assert expansion_text(normal_form(at_cap)) == expansion_text(
+        _reference_normal_form(at_cap, "largest"))
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=200")
+    got = normal_form(p)
+    assert expansion_text(got) == expansion_text(_reference_normal_form(p, "largest"))
 
 
 def test_terms_cap(monkeypatch):
