@@ -282,8 +282,8 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_name(name: str) -> Field:
-    """Parse "Q" / "QQ" or "F<p>" / "GF(<p>)", p in decimal digits, into a
-    field object."""
+    """Parse "Q" / "QQ" or "F<p>" / "GF(<p>)", p in ASCII decimal digits,
+    into a field object."""
     if not isinstance(name, str):
         raise ValueError(f"a field name must be text, got {name!r}")
     text = name.strip()
@@ -295,7 +295,7 @@ def field_from_name(name: str) -> Field:
         digits = text[1:]
     else:
         digits = ""
-    if digits.isdecimal():
+    if digits.isascii() and digits.isdecimal():
         return GF(int(digits))
     raise ValueError(f"unrecognized field name {name!r}")
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
+from .caps import current_caps
 from .coeff import (
     Field,
     PrimeField,
@@ -521,8 +522,13 @@ def threefold_family(
         if not p or p.is_constant():
             raise HypothesisError("p_i must be nonconstant")
     M = max(p.total_degree() for p in p_list)
+    cap = current_caps().degree
     # ordered pairs of distinct positions: each p shares its radical with itself
     for pi, pj in itertools.permutations(p_list, 2):
+        # over a domain M * deg p_j is the degree of p_j^M, so this is the
+        # cap `divide` would hit, checked before the power is built
+        if M * pj.total_degree() > cap:
+            raise too_large("threefold_family", "degree", cap, M * pj.total_degree())
         if not _divides(pi, pj**M):
             raise HypothesisError(
                 f"p_i do not share a common radical: {pi} does not divide ({pj})^{M}"
@@ -553,7 +559,7 @@ def threefold_family(
         rhs = Ideal(ring, (kap,) + tuple(reduced))
         out.notes["quotient_shape_ok"] = ideal_equal(lhs, rhs)
         small = poly_ring(field, znames[: n + 1])
-        in_small = [g.project(small) for g in reduced]
+        in_small = [g.lift(small) for g in reduced]
         i_n = Ideal(small, in_small)
         out.notes["zn_outside_In"] = not i_n.contains(small.var(f"z{n}"))
         out.notes["kappa"] = kappa

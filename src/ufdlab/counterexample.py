@@ -99,7 +99,7 @@ def _expanded_z0(depth: int, field: Field, site: str) -> Polynomial:
     _warn_positive_characteristic(field, stacklevel=4)
     p = _expand(depth, field)
     keep = ("x", "y") + tuple(f"z{i}" for i in range(depth, 2 * depth + 1))
-    return p.project(p.ring.restrict(keep))
+    return p.lift(poly_ring(field, keep))
 
 
 def expand_z0(depth: int, field: Field = QQ) -> Polynomial:

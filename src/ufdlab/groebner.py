@@ -38,6 +38,7 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_mul,
+    poly_ring,
 )
 
 SATURATION_ROUNDS_CAP = 32
@@ -542,8 +543,8 @@ def elim_ideal(a: Ideal, keep: Sequence[str]) -> Ideal:
     back = [n for n in a.ring.names if n in keep_set]
     order = elimination_order(front, back)
     gb = a._basis(order)
-    small = a.ring.restrict(back)
-    kept = [g.project(small) for g in gb if g.support() <= keep_set]
+    small = poly_ring(a.ring.field, back)
+    kept = [g.lift(small) for g in gb if g.support() <= keep_set]
     return Ideal(small, kept)
 
 

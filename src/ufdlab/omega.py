@@ -46,7 +46,7 @@ from .poly import Polynomial, PolyRing, poly_ring
 
 Z_INDEX_CAP = 64
 
-_Z_NAME = re.compile(r"\bz(\d+)\b")
+_Z_NAME = re.compile(r"\bz([0-9]+)\b")
 
 
 @functools.lru_cache(maxsize=128)

@@ -8,9 +8,9 @@ have identical term maps.
 Text syntax (render/parse round-trips exactly): a flat sum of signed
 products, `sign* product (("+" | "-") product)*`, where a product is
 `factor ("*" factor)*` and a factor is `digits ["/" digits]` or
-`name ["^" ["-"] digits]`; spaces may separate tokens, and a negative
-exponent is rejected (x^-0 is 1).  Terms render in graded-reverse-
-lexicographic order, e.g.
+`name ["^" ["-"] digits]`, with digits ASCII 0-9; spaces may separate
+tokens, and a negative exponent is rejected (x^-0 is 1).  Terms render in
+graded-reverse-lexicographic order, e.g.
 
     2*u^2*X - 1/3*v + 4
 """
@@ -81,11 +81,6 @@ class PolyRing:
 
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(self, text)
-
-    def restrict(self, names: Sequence[str]) -> "PolyRing":
-        """Subring on a subset of the variables (original order kept)."""
-        keep = [n for n in self.names if n in set(names)]
-        return PolyRing(self.field, tuple(keep))
 
     def adjoin(self, stem: str) -> tuple["PolyRing", "Polynomial"]:
         """This ring with one variable appended, and that variable: named
@@ -317,37 +312,24 @@ class Polynomial:
             rest = rest - Polynomial(self.ring, {qe: qc}) * divisor
         return Polynomial(self.ring, quotient)
 
-    def project(self, subring: PolyRing) -> "Polynomial":
-        """Reinterpret in a ring over the same field whose variables are all
-        in this ring (the support must live in them)."""
-        if subring.field != self.ring.field:
-            raise ValueError("project across different coefficient fields")
-        names = self.ring.names
-        for name in subring.names:
-            if name not in names:
-                raise ValueError(f"subring variable {name!r} not in the ring")
-        idx = [names.index(n) for n in subring.names]
-        dropped = [i for i in range(len(names)) if i not in idx]
-        out = {}
-        for e, c in self.terms.items():
-            for i in dropped:
-                if e[i] != 0:
-                    raise ValueError(f"variable {names[i]!r} not in subring")
-            out[tuple(e[i] for i in idx)] = c
-        return Polynomial(subring, out)
-
-    def lift(self, superring: PolyRing) -> "Polynomial":
-        """Reinterpret in a ring containing all of this ring's variables."""
-        if superring.field != self.ring.field:
+    def lift(self, ring: PolyRing) -> "Polynomial":
+        """This polynomial in `ring`, each variable matched by name: `ring`
+        may add variables, and may leave out any that the support does not
+        use.  A used variable that `ring` lacks raises ValueError, and so
+        does another field."""
+        if ring.field != self.ring.field:
             raise ValueError("lift across different coefficient fields")
-        pos = [superring.index(n) for n in self.ring.names]
-        out = {}
-        for e, c in self.terms.items():
-            big = [0] * superring.nvars
-            for i, k in enumerate(e):
-                big[pos[i]] = k
-            out[tuple(big)] = c
-        return Polynomial(superring, out)
+        names = self.ring.names
+        for i, name in enumerate(names):
+            if name not in ring.names and any(e[i] for e in self.terms):
+                raise ValueError(f"variable {name!r} is used but not in the target ring")
+        # each target variable reads its exponent, or the 0 appended after the
+        # source exponents; two more of those make itemgetter return a tuple
+        pad = len(names)
+        at = dict(zip(names, range(pad)))
+        pick = operator.itemgetter(*[at.get(name, pad) for name in ring.names], pad, pad)
+        n = ring.nvars
+        return _adopt(ring, {pick(e + (0,))[:n]: c for e, c in self.terms.items()})
 
     # -- rendering ----------------------------------------------------------
 
@@ -542,7 +524,7 @@ def render_poly(p: Polynomial) -> str:
     return text
 
 
-_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_IDENT_RE.pattern})|([-+*/^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+)|({_IDENT_RE.pattern})|([-+*/^()]))")
 
 
 def _tokenize(text: str) -> list[str]:

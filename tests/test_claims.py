@@ -277,6 +277,19 @@ def test_jacobian_rank_takes_one_p_of_high_degree():
     assert (rep.witness["rank"], rep.witness["tangent_dim"]) == (0, 4)
 
 
+def test_jacobian_rank_checks_the_powers_against_the_degree_cap(monkeypatch):
+    params = {"p": ["x^8", "x^9"], "a": [2, 2], "b": [3, 3], "q": "x", "expect_tangent_dim": 5}
+    rep = run_claim("jacobian.rank", params)
+    assert rep.status == "unknown"
+    assert rep.bound == "cap"
+    assert rep.witness == ("instance too large: threefold_family reached degree 81, "
+                           "over the degree cap of 64")
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=81")
+    rep = run_claim("jacobian.rank", params)
+    assert rep.status == "verified"
+    assert (rep.witness["rank"], rep.witness["tangent_dim"]) == (0, 5)
+
+
 def test_timeout_becomes_unknown_with_bound_timeout():
     rep = run_claim("coeff.prime-avoid", timeout=0.001)
     assert rep.status == "unknown"

@@ -189,7 +189,8 @@ def test_field_from_name():
     assert field_from_name("Q") is QQ
     assert field_from_name("F5") == GF(5)
     assert field_from_name("GF(7)") == GF(7)
-    for name in ("R", "GF(abc)", "GF()", "GF(7.5)"):
+    # digits are ASCII: fullwidth and Arabic-Indic ones name no field
+    for name in ("R", "GF(abc)", "GF()", "GF(7.5)", "GF(\uff13)", "F\u0667", "GF(1\uff11)"):
         with pytest.raises(ValueError, match=rf"^unrecognized field name '{re.escape(name)}'$"):
             field_from_name(name)
 

@@ -411,6 +411,21 @@ def test_threefold_family_takes_one_p_of_high_degree():
     assert B.relations == (B.ring.parse("x^9*z2 + z1^2 + z0^3"),)
 
 
+def test_threefold_family_checks_each_power_against_the_degree_cap(monkeypatch):
+    # (x^9)^9 would reach degree 81; the check fires before the power is built
+    x = poly_ring(QQ, ("x",)).var("x")
+    args = ([x**8, x**9], [1, 1], [1, 1], [2, 2], [3, 3])
+    with pytest.raises(CapExceeded, match=r"^instance too large: threefold_family reached "
+                                          r"degree 81, over the degree cap of 64$"):
+        threefold_family(QQ, *args)
+    p = sum((x**i for i in range(41)), x * 0)
+    with pytest.raises(CapExceeded, match="threefold_family reached degree 1681"):
+        threefold_family(QQ, [p, p * (x + 1)], [1, 1], [1, 1], [2, 2], [3, 3])
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=81")
+    B = threefold_family(QQ, *args)
+    assert B.relations[1] == B.ring.parse("x^9*z3 + z2^2 + z1^3")
+
+
 def test_threefold_family_rejects_bad_kappa():
     xring = poly_ring(QQ, ("x",))
     x = xring.var("x")

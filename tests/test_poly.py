@@ -132,35 +132,48 @@ def test_monic_returns_a_monic_polynomial_itself():
     assert (u - v).monic().terms == (u - v).terms
 
 
-def test_project_and_lift():
+def test_lift_into_a_ring_that_lacks_only_unused_variables():
     big = R("xyz")
-    small = big.restrict(("x", "z"))
     x, y, z = big.gens()
     p = x * z**2 + 3
-    q = p.project(small)
-    assert q.ring == small
+    q = p.lift(R("xz"))
+    assert q.ring == R("xz")
+    assert q == R("xz").parse("x*z^2 + 3")
     assert q.lift(big) == p
-    with pytest.raises(ValueError, match="not in subring"):
-        (x * y).project(small)
+    # one target variable, and none
+    assert (5 * y**2 - 1).lift(R("y")) == R("y").parse("5*y^2 - 1")
+    assert big.const(7).lift(R("")) == R("").const(7)
+    assert big.zero().lift(R("")) == R("").zero()
 
 
-def test_project_follows_the_target_variable_order():
+def test_lift_follows_the_target_variable_order():
     x, y, z = R("xyz").gens()
-    q = (x * z**2 + 3 * y).project(R("zyx"))
-    assert q == R("zyx").parse("z^2*x + 3*y")
+    assert (x * z**2 + 3 * y).lift(R("zyx")) == R("zyx").parse("z^2*x + 3*y")
+    assert (x * z**2 + 3).lift(R("zx")) == R("zx").parse("z^2*x + 3")
 
 
-def test_project_rejects_another_field():
+def test_lift_names_a_used_variable_the_target_lacks():
+    x, y, z = R("xyz").gens()
+    with pytest.raises(ValueError, match="^variable 'y' is used but not in the target ring$"):
+        (x * y + z).lift(R("xz"))
+    with pytest.raises(ValueError, match="'z'"):
+        (x * y + z).lift(R("yxq"))
+
+
+def test_lift_rejects_another_field():
     # the coefficients of GF(7) are no elements of Q
     p = R("x", field=GF(7)).parse("5*x + 3")
     with pytest.raises(ValueError, match="different coefficient fields"):
-        p.project(R("x"))
+        p.lift(R("x"))
+    with pytest.raises(ValueError, match="different coefficient fields"):
+        R("x").parse("x").lift(R("xy", field=GF(7)))
 
 
-def test_project_rejects_a_variable_the_ring_lacks():
+def test_lift_gives_an_extra_variable_exponent_zero():
     p = R("x", field=GF(7)).parse("5*x + 3")
-    with pytest.raises(ValueError, match="subring variable 'q' not in the ring"):
-        p.project(R("xq", field=GF(7)))
+    q = p.lift(R("qxw", field=GF(7)))
+    assert q.terms == {(0, 1, 0): 5, (0, 0, 0): 3}
+    assert q == R("qxw", field=GF(7)).parse("5*x + 3")
 
 
 # -- arithmetic against a naive reference -------------------------------------
@@ -347,6 +360,9 @@ def test_parse_matches_ring_arithmetic_on_its_factor_list(field):
 
 @pytest.mark.parametrize("text, field, message", [
     ("x + $", QQ, "bad character in polynomial text at ' $'"),
+    ("\uff12*x^3", QQ, "bad character in polynomial text at '\uff12*x^3'"),
+    ("x^\uff13", QQ, "bad character in polynomial text at '\uff13'"),
+    ("2*x + \u0661", QQ, "bad character in polynomial text at ' \u0661'"),
     ("x +", QQ, "unexpected end of polynomial text"),
     ("x^", QQ, "unexpected end of polynomial text"),
     ("3/x", QQ, "expected integer denominator"),
