@@ -355,6 +355,10 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     of the last a is cached, so repeated calls with the same a compute it
     once; each call still returns a fresh list.
     """
+    if c and gcd(c, b) == 1:
+        # t = 0 works, and gcd(c, b) = 1 makes the hypothesis hold.  c = 0
+        # is left out: it asks for b + t*d = +-1 below.
+        return [0] * len(a)
     if gcd(*a, b, c) != 1:
         raise HypothesisError("hypothesis of prime avoidance fails")
     n = len(a)
@@ -373,9 +377,6 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
         raise HypothesisError(
             "prime avoidance with c = 0 needs b + t*gcd(a) = +-1; no integer t works"
         )
-    if gcd(c, b) == 1:
-        # the scan below would stop at t = 0; no Bezout vector is needed.
-        return [0] * n
     d, e = _bezout(tuple(a))
     for t in range(1, abs(c) + 1):
         if gcd(c, b + t * d) == 1:

@@ -172,12 +172,17 @@ def divide(
     cancelled is dropped when it surfaces, and after each step only the
     terms of the subtracted multiple c*m*g not queued yet are pushed; that
     multiple is built in one pass over g's terms, with the divisibility test
-    and the exponent shifts done inline.  A term that no leading term
-    divides moves to the remainder but stays in `work`: every later step
-    subtracts only terms smaller than it, so `work` never touches it again,
-    and the heap running empty ends the division.  The remainder's terms
-    thus arrive largest first, and the first one is recorded as its leading
-    term under this order.
+    done inline.  The exponents of that multiple depend only on g and the
+    multiplier m, so g keeps them in its `_shifts` dict, made at the first
+    step that uses g.  The first step with a given m shifts g's exponents by
+    m and records them under m in g's term order; every later step with the
+    same g and m, in this call or a later one, reads them back and only
+    multiplies the coefficients.  A term that no leading term divides moves
+    to the remainder but stays in `work`: every later step subtracts only
+    terms smaller than it, so `work` never touches it again, and the heap
+    running empty ends the division.  The remainder's terms thus arrive
+    largest first, and the first one is recorded as its leading term under
+    this order.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
@@ -203,7 +208,7 @@ def divide(
             g.leading(keyfn)
             lead = g._lead
         _, key, de, dc = lead
-        leads.append((key, i, de, None if dc == one else fld.inv(dc), g.terms))
+        leads.append((key, i, de, None if dc == one else fld.inv(dc), g))
     leads.sort(key=operator.itemgetter(0, 1))
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
     remainder: dict[Exp, object] = {}
@@ -221,7 +226,7 @@ def divide(
             raise too_large("divide", "terms", caps.terms, size)
         if sum(we) > caps.degree:
             raise too_large("divide", "degree", caps.degree, sum(we))
-        for _, i, de, dinv, gterms in leads:
+        for _, i, de, dinv, g in leads:
             if all(map(le, de, we)):
                 break
         else:
@@ -230,7 +235,15 @@ def divide(
         qe = tuple(map(sub, we, de))
         qc = wc if dinv is None else mul(wc, dinv)
         quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
-        step = {tuple(map(add, qe, e)): mul(qc, c) for e, c in gterms.items()}
+        shifts = g._shifts
+        if shifts is None:
+            shifts = g._shifts = {}
+        exps = shifts.get(qe)
+        if exps is None:
+            step = {tuple(map(add, qe, e)): mul(qc, c) for e, c in g.terms.items()}
+            shifts[qe] = tuple(step)
+        else:
+            step = dict(zip(exps, [mul(qc, c) for c in g.terms.values()]))
         work = work - _adopt(ring, step)
         for e in step:
             if e not in queued:

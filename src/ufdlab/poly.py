@@ -134,15 +134,22 @@ class Polynomial:
     records the first term it moves to a remainder.  So repeated divisions
     by the same polynomial find its leading term and its order key once per
     key function.
+
+    `_shifts`, beside `_lead`, is None or a dict that `groebner.divide`
+    keeps on a divisor: it maps a multiplier exponent m to the exponents
+    m + e of the divisor's terms e, in the order of `terms`.  Exponents do
+    not depend on the term order, and `terms` never changes, so an entry
+    holds for every later division by the same polynomial.
     """
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_shifts")
 
     def __init__(self, ring: PolyRing, terms: dict[Exp, object]):
         self.ring = ring
         of = ring.field.of
         self.terms = {e: c for e, v in terms.items() if (c := of(v))}
         self._lead = None
+        self._shifts = None
 
     # -- equality -----------------------------------------------------------
 
@@ -350,6 +357,7 @@ def _adopt(ring: PolyRing, terms: dict[Exp, object]) -> Polynomial:
     p.ring = ring
     p.terms = terms
     p._lead = None
+    p._shifts = None
     return p
 
 

@@ -380,6 +380,95 @@ def test_divide_ignores_a_lead_recorded_under_another_order():
             assert divide(p, divisors, order) == _naive_divide(p, fresh, order), order
 
 
+# -- recorded shifts -------------------------------------------------------------
+
+
+def _fresh(polys):
+    """Copies that carry no recorded lead and no recorded shifts."""
+    return [Polynomial(g.ring, dict(g.terms)) for g in polys]
+
+
+def _checked_shifts(g):
+    """The number of entries in g's `_shifts`, each checked against the
+    shifted exponents recomputed in g's term order."""
+    shifts = g._shifts or {}
+    for qe, exps in shifts.items():
+        assert exps == tuple(tuple(a + b for a, b in zip(qe, e)) for e in g.terms), (g, qe)
+    return len(shifts)
+
+
+def _seeded_queries(field, rng, r, gens):
+    """Seeded polynomials, and members built from gens with small cofactors,
+    whose reductions take many steps by the same divisor."""
+    def rand_poly(nterms, max_exp):
+        return Polynomial(r, {tuple(rng.randrange(max_exp + 1) for _ in range(3)):
+                              field.sample(rng) for _ in range(nterms)})
+
+    queries = [rand_poly(rng.randrange(1, 7), 3) for _ in range(3)]
+    for _ in range(3):
+        member = r.zero()
+        for g in gens:
+            member = member + rand_poly(rng.randrange(1, 4), 2) * g
+        queries.append(member + rand_poly(rng.randrange(0, 2), 2))
+    return [q for q in queries if q]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_divide_by_divisors_that_carry_shifts_matches_fresh_copies(field, order):
+    # the same divisors again and again, directly and through an Ideal's
+    # cached basis: what divide reads back from the record must give what
+    # copies that record nothing give, and what the naive reference gives
+    rng = random.Random(79)
+    r = poly_ring(field, ("x", "y", "z"))
+    steps = entries = 0
+    for _ in range(6):
+        gens = _seeded_ideal_gens(field, rng, r)
+        if not gens:
+            continue
+        i = ideal(r, *gens)
+        queries = _seeded_queries(field, rng, r, gens)
+        for _ in range(2):  # the second round reads what the first recorded
+            for p in queries:
+                rem, quotients = divide(p, gens, order)
+                assert (rem, quotients) == divide(p, _fresh(gens), order)
+                assert (rem, quotients) == _naive_divide(p, _fresh(gens), order)
+                steps += sum(len(q.terms) for q in quotients)
+                nf = i.normal_form(p, order)
+                basis = _fresh(i._basis(order))
+                assert nf == divide(p, basis, order)[0] == _naive_divide(p, basis, order)[0]
+                assert i.contains(p, order) == (not nf)
+        entries += sum(_checked_shifts(g) for g in gens)
+        for g in i._basis(order):
+            _checked_shifts(g)
+    assert entries and steps >= 2 * entries  # the record was read as often as made
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_buchberger_on_divisors_that_carry_shifts(field, order):
+    # the monic elements of an earlier run's basis enter as they are, so a
+    # second run divides its S-polynomials by polynomials that already carry
+    # records, from that run and from divisions since
+    rng = random.Random(83)
+    r = poly_ring(field, ("x", "y", "z"))
+    carried = 0
+    for _ in range(6):
+        gens = _seeded_ideal_gens(field, rng, r)
+        if not gens:
+            continue
+        want = buchberger(_fresh(gens), order)
+        minimal = buchberger(gens, order, interreduce=False)
+        for p in _seeded_queries(field, rng, r, gens):
+            divide(p, minimal, order)
+        carried += sum(_checked_shifts(g) for g in minimal)
+        again = buchberger(minimal + gens, order)
+        assert again == want == buchberger(_fresh(minimal + gens), order)
+        for g in minimal:
+            _checked_shifts(g)
+    assert carried
+
+
 def _two_multiple_s_poly(f, fe, g, ge):
     """mf*f - mg*g, each multiple built on its own and then subtracted."""
     lcm = tuple(map(max, fe, ge))
