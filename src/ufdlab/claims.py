@@ -192,6 +192,14 @@ def _vars(value, parsed):
     return poly_ring(parsed["field"], _json(list)(value, parsed))
 
 
+def _extension_vars(value, parsed):
+    """`_vars` whose last name is the variable adjoined to the others."""
+    ring = _vars(value, parsed)
+    if not ring.names:
+        raise ValueError(f"must end with the adjoined variable, got {value!r}")
+    return ring
+
+
 def _poly(names: Optional[tuple[str, ...]] = None, must_be: Optional[str] = None):
     """Polynomial text in k[names] over parameter `field`, or in the ring of
     parameter `vars` without names; must_be "nonzero" refuses 0, and
@@ -202,6 +210,29 @@ def _poly(names: Optional[tuple[str, ...]] = None, must_be: Optional[str] = None
         if must_be and (p.is_constant() if must_be == "nonconstant" else not p):
             raise ValueError(f"must be {must_be}, got {value!r}")
         return p
+    return parse
+
+
+def _below_adjoined(kind):
+    """A polynomial `kind` parses that does not involve the last variable of
+    parameter `vars`, the one adjoined to the others."""
+    def parse(value, parsed):
+        p = kind(value, parsed)
+        adjoined = parsed["vars"].names[-1]
+        if adjoined in p.support():
+            raise ValueError(f"must not involve the adjoined variable {adjoined!r}, got {value!r}")
+        return p
+    return parse
+
+
+def _box_top(key: str):
+    """A JSON int, the top of a box whose bottom is parameter `key`; a top
+    below the bottom leaves the box empty."""
+    def parse(value, parsed):
+        value = _json(int)(value, parsed)
+        if value < parsed[key]:
+            raise ValueError(f"empty box: {value} is below {key} = {parsed[key]}")
+        return value
     return parse
 
 
@@ -299,8 +330,6 @@ def _h_groebner_soundness(params):
 
 def _h_prime_avoid(params):
     lo, hi = params["lo"], params["hi"]
-    if lo > hi:
-        raise ValueError(f"empty box: lo = {lo} exceeds hi = {hi}")
     checked = 0
     for a1 in range(lo, hi + 1):
         for a2 in range(lo, hi + 1):
@@ -323,13 +352,8 @@ def _h_prime_avoid(params):
 
 def _h_samuel_kernel(params):
     ring = params["vars"]
-    names = ring.names
-    if not names:
-        raise ValueError("vars must end with the adjoined variable")
     a, b = params["a"], params["b"]
-    if names[-1] in a.support() | b.support():
-        raise ValueError(f"a and b must not involve the adjoined variable {names[-1]!r}")
-    gen = a * ring.var(names[-1]) - b
+    gen = a * ring.var(ring.names[-1]) - b
     target = ideal(ring, gen)
     sat, index = saturation(target, a)
     ok = ideal_equal(sat, target)
@@ -619,15 +643,15 @@ _register(
     "coeff.prime-avoid",
     "For every (a1, a2, b, c) in the box with gcd(a1, a2, b) = 1 and c != 0, "
     "the returned shift m gives gcd(c, b + m1*a1 + m2*a2) = 1.",
-    {"lo": Param(_json(int), -6), "hi": Param(_json(int), 6)},
+    {"lo": Param(_json(int), -6), "hi": Param(_box_top("lo"), 6)},
     _h_prime_avoid,
 )
 _register(
     "samuel.kernel",
     "(a*X - b) is already saturated at a: ((a*X - b) : a^infinity) = (a*X - b).",
-    {"field": Param(_field, "GF(5)"), "vars": Param(_vars, ["u", "v", "X"]),
-     "a": Param(_poly(must_be="nonzero"), "u", fill=False, required=True),
-     "b": Param(_poly(), "v", fill=False, required=True)},
+    {"field": Param(_field, "GF(5)"), "vars": Param(_extension_vars, ["u", "v", "X"]),
+     "a": Param(_below_adjoined(_poly(must_be="nonzero")), "u", fill=False, required=True),
+     "b": Param(_below_adjoined(_poly()), "v", fill=False, required=True)},
     _h_samuel_kernel,
 )
 _register(

@@ -281,16 +281,18 @@ def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
     fld = f.ring.field
     one, mul, sub, neg = fld.one(), fld.mul, fld.sub, fld.neg
     add = operator.add
-    ftail, gtail = dict(f.terms), dict(g.terms)
-    fc, gc = ftail.pop(fe), gtail.pop(ge)
+    fc, gc = f.terms[fe], g.terms[ge]
     fshift, gshift = mono_div(lcm, fe), mono_div(lcm, ge)
     if fc == one:
-        out = {tuple(map(add, fshift, e)): c for e, c in ftail.items()}
+        out = {tuple(map(add, fshift, e)): c for e, c in f.terms.items() if e != fe}
     else:
         scale = fld.inv(fc)
-        out = {tuple(map(add, fshift, e)): mul(scale, c) for e, c in ftail.items()}
+        out = {tuple(map(add, fshift, e)): mul(scale, c)
+               for e, c in f.terms.items() if e != fe}
     gscale = None if gc == one else fld.inv(gc)
-    for e, c in gtail.items():
+    for e, c in g.terms.items():
+        if e == ge:
+            continue
         e = tuple(map(add, gshift, e))
         if gscale is not None:
             c = mul(gscale, c)
@@ -332,6 +334,9 @@ def buchberger(
     leading term is a multiple of a live one, so wherever it divides, a live
     leading term that is no larger divides too, and `divide` picks that one
     (they are equal only for generators with a common leading term).  The
+    criteria look at leading terms only, so an S-polynomial can still come
+    out zero; it is dropped without a call to `divide`, which would take no
+    step on it.  The
     leading exponents live in a list beside the basis, and the open pairs in
     a heap of (order key of the lcm, (i, j), lcm), each entry computed once
     when the pair is pushed (Giovini et al. 1991 keep their pairs in a heap
@@ -410,6 +415,8 @@ def buchberger(
     while pairs:
         _, (i, j), _ = heapq.heappop(pairs)
         s = _s_poly(basis[i], leads[i], basis[j], leads[j])
+        if not s:
+            continue
         r, _ = divide(s, [basis[k] for k in live], order)
         if not r:
             continue
@@ -432,14 +439,25 @@ def buchberger(
 
 def _interreduce(basis: Sequence[Polynomial], order: Order) -> list[Polynomial]:
     """The reduced basis of a minimal monic one, both sorted with the
-    largest leading term first."""
+    largest leading term first.
+
+    Tails are reduced smallest element first: every term of keep[idx] lies
+    at or below its lead, so only the smaller, already reduced keep[:idx]
+    can divide one, and the lead, which none divides, keeps the remainder
+    monic.  Reducing keep[idx] leaves its lead in place, so the leading
+    exponents below it are those of the input.  An element none of whose
+    terms such an exponent divides is already reduced and is kept as it
+    is: `divide` would take no step on it."""
     keep = list(reversed(basis))
-    # inter-reduce tails, smallest element first: every term of keep[idx]
-    # lies at or below its lead, so only the smaller, already reduced
-    # keep[:idx] can divide one, and the lead, which none divides, keeps
-    # the remainder monic
+    if not keep:
+        return keep
+    keyfn = order.key_for(keep[0].ring)
+    leads = [g.leading(keyfn)[0] for g in keep]
+    le = operator.le
     for idx in range(1, len(keep)):
-        keep[idx], _ = divide(keep[idx], keep[:idx], order)
+        below = leads[:idx]
+        if any(all(map(le, h, e)) for e in keep[idx].terms for h in below):
+            keep[idx], _ = divide(keep[idx], keep[:idx], order)
     keep.reverse()
     return keep
 

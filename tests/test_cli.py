@@ -175,6 +175,15 @@ def test_usage_errors_exit_three(tmp_path, capsys):
      "parameter 'b' of claim jacobian.rank: must have one entry per entry of p (1), got 2"),
     ("groebner.irreducible", {"field": "Q"},
      "parameter 'field' of claim groebner.irreducible: must be a prime field GF(p), got 'Q'"),
+    ("coeff.prime-avoid", {"lo": 1, "hi": 0},
+     "parameter 'hi' of claim coeff.prime-avoid: empty box: 0 is below lo = 1"),
+    ("samuel.kernel", {"vars": [], "a": "1", "b": "1"},
+     "parameter 'vars' of claim samuel.kernel: must end with the adjoined variable, got []"),
+    ("samuel.kernel", {"a": "X", "b": "u"},
+     "parameter 'a' of claim samuel.kernel: must not involve the adjoined variable 'X', got 'X'"),
+    ("samuel.kernel", {"vars": ["u", "t"], "a": "u", "b": "u*t - 1"},
+     "parameter 'b' of claim samuel.kernel: must not involve the adjoined variable 't', "
+     "got 'u*t - 1'"),
 ])
 def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
     path = tmp_path / "params.json"

@@ -630,6 +630,100 @@ def _seeded_ideal_gens(field, rng, r):
     return [g for g in gens if g]
 
 
+def _divides(h, e):
+    return all(a <= b for a, b in zip(h, e))
+
+
+def _interreduce_every_element(minimal, order):
+    """Each element of a minimal basis divided by all the others (naive
+    division) and made monic, largest leading term first."""
+    keyfn = order.key_for(minimal[0].ring)
+    reduced = [_naive_divide(g, minimal[:k] + minimal[k + 1 :], order)[0].monic(keyfn)
+               for k, g in enumerate(minimal)]
+    return sorted(reduced, key=lambda g: keyfn(g.leading(keyfn)[0]), reverse=True)
+
+
+@pytest.mark.parametrize("interreduce", [True, False])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_buchberger_matches_a_reference_that_divides_everything(field, order, interreduce):
+    # the reference divides every S-pair, zero or not, and interreduces
+    # every element, reduced already or not
+    rng = random.Random(89)
+    r = poly_ring(field, ("x", "y", "z"))
+    keyfn = order.key_for(r)
+    nontrivial = 0
+    for _ in range(10):
+        gens = _seeded_ideal_gens(field, rng, r)
+        if not gens:
+            continue
+        want = _reference_buchberger(gens, order)
+        gb = buchberger(gens, order, interreduce)
+        if interreduce:
+            assert gb == want
+        else:
+            # minimal: monic, largest lead first, the reference's leads
+            assert [g.leading(keyfn) for g in gb] == [(w.leading(keyfn)[0], field.one())
+                                                     for w in want]
+            assert _interreduce_every_element(gb, order) == want
+            assert groebner._interreduce(gb, order) == want
+        nontrivial += want != [r.one()]
+    assert nontrivial >= 5
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_buchberger_divides_only_where_a_step_can_happen(field, order, monkeypatch):
+    # no zero S-polynomial reaches divide, and the interreduction divides
+    # exactly the elements holding a term that a smaller element's leading
+    # exponent divides, each by the smaller elements
+    calls, s_polys = [], []
+    divide_, s_poly = groebner.divide, groebner._s_poly
+
+    def recorded_divide(p, divisors, order=GREVLEX):
+        calls.append((p, list(divisors)))
+        return divide_(p, divisors, order)
+
+    def recorded_s_poly(*args):
+        s_polys.append(s_poly(*args))
+        return s_polys[-1]
+
+    monkeypatch.setattr(groebner, "divide", recorded_divide)
+    monkeypatch.setattr(groebner, "_s_poly", recorded_s_poly)
+    rng = random.Random(97)
+    r = poly_ring(field, ("x", "y", "z"))
+    x, y, z = r.gens()
+    keyfn = order.key_for(r)
+    divided = kept = far_only = 0
+    # in the first ideal only the lead z, two elements below x^2 + z, divides
+    # one of its terms
+    for gens in [[x**2 + z, y, z]] + [_seeded_ideal_gens(field, rng, r) for _ in range(30)]:
+        if not gens:
+            continue
+        calls.clear()
+        minimal = buchberger(gens, order, interreduce=False)
+        assert all(p for p, _ in calls)
+        s_divisions = len(calls)
+        calls.clear()
+        reduced = groebner._interreduce(minimal, order)
+        ascending = minimal[::-1]
+        leads = [g.leading(keyfn)[0] for g in ascending]
+        want = [k for k, g in enumerate(ascending)
+                if any(_divides(h, e) for e in g.terms for h in leads[:k])]
+        assert [p for p, _ in calls] == [ascending[k] for k in want]
+        for (_, divisors), k in zip(calls, want):
+            assert [d.leading(keyfn)[0] for d in divisors] == leads[:k]
+        divided += len(want)
+        kept += len(ascending) - 1 - len(want)
+        far_only += sum(not any(_divides(leads[k - 1], e) for e in ascending[k].terms)
+                        for k in want)
+        # the full run divides the same S-polynomials, then the same elements
+        calls.clear()
+        assert buchberger(gens, order) == reduced
+        assert len(calls) == s_divisions + len(want) and all(p for p, _ in calls)
+    assert not all(s_polys) and divided and kept and far_only
+
+
 def test_ideal_runs_buchberger_once_per_order(monkeypatch):
     r = QXY()
     x, y = r.gens()
