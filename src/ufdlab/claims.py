@@ -56,11 +56,11 @@ from .groebner import (
     brute_force_irreducible,
     brute_force_member,
     buchberger,
+    divide,
     ideal,
     ideal_equal,
     ideal_power,
     ideal_product,
-    reduce,
     saturation,
 )
 from .omega import (
@@ -226,20 +226,47 @@ def _below_adjoined(kind):
 
 
 def _box_top(key: str):
-    """A JSON int, the top of a box whose bottom is parameter `key`; a top
-    below the bottom leaves the box empty."""
+    """A JSON int, the top of the `coeff.prime-avoid` box whose bottom is
+    parameter `key`.  The box holds an admissible tuple (gcd(a1, a2, b) = 1,
+    c != 0) iff lo < hi, e.g. (lo, lo, lo + 1, c), or lo = hi = 1 or -1."""
     def parse(value, parsed):
         value = _json(int)(value, parsed)
-        if value < parsed[key]:
-            raise ValueError(f"empty box: {value} is below {key} = {parsed[key]}")
+        lo = parsed[key]
+        if value < lo:
+            raise ValueError(f"empty box: {value} is below {key} = {lo}")
+        if value == lo and abs(lo) != 1:
+            raise ValueError(f"the box [{lo}, {value}] holds no admissible tuple")
         return value
     return parse
 
 
-def _one_per(key: str):
-    """A JSON list with one entry per entry of parameter `key`."""
+def _exponents(count: int = 0):
+    """A JSON list of at least `count` ints >= 1."""
     def parse(value, parsed):
         entries = _json(list)(value, parsed)
+        if not all(is_int(e) and e >= 1 for e in entries):
+            raise ValueError(f"exponents must be positive integers, got {value!r}")
+        if len(entries) < count:
+            raise ValueError(f"must list at least {count} exponents, got {len(entries)}")
+        return entries
+    return parse
+
+
+def _weights_of(key: str):
+    """A table of int weights, the expectation for the instance in
+    parameter `key`, which must be given too."""
+    def parse(value, parsed):
+        if key not in parsed:
+            raise ValueError(f"was given without its instance {key}")
+        return _each(_json(int), dict)(value, parsed)
+    return parse
+
+
+def _one_per(key: str, kind=_json(list)):
+    """A JSON list that `kind` parses, with one entry per entry of
+    parameter `key`."""
+    def parse(value, parsed):
+        entries = kind(value, parsed)
         if len(entries) != len(parsed[key]):
             raise ValueError(f"must have one entry per entry of {key} "
                              f"({len(parsed[key])}), got {len(entries)}")
@@ -291,7 +318,7 @@ def _h_groebner_soundness(params):
             for j in range(i):
                 s = _s_poly(gb[i], leads[i], gb[j], leads[j])
                 s_polys += 1
-                if s and reduce(s, gb):
+                if s and divide(s, gb)[0]:
                     return "refuted", None, {
                         "reason": "S-polynomial does not reduce to zero",
                         "basis": [str(g) for g in gb],
@@ -300,7 +327,7 @@ def _h_groebner_soundness(params):
         # exactly `queries` queries in all, the remainder on the first ideals
         for _ in range(queries // trials + (trial < queries % trials)):
             q = _random_poly(ring, rng, 3, 4)
-            via_basis = not reduce(q, gb) if gb else not q
+            via_basis = not divide(q, gb)[0] if gb else not q
             via_oracle = brute_force_member(q, gens, member_bound)
             if via_basis and not via_oracle:
                 # the oracle's False only means "no certificate up to the bound"
@@ -345,8 +372,6 @@ def _h_prime_avoid(params):
                             "a": [a1, a2], "b": b, "c": c, "m": list(m),
                         }
                     checked += 1
-    if not checked:
-        raise ValueError(f"the box [{lo}, {hi}] holds no admissible tuple")
     return "verified", None, {"tuples_checked": checked, "box": [lo, hi]}
 
 
@@ -579,8 +604,6 @@ def _h_pham_cases(params):
                              ("chain", "chain_weights")):
         exps = params.get(key)
         if exps is None:
-            if params.get(weights_key) is not None:
-                raise ValueError(f"{weights_key} was given without its instance {key}")
             continue
         ring = pham_brieskorn(fld, exps)
         table = dict(ring.grading)
@@ -592,9 +615,7 @@ def _h_pham_cases(params):
             return "refuted", None, witness
     reject = params.get("reject")
     if reject is not None:
-        # only the gcd hypothesis may fail: a malformed list is a usage error
-        if len(reject) < 3 or not all(is_int(e) and e >= 1 for e in reject):
-            raise ValueError("reject must list at least 3 positive integer exponents")
+        # its kind refuses a malformed list, so only the gcd hypothesis may fail
         try:
             pham_brieskorn(fld, reject)
             witness["reject"] = {"accepted": True}
@@ -734,7 +755,7 @@ _register(
     # u and v are derived from p when left out
     {"field": Param(_field, "Q"), "p": Param(_each(_poly(("x",))), ["x"]),
      "u": Param(_one_per("p"), [1], fill=False), "v": Param(_one_per("p"), [1], fill=False),
-     "a": Param(_one_per("p"), [2]), "b": Param(_one_per("p"), [3]),
+     "a": Param(_one_per("p", _exponents()), [2]), "b": Param(_one_per("p", _exponents()), [3]),
      "q": Param(_poly(("x",), "nonconstant"), "x"),
      "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
      "reject_exponent_one": Param(_json(bool), True)},
@@ -758,12 +779,13 @@ _register(
     "expected weight table; non-coprime data is rejected.",
     # each instance, expectation and rejection is checked only when given
     {"field": Param(_field, "Q"),
-     "coprime_triple": Param(_json(list), [2, 3, 5], fill=False),
-     "triple_weights": Param(_each(_json(int), dict), {"X1": 15, "X2": 10, "Z": 6}, fill=False),
-     "chain": Param(_json(list), [2, 3, 4, 5], fill=False),
-     "chain_weights": Param(_each(_json(int), dict), {"X1": 30, "X2": 20, "X3": 15, "Z": 12},
+     "coprime_triple": Param(_exponents(3), [2, 3, 5], fill=False),
+     "triple_weights": Param(_weights_of("coprime_triple"), {"X1": 15, "X2": 10, "Z": 6},
                             fill=False),
-     "reject": Param(_json(list), [2, 2, 3], fill=False)},
+     "chain": Param(_exponents(3), [2, 3, 4, 5], fill=False),
+     "chain_weights": Param(_weights_of("chain"), {"X1": 30, "X2": 20, "X3": 15, "Z": 12},
+                            fill=False),
+     "reject": Param(_exponents(3), [2, 2, 3], fill=False)},
     _h_pham_cases,
 )
 _register(

@@ -35,12 +35,12 @@ from .groebner import (
     Ideal,
     _monomials_up_to,
     brute_force_irreducible,
+    divide,
     elim_ideal,
     ideal_equal,
     ideal_power,
     ideal_quotient,
     intersect,
-    reduce,
     row_echelon,
     saturation,
 )
@@ -477,10 +477,6 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
 # ---------------------------------------------------------------------------
 
 
-def _divides(d: Polynomial, f: Polynomial) -> bool:
-    return not reduce(f, [d])
-
-
 def threefold_family(
     field: Field,
     p_list: Sequence[Polynomial],
@@ -529,7 +525,7 @@ def threefold_family(
         # cap `divide` would hit, checked before the power is built
         if M * pj.total_degree() > cap:
             raise too_large("threefold_family", "degree", cap, M * pj.total_degree())
-        if not _divides(pi, pj**M):
+        if divide(pj**M, [pi])[0]:
             raise HypothesisError(
                 f"p_i do not share a common radical: {pi} does not divide ({pj})^{M}"
             )
@@ -551,9 +547,8 @@ def threefold_family(
     if kappa is not None:
         if kappa.ring != xring or kappa.is_constant() or not kappa:
             raise ValueError("kappa must be a nonconstant element of k[x]")
-        for p in p_list:
-            if not _divides(kappa, p):
-                raise HypothesisError("kappa does not divide every p_i")
+        if any(divide(p, [kappa])[0] for p in p_list):
+            raise HypothesisError("kappa does not divide every p_i")
         kap = kappa.lift(ring)
         lhs = Ideal(ring, (kap,) + tuple(rels))
         rhs = Ideal(ring, (kap,) + tuple(reduced))
@@ -592,9 +587,8 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
         raise HypothesisError("p_i must be nonconstant")
     if q.ring != xring or q.is_constant() or not q:
         raise ValueError("q must be a nonconstant element of k[x]")
-    for p in ps:
-        if not _divides(q, p):
-            raise HypothesisError("q does not divide every p_i")
+    if any(divide(p, [q])[0] for p in ps):
+        raise HypothesisError("q does not divide every p_i")
     if isinstance(B.ring.field, PrimeField):
         if brute_force_irreducible(q, q.total_degree() // 2) is not None:
             raise HypothesisError("q must be irreducible")
@@ -602,7 +596,8 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     names = ring.names  # x, z0, ..., z_{n+1}
     # evaluate at the point: all z's to 0, then reduce mod q
     at_point = RingMap(ring, xring, {name: xring.zero() for name in names if name != "x"})
-    matrix = [[reduce(at_point.apply(derivative(f, n)), [q]) for n in names] for f in B.relations]
+    matrix = [[divide(at_point.apply(derivative(f, n)), [q])[0] for n in names]
+              for f in B.relations]
     rank = _residue_rank(matrix, q)
     return rank, (n + 3) - rank
 
@@ -612,9 +607,9 @@ def _residue_rank(matrix: list[list[Polynomial]], q: Polynomial) -> int:
 
     With d = deg q, the K-span of the rows is a k-space of dimension
     d * rank, spanned by the rows times 1, x, ..., x^(d-1).  Row r times x^j
-    becomes one vector over k holding the coefficients of
-    reduce(x^j * entry, q) at d consecutive indices per column, and the
-    sparse elimination over k gives the dimension.
+    becomes one vector over k holding the coefficients of the remainder of
+    x^j * entry on division by q at d consecutive indices per column, and
+    the sparse elimination over k gives the dimension.
     """
     d = q.total_degree()
     x = q.ring.gens()[0]
@@ -623,7 +618,7 @@ def _residue_rank(matrix: list[list[Polynomial]], q: Polynomial) -> int:
         for j in range(d):
             vector = {}
             for col, entry in enumerate(row):
-                for (e,), c in reduce(x**j * entry, [q]).terms.items():
+                for (e,), c in divide(x**j * entry, [q])[0].terms.items():
                     vector[col * d + e] = c
             vectors.append(vector)
     return sum(row_echelon(q.ring.field, vectors)) // d

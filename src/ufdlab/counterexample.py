@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .coeff import Field, PrimeField, QQ
 from .errors import too_large
-from .groebner import LEX, Ideal, ideal, ideal_equal
+from .groebner import LEX, Ideal, divide, ideal, ideal_equal
 from .poly import Polynomial, PolyRing, RingMap, poly_ring
 
 EXPAND_DEPTH_CAP = 3
@@ -140,9 +140,8 @@ def check_expansion_identity(depth: int, field: Field = QQ) -> bool:
         for j in range(2 * r - 2, r - 2, -1):  # decreasing j keeps what round r introduces
             rhs = _solved_rhs(ring, j, s)
             after = RingMap(ring, ring, {f"z{j}": rhs}).apply(q)
-            try:
-                g = (q - after).exact_div(ring.var(f"z{j}") - rhs)
-            except ValueError:
+            rest, (g,) = divide(q - after, [ring.var(f"z{j}") - rhs])
+            if rest:
                 return False
             # z_j - rhs = -f_(j+1), so before - after = -f_(j+1) * g
             cofactors[j + 1] = cofactors.get(j + 1, ring.zero()) - g

@@ -256,15 +256,6 @@ def divide(
     return rem, [_adopt(ring, q) for q in quotients]
 
 
-def reduce(
-    p: Polynomial, divisors: Sequence[Polynomial], order: Order = GREVLEX
-) -> Polynomial:
-    """Remainder of p on division by divisors (membership test against a
-    Groebner basis: remainder 0 iff p is in the ideal)."""
-    r, _ = divide(p, divisors, order)
-    return r
-
-
 def _lcm(a: Exp, b: Exp) -> Exp:
     return tuple(map(max, a, b))
 
@@ -591,11 +582,19 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_quotient(a: Ideal, f: Polynomial) -> Ideal:
-    """Colon ideal (a : f) for a single polynomial f."""
+    """Colon ideal (a : f) for a single polynomial f: each generator of
+    a cap (f) divided by f.  A generator that leaves a remainder is a bug in
+    `intersect`, and raises AssertionError."""
     if not f:
         raise ValueError("quotient by zero")
     cap = intersect(a, Ideal(a.ring, (f,)))
-    return Ideal(a.ring, tuple(g.exact_div(f) for g in cap.gens))
+    quotients = []
+    for g in cap.gens:
+        rem, (q,) = divide(g, [f])
+        if rem:
+            raise AssertionError(f"{g} lies in a cap ({f}) but is not a multiple of {f}")
+        quotients.append(q)
+    return Ideal(a.ring, tuple(quotients))
 
 
 def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
@@ -754,7 +753,7 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
     monomial (grevlex), and only the groups whose leading monomial has
     degree < deg f and divides lead(f) are tried: lead(g*h) = lead(g) *
     lead(h) under any monomial order, so every other candidate has too
-    high a degree or fails at the first step of `exact_div`.  The groups
+    high a degree or leaves lead(f) in the remainder of `divide`.  The groups
     keep their order, so the factor returned is the one the full search
     finds first.  The cap still counts every candidate, tried or not:
     raises when that count would exceed it.
@@ -791,9 +790,7 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
                 if c:
                     terms[m] = c
             g = Polynomial(ring, terms)
-            try:
-                h = f.exact_div(g)
-            except ValueError:
-                continue
-            return g, h
+            rest, (h,) = divide(f, [g])
+            if not rest:
+                return g, h
     return None

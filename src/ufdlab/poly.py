@@ -301,24 +301,6 @@ class Polynomial:
         out._lead = (keyfn, key, e, one)
         return out
 
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self / divisor; raises ValueError when not divisible."""
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        fld = self.ring.field
-        de, dc = divisor.leading()
-        quotient: dict[Exp, object] = {}
-        rest = self
-        while rest:
-            re_, rc = rest.leading()
-            if not mono_divides(de, re_):
-                raise ValueError("not exactly divisible")
-            qe = mono_div(re_, de)
-            qc = fld.div(rc, dc)
-            quotient[qe] = qc  # leading exponents of rest strictly decrease
-            rest = rest - Polynomial(self.ring, {qe: qc}) * divisor
-        return Polynomial(self.ring, quotient)
-
     def lift(self, ring: PolyRing) -> "Polynomial":
         """This polynomial in `ring`, each variable matched by name: `ring`
         may add variables, and may leave out any that the support does not

@@ -1,12 +1,14 @@
 """Claim registry and runner: statuses, witnesses, bounds, determinism."""
 
 import dataclasses
+import itertools
 import json
+import math
 
 import jsonschema
 import pytest
 
-from ufdlab import claims
+from ufdlab import claims, groebner
 from ufdlab.claims import (
     REGISTRY,
     ClaimReport,
@@ -98,13 +100,31 @@ def test_unfilled_parameters_stay_absent():
     ("coeff.prime-avoid", {"lo": 0, "hi": 0}, "holds no admissible tuple"),
     ("pham.cases", {"field": "Q"}, "no instance was given"),
     ("pham.cases", {"chain": [2, 3, 4, 5], "triple_weights": {"X1": 1}},
-     "triple_weights was given without its instance coprime_triple"),
+     "triple_weights' of claim pham.cases: was given without its instance coprime_triple"),
     ("samuel.kernel", {"a": "X", "b": "u"}, "must not involve the adjoined variable 'X'"),
     ("samuel.kernel", {"vars": [], "a": "1", "b": "1"}, "must end with the adjoined variable"),
+    ("jacobian.rank", {"a": ["2"]}, "parameter 'a' of claim jacobian.rank: exponents must be"),
+    ("pham.cases", {"reject": [2, 3]}, "parameter 'reject' .*: must list at least 3 exponents"),
+    ("pham.cases", {"chain_weights": {"Z": 1}}, "'chain_weights' .*without its instance chain"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):
         run_claim(cid, params)
+
+
+def test_prime_avoid_box_parses_iff_it_holds_an_admissible_tuple():
+    spec = REGISTRY["coeff.prime-avoid"]
+    for lo in range(-4, 5):
+        for hi in range(lo, 5):
+            box = range(lo, hi + 1)
+            admissible = any(math.gcd(a1, a2, b) == 1 and c
+                             for a1, a2, b, c in itertools.product(box, repeat=4))
+            try:
+                _parse_params(spec, {"lo": lo, "hi": hi})
+            except UsageError:
+                assert not admissible, (lo, hi)
+            else:
+                assert admissible, (lo, hi)
 
 
 def test_unknown_claim_and_unknown_suite_are_usage_errors():
@@ -234,13 +254,13 @@ def test_soundness_without_a_certificate_up_to_the_bound_is_unknown():
 
 
 def test_soundness_refutes_a_reduce_that_misses_a_certified_member(monkeypatch):
-    real_reduce = claims.reduce
+    real_divide = claims.divide
 
-    def lying_reduce(p, basis):
+    def lying_divide(p, basis):
         # a one-element basis has no S-pairs, so only membership queries see the lie
-        return p if len(basis) == 1 else real_reduce(p, basis)
+        return (p, [p.ring.zero()]) if len(basis) == 1 else real_divide(p, basis)
 
-    monkeypatch.setattr(claims, "reduce", lying_reduce)
+    monkeypatch.setattr(claims, "divide", lying_divide)
     rep = run_claim("groebner.soundness")
     assert rep.status == "refuted"
     assert rep.witness["reason"] == "membership disagreement"
@@ -288,6 +308,19 @@ def test_jacobian_rank_checks_the_powers_against_the_degree_cap(monkeypatch):
     rep = run_claim("jacobian.rank", params)
     assert rep.status == "verified"
     assert (rep.witness["rank"], rep.witness["tangent_dim"]) == (0, 5)
+
+
+def test_a_colon_ideal_with_a_remainder_is_an_internal_error(monkeypatch):
+    # an intersection with (f) that holds a non-multiple of f is a bug, not a
+    # caller mistake: it must not surface as a usage error (exit 3)
+    monkeypatch.setattr(groebner, "intersect",
+                        lambda a, b: groebner.Ideal(a.ring, (a.ring.one(),)))
+    ring = poly_ring(field_from_name("GF(5)"), ("u", "v"))
+    u = ring.var("u")
+    with pytest.raises(AssertionError, match="is not a multiple of u"):
+        groebner.ideal_quotient(groebner.ideal(ring, u), u)
+    with pytest.raises(AssertionError, match="is not a multiple of"):
+        run_claim("samuel.kernel")
 
 
 def test_timeout_becomes_unknown_with_bound_timeout():

@@ -23,7 +23,7 @@ from ufdlab.constructions import (
     w_chain,
 )
 from ufdlab.errors import CapExceeded, HypothesisError
-from ufdlab.groebner import ideal, ideal_equal, ideal_power, reduce
+from ufdlab.groebner import divide, ideal, ideal_equal, ideal_power
 from ufdlab import poly
 from ufdlab.poly import degree_of, poly_ring
 
@@ -519,7 +519,7 @@ def test_residue_rank_over_cubic_extension_of_gf7():
     q = x**3 + x + 1  # no root in GF(7), so irreducible
     row = [x, x**2, one]
     # x times the row: dependent over the residue field, independent over GF(7)
-    shifted = [reduce(x * e, [q]) for e in row]
+    shifted = [divide(x * e, [q])[0] for e in row]
     assert _residue_rank([row, shifted], q) == 1
     assert _residue_rank([row, shifted, [one, zero, zero]], q) == 2
     assert _residue_rank([[x, one], [one, x**2]], q) == 2  # det = x^3 - 1 = 6x + 5

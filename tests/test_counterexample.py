@@ -26,6 +26,7 @@ from ufdlab.counterexample import (
     x_order_certificate_bprime,
 )
 from ufdlab.errors import CapExceeded
+from ufdlab.groebner import divide
 from ufdlab.poly import Polynomial, poly_ring
 
 # ---------------------------------------------------------------------------
@@ -216,17 +217,20 @@ def test_min_xy_degree_shadow():
 def test_bprime_depth_one_pinned():
     p = expand_z0_bprime(1)
     assert p == p.ring.parse("x*z2 + x^2*T^2*z1^3")
-    q = p.exact_div(p.ring.var("x"))
+    rest, (q,) = divide(p, [p.ring.var("x")])
+    assert not rest
     assert q == p.ring.parse("z2 + x*T^2*z1^3")
 
 
-def test_bprime_depth_two_divisible():
+def test_bprime_depth_two_divisible(monkeypatch):
     p = expand_z0_bprime(2)
     x = p.ring.var("x")
-    q = p.exact_div(x**2)
-    assert q * x**2 == p
-    with pytest.raises(ValueError, match="not exactly divisible"):
-        p.exact_div(x**3)
+    # p has total degree 71, past the default cap that `divide` checks
+    assert p.total_degree() == 71
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=71")
+    rest, (q,) = divide(p, [x**2])
+    assert not rest and q * x**2 == p
+    assert divide(p, [x**3])[0]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

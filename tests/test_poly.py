@@ -7,7 +7,7 @@ import pytest
 
 from ufdlab.coeff import GF, QQ
 from ufdlab.errors import CapExceeded
-from ufdlab.groebner import ideal
+from ufdlab.groebner import divide, ideal
 from ufdlab.poly import (
     Polynomial,
     PolyRing,
@@ -88,22 +88,23 @@ def test_negative_exponents_are_rejected():
 
 
 def test_exact_div():
+    # exact division is division with remainder 0
     r = R("xy")
     x, y = r.gens()
     prod = (x + y) * (x - y)
-    assert prod.exact_div(x + y) == x - y
-    with pytest.raises(ValueError, match="not exactly divisible"):
-        (x**2 + y).exact_div(x + y)
+    assert divide(prod, [x + y]) == (r.zero(), [x - y])
+    rest, _ = divide(x**2 + y, [x + y])
+    assert rest == y**2 + y
 
 
 def test_exact_div_of_a_multiple_of_the_modulus_is_zero():
     # the constructor reduces 7 over GF(7) to 0 and drops it, so no quotient
-    # step of exact_div can meet a coefficient that divides to 0
+    # step of divide can meet a coefficient that divides to 0
     r = R("xy", GF(7))
     x, _ = r.gens()
     p = Polynomial(r, {(1, 0): 7})
     assert not p
-    assert p.exact_div(x) == r.zero()
+    assert divide(p, [x]) == (r.zero(), [r.zero()])
 
 
 def test_constructor_normalises_coefficients():
