@@ -187,6 +187,11 @@ def _prime_field(value, parsed):
     return fld
 
 
+def _elements(value, parsed):
+    """A JSON list of elements of parameter `field`."""
+    return [parsed["field"].of(entry) for entry in _json(list)(value, parsed)]
+
+
 def _vars(value, parsed):
     """The polynomial ring over parameter `field` on the listed names."""
     return poly_ring(parsed["field"], _json(list)(value, parsed))
@@ -754,7 +759,8 @@ _register(
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
     # u and v are derived from p when left out
     {"field": Param(_field, "Q"), "p": Param(_each(_poly(("x",))), ["x"]),
-     "u": Param(_one_per("p"), [1], fill=False), "v": Param(_one_per("p"), [1], fill=False),
+     "u": Param(_one_per("p", _elements), [1], fill=False),
+     "v": Param(_one_per("p", _elements), [1], fill=False),
      "a": Param(_one_per("p", _exponents()), [2]), "b": Param(_one_per("p", _exponents()), [3]),
      "q": Param(_poly(("x",), "nonconstant"), "x"),
      "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
@@ -768,7 +774,7 @@ _register(
     # a missing expectation is not checked
     {"field": Param(_field, "Q"),
      "beta": Param(_json(list), [[2], [3], [5]], fill=False, required=True),
-     "lambdas": Param(_json(list), [1], fill=False, required=True),
+     "lambdas": Param(_elements, [1], fill=False, required=True),
      "expect_degree": Param(_json(int), 6, fill=False),
      "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,

@@ -34,6 +34,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     _adopt,
+    _merged,
     grevlex_key,
     mono_div,
     mono_divides,
@@ -265,12 +266,12 @@ def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
     mf*f - mg*g with mf = x^(lcm - fe) / lc(f) and mg likewise, so both
     products lead with the same monic term.  The two leading terms cancel
     and are left out; the tails are shifted and scaled into one dict, f's
-    first and g's subtracted from it, and a leading coefficient is inverted
-    only when it is not one (every basis element in `buchberger` is
-    monic)."""
+    first and g's subtracted from it by `_merged`, and a leading
+    coefficient is inverted only when it is not one (every basis element
+    in `buchberger` is monic)."""
     lcm = _lcm(fe, ge)
     fld = f.ring.field
-    one, mul, sub, neg = fld.one(), fld.mul, fld.sub, fld.neg
+    one, mul = fld.one(), fld.mul
     add = operator.add
     fc, gc = f.terms[fe], g.terms[ge]
     fshift, gshift = mono_div(lcm, fe), mono_div(lcm, ge)
@@ -281,22 +282,9 @@ def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
         out = {tuple(map(add, fshift, e)): mul(scale, c)
                for e, c in f.terms.items() if e != fe}
     gscale = None if gc == one else fld.inv(gc)
-    for e, c in g.terms.items():
-        if e == ge:
-            continue
-        e = tuple(map(add, gshift, e))
-        if gscale is not None:
-            c = mul(gscale, c)
-        old = out.get(e)
-        if old is None:
-            out[e] = neg(c)
-        else:
-            c = sub(old, c)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-    return _adopt(f.ring, out)
+    tail = [(tuple(map(add, gshift, e)), c if gscale is None else mul(gscale, c))
+            for e, c in g.terms.items() if e != ge]
+    return _adopt(f.ring, _merged(out, tail, fld.sub, fld.neg))
 
 
 def _check_caps(g: Polynomial, caps: Caps) -> None:
@@ -733,6 +721,7 @@ def _reduce_vector(fld: Field, pivots: dict[int, dict[int, object]],
         if row is None:
             break
         factor = work[lead]
+        # inline, not `poly._merged`: pivot rows are short, and a list per step costs more
         for i, c in row.items():
             new = fld.sub(work.get(i, zero), fld.mul(factor, c))
             if new == zero:

@@ -284,6 +284,7 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
                 upper += net
             else:
                 live -= len(target) + 1
+            # inline, not `poly._merged`: this is the rewrite's hot loop
             for f, deltas in groups:
                 c = mul(coeff, f)
                 for delta in deltas:

@@ -21,7 +21,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .coeff import Field, QQ, gcd_bezout
 
@@ -123,9 +123,10 @@ class Polynomial:
     value that is not a field element raises `ValueError`) and drops the
     ones that become zero.  The arithmetic builds each result in one pass
     with no zero in it, and adopts that dict through `_adopt` without
-    copying or filtering it again: a sum deletes a term that cancels, and
-    over a field a product of nonzero coefficients, a negation and `monic`
-    cannot make a zero.
+    copying or filtering it again: every sum of terms goes through
+    `_merged`, which deletes a term that cancels, and over a field a
+    product of nonzero coefficients, a negation and `monic` cannot make a
+    zero.
 
     `_lead` holds (keyfn, keyfn(exp), exp, coeff) for the leading term under
     the key function keyfn, or None.  `leading` fills it, and code that
@@ -172,18 +173,7 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        add = self.ring.field.add
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            old = out.get(e)
-            if old is None:
-                out[e] = c
-            else:
-                c = add(old, c)
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
+        out = _merged(dict(self.terms), other.terms.items(), self.ring.field.add)
         return _adopt(self.ring, out)
 
     __radd__ = __add__
@@ -195,18 +185,7 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         fld = self.ring.field
-        sub, neg = fld.sub, fld.neg
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            old = out.get(e)
-            if old is None:
-                out[e] = neg(c)
-            else:
-                c = sub(old, c)
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
+        out = _merged(dict(self.terms), other.terms.items(), fld.sub, fld.neg)
         return _adopt(self.ring, out)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -225,12 +204,9 @@ class Polynomial:
             ((e1, c1),) = a.items()
             return _adopt(self.ring, {mono_mul(e1, e2): mul(c1, c2) for e2, c2 in b.items()})
         out: dict[Exp, object] = {}
-        zero = fld.zero()
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = mono_mul(e1, e2)
-                out[e] = fld.add(out.get(e, zero), mul(c1, c2))
-        return _adopt(self.ring, {e: c for e, c in out.items() if c})
+            _merged(out, [(mono_mul(e1, e2), mul(c1, c2)) for e2, c2 in b.items()], fld.add)
+        return _adopt(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -343,6 +319,24 @@ def _adopt(ring: PolyRing, terms: dict[Exp, object]) -> Polynomial:
     return p
 
 
+def _merged(out: dict[Exp, object], terms: Iterable[tuple[Exp, object]], combine,
+            fresh=None) -> dict[Exp, object]:
+    """Fold each (e, c) of `terms` into `out` and return `out`: where `out`
+    holds e, store combine(out[e], c), or delete the entry when that is
+    zero; elsewhere store c, or fresh(c) when `fresh` is given.  Every sum
+    of polynomial terms goes through here, and for nonzero c it stores no
+    zero."""
+    for e, c in terms:
+        old = out.get(e)
+        if old is None:
+            out[e] = c if fresh is None else fresh(c)
+        elif c := combine(old, c):
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # gradings
 # ---------------------------------------------------------------------------
@@ -395,7 +389,8 @@ class RingMap:
         if p.ring != self.source:
             raise ValueError("polynomial not in the map's source ring")
         power_cache: dict[tuple[str, int], Polynomial] = {}
-        out = self.target.zero()
+        out: dict[Exp, object] = {}
+        add = self.target.field.add
         for e, c in p.terms.items():
             piece = self.target.const(c)
             for i, k in enumerate(e):
@@ -407,8 +402,8 @@ class RingMap:
                     cached = self.image_of(name) ** k
                     power_cache[(name, k)] = cached
                 piece = piece * cached
-            out = out + piece
-        return out
+            _merged(out, piece.terms.items(), add)
+        return _adopt(self.target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +539,7 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
             raise ValueError("unexpected end of polynomial text")
         return tok
 
-    terms: dict[Exp, object] = {}
+    products: list[tuple[Exp, object]] = []
     negative, tok = False, take()
     while tok in ("+", "-"):  # signs repeat only before the first product
         negative ^= tok == "-"
@@ -580,15 +575,10 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
             if tok != "*":
                 break
             tok = take()
-        e = tuple(exp)
-        if e in terms:
-            coeff = add(terms[e], coeff)
-        if coeff:  # a sum that cancels leaves the dict, as Polynomial.__add__ does
-            terms[e] = coeff
-        else:
-            terms.pop(e, None)
+        if coeff:  # 0*x, or 7*x over GF(7), adds no term
+            products.append((tuple(exp), coeff))
         if tok is None:
-            return _adopt(ring, terms)
+            return _adopt(ring, _merged({}, products, add))
         if tok not in ("+", "-"):
             raise ValueError(f"trailing token {tok!r}")
         negative, tok = tok == "-", take()

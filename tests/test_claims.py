@@ -106,6 +106,11 @@ def test_unfilled_parameters_stay_absent():
     ("jacobian.rank", {"a": ["2"]}, "parameter 'a' of claim jacobian.rank: exponents must be"),
     ("pham.cases", {"reject": [2, 3]}, "parameter 'reject' .*: must list at least 3 exponents"),
     ("pham.cases", {"chain_weights": {"Z": 1}}, "'chain_weights' .*without its instance chain"),
+    ("jacobian.rank", {"u": ["a"]}, "parameter 'u' of claim jacobian.rank: 'a' is not an element"),
+    ("jacobian.rank", {"field": "GF(7)", "p": ["x"], "u": [1], "v": ["1/7"]},
+     r"parameter 'v' of claim jacobian.rank: '1/7' is not an element of GF\(7\)"),
+    ("trinomial.validate", {"beta": [[2], [3], [5]], "lambdas": ["x"]},
+     "parameter 'lambdas' of claim trinomial.validate: 'x' is not an element of Q"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):

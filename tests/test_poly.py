@@ -406,6 +406,19 @@ def test_parse_runs_no_polynomial_arithmetic(monkeypatch):
     assert r.parse("3*x*x*y - 2*y + 9 + x^0*1/2*x*y*x - 2/4*y*x^2").terms == want.terms
 
 
+@pytest.mark.parametrize("text, field, build, want", [
+    ("0*x + y", QQ, lambda x, y: 0 * x + y, "y"),
+    ("x + 2 - x - 2", QQ, lambda x, y: x + 2 - x - 2, "0"),
+    ("7*x + y", GF(7), lambda x, y: 7 * x + y, "y"),
+], ids=["zero-product", "cancelling-sum", "multiple-of-p"])
+def test_parse_of_products_that_vanish_or_cancel_stores_no_zero(text, field, build, want):
+    r = R("xy", field=field)
+    got = r.parse(text)
+    assert got == build(*r.gens())
+    assert field.zero() not in got.terms.values()
+    assert str(got) == want
+
+
 def test_prime_field_render_round_trip():
     r = R("ab", field=GF(5))
     p = r.parse("4*a + 3")
@@ -476,6 +489,51 @@ def test_apply_map_identity_default():
     tgt = R("xyz")
     phi = RingMap(src, tgt, {})
     assert phi.apply(src.parse("x^2 + y")) == tgt.parse("x^2 + y")
+
+
+def _naive_apply(phi, p):
+    """phi(p) by the naive reference: each term's image multiplied out one
+    variable at a time, and the images summed.  Also returns how many
+    exponents some image holds but the sum does not: the cancellations."""
+    fld = phi.target.field
+    out, seen = {}, set()
+    for e, c in p.terms.items():
+        piece = {(0,) * phi.target.nvars: c}
+        for name, k in zip(p.ring.names, e):
+            for _ in range(k):
+                piece = _naive_mul(fld, piece, phi.image_of(name).terms)
+        seen |= piece.keys()
+        out = _naive_sum(fld, out, piece, fld.add)
+    return out, len(seen - out.keys())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+def test_apply_matches_naive_substitution(field):
+    rng = random.Random(53)
+    src, tgt = R("xyz", field=field), R("uv", field=field)
+    u, v = tgt.gens()
+
+    def rand_poly(ring, nterms):
+        return Polynomial(ring, {
+            tuple(rng.randrange(0, 3) for _ in ring.names): field.sample(rng)
+            for _ in range(nterms)
+        })
+
+    cancelled = 0
+    for _ in range(60):
+        phi = RingMap(src, tgt, {"x": u + v, "y": u - v, "z": rand_poly(tgt, rng.randrange(1, 4))})
+        # c*x^i*z^k - c*y^i*z^k goes to c*((u + v)^i - (u - v)^i)*z^k, in
+        # which the terms of even degree in v cancel
+        pairs = {(rng.randrange(1, 4), rng.randrange(0, 3)): field.sample(rng)
+                 for _ in range(rng.randrange(0, 4))}
+        p = Polynomial(src, {(i, 0, k): c for (i, k), c in pairs.items()}) - Polynomial(
+            src, {(0, i, k): c for (i, k), c in pairs.items()}) + rand_poly(src, rng.randrange(0, 3))
+        got = phi.apply(p)
+        want, gone = _naive_apply(phi, p)
+        assert got.terms == want, p
+        assert field.zero() not in got.terms.values()
+        cancelled += gone
+    assert cancelled > 50  # plenty of terms cancelled between the images
 
 
 # -- the Laurent isomorphism ---------------------------------------------------
