@@ -267,6 +267,18 @@ def _weights_of(key: str):
     return parse
 
 
+def _factor_degree(key: str):
+    """A JSON int >= 1 that is at least deg(f) // 2 for the polynomial f in
+    parameter `key`: a proper factor of f has at most that degree."""
+    def parse(value, parsed):
+        value = _json(int, 1)(value, parsed)
+        least = parsed[key].total_degree() // 2
+        if value < least:
+            raise ValueError(f"must be >= deg({key}) // 2 = {least}, got {value}")
+        return value
+    return parse
+
+
 def _one_per(key: str, kind=_json(list)):
     """A JSON list that `kind` parses, with one entry per entry of
     parameter `key`."""
@@ -799,8 +811,8 @@ _register(
     "Exhaustive factor search certifies irreducibility over a prime field "
     "at the stated degree bound.",
     {"field": Param(_prime_field, "GF(5)"), "vars": Param(_vars, ["x", "y"]),
-     "poly": Param(_poly(), "x^2 + y^3", fill=False, required=True),
-     "max_deg": Param(_json(int, 1), 2)},
+     "poly": Param(_poly(must_be="nonconstant"), "x^2 + y^3", fill=False, required=True),
+     "max_deg": Param(_factor_degree("poly"), 2)},
     _h_groebner_irreducible,
 )
 

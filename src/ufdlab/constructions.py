@@ -178,12 +178,12 @@ class ConditionPReport:
 
 
 def _standard_monomials(ring: PolyRing, gb, max_deg: int) -> list[Polynomial]:
-    """Monomials of degree <= max_deg reducible by no basis leading term."""
+    """Monomials of degree 1..max_deg reducible by no basis leading term."""
     keyfn = GREVLEX.key_for(ring)
     leads = [g.leading(keyfn)[0] for g in gb]
     out = []
     for e in _monomials_up_to(ring, max_deg):
-        if not any(mono_divides(l, e) for l in leads):
+        if any(e) and not any(mono_divides(l, e) for l in leads):
             out.append(Polynomial(ring, {e: ring.field.one()}))
     return out
 
@@ -207,6 +207,8 @@ def check_condition_P(
 
     The prime list is trusted (primality in a quotient is not decided
     here); the report says which primes were excluded because pA+bA = A.
+    Primes equal up to a scalar are one class, and each class builds its
+    quotient ideal pA+bA once, for every clause to read.
     """
     ring = A.ring
     fld = ring.field
@@ -236,102 +238,78 @@ def check_condition_P(
             "refuted", witness=f"{offender} lies in (a) cap (b) but not in (ab)"
         )
 
-    # dedupe the prime list up to scalar multiples, split off excluded ones
-    classes: list[Polynomial] = []
-    for p in prime_factors_of_a:
-        if not any(p.monic() == q.monic() for q in classes):
-            classes.append(p)
-    primes: list[Polynomial] = []
+    # one quotient ideal pA+bA per class of primes equal up to a scalar
+    monics: list[Polynomial] = []
+    primes: list[tuple[Polynomial, Ideal]] = []
     excluded: list[str] = []
-    for p in classes:
-        if Ideal(ring, A.relations + (p, b)).is_trivial():
+    for p in prime_factors_of_a:
+        if p.monic() in monics:
+            continue
+        monics.append(p.monic())
+        ideal_p = Ideal(ring, A.relations + (p, b))
+        if ideal_p.is_trivial():
             excluded.append(f"{p}: pA+bA = A, not in the prime set")
         else:
-            primes.append(p)
+            primes.append((p, ideal_p))
 
     # clause (iii): exact pairwise non-membership
-    pairs = [(p, q) for p in primes for q in primes if p is not q]
-    if not pairs:
-        clauses["iii"] = Clause(
-            "verified", note="vacuous: no non-associate prime pairs"
-        )
+    pairs = [(p, ideal_p, q) for p, ideal_p in primes for q, _ in primes if q is not p]
+    lines = []
+    for p, ideal_p, q in pairs:
+        nf = ideal_p.normal_form(q)
+        if not nf:
+            clauses["iii"] = Clause("refuted", witness=f"{q} lies in ({p}) + ({b})")
+            break
+        lines.append(f"{q} mod ({p},{b}) = {nf}")
     else:
-        verdict = Clause("verified", witness="")
-        lines = []
-        for p, q in pairs:
-            nf = Ideal(ring, A.relations + (p, b)).normal_form(q)
-            if not nf:
-                verdict = Clause("refuted", witness=f"{q} lies in ({p}) + ({b})")
-                break
-            lines.append(f"{q} mod ({p},{b}) = {nf}")
-        if verdict.status == "verified":
-            verdict.witness = "; ".join(lines)
-        clauses["iii"] = verdict
+        clauses["iii"] = (Clause("verified", witness="; ".join(lines)) if pairs else
+                          Clause("verified", note="vacuous: no non-associate prime pairs"))
+    if not primes:
+        for key in ("ii", "iv"):
+            clauses[key] = Clause("verified", note="vacuous: prime set empty")
+        return ConditionPReport(clauses, [], excluded)
 
     # clause (ii): bounded zero-divisor search in A/(pA+bA)
-    if not primes:
-        clauses["ii"] = Clause("verified", note="vacuous: prime set empty")
+    found = next(
+        ((p, m1, m2)
+         for p, ideal_p in primes
+         for m1, m2 in itertools.product(
+             _standard_monomials(ring, ideal_p.groebner(), N), repeat=2)
+         if not ideal_p.normal_form(m1 * m2)),
+        None,
+    )
+    if found:
+        p, m1, m2 = found
+        clauses["ii"] = Clause("refuted", witness=f"zero divisors mod ({p})+({b}): "
+                                                  f"{m1} * {m2} = 0 with both factors nonzero")
     else:
-        found = None
-        for p in primes:
-            ideal_p = Ideal(ring, A.relations + (p, b))
-            gb = ideal_p.groebner()
-            standard = _standard_monomials(ring, gb, N)
-            for m1 in standard:
-                if m1.is_constant():
-                    continue
-                for m2 in standard:
-                    if m2.is_constant():
-                        continue
-                    if not ideal_p.normal_form(m1 * m2):
-                        found = (p, m1, m2)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            p, m1, m2 = found
-            clauses["ii"] = Clause(
-                "refuted",
-                witness=f"zero divisors mod ({p})+({b}): {m1} * {m2} = 0 with both factors nonzero",
-            )
-        else:
-            clauses["ii"] = Clause(
-                "unknown", bound=N, note="no zero divisor among standard-monomial pairs"
-            )
+        clauses["ii"] = Clause("unknown", bound=N,
+                               note="no zero divisor among standard-monomial pairs")
 
     # clause (iv): truncated power-intersection check with test element p
-    if not primes:
-        clauses["iv"] = Clause("verified", note="vacuous: prime set empty")
-    else:
-        verdict = Clause("verified", bound=N, note="truncated at level N")
-        lines = []
-        for p in primes:
-            delta = min(
-                min(sum(e) for e in p.terms), min(sum(e) for e in b.terms)
+    lines = []
+    for p, _ in primes:
+        delta = min(min(sum(e) for e in p.terms), min(sum(e) for e in b.terms))
+        test = p
+        if test.total_degree() >= N * delta and b.total_degree() < N * delta:
+            test = b
+        if test.total_degree() >= N * delta:
+            clauses["iv"] = Clause(
+                "unknown", bound=N, note="no test element below the power degree bound"
             )
-            test = p
-            if test.total_degree() >= N * delta and b.total_degree() < N * delta:
-                test = b
-            if test.total_degree() >= N * delta:
-                verdict = Clause(
-                    "unknown", bound=N, note="no test element below the power degree bound"
-                )
-                break
-            power = ideal_power(Ideal(ring, (p, b)), N)
-            big_ideal = Ideal(ring, A.relations + power.gens)
-            if big_ideal.contains(test):
-                verdict = Clause(
-                    "refuted", bound=N, witness=f"{test} lies in (({p})+({b}))^{N}"
-                )
-                break
-            lines.append(f"{test} not in (({p})+({b}))^{N}")
-        if verdict.status == "verified":
-            verdict.witness = "; ".join(lines)
-        clauses["iv"] = verdict
-
-    return ConditionPReport(clauses, [str(p) for p in primes], excluded)
+            break
+        power = ideal_power(Ideal(ring, (p, b)), N)
+        if Ideal(ring, A.relations + power.gens).contains(test):
+            clauses["iv"] = Clause(
+                "refuted", bound=N, witness=f"{test} lies in (({p})+({b}))^{N}"
+            )
+            break
+        lines.append(f"{test} not in (({p})+({b}))^{N}")
+    else:
+        clauses["iv"] = Clause(
+            "verified", bound=N, witness="; ".join(lines), note="truncated at level N"
+        )
+    return ConditionPReport(clauses, [str(p) for p, _ in primes], excluded)
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,6 @@ class OmegaPoly:
             raise ValueError("negative power")
         return self._via_poly(lambda q: q**n)
 
-    def scale(self, c) -> "OmegaPoly":
-        return self._via_poly(lambda q: q * c)
-
-    def degrees(self) -> set[int]:
-        return {
-            sum(k << i for i, k in enumerate(exp[1:])) - exp[0] for exp in self.poly.terms
-        }
-
     def __str__(self) -> str:
         return str(self.poly)
 

@@ -111,6 +111,10 @@ def test_unfilled_parameters_stay_absent():
      r"parameter 'v' of claim jacobian.rank: '1/7' is not an element of GF\(7\)"),
     ("trinomial.validate", {"beta": [[2], [3], [5]], "lambdas": ["x"]},
      "parameter 'lambdas' of claim trinomial.validate: 'x' is not an element of Q"),
+    ("groebner.irreducible", {"poly": "3"},
+     "parameter 'poly' of claim groebner.irreducible: must be nonconstant"),
+    ("groebner.irreducible", {"poly": "x^6 + y", "max_deg": 2},
+     r"parameter 'max_deg' of claim groebner.irreducible: must be >= deg\(poly\) // 2 = 3"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):

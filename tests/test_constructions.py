@@ -5,7 +5,9 @@ import math
 import pytest
 
 from ufdlab.coeff import GF, QQ
+from ufdlab import constructions
 from ufdlab.constructions import (
+    Clause,
     PresentedRing,
     _residue_rank,
     check_condition_P,
@@ -184,6 +186,47 @@ def test_condition_P_clause_iv_refutation():
     A = PresentedRing(ring, (ring.parse("u - u^2*v"),))
     rep = check_condition_P(A, ring.var("u"), ring.var("v"), [ring.var("u")], 3)
     assert rep.clauses["iv"].status == "refuted"
+
+
+def test_condition_P_merges_associate_primes():
+    A = free_ring(QQ, ("u", "v"))
+    amb = A.ring
+    u = amb.var("u")
+    rep = check_condition_P(A, amb.parse("2*u^2"), amb.var("v"), [u, u * 2], 3)
+    assert rep.primes == ["u"]
+    assert rep.clauses["iii"] == Clause("verified", note="vacuous: no non-associate prime pairs")
+
+
+def test_condition_P_searches_every_prime_for_zero_divisors():
+    # A = Q[u,v,w]/(w^2), b = v: A/(w, v) = Q[u] is a domain, A/(u, v) = Q[w]/(w^2) is not.
+    ring = poly_ring(QQ, ("u", "v", "w"))
+    A = PresentedRing(ring, (ring.parse("w^2"),))
+    u, v, w = ring.gens()
+    rep = check_condition_P(A, u * w, v, [w, u], 3)
+    assert rep.primes == ["w", "u"]
+    assert rep.clauses["ii"] == Clause(
+        "refuted", witness="zero divisors mod (u)+(v): w * w = 0 with both factors nonzero")
+
+
+def test_condition_P_builds_one_quotient_ideal_per_prime_class(monkeypatch):
+    ring = poly_ring(QQ, ("u", "v", "w"))
+    A = PresentedRing(ring, (ring.parse("u*w - v^2"),))
+    u, v, w = ring.gens()
+    built = []
+
+    class CountingIdeal(constructions.Ideal):
+        def __init__(self, ring, gens):
+            super().__init__(ring, gens)
+            built.append(self.gens)
+
+    monkeypatch.setattr(constructions, "Ideal", CountingIdeal)
+    # u and 2u are one class; (v - 1) + (v) is the unit ideal, so v - 1 is excluded
+    factors = [u, w, u * 2, v - 1]
+    rep = check_condition_P(A, u * u * w * (v - 1) * 2, v, factors, 2)
+    assert rep.primes == ["u", "w"]
+    assert rep.excluded == ["v - 1: pA+bA = A, not in the prime set"]
+    quotients = [g[-2] for g in built if g[:-2] == A.relations and g[-1] == v]
+    assert quotients == [u, w, v - 1]
 
 
 # ---------------------------------------------------------------------------
