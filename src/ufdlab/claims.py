@@ -187,9 +187,24 @@ def _prime_field(value, parsed):
     return fld
 
 
-def _elements(value, parsed):
-    """A JSON list of elements of parameter `field`."""
-    return [parsed["field"].of(entry) for entry in _json(list)(value, parsed)]
+def _units(value, parsed):
+    """A JSON list of nonzero elements of parameter `field`."""
+    entries = [parsed["field"].of(entry) for entry in _json(list)(value, parsed)]
+    if parsed["field"].zero() in entries:
+        raise ValueError(f"entries must be nonzero, got {value!r}")
+    return entries
+
+
+def _trinomial_constants(value, parsed):
+    """`_units`, pairwise distinct, one per block of parameter `beta` after
+    the first two (the builder rejects a `beta` of fewer than three)."""
+    entries = _units(value, parsed)
+    want = len(parsed["beta"]) - 2
+    if want > 0 and len(entries) != want:
+        raise ValueError(f"must have len(beta) - 2 = {want} entries, got {len(entries)}")
+    if len(set(entries)) != len(entries):
+        raise ValueError(f"entries must be pairwise distinct, got {value!r}")
+    return entries
 
 
 def _vars(value, parsed):
@@ -771,8 +786,8 @@ _register(
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
     # u and v are derived from p when left out
     {"field": Param(_field, "Q"), "p": Param(_each(_poly(("x",))), ["x"]),
-     "u": Param(_one_per("p", _elements), [1], fill=False),
-     "v": Param(_one_per("p", _elements), [1], fill=False),
+     "u": Param(_one_per("p", _units), [1], fill=False),
+     "v": Param(_one_per("p", _units), [1], fill=False),
      "a": Param(_one_per("p", _exponents()), [2]), "b": Param(_one_per("p", _exponents()), [3]),
      "q": Param(_poly(("x",), "nonconstant"), "x"),
      "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
@@ -786,7 +801,7 @@ _register(
     # a missing expectation is not checked
     {"field": Param(_field, "Q"),
      "beta": Param(_json(list), [[2], [3], [5]], fill=False, required=True),
-     "lambdas": Param(_elements, [1], fill=False, required=True),
+     "lambdas": Param(_trinomial_constants, [1], fill=False, required=True),
      "expect_degree": Param(_json(int), 6, fill=False),
      "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,

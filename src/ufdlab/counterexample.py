@@ -189,17 +189,6 @@ class OrderCert:
         if any(inc < 1 for _, _, inc in self.log):
             raise ValueError("order increments must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "ideal": self.ideal,
-            "order": self.order,
-            "rounds": self.order,
-            "log": [list(step) for step in self.log],
-            "final_state": [list(pair) for pair in self.final_state],
-            "accepted": self.accepted,
-        }
-
 
 def _order_certificate(n: int, ideal_tag: str) -> OrderCert:
     if n < 0:

@@ -509,19 +509,7 @@ def render_poly(p: Polynomial) -> str:
     return text
 
 
-_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+)|({_IDENT_RE.pattern})|([-+*/^()]))")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"bad character in polynomial text at {text[pos:]!r}")
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
-    return tokens
+_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+)|({_IDENT_RE.pattern})|([-+*/^()])|(\S))")
 
 
 def parse_poly(ring: PolyRing, text: str) -> Polynomial:
@@ -531,7 +519,12 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
         raise ValueError(f"a polynomial must be given as text, got {type(text).__name__}")
     fld = ring.field
     of, mul, add, one = fld.of, fld.mul, fld.add, fld.one()
-    tokens = iter(_tokenize(text.strip()))
+    text = text.strip()
+    scan = [num or name or op for num, name, op, _ in _TOKEN_RE.findall(text)]
+    if not all(scan):  # "" where only the last group matched: a bad character
+        at = next(m.start() for m in _TOKEN_RE.finditer(text) if m[4])
+        raise ValueError(f"bad character in polynomial text at {text[at:]!r}")
+    tokens = iter(scan)
 
     def take() -> str:
         tok = next(tokens, None)
@@ -557,7 +550,7 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
                         raise ValueError("zero denominator")
                     value, tok = Fraction(value, int(den)), next(tokens, None)
                 coeff = mul(coeff, of(value))
-            elif _IDENT_RE.fullmatch(tok):
+            elif tok[0].isalpha():  # a name: no other token starts with a letter
                 name, tok, k = tok, next(tokens, None), "1"
                 if tok == "^":
                     k = take()

@@ -115,6 +115,16 @@ def test_unfilled_parameters_stay_absent():
      "parameter 'poly' of claim groebner.irreducible: must be nonconstant"),
     ("groebner.irreducible", {"poly": "x^6 + y", "max_deg": 2},
      r"parameter 'max_deg' of claim groebner.irreducible: must be >= deg\(poly\) // 2 = 3"),
+    ("trinomial.validate", {"beta": [[2], [3], [5]], "lambdas": [0]},
+     r"parameter 'lambdas' of claim trinomial.validate: entries must be nonzero, got \[0\]"),
+    ("trinomial.validate", {"beta": [[2], [3], [5]], "lambdas": [1, 2]},
+     r"parameter 'lambdas' of claim trinomial.validate: must have len\(beta\) - 2 = 1 entries"),
+    ("trinomial.validate", {"beta": [[2], [3], [5], [7]], "lambdas": [1, 1]},
+     r"parameter 'lambdas' of claim trinomial.validate: entries must be pairwise distinct"),
+    ("jacobian.rank", {"u": [0]},
+     r"parameter 'u' of claim jacobian.rank: entries must be nonzero, got \[0\]"),
+    ("jacobian.rank", {"v": [0]},
+     r"parameter 'v' of claim jacobian.rank: entries must be nonzero, got \[0\]"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):

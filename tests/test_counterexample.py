@@ -292,13 +292,6 @@ def test_order_cert_rejects_bad_increment():
         OrderCert("z0", "test", 1, ((1, 0, 0),), ((1, 1),), True)
 
 
-def test_order_cert_json_round_trip_fields():
-    doc = m_order_certificate(3).to_json()
-    assert doc["accepted"] is True
-    assert doc["order"] == 3
-    assert doc["final_state"] == [[i, 3] for i in range(3, 7)]
-
-
 # ---------------------------------------------------------------------------
 # coordinate checks
 # ---------------------------------------------------------------------------

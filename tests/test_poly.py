@@ -1,6 +1,7 @@
 """Polynomial layer: arithmetic, gradings, maps, text round-trips."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ufdlab.coeff import GF, QQ
 from ufdlab.errors import CapExceeded
 from ufdlab.groebner import divide, ideal
 from ufdlab.poly import (
+    _TOKEN_RE,
     Polynomial,
     PolyRing,
     RingMap,
@@ -382,6 +384,50 @@ def test_parse_error_messages(text, field, message):
     with pytest.raises(ValueError) as err:
         R("xy", field=field).parse(text)
     assert str(err.value) == message
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+
+
+def _reference_tokenize(text):
+    """The token-by-token scanner the one-pass scan replaced."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            raise ValueError(f"bad character in polynomial text at {text[pos:]!r}")
+        tokens.append(m.group(1) or m.group(2) or m.group(3))
+        pos = m.end()
+    return tokens
+
+
+def _parse_outcome(ring, text):
+    try:
+        return ring.parse(text)
+    except ValueError as err:
+        return str(err)
+
+
+def test_scan_matches_the_token_by_token_reference():
+    alphabet = ["0", "1", "7", "\uff12", "\u0661", "x", "y", "q", "X", "\u00e9", "_",
+                " ", "  ", "\t", "\u00a0", *"+-*/^()", "$", "."]
+    rng = random.Random(4200)
+    r = R("xy")
+    outcomes = {"tokens": 0, "bad": 0}
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        try:
+            tokens = _reference_tokenize(text.strip())
+        except ValueError as err:
+            assert _parse_outcome(r, text) == str(err), text
+            outcomes["bad"] += 1
+            continue
+        scan = _TOKEN_RE.findall(text.strip())
+        assert [num or name or op for num, name, op, _ in scan] == tokens, text
+        assert _parse_outcome(r, text) == _parse_outcome(r, " ".join(tokens)), text
+        outcomes["tokens"] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_parse_sign_run_and_negative_zero_exponent():
