@@ -33,9 +33,11 @@ from . import __version__
 from .caps import current_caps
 from .coeff import QQ, PrimeField, field_from_name, is_int, prime_avoid
 from .constructions import (
+    PresentedRing,
     jacobian_tangent_dim,
     lemma_level_check,
     pham_brieskorn,
+    relatively_prime,
     threefold_family,
     trinomial_ring,
     w_chain,
@@ -49,7 +51,7 @@ from .counterexample import (
     s_sequence,
     x_order_certificate_bprime,
 )
-from .errors import CapExceeded, HypothesisError
+from .errors import CapExceeded, HypothesisError, too_large
 from .groebner import (
     GREVLEX,
     _s_poly,
@@ -79,6 +81,10 @@ class UsageError(Exception):
 
 
 STATUSES = ("verified", "refuted", "unknown")
+
+# the most (hi - lo + 1)^4 tuples a coeff.prime-avoid box may hold: its loop
+# takes about 1 us a tuple, so about a second's work
+PRIME_AVOID_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -195,12 +201,25 @@ def _units(value, parsed):
     return entries
 
 
+def _trinomial_blocks(value, parsed):
+    """A JSON list of at least three exponent blocks, each a non-empty list
+    of ints >= 1: the (D.1) shapes `trinomial_ring` checks, in its words."""
+    blocks = _json(list)(value, parsed)
+    if not all(isinstance(block, list) for block in blocks):
+        raise ValueError("(D.1) violated: each exponent block must be a list")
+    if len(blocks) < 3:
+        raise ValueError("(D.1) violated: need at least three exponent blocks")
+    if not all(block and all(is_int(e) and e >= 1 for e in block) for block in blocks):
+        raise ValueError("(D.1) violated: exponent entries must be positive integers")
+    return blocks
+
+
 def _trinomial_constants(value, parsed):
     """`_units`, pairwise distinct, one per block of parameter `beta` after
-    the first two (the builder rejects a `beta` of fewer than three)."""
+    the first two."""
     entries = _units(value, parsed)
     want = len(parsed["beta"]) - 2
-    if want > 0 and len(entries) != want:
+    if len(entries) != want:
         raise ValueError(f"must have len(beta) - 2 = {want} entries, got {len(entries)}")
     if len(set(entries)) != len(entries):
         raise ValueError(f"entries must be pairwise distinct, got {value!r}")
@@ -229,6 +248,20 @@ def _poly(names: Optional[tuple[str, ...]] = None, must_be: Optional[str] = None
         p = ring.parse(value)
         if must_be and (p.is_constant() if must_be == "nonconstant" else not p):
             raise ValueError(f"must be {must_be}, got {value!r}")
+        return p
+    return parse
+
+
+def _coprime_to(kind, *keys: str):
+    """A polynomial `kind` parses that is relatively prime to the product of
+    the polynomials in parameters `keys`."""
+    def parse(value, parsed):
+        p = kind(value, parsed)
+        other = math.prod(parsed[key] for key in keys)
+        ok, offender = relatively_prime(PresentedRing(p.ring, ()), other, p)
+        if not ok:
+            raise ValueError(f"must be relatively prime to {'*'.join(keys)} = {other}: "
+                             f"{offender} lies in ({other}) cap ({p}) but not in their product")
         return p
     return parse
 
@@ -389,6 +422,9 @@ def _h_groebner_soundness(params):
 
 def _h_prime_avoid(params):
     lo, hi = params["lo"], params["hi"]
+    tuples = (hi - lo + 1) ** 4
+    if tuples > PRIME_AVOID_CAP:
+        raise too_large("coeff.prime-avoid", "tuples", PRIME_AVOID_CAP, tuples)
     checked = 0
     for a1 in range(lo, hi + 1):
         for a2 in range(lo, hi + 1):
@@ -655,7 +691,8 @@ def _h_pham_cases(params):
         except HypothesisError as err:
             witness["reject"] = {"rejected": str(err)}
     if not witness:
-        raise ValueError("no instance was given (coprime_triple, chain or reject)")
+        raise UsageError("claim pham.cases: no instance was given "
+                         "(coprime_triple, chain or reject)")
     return "verified", None, witness
 
 
@@ -726,8 +763,8 @@ _register(
     "Level-wise elimination identity: eliminating X from (s^i, s*t*X - b) "
     "recovers W_i at every level up to the bound.",
     {"field": Param(_field, "GF(5)"), "s": Param(_poly(("u", "v"), "nonzero"), "u"),
-     "t": Param(_poly(("u", "v"), "nonzero"), "v"),
-     "b": Param(_poly(("u", "v"), "nonzero"), "u+v"),
+     "t": Param(_coprime_to(_poly(("u", "v"), "nonzero"), "s"), "v"),
+     "b": Param(_coprime_to(_poly(("u", "v"), "nonzero"), "s", "t"), "u+v"),
      "i_max": Param(_json(int, 1), 4)},
     _h_lemma32_levels,
 )
@@ -800,7 +837,7 @@ _register(
     "weights and degree, and the last exponent block is coprime to it.",
     # a missing expectation is not checked
     {"field": Param(_field, "Q"),
-     "beta": Param(_json(list), [[2], [3], [5]], fill=False, required=True),
+     "beta": Param(_trinomial_blocks, [[2], [3], [5]], fill=False, required=True),
      "lambdas": Param(_trinomial_constants, [1], fill=False, required=True),
      "expect_degree": Param(_json(int), 6, fill=False),
      "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
@@ -923,8 +960,9 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     Parameter-level failures (unknown claim, unknown parameters, required
     parameters left out, values their kind cannot parse, a timeout that is
     not a finite number of seconds > 0 the interval timer accepts, a
-    malformed UFDLAB_CAPS, hypothesis errors raised while setting the
-    instance up) raise UsageError instead.
+    malformed UFDLAB_CAPS) raise UsageError instead.  After parsing, only
+    a builder's HypothesisError is the caller's mistake, also raised as
+    UsageError; any other exception is a bug and propagates unchanged.
     """
     spec = _spec(claim_id)
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
@@ -948,7 +986,7 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
         status, bound, witness = "unknown", "timeout", None
     except CapExceeded as err:
         status, bound, witness = "unknown", "cap", str(err)
-    except (HypothesisError, ValueError, KeyError) as err:
+    except HypothesisError as err:
         raise UsageError(f"claim {claim_id}: {err}") from err
     elapsed = int((time.monotonic() - start) * 1000)
     return ClaimReport(claim_id, dict(params), status, bound, witness,

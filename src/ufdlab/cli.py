@@ -10,7 +10,9 @@ stdout stays machine-readable.  `ClaimReport` enforces the shipped report
 schema when a report is built, and the emitted keys are checked against the
 schema's before a report is written.  Exit codes: 0 all claims verified,
 1 at least one refuted, 2 at least one unknown (and none refuted),
-3 usage error.  The env var UFDLAB_CAPS ("degree=128,terms=50000")
+3 usage error (a bad argument or parameter, or a builder's HypothesisError),
+4 internal error: any other exception, with its traceback on stderr and
+nothing on stdout.  The env var UFDLAB_CAPS ("degree=128,terms=50000")
 overrides the size caps for everything a claim runs.
 """
 
@@ -176,6 +178,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except SystemExit as err:  # argparse --help and friends
         return int(err.code or 0)
+    except Exception:  # a bug, not a verdict
+        import traceback  # here, so that launching the CLI does not load it
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

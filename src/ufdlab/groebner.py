@@ -662,7 +662,8 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     The span of the cofactor columns is built shortest generator first, so
     that sparse pivot rows come first and the longer columns fill in little
     against them; it is kept for the next call with the same ring,
-    generators and degrees, and p is only reduced against it.
+    generators and degrees, and p is only reduced against it.  A span of
+    more rows than the terms cap raises CapExceeded before it is built.
     """
     ring = p.ring
     gens = [g for g in gens if g]
@@ -673,6 +674,9 @@ def brute_force_member(p: Polynomial, gens: Sequence[Polynomial], max_deg: int) 
     if any(g.ring != ring for g in gens):
         raise ValueError("polynomials from different rings")
     target_deg = max(max_deg + max(g.total_degree() for g in gens), p.total_degree())
+    rows, limit = math.comb(ring.nvars + target_deg, ring.nvars), current_caps().terms
+    if rows > limit:
+        raise too_large("brute_force_member", "terms", limit, rows)
     gens_terms = tuple(tuple(g.terms.items()) for g in gens)
     row_index, pivots = _cofactor_span(ring, gens_terms, max_deg, target_deg)
     rhs = {row_index[e]: c for e, c in p.terms.items()}

@@ -25,6 +25,7 @@ from ufdlab.claims import (
 from ufdlab.cli import _checked_json
 from ufdlab.coeff import field_from_name
 from ufdlab.constructions import w_chain
+from ufdlab.errors import HypothesisError
 from ufdlab.poly import Polynomial, poly_ring
 
 
@@ -125,6 +126,26 @@ def test_unfilled_parameters_stay_absent():
      r"parameter 'u' of claim jacobian.rank: entries must be nonzero, got \[0\]"),
     ("jacobian.rank", {"v": [0]},
      r"parameter 'v' of claim jacobian.rank: entries must be nonzero, got \[0\]"),
+    ("lemma32.levels", {"b": "u*v"},
+     r"parameter 'b' of claim lemma32.levels: must be relatively prime to s\*t = u\*v"),
+    ("lemma32.levels", {"s": "u", "t": "u"},
+     "parameter 't' of claim lemma32.levels: must be relatively prime to s = u"),
+    ("lemma32.levels", {"s": "u^2", "t": "v", "b": "u + u*v"},
+     r"parameter 'b' of claim lemma32.levels: must be relatively prime to s\*t = u\^2\*v"),
+    ("trinomial.validate", {"beta": [], "lambdas": []},
+     r"parameter 'beta' of claim trinomial.validate: \(D.1\) violated: need at least three"),
+    ("trinomial.validate", {"beta": [[2], [3]], "lambdas": []},
+     r"parameter 'beta' of claim trinomial.validate: \(D.1\) violated: need at least three"),
+    ("trinomial.validate", {"beta": [[2], [], [5]], "lambdas": [1]},
+     r"parameter 'beta' .*: \(D.1\) violated: exponent entries must be positive integers"),
+    ("trinomial.validate", {"beta": [[2], [3], [0]], "lambdas": [1]},
+     r"parameter 'beta' .*: \(D.1\) violated: exponent entries must be positive integers"),
+    ("trinomial.validate", {"beta": [[2], [3], [True]], "lambdas": [1]},
+     r"parameter 'beta' .*: \(D.1\) violated: exponent entries must be positive integers"),
+    ("trinomial.validate", {"beta": [[2], 3, [5]], "lambdas": [1]},
+     r"parameter 'beta' .*: \(D.1\) violated: each exponent block must be a list"),
+    ("pham.cases", {"field": "GF(7)"},
+     r"^claim pham.cases: no instance was given \(coprime_triple, chain or reject\)$"),
 ])
 def test_out_of_range_or_missing_parameters_are_usage_errors(cid, params, match):
     with pytest.raises(UsageError, match=match):
@@ -340,6 +361,60 @@ def test_a_colon_ideal_with_a_remainder_is_an_internal_error(monkeypatch):
         groebner.ideal_quotient(groebner.ideal(ring, u), u)
     with pytest.raises(AssertionError, match="is not a multiple of"):
         run_claim("samuel.kernel")
+
+
+def _raising(error):
+    def handler(params):
+        raise error
+    return handler
+
+
+def test_after_parsing_only_a_hypothesis_error_is_a_usage_error(monkeypatch):
+    spec = REGISTRY["cex.sseq"]
+    monkeypatch.setitem(REGISTRY, "cex.sseq", dataclasses.replace(
+        spec, handler=_raising(HypothesisError("n must be odd"))))
+    with pytest.raises(UsageError, match="^claim cex.sseq: n must be odd$"):
+        run_claim("cex.sseq")
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")],
+                         ids=lambda err: type(err).__name__)
+def test_handler_errors_other_than_hypotheses_are_internal(error, monkeypatch):
+    # a handler's ValueError or KeyError is a bug, not the caller's mistake:
+    # run_claim passes it on unchanged instead of turning it into exit 3
+    spec = REGISTRY["cex.sseq"]
+    monkeypatch.setitem(REGISTRY, "cex.sseq", dataclasses.replace(spec, handler=_raising(error)))
+    with pytest.raises(type(error)) as caught:
+        run_claim("cex.sseq")
+    assert caught.value is error
+
+
+def test_prime_avoid_box_over_its_cap_is_unknown(monkeypatch):
+    rep = run_claim("coeff.prime-avoid", {"hi": 100}, timeout=5)
+    assert (rep.status, rep.bound) == ("unknown", "cap")
+    assert rep.witness == ("instance too large: coeff.prime-avoid reached tuples 131079601, "
+                           "over the tuples cap of 1000000")
+    # the cap counts the box's tuples: the shipped box of 13^4 sits on it
+    monkeypatch.setattr(claims, "PRIME_AVOID_CAP", 13**4)
+    assert run_claim("coeff.prime-avoid").status == "verified"
+    rep = run_claim("coeff.prime-avoid", {"lo": -6, "hi": 7})
+    assert rep.witness == ("instance too large: coeff.prime-avoid reached tuples 38416, "
+                           "over the tuples cap of 28561")
+
+
+def test_soundness_member_bound_over_the_terms_cap_is_unknown(monkeypatch):
+    # the oracle's span for 3 variables and target degree 103 has C(106, 3) rows
+    rep = run_claim("groebner.soundness", {"member_bound": 100}, timeout=5)
+    assert (rep.status, rep.bound) == ("unknown", "cap")
+    assert rep.witness == ("instance too large: brute_force_member reached terms 192920, "
+                           "over the terms cap of 20000")
+    # the shipped instance's largest span has C(12, 3) = 220 rows
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=220")
+    assert run_claim("groebner.soundness").status == "verified"
+    monkeypatch.setenv("UFDLAB_CAPS", "terms=219")
+    rep = run_claim("groebner.soundness")
+    assert (rep.status, rep.bound) == ("unknown", "cap")
+    assert rep.witness.startswith("instance too large: brute_force_member reached terms 220")
 
 
 def test_timeout_becomes_unknown_with_bound_timeout():

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, JSON emission, schema validity."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -145,6 +146,24 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         assert main(["claim", "run", cid, "--params", str(path)]) == 3, (cid, params)
     assert main(["nonsense"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")],
+                         ids=lambda err: type(err).__name__)
+@pytest.mark.parametrize("argv", [["claim", "run", "cex.sseq"],
+                                  ["claim", "run-all", "--suite", "acceptance"]])
+def test_an_internal_error_exits_4_with_its_traceback(argv, error, monkeypatch, capsys):
+    def handler(params):
+        raise error
+
+    spec = REGISTRY["cex.sseq"]
+    monkeypatch.setitem(REGISTRY, "cex.sseq", dataclasses.replace(spec, handler=handler))
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback (most recent call last):" in captured.err
+    assert f"{type(error).__name__}: {error}" in captured.err
+    assert "in handler" in captured.err
 
 
 @pytest.mark.parametrize("cid, params, named", [
