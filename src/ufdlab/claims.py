@@ -34,12 +34,19 @@ from .caps import current_caps
 from .coeff import QQ, PrimeField, field_from_name, is_int, prime_avoid
 from .constructions import (
     PresentedRing,
+    chain_exponents,
+    common_radical,
+    exponent_list,
     jacobian_tangent_dim,
     lemma_level_check,
     pham_brieskorn,
+    pham_case,
     relatively_prime,
     threefold_family,
+    trinomial_blocks,
+    trinomial_constants,
     trinomial_ring,
+    units,
     w_chain,
 )
 from .counterexample import (
@@ -145,12 +152,13 @@ class Param(NamedTuple):
 
     `kind(value, parsed)` turns a JSON value into what the handler receives,
     where `parsed` holds the parameters above it in the table, already
-    parsed; it raises ValueError for a value it cannot take.  `default` is
-    the shipped value; every parameter ships one.  With `fill` the runner
-    hands the shipped value to the handler when the caller leaves the
-    parameter out; a parameter without it is optional (left out, its check
-    is skipped) or derived by the handler from the others, unless it is
-    `required`, when leaving it out is a usage error.
+    parsed; it raises ValueError, or its builder checker's HypothesisError,
+    for a value it cannot take.  `default` is the shipped value; every
+    parameter ships one.  With `fill` the runner hands the shipped value to
+    the handler when the caller leaves the parameter out; a parameter
+    without it is optional (left out, its check is skipped) or derived by
+    the handler from the others, unless it is `required`, when leaving it
+    out is a usage error.
     """
 
     kind: Callable[[object, dict], object]
@@ -193,37 +201,15 @@ def _prime_field(value, parsed):
     return fld
 
 
-def _units(value, parsed):
-    """A JSON list of nonzero elements of parameter `field`."""
-    entries = [parsed["field"].of(entry) for entry in _json(list)(value, parsed)]
-    if parsed["field"].zero() in entries:
-        raise ValueError(f"entries must be nonzero, got {value!r}")
-    return entries
-
-
-def _trinomial_blocks(value, parsed):
-    """A JSON list of at least three exponent blocks, each a non-empty list
-    of ints >= 1: the (D.1) shapes `trinomial_ring` checks, in its words."""
-    blocks = _json(list)(value, parsed)
-    if not all(isinstance(block, list) for block in blocks):
-        raise ValueError("(D.1) violated: each exponent block must be a list")
-    if len(blocks) < 3:
-        raise ValueError("(D.1) violated: need at least three exponent blocks")
-    if not all(block and all(is_int(e) and e >= 1 for e in block) for block in blocks):
-        raise ValueError("(D.1) violated: exponent entries must be positive integers")
-    return blocks
-
-
-def _trinomial_constants(value, parsed):
-    """`_units`, pairwise distinct, one per block of parameter `beta` after
-    the first two."""
-    entries = _units(value, parsed)
-    want = len(parsed["beta"]) - 2
-    if len(entries) != want:
-        raise ValueError(f"must have len(beta) - 2 = {want} entries, got {len(entries)}")
-    if len(set(entries)) != len(entries):
-        raise ValueError(f"entries must be pairwise distinct, got {value!r}")
-    return entries
+def _checked(check, *keys: str, kind=_json(list)):
+    """What `kind` parses, if the builder's checker `check` takes it after
+    the parsed parameters `keys`: check(*those parameters, value) raises
+    HypothesisError for data the builder would refuse."""
+    def parse(value, parsed):
+        value = kind(value, parsed)
+        check(*(parsed[key] for key in keys), value)
+        return value
+    return parse
 
 
 def _vars(value, parsed):
@@ -290,18 +276,6 @@ def _box_top(key: str):
         if value == lo and abs(lo) != 1:
             raise ValueError(f"the box [{lo}, {value}] holds no admissible tuple")
         return value
-    return parse
-
-
-def _exponents(count: int = 0):
-    """A JSON list of at least `count` ints >= 1."""
-    def parse(value, parsed):
-        entries = _json(list)(value, parsed)
-        if not all(is_int(e) and e >= 1 for e in entries):
-            raise ValueError(f"exponents must be positive integers, got {value!r}")
-        if len(entries) < count:
-            raise ValueError(f"must list at least {count} exponents, got {len(entries)}")
-        return entries
     return parse
 
 
@@ -822,10 +796,12 @@ _register(
     "The relation Jacobian at the distinguished point has the expected rank "
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
     # u and v are derived from p when left out
-    {"field": Param(_field, "Q"), "p": Param(_each(_poly(("x",))), ["x"]),
-     "u": Param(_one_per("p", _units), [1], fill=False),
-     "v": Param(_one_per("p", _units), [1], fill=False),
-     "a": Param(_one_per("p", _exponents()), [2]), "b": Param(_one_per("p", _exponents()), [3]),
+    {"field": Param(_field, "Q"),
+     "p": Param(_checked(common_radical, kind=_each(_poly(("x",)))), ["x"]),
+     "u": Param(_one_per("p", _checked(units, "field")), [1], fill=False),
+     "v": Param(_one_per("p", _checked(units, "field")), [1], fill=False),
+     "a": Param(_one_per("p", _checked(exponent_list)), [2]),
+     "b": Param(_checked(chain_exponents, "a", kind=_one_per("p")), [3]),
      "q": Param(_poly(("x",), "nonconstant"), "x"),
      "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
      "reject_exponent_one": Param(_json(bool), True)},
@@ -837,8 +813,9 @@ _register(
     "weights and degree, and the last exponent block is coprime to it.",
     # a missing expectation is not checked
     {"field": Param(_field, "Q"),
-     "beta": Param(_trinomial_blocks, [[2], [3], [5]], fill=False, required=True),
-     "lambdas": Param(_trinomial_constants, [1], fill=False, required=True),
+     "beta": Param(_checked(trinomial_blocks), [[2], [3], [5]], fill=False, required=True),
+     "lambdas": Param(_checked(trinomial_constants, "field", "beta"), [1], fill=False,
+                      required=True),
      "expect_degree": Param(_json(int), 6, fill=False),
      "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,
@@ -849,13 +826,13 @@ _register(
     "expected weight table; non-coprime data is rejected.",
     # each instance, expectation and rejection is checked only when given
     {"field": Param(_field, "Q"),
-     "coprime_triple": Param(_exponents(3), [2, 3, 5], fill=False),
+     "coprime_triple": Param(_checked(pham_case), [2, 3, 5], fill=False),
      "triple_weights": Param(_weights_of("coprime_triple"), {"X1": 15, "X2": 10, "Z": 6},
                             fill=False),
-     "chain": Param(_exponents(3), [2, 3, 4, 5], fill=False),
+     "chain": Param(_checked(pham_case), [2, 3, 4, 5], fill=False),
      "chain_weights": Param(_weights_of("chain"), {"X1": 30, "X2": 20, "X3": 15, "Z": 12},
                             fill=False),
-     "reject": Param(_exponents(3), [2, 2, 3], fill=False)},
+     "reject": Param(_checked(lambda exps: exponent_list(exps, 3)), [2, 2, 3], fill=False)},
     _h_pham_cases,
 )
 _register(
@@ -940,7 +917,7 @@ def _parse_params(spec: ClaimSpec, given: dict) -> dict:
         if key in given:
             try:
                 parsed[key] = param.kind(given[key], parsed)
-            except ValueError as err:
+            except (ValueError, HypothesisError) as err:
                 raise UsageError(f"parameter {key!r} of claim {spec.claim_id}: {err}") from err
         elif param.required:
             raise UsageError(f"parameter {key!r} of claim {spec.claim_id} is required")
@@ -991,10 +968,6 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     elapsed = int((time.monotonic() - start) * 1000)
     return ClaimReport(claim_id, dict(params), status, bound, witness,
                        elapsed, __version__)
-
-
-def run_suite(name: str, timeout: Optional[float] = DEFAULT_TIMEOUT_S) -> list[ClaimReport]:
-    return [run_claim(cid, timeout=timeout) for cid in suite_claims(name)]
 
 
 def exit_code(reports: list[ClaimReport]) -> int:

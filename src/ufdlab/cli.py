@@ -32,7 +32,7 @@ from .claims import (
     exit_code,
     report_schema,
     run_claim,
-    run_suite,
+    suite_claims,
 )
 from .constructions import export_presentation, load_presentation_json
 
@@ -137,14 +137,12 @@ def _cmd_claim_run(args) -> int:
 
 
 def _cmd_claim_run_all(args) -> int:
-    schema = report_schema()
     reports = []
-    docs = []
-    for report in run_suite(args.suite, timeout=args.timeout):
-        print(f"{report.status:10} {report.claim_id}", file=sys.stderr)
-        docs.append(_checked_json(report, schema))
-        reports.append(report)
-    _emit(json.dumps(docs, indent=2), args.out)
+    for cid in suite_claims(args.suite):
+        reports.append(run_claim(cid, timeout=args.timeout))
+        print(f"{reports[-1].status:10} {cid}", file=sys.stderr)
+    schema = report_schema()
+    _emit(json.dumps([_checked_json(r, schema) for r in reports], indent=2), args.out)
     return exit_code(reports)
 
 

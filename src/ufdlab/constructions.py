@@ -6,7 +6,8 @@ relation homogeneous).
 The builders each construct one family — fraction-style extensions
 A[X]/(aX-b), radical extensions A[Z]/(Z^c-F), the hypersurface threefold
 chains, the three-term-relation rings — and verify every finitely
-checkable hypothesis on the way, recording verdicts in `notes`.
+checkable hypothesis on the way, recording verdicts in `notes`.  A rule on
+the caller's data has one checker, which the claim parameter kinds call too.
 
 Checks that would require deciding primality of an ideal in general are
 deliberately tri-state: bounded searches report refuted-with-witness or
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .caps import current_caps
 from .coeff import (
     Field,
     PrimeField,
@@ -57,8 +57,22 @@ from .poly import (
 W_CHAIN_CAP = 32
 
 
-def _positive_ints(values) -> bool:
-    return all(is_int(x) and x >= 1 for x in values)
+def exponent_list(values: Sequence, least: int = 0) -> list[int]:
+    """`values` as a list of at least `least` ints >= 1 (a bool is no int)."""
+    exps = list(values)
+    if not all(is_int(x) and x >= 1 for x in exps):
+        raise HypothesisError(f"exponents must be positive integers, got {exps!r}")
+    if len(exps) < least:
+        raise HypothesisError(f"must list {least} or more exponents, got {len(exps)}")
+    return exps
+
+
+def units(field: Field, values: Sequence) -> list:
+    """`values` as elements of `field`, none of them zero."""
+    out = [field.of(x) for x in values]
+    if field.zero() in out:
+        raise HypothesisError(f"entries must be nonzero, got {list(values)!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,38 +419,32 @@ def radical_extension(A: PresentedRing, F: Polynomial, c: int) -> PresentedRing:
     return out
 
 
+def pham_case(exponents: Sequence[int]) -> str:
+    """The case that a_1..a_n meet: (1) n >= 4 and gcd(a_n, a_1*...*a_{n-1})
+    = 1, or (2) n = 3 and the exponents pairwise relatively prime."""
+    exps = exponent_list(exponents, 3)
+    if len(exps) == 3:
+        for (i, ai), (j, aj) in itertools.combinations(enumerate(exps, 1), 2):
+            if (g := math.gcd(ai, aj)) != 1:
+                raise HypothesisError(f"case (2) fails: gcd(a_{i}, a_{j}) = {g} != 1")
+        return "case (2): n = 3, pairwise relatively prime"
+    if (g := math.gcd(exps[-1], math.prod(exps[:-1]))) != 1:
+        raise HypothesisError(f"case (1) fails: gcd(a_n, a_1*...*a_{{n-1}}) = {g} != 1")
+    return "case (1): n >= 4, gcd(a_n, product) = 1"
+
+
 def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
     """The diagonal-hypersurface presentation k[X1..X_{n-1}, Z]/(Z^{a_n} + sum X_i^{a_i}).
 
-    Accepted exactly under the two hypotheses: (1) n >= 4 and
-    gcd(a_n, a_1*...*a_{n-1}) = 1, or (2) n = 3 and the exponents are
-    pairwise relatively prime.  Weights: lcm/a_i on the X_i (then scaled by
-    a_n by the root extension), deg Z = lcm(a_1..a_{n-1}).
+    Accepted exactly under the two hypotheses of `pham_case`.  Weights:
+    lcm/a_i on the X_i (then scaled by a_n by the root extension), deg Z =
+    lcm(a_1..a_{n-1}).
     """
     exps = list(exponents)
-    n = len(exps)
-    if n < 3:
-        raise HypothesisError("need at least 3 exponents")
-    if not _positive_ints(exps):
-        raise HypothesisError("exponents must be positive integers")
+    case = pham_case(exps)
     head, last = exps[:-1], exps[-1]
-    if n == 3:
-        for i in range(3):
-            for j in range(i):
-                if math.gcd(exps[i], exps[j]) != 1:
-                    raise HypothesisError(
-                        f"case (2) fails: gcd(a_{j+1}, a_{i+1}) = {math.gcd(exps[i], exps[j])} != 1"
-                    )
-        case = "case (2): n = 3, pairwise relatively prime"
-    else:
-        prod = math.prod(head)
-        if math.gcd(last, prod) != 1:
-            raise HypothesisError(
-                f"case (1) fails: gcd(a_n, a_1*...*a_{{n-1}}) = {math.gcd(last, prod)} != 1"
-            )
-        case = "case (1): n >= 4, gcd(a_n, product) = 1"
     omega = math.lcm(*head)
-    names = tuple(f"X{i+1}" for i in range(n - 1))
+    names = tuple(f"X{i+1}" for i in range(len(head)))
     grading = {name: omega // e for name, e in zip(names, head)}
     A = free_ring(field, names, grading, tag="diagonal-base")
     F = A.ring.zero()
@@ -455,6 +463,39 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
 # ---------------------------------------------------------------------------
 
 
+def chain_exponents(a: Sequence[int], b: Sequence[int]) -> None:
+    """Check that a and b hold ints >= 1 with gcd(a_i, b_1*...*b_i) = 1 for each i."""
+    exponent_list(a)
+    exponent_list(b)
+    prod_b = 1
+    for i, (ai, bi) in enumerate(zip(a, b), 1):
+        prod_b *= bi
+        if (g := math.gcd(ai, prod_b)) != 1:
+            raise HypothesisError(f"gcd(a_{i}, b_1*...*b_{i}) = {g} != 1")
+
+
+def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """A gcd of f and g in k[x], by Euclid's algorithm."""
+    while g:
+        f, g = g, divide(f, [g])[0]
+    return f
+
+
+def common_radical(ps: Sequence[Polynomial]) -> None:
+    """Check that the polynomials `ps` of k[x] are nonconstant and share one
+    radical: rad(p_i) divides rad(p_j) iff stripping gcd(p_i, p_j) from p_i,
+    again and again, leaves a constant."""
+    if any(p.is_constant() for p in ps):
+        raise HypothesisError("p_i must be nonconstant")
+    for pi, pj in itertools.permutations(ps, 2):
+        rest = pi
+        while not (g := _gcd(rest, pj)).is_constant():
+            rest = divide(rest, [g])[1][0]
+        if not rest.is_constant():
+            raise HypothesisError(
+                f"p_i do not share a common radical: {pi} has the factor {rest}, prime to {pj}")
+
+
 def threefold_family(
     field: Field,
     p_list: Sequence[Polynomial],
@@ -466,9 +507,9 @@ def threefold_family(
 ) -> PresentedRing:
     """Present k[x][z_0..z_{n+1}] / (p_i(x) z_{i+1} + u_i z_i^{a_i} + v_i z_{i-1}^{b_i}).
 
-    Hypotheses checked: gcd(a_i, b_1*...*b_i) = 1 for every i; all p_i share
-    one radical (mutual divisibility p_i | p_j^M for M = max degree); u_i,
-    v_i nonzero scalars.  With kappa (a prime of k[x] dividing every p_i)
+    Hypotheses checked: u_i, v_i nonzero scalars; gcd(a_i, b_1*...*b_i) = 1
+    for every i; all p_i nonconstant and sharing one radical.  With kappa
+    (a prime of k[x] dividing every p_i)
     supplied, additionally verifies the quotient-shape identity
     (kappa) + (relations) = (kappa) + (u_i z_i^{a_i} + v_i z_{i-1}^{b_i})
     and that z_n stays outside the reduced relation ideal I_n.
@@ -478,35 +519,12 @@ def threefold_family(
         raise ValueError("need at least one relation")
     if not (len(u) == len(v) == len(a) == len(b) == n):
         raise ValueError("u, v, a, b must all have the same length as p_list")
-    u_c = [field.of(x) for x in u]
-    v_c = [field.of(x) for x in v]
-    if any(x == field.zero() for x in u_c + v_c):
-        raise HypothesisError("u_i and v_i must be units")
-    if not _positive_ints(list(a) + list(b)):
-        raise ValueError("exponents must be positive integers")
-    prod_b = 1
-    for i in range(n):
-        prod_b *= b[i]
-        if math.gcd(a[i], prod_b) != 1:
-            raise HypothesisError(f"gcd(a_{i+1}, b_1*...*b_{i+1}) != 1")
+    u_c, v_c = units(field, u), units(field, v)
+    chain_exponents(a, b)
     xring = poly_ring(field, ("x",))
-    for p in p_list:
-        if p.ring != xring:
-            raise ValueError("each p_i must live in k[x]")
-        if not p or p.is_constant():
-            raise HypothesisError("p_i must be nonconstant")
-    M = max(p.total_degree() for p in p_list)
-    cap = current_caps().degree
-    # ordered pairs of distinct positions: each p shares its radical with itself
-    for pi, pj in itertools.permutations(p_list, 2):
-        # over a domain M * deg p_j is the degree of p_j^M, so this is the
-        # cap `divide` would hit, checked before the power is built
-        if M * pj.total_degree() > cap:
-            raise too_large("threefold_family", "degree", cap, M * pj.total_degree())
-        if divide(pj**M, [pi])[0]:
-            raise HypothesisError(
-                f"p_i do not share a common radical: {pi} does not divide ({pj})^{M}"
-            )
+    if any(p.ring != xring for p in p_list):
+        raise ValueError("each p_i must live in k[x]")
+    common_radical(p_list)
     znames = tuple(f"z{i}" for i in range(n + 2))
     ring = poly_ring(field, ("x",) + znames)
     zs = [ring.var(z) for z in znames]
@@ -543,13 +561,14 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     """Rank of the relation Jacobian at the closed point (q(x), z_0, ..., z_{n+1})
     and the resulting embedding dimension (n+3) - rank.
 
-    Hypotheses (checked): every p_i nonconstant, every a_i, b_i >= 2, and q
-    divides every p_i.  Evaluation at the point kills every variable in the
-    maximal ideal and reduces the x-part modulo q; the rank is computed over
-    the residue field k[x]/(q).  So q must be irreducible.  Over a prime
-    field this is checked by exhaustive factor search; over Q it is not
-    checked, and for a reducible q the rank returned is meaningless (the
-    `jacobian.rank` claim reports unknown for every q of degree >= 2 there).
+    Hypotheses (checked): every a_i, b_i >= 2, and q divides every p_i
+    (nonconstant, as `threefold_family` checks).  Evaluation at the point
+    kills every variable in the maximal ideal and reduces the x-part modulo
+    q; the rank is computed over the residue field k[x]/(q).  So q must be
+    irreducible.  Over a prime field this is checked by exhaustive factor
+    search; over Q it is not checked, and for a reducible q the rank
+    returned is meaningless (the `jacobian.rank` claim reports unknown for
+    every q of degree >= 2 there).
     """
     params = B.notes.get("params")
     if params is None:
@@ -561,8 +580,6 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
     ps = params["p"]
     if not all(isinstance(p, Polynomial) and p.ring == xring for p in ps):
         raise ValueError("p must hold polynomials of k[x]")
-    if any(p.is_constant() for p in ps):
-        raise HypothesisError("p_i must be nonconstant")
     if q.ring != xring or q.is_constant() or not q:
         raise ValueError("q must be a nonconstant element of k[x]")
     if any(divide(p, [q])[0] for p in ps):
@@ -607,6 +624,34 @@ def _residue_rank(matrix: list[list[Polynomial]], q: Polynomial) -> int:
 # ---------------------------------------------------------------------------
 
 
+def trinomial_blocks(beta: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The exponent blocks beta_0..beta_r as lists, checked against (D.1)'s
+    shapes (at least three blocks, each an `exponent_list` of one or more)
+    and (D.2) (the block gcds d_i pairwise relatively prime)."""
+    if any(not isinstance(bv, (list, tuple)) for bv in beta):
+        raise HypothesisError("(D.1) violated: each exponent block must be a list")
+    blocks = [exponent_list(bv, 1) for bv in beta]
+    if len(blocks) < 3:
+        raise HypothesisError("(D.1) violated: need at least three exponent blocks")
+    d = [math.gcd(*bv) for bv in blocks]
+    for (i, di), (j, dj) in itertools.combinations(enumerate(d), 2):
+        if (g := math.gcd(di, dj)) != 1:
+            raise HypothesisError(f"(D.2) violated: gcd(d_{i}, d_{j}) = {g} != 1")
+    return blocks
+
+
+def trinomial_constants(field: Field, blocks: Sequence, lambdas: Sequence) -> list:
+    """The constants lambda_2..lambda_r as elements of `field`, checked
+    against (D.1)'s count (one per block after the first two) and (D.3)
+    (nonzero, pairwise distinct)."""
+    lam = units(field, lambdas)
+    if len(lam) != len(blocks) - 2:
+        raise HypothesisError(f"(D.1) violated: need len(beta) - 2 constants, got {len(lam)}")
+    if len(set(lam)) != len(lam):
+        raise HypothesisError(f"(D.3) violated: constants must be distinct, got {list(lambdas)!r}")
+    return lam
+
+
 def trinomial_ring(
     field: Field, beta: Sequence[Sequence[int]], lambdas: Sequence
 ) -> PresentedRing:
@@ -619,27 +664,10 @@ def trinomial_ring(
     Bezout weights make every T_i^bi (i < m) homogeneous of one common
     degree d_0*...*d_{m-1}, which is relatively prime to gcd(beta[m]).
     """
-    if any(not isinstance(bv, (list, tuple)) for bv in beta):
-        raise HypothesisError("(D.1) violated: each exponent block must be a list")
-    blocks = [list(bv) for bv in beta]
+    blocks = trinomial_blocks(beta)
+    lam = trinomial_constants(field, blocks, lambdas)
     r = len(blocks) - 1
-    if r < 2:
-        raise HypothesisError("(D.1) violated: need at least three exponent blocks")
-    for bv in blocks:
-        if not bv or not _positive_ints(bv):
-            raise HypothesisError("(D.1) violated: exponent entries must be positive integers")
-    if len(lambdas) != r - 1:
-        raise HypothesisError("(D.1) violated: need exactly r-1 constants")
-    lam = [field.of(x) for x in lambdas]
-    if any(x == field.zero() for x in lam) or len(set(lam)) != len(lam):
-        raise HypothesisError("(D.3) violated: constants must be distinct and nonzero")
     d = [math.gcd(*bv) for bv in blocks]
-    for i in range(len(d)):
-        for j in range(i):
-            if math.gcd(d[i], d[j]) != 1:
-                raise HypothesisError(
-                    f"(D.2) violated: gcd(d_{j}, d_{i}) = {math.gcd(d[i], d[j])} != 1"
-                )
     names: list[str] = []
     block_names: list[list[str]] = []
     for i, bv in enumerate(blocks):

@@ -164,6 +164,12 @@ def test_an_internal_error_exits_4_with_its_traceback(argv, error, monkeypatch, 
     assert "Traceback (most recent call last):" in captured.err
     assert f"{type(error).__name__}: {error}" in captured.err
     assert "in handler" in captured.err
+    if argv[1] == "run-all":
+        # each claim's progress line is printed as that claim ends
+        before = list(REGISTRY)[:list(REGISTRY).index("cex.sseq")]
+        assert len(before) == 12
+        for cid in before:
+            assert f"verified   {cid}\n" in captured.err
 
 
 @pytest.mark.parametrize("cid, params, named", [
@@ -203,6 +209,21 @@ def test_an_internal_error_exits_4_with_its_traceback(argv, error, monkeypatch, 
     ("samuel.kernel", {"vars": ["u", "t"], "a": "u", "b": "u*t - 1"},
      "parameter 'b' of claim samuel.kernel: must not involve the adjoined variable 't', "
      "got 'u*t - 1'"),
+    # the builders' own hypotheses, checked by their checkers at parse time
+    ("pham.cases", {"coprime_triple": [2, 4, 5]},
+     "parameter 'coprime_triple' of claim pham.cases: case (2) fails: gcd(a_1, a_2) = 2 != 1"),
+    ("pham.cases", {"chain": [2, 4, 6, 8]},
+     "parameter 'chain' of claim pham.cases: case (1) fails: "
+     "gcd(a_n, a_1*...*a_{n-1}) = 8 != 1"),
+    ("jacobian.rank", {"p": ["x", "x^2"], "a": [2, 3], "b": [3, 2]},
+     "parameter 'b' of claim jacobian.rank: gcd(a_2, b_1*...*b_2) = 3 != 1"),
+    ("jacobian.rank", {"p": ["x", "x+1"]},
+     "parameter 'p' of claim jacobian.rank: p_i do not share a common radical: "
+     "x has the factor x, prime to x + 1"),
+    ("jacobian.rank", {"p": ["x", "2"]},
+     "parameter 'p' of claim jacobian.rank: p_i must be nonconstant"),
+    ("trinomial.validate", {"beta": [[2], [4], [5]], "lambdas": [1]},
+     "parameter 'beta' of claim trinomial.validate: (D.2) violated: gcd(d_0, d_1) = 2 != 1"),
 ])
 def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
     path = tmp_path / "params.json"

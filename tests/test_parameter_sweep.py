@@ -5,8 +5,10 @@ out, or a UsageError that names a parameter of the claim; nothing else may
 be raised.  After parsing only a builder's HypothesisError is the caller's
 mistake, so anything else a handler raises is a bug, and a kind that lets a
 bad value through shows up here as a builder's error that names no
-parameter.  The rows that combine parameters may also meet a builder's
-hypothesis, whose usage error need only name the claim.
+parameter.  The kinds call the builders' checkers, so a combination of
+parameters that breaks a hypothesis is refused naming one of them too; only
+the `pham.cases` row may meet an error that need only name the claim (no
+instance was given).
 """
 
 import dataclasses
@@ -88,7 +90,18 @@ def test_trinomial_validate_beta_and_lambdas_together():
              [[2], [4], [5]], [[6], [10], [15]], [[2], [3]]]
     lambdas = [[1], [1, 2], [2, 2], [0], [], ["1/2"]]
     variants = [{"beta": beta, "lambdas": lam} for beta, lam in itertools.product(betas, lambdas)]
-    assert _faults("trinomial.validate", variants, hypotheses=True) == []
+    assert _faults("trinomial.validate", variants) == []
+
+
+def test_jacobian_rank_p_a_and_b_together():
+    # entries >= 2 and q = x meet jacobian_tangent_dim's own hypotheses
+    # whenever the kinds let p through, so every refusal names a parameter
+    ps = [["x"], ["x^3"], ["x", "x^2"], ["x", "x + 1"], ["x^2 + x", "x^3"], ["x^8", "x^9"],
+          ["x", "3"], ["x^2", "x", "x^4 + x^3"]]
+    exponents = [[2], [3], [2, 3], [3, 2], [2, 2], [4, 6], [3, 5, 7], [2, 3, 5]]
+    variants = [{"p": p, "a": a, "b": b, "q": "x"}
+                for p, a, b in itertools.product(ps, exponents, exponents)]
+    assert _faults("jacobian.rank", variants) == []
 
 
 def test_pham_cases_instance_keys_together():
