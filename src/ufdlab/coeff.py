@@ -15,7 +15,9 @@ Fraction's operators, whose type dispatch and re-normalisation were most of
 the cost of Groebner work over Q.  Cross-cancelling formulas leave every
 result in lowest terms already, so it is built once, by `_reduced`: the one
 place that builds a Fraction without normalising it (the tests hold every
-other module to that).
+other module to that).  A pair that may share a factor, or whose
+denominator may be negative, goes through `_lowest_terms` first, and
+`_cleared` takes elements to ints over their common denominator.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Sequence, Union
+from math import gcd, lcm
+from typing import Collection, Sequence, Union
 
 from .errors import HypothesisError
 
@@ -91,6 +93,26 @@ def _reduced(n: int, d: int) -> Coeff:
     r._numerator = n
     r._denominator = d
     return r
+
+
+def _lowest_terms(n: int, d: int) -> Coeff:
+    """The element n/d of Q for any ints n and d != 0: the pair divided by
+    gcd(n, d), with the sign moved to the numerator, and built by
+    `_reduced`."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _reduced(n // g, d // g)
+
+
+def _cleared(values: Collection[Coeff]) -> tuple[int, list[int]]:
+    """(d, [d*c for c in values]) for elements c of Q: d > 0 is the lcm of
+    their denominators, so every d*c is an int."""
+    d = lcm(*[1 if type(c) is int else c._denominator for c in values])
+    if d == 1:
+        return 1, list(values)
+    return d, [c * d if type(c) is int else c._numerator * (d // c._denominator)
+               for c in values]
 
 
 def _sum(na: int, da: int, nb: int, db: int) -> Coeff:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .caps import Caps, current_caps
-from .coeff import Field, PrimeField
+from .coeff import Field, PrimeField, _cleared, _lowest_terms
 from .errors import too_large
 from .poly import (
     Exp,
@@ -43,6 +43,9 @@ from .poly import (
 )
 
 SATURATION_ROUNDS_CAP = 32
+# `divide` over Q strips the content of its running difference once the
+# common denominator has grown by this many bits since the last strip
+_STRIP_BITS = 64
 IRREDUCIBLE_CANDIDATE_CAP = 10_000_000
 
 
@@ -184,6 +187,26 @@ def divide(
     running empty ends the division.  The remainder's terms thus arrive
     largest first, and the first one is recorded as its leading term under
     this order.
+
+    Over Q the first step works in the field too, and from the second step
+    on `work` stands for W/D, with W a polynomial of int coefficients and
+    D > 0 an int: fraction-free reduction, as in pseudo-division (Knuth,
+    TAOCP vol. 2, 4.6.1, Algorithm R).  The second step sets D to the lcm
+    of the denominators of `work` and W to D*work, so a division of no step
+    or one, the common kinds in Buchberger's algorithm, converts nothing.
+    Each divisor g keeps in its `_integral` slot the lcm k of its
+    denominators and the int coefficients of k*g.  With LG the lead of k*g,
+    a step on the term wc*x^we of W takes h = gcd(wc, LG) and s = |LG|/h;
+    when s is not 1 it scales W and D by s, and it subtracts
+    (wc/h)*x^qe*k*g from W, the sign of LG folded into the multiplier, so W
+    stays integral.  The quotient term is the exact fraction
+    wc/(D*lc(g)), D taken before the scaling.  The content of W is
+    stripped, W and D divided by gcd(D, content of W), only when D has
+    grown by `_STRIP_BITS` bits since the conversion or the last strip.  At
+    the end each remainder term is W's coefficient over D, brought to
+    lowest terms once, so remainders and quotients equal those of field
+    arithmetic.  W and k*g never leave `divide`: the caller gets only field
+    elements in canonical form.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
@@ -191,8 +214,9 @@ def divide(
     fld = ring.field
     mul = fld.mul
     one = fld.one()
-    le, add, sub = operator.le, operator.add, operator.sub
+    le, add, sub, gcd = operator.le, operator.add, operator.sub, math.gcd
     caps = current_caps()
+    over_q = fld.char == 0
     # Among usable divisors prefer the smallest leading term: a rule that
     # solves for a big monomial (Z -> long tail) forward-substitutes and can
     # balloon the intermediate work, while a small rule (a lone variable,
@@ -214,6 +238,8 @@ def divide(
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
     remainder: dict[Exp, object] = {}
     work = p
+    integral = False  # over Q after the first step: work stands for W/den
+    den = None
     heap = [(heap_key(e), e) for e in work.terms]
     heapq.heapify(heap)
     queued = set(work.terms)
@@ -231,30 +257,74 @@ def divide(
             if all(map(le, de, we)):
                 break
         else:
-            remainder[we] = wc
+            remainder[we] = wc  # once W stands in for work, read from W at the end
             continue
         qe = tuple(map(sub, we, de))
-        qc = wc if dinv is None else mul(wc, dinv)
-        quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
         shifts = g._shifts
         if shifts is None:
             shifts = g._shifts = {}
         exps = shifts.get(qe)
-        if exps is None:
-            step = {tuple(map(add, qe, e)): mul(qc, c) for e, c in g.terms.items()}
-            shifts[qe] = tuple(step)
+        if not integral:  # a step in the field
+            qc = wc if dinv is None else mul(wc, dinv)
+            if exps is None:
+                step = {tuple(map(add, qe, e)): mul(qc, c) for e, c in g.terms.items()}
+                shifts[qe] = tuple(step)
+            else:
+                step = dict(zip(exps, [mul(qc, c) for c in g.terms.values()]))
+            integral = over_q
         else:
-            step = dict(zip(exps, [mul(qc, c) for c in g.terms.values()]))
+            if den is None:
+                den, ints = _cleared(work.terms.values())
+                if den != 1:
+                    work = _adopt(ring, dict(zip(work.terms, ints)))
+                    wc = work.terms[we]
+                strip_at = den << _STRIP_BITS
+            if g._integral is None:
+                g._integral = _cleared(g.terms.values())
+            kappa, coeffs = g._integral
+            dc = g.terms[de]
+            lg = kappa // dc.denominator * dc.numerator  # the lead of kappa*g
+            # W/den - wc/(den*dc)*x^qe*g = (s*W - m*x^qe*kappa*g)/(s*den)
+            h = gcd(wc, lg)
+            s, m = lg // h, wc // h
+            if s < 0:
+                s, m = -s, -m
+            if s != 1:
+                work = _adopt(ring, {e: c * s for e, c in work.terms.items()})
+                den *= s
+            qc = _lowest_terms(m * kappa, den)
+            if exps is None:
+                step = {tuple(map(add, qe, e)): m * c for e, c in zip(g.terms, coeffs)}
+                shifts[qe] = tuple(step)
+            else:
+                step = dict(zip(exps, [m * c for c in coeffs]))
+        quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
         work = work - _adopt(ring, step)
+        if den is not None and den > strip_at:
+            work, den = _stripped(work, den)
+            strip_at = den << _STRIP_BITS
         for e in step:
             if e not in queued:
                 queued.add(e)
                 heapq.heappush(heap, (heap_key(e), e))
+    if den is not None:
+        terms = work.terms
+        remainder = {e: _lowest_terms(terms[e], den) for e in remainder}
     rem = _adopt(ring, remainder)
     if remainder:
         e = next(iter(remainder))  # popped first, so the largest
         rem._lead = (keyfn, keyfn(e), e, remainder[e])
     return rem, [_adopt(ring, q) for q in quotients]
+
+
+def _stripped(work: Polynomial, den: int) -> tuple[Polynomial, int]:
+    """W/den for an integral W as W'/den' with h = gcd(den, content of W)
+    divided out of both, so that den' is the least common denominator of
+    the polynomial W/den."""
+    h = math.gcd(den, *work.terms.values())
+    if h == 1:
+        return work, den
+    return _adopt(work.ring, {e: c // h for e, c in work.terms.items()}), den // h
 
 
 def _lcm(a: Exp, b: Exp) -> Exp:

@@ -141,9 +141,15 @@ class Polynomial:
     m + e of the divisor's terms e, in the order of `terms`.  Exponents do
     not depend on the term order, and `terms` never changes, so an entry
     holds for every later division by the same polynomial.
+
+    `_integral`, beside `_shifts`, is None or the pair (k, coeffs) that
+    `groebner.divide` keeps on a divisor over Q: k > 0 is the lcm of the
+    denominators of its coefficients, and coeffs are the ints k*c of its
+    terms c, in the order of `terms`.  It depends on `terms` alone, so it
+    too holds for every later division.
     """
 
-    __slots__ = ("ring", "terms", "_lead", "_shifts")
+    __slots__ = ("ring", "terms", "_lead", "_shifts", "_integral")
 
     def __init__(self, ring: PolyRing, terms: dict[Exp, object]):
         self.ring = ring
@@ -151,6 +157,7 @@ class Polynomial:
         self.terms = {e: c for e, v in terms.items() if (c := of(v))}
         self._lead = None
         self._shifts = None
+        self._integral = None
 
     # -- equality -----------------------------------------------------------
 
@@ -316,6 +323,7 @@ def _adopt(ring: PolyRing, terms: dict[Exp, object]) -> Polynomial:
     p.terms = terms
     p._lead = None
     p._shifts = None
+    p._integral = None
     return p
 
 

@@ -10,6 +10,8 @@ from ufdlab.coeff import (
     PRIME_BOUND,
     QQ,
     PrimeField,
+    _cleared,
+    _lowest_terms,
     field_from_name,
     gcd_bezout,
     prime_avoid,
@@ -325,6 +327,31 @@ def test_rational_ops_on_multiword_and_unit_operands_match_fraction_reference():
         _assert_canonical(QQ.of(Fraction(n, d)), Fraction(n, d))
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         QQ.inv(QQ.of(Fraction(0, -3)))
+
+
+def test_lowest_terms_normalises_any_int_pair():
+    # a negative denominator, a zero numerator and a common factor, each
+    # alone and together, and pairs beyond 2^64
+    for n, d in ((3, -4), (-3, -4), (0, 7), (0, -7), (6, 4), (-6, -4), (12, -3),
+                 (2**70, 2**69), (3 * 2**65, -(9 * 2**65 + 6)), (5, 1), (5, -1)):
+        _assert_canonical(_lowest_terms(n, d), Fraction(n, d))
+    rng = random.Random(10)
+    for _ in range(300):
+        common = rng.choice((1, 2, 6, 2**40))
+        n = rng.randint(-50, 50) * common
+        d = rng.choice((-1, 1)) * rng.randint(1, 50) * common
+        _assert_canonical(_lowest_terms(n, d), Fraction(n, d))
+
+
+def test_cleared_takes_elements_to_ints_over_their_common_denominator():
+    assert _cleared([2, -3, 0]) == (1, [2, -3, 0])
+    assert _cleared([1, QQ.of(Fraction(1, 2)), QQ.of(Fraction(-2, 3)), 5]) == (6, [6, 3, -4, 30])
+    rng = random.Random(11)
+    for _ in range(200):
+        values = [QQ.sample(rng) for _ in range(rng.randrange(1, 6))]
+        d, ints = _cleared(values)
+        assert d == math.lcm(*[Fraction(c).denominator for c in values])
+        assert ints == [d * c for c in values] and all(type(n) is int for n in ints)
 
 
 @pytest.mark.parametrize("p", [2, 32003, 4294967311])

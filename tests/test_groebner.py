@@ -1,6 +1,7 @@
 """Groebner engine: pinned textbook bases, randomized soundness, oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -468,6 +469,112 @@ def test_buchberger_on_divisors_that_carry_shifts(field, order):
     assert carried
 
 
+# -- the integral path over Q ---------------------------------------------------
+
+
+def _assert_canonical(poly):
+    """Every coefficient is a nonzero element of Q in its canonical form: an
+    int, or a Fraction in lowest terms with a denominator above 1."""
+    for c in poly.terms.values():
+        assert c != 0, poly
+        if type(c) is not int:
+            assert type(c) is Fraction and c.denominator > 1, poly
+            assert math.gcd(c.numerator, c.denominator) == 1, poly
+
+
+def _checked_integral(g):
+    """1 when g carries its `_integral` pair, checked against the lcm of its
+    denominators recomputed, and 0 when it carries none."""
+    if g._integral is None:
+        return 0
+    kappa, coeffs = g._integral
+    assert kappa == math.lcm(*[Fraction(c).denominator for c in g.terms.values()]), g
+    assert coeffs == [kappa * c for c in g.terms.values()], g
+    assert all(type(c) is int for c in coeffs), g
+    return 1
+
+
+def _q_divisors(rng, r, order, shape):
+    """Two or three divisors over Q in x, y, z.  "negative-lead": small
+    fractions, each divisor scaled so that its leading coefficient under
+    order is negative and not -1.  "wide": numerators and denominators of
+    30 to 40 bits, so a step can scale by as many bits."""
+    keyfn = order.key_for(r)
+
+    def coeff():
+        if shape == "wide":
+            return Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(30, 40)),
+                            rng.getrandbits(rng.randint(30, 40)) | 1 << 29)
+        return QQ.sample(rng) or 1
+
+    divisors = []
+    for _ in range(rng.randrange(2, 4)):
+        g = Polynomial(r, {tuple(rng.randrange(3) for _ in range(3)): coeff()
+                           for _ in range(rng.randrange(1, 4))})
+        if shape == "negative-lead":
+            lead = -Fraction(rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 9)))
+            g = g * (lead / g.leading(keyfn)[1])
+        divisors.append(g)
+    return divisors
+
+
+def _q_queries(rng, r, divisors):
+    """Polynomials in x, y, z of up to six terms, members built from the
+    divisors with cofactors, and such members plus a term, all over Q."""
+    def rand_poly(nterms, max_exp):
+        return Polynomial(r, {tuple(rng.randrange(max_exp + 1) for _ in range(3)):
+                              QQ.sample(rng) for _ in range(nterms)})
+
+    queries = [rand_poly(rng.randrange(1, 7), 3) for _ in range(3)]
+    member = r.zero()
+    for g in divisors:
+        member = member + rand_poly(rng.randrange(1, 4), 2) * g
+    queries += [member, member + rand_poly(1, 3)]
+    return [q for q in queries if q]
+
+
+@pytest.mark.parametrize("strip_bits", [None, 0], ids=["bound", "every-step"])
+@pytest.mark.parametrize("shape", ["negative-lead", "wide"])
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_divide_over_q_equals_the_naive_reference_exactly(order, shape, strip_bits,
+                                                          monkeypatch):
+    # divisions of no step, of one (in the field) and of several (over one
+    # common denominator from the second step on) must give the remainder
+    # and quotients of field arithmetic, in canonical form, when divisors
+    # lead negative or carry wide denominators, and whether the content is
+    # stripped at the bound or after every scaling step
+    if strip_bits is not None:
+        monkeypatch.setattr(groebner, "_STRIP_BITS", strip_bits)
+    strips = []
+    stripped = groebner._stripped
+
+    def counting(work, den):
+        out = stripped(work, den)
+        strips.append(out[1] < den)  # whether it divided a factor out
+        return out
+
+    monkeypatch.setattr(groebner, "_stripped", counting)
+    rng = random.Random(97)
+    r = poly_ring(QQ, ("x", "y", "z"))
+    steps, carried = [], 0
+    for _ in range(12):
+        divisors = _q_divisors(rng, r, order, shape)
+        for p in _q_queries(rng, r, divisors):
+            want = _naive_divide(p, _fresh(divisors), order)
+            for _ in range(2):  # the second pass reads the recorded pairs
+                rem, quotients = divide(p, divisors, order)
+                assert (rem, quotients) == want
+                for poly in (rem, *quotients):
+                    _assert_canonical(poly)
+            steps.append(sum(len(q.terms) for q in quotients))
+        for g in divisors:
+            _checked_shifts(g)
+            carried += _checked_integral(g)
+    assert {0, 1, 2} <= set(steps) and max(steps) >= 8 and carried
+    if shape == "wide" or strip_bits == 0:
+        assert any(strips)
+
+
 def _two_multiple_s_poly(f, fe, g, ge):
     """mf*f - mg*g, each multiple built on its own and then subtracted."""
     lcm = tuple(map(max, fe, ge))
@@ -627,6 +734,59 @@ def _seeded_ideal_gens(field, rng, r):
             terms[e] = field.sample(rng)
         gens.append(Polynomial(r, terms))
     return [g for g in gens if g]
+
+
+def _mod_p(polys, ring):
+    """Each polynomial over Q mapped into `ring` over GF(p) coefficient by
+    coefficient, n/d to n*d^-1 mod p; a ValueError when p divides a
+    denominator."""
+    return [Polynomial(ring, dict(g.terms)) for g in polys]
+
+
+def _katsura(field, n):
+    """katsura-n: u_m = sum over l of u_|l|*u_|m-l| for m < n, with u_i = 0
+    for i > n, and u_0 + 2*(u_1 + ... + u_n) = 1."""
+    r = poly_ring(field, tuple(f"u{i}" for i in range(n + 1)))
+    u = r.gens()
+
+    def at(i):
+        return u[abs(i)] if abs(i) <= n else r.zero()
+
+    gens = [sum((at(l) * at(m - l) for l in range(-n, n + 1)), r.zero()) - u[m]
+            for m in range(n)]
+    return r, gens + [u[0] + 2 * sum(u[1:], r.zero()) - 1]
+
+
+def _cyclic(field, n):
+    """cyclic-n: the elementary cyclic sums of degrees 1..n-1, and x_0*...*x_(n-1) - 1."""
+    r = poly_ring(field, tuple(f"c{i}" for i in range(n)))
+    c = r.gens()
+    gens = []
+    for k in range(1, n):
+        gens.append(sum((math.prod((c[(i + j) % n] for j in range(k)), start=r.one())
+                         for i in range(n)), r.zero()))
+    return r, gens + [math.prod(c, start=r.one()) - 1]
+
+
+@pytest.mark.parametrize("p", [32003, 65521])
+def test_reduced_basis_over_q_maps_to_the_basis_over_gf_p(p):
+    # a reduced basis over Q, its coefficients taken mod p, is the reduced
+    # basis over GF(p) for all but finitely many p, so a mismatch at one of
+    # these large primes points at a bug in one of the two arithmetics
+    rng = random.Random(101)
+    cases = [_katsura(QQ, 3) + (GREVLEX,), _cyclic(QQ, 4) + (GREVLEX,)]
+    r = poly_ring(QQ, ("x", "y", "z"))
+    for k in range(21):
+        gens = _seeded_ideal_gens(QQ, rng, r)
+        if gens:
+            cases.append((r, gens, ORDERS_XYZ[k % 3]))
+    nontrivial = 0
+    for ring, gens, order in cases:
+        ring_p = poly_ring(GF(p), ring.names)
+        over_q = buchberger(gens, order)
+        assert _mod_p(over_q, ring_p) == buchberger(_mod_p(gens, ring_p), order), gens
+        nontrivial += over_q != [ring.one()]
+    assert len(cases) >= 20 and nontrivial >= 12
 
 
 def _divides(h, e):
