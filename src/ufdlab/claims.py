@@ -33,20 +33,12 @@ from . import __version__
 from .caps import current_caps
 from .coeff import QQ, PrimeField, field_from_name, is_int, prime_avoid
 from .constructions import (
-    PresentedRing,
-    chain_exponents,
-    common_radical,
     exponent_list,
     jacobian_tangent_dim,
     lemma_level_check,
     pham_brieskorn,
-    pham_case,
-    relatively_prime,
     threefold_family,
-    trinomial_blocks,
-    trinomial_constants,
     trinomial_ring,
-    units,
     w_chain,
 )
 from .counterexample import (
@@ -152,8 +144,10 @@ class Param(NamedTuple):
 
     `kind(value, parsed)` turns a JSON value into what the handler receives,
     where `parsed` holds the parameters above it in the table, already
-    parsed; it raises ValueError, or its builder checker's HypothesisError,
-    for a value it cannot take.  `default` is the shipped value; every
+    parsed; it raises ValueError for a value it cannot take.  A kind only
+    parses (JSON shapes, polynomials, list lengths): a builder's hypotheses
+    are checked once, by the builder the handler calls, whose
+    HypothesisError names the parameter.  `default` is the shipped value; every
     parameter ships one.  With `fill` the runner hands the shipped value to
     the handler when the caller leaves the parameter out; a parameter
     without it is optional (left out, its check is skipped) or derived by
@@ -201,17 +195,6 @@ def _prime_field(value, parsed):
     return fld
 
 
-def _checked(check, *keys: str, kind=_json(list)):
-    """What `kind` parses, if the builder's checker `check` takes it after
-    the parsed parameters `keys`: check(*those parameters, value) raises
-    HypothesisError for data the builder would refuse."""
-    def parse(value, parsed):
-        value = kind(value, parsed)
-        check(*(parsed[key] for key in keys), value)
-        return value
-    return parse
-
-
 def _vars(value, parsed):
     """The polynomial ring over parameter `field` on the listed names."""
     return poly_ring(parsed["field"], _json(list)(value, parsed))
@@ -234,20 +217,6 @@ def _poly(names: Optional[tuple[str, ...]] = None, must_be: Optional[str] = None
         p = ring.parse(value)
         if must_be and (p.is_constant() if must_be == "nonconstant" else not p):
             raise ValueError(f"must be {must_be}, got {value!r}")
-        return p
-    return parse
-
-
-def _coprime_to(kind, *keys: str):
-    """A polynomial `kind` parses that is relatively prime to the product of
-    the polynomials in parameters `keys`."""
-    def parse(value, parsed):
-        p = kind(value, parsed)
-        other = math.prod(parsed[key] for key in keys)
-        ok, offender = relatively_prime(PresentedRing(p.ring, ()), other, p)
-        if not ok:
-            raise ValueError(f"must be relatively prime to {'*'.join(keys)} = {other}: "
-                             f"{offender} lies in ({other}) cap ({p}) but not in their product")
         return p
     return parse
 
@@ -641,23 +610,29 @@ def _h_trinomial_validate(params):
 
 def _h_pham_cases(params):
     fld = params["field"]
-    witness = {}
+    # every instance is built, and so checked, before any expectation is compared
+    built = []
     for key, weights_key in (("coprime_triple", "triple_weights"),
                              ("chain", "chain_weights")):
-        exps = params.get(key)
-        if exps is None:
-            continue
-        ring = pham_brieskorn(fld, exps)
+        if key in params:
+            try:
+                built.append((key, pham_brieskorn(fld, params[key]), params.get(weights_key)))
+            except HypothesisError as err:
+                err.param = key
+                raise
+    reject = params.get("reject")
+    if reject is not None:
+        # a malformed list is the caller's mistake, so only the gcd hypothesis may fail
+        exponent_list(reject, 3, "reject")
+    witness = {}
+    for key, ring, expect in built:
         table = dict(ring.grading)
         witness[key] = {"case": ring.notes["case"], "weights": table,
                         "relation": str(ring.relations[0])}
-        expect = params.get(weights_key)
         if expect is not None and table != expect:
             witness[key]["expected_weights"] = expect
             return "refuted", None, witness
-    reject = params.get("reject")
     if reject is not None:
-        # its kind refuses a malformed list, so only the gcd hypothesis may fail
         try:
             pham_brieskorn(fld, reject)
             witness["reject"] = {"accepted": True}
@@ -737,8 +712,8 @@ _register(
     "Level-wise elimination identity: eliminating X from (s^i, s*t*X - b) "
     "recovers W_i at every level up to the bound.",
     {"field": Param(_field, "GF(5)"), "s": Param(_poly(("u", "v"), "nonzero"), "u"),
-     "t": Param(_coprime_to(_poly(("u", "v"), "nonzero"), "s"), "v"),
-     "b": Param(_coprime_to(_poly(("u", "v"), "nonzero"), "s", "t"), "u+v"),
+     "t": Param(_poly(("u", "v"), "nonzero"), "v"),
+     "b": Param(_poly(("u", "v"), "nonzero"), "u+v"),
      "i_max": Param(_json(int, 1), 4)},
     _h_lemma32_levels,
 )
@@ -797,11 +772,9 @@ _register(
     "and tangent dimension, and exponent 1 in the a-slot is rejected.",
     # u and v are derived from p when left out
     {"field": Param(_field, "Q"),
-     "p": Param(_checked(common_radical, kind=_each(_poly(("x",)))), ["x"]),
-     "u": Param(_one_per("p", _checked(units, "field")), [1], fill=False),
-     "v": Param(_one_per("p", _checked(units, "field")), [1], fill=False),
-     "a": Param(_one_per("p", _checked(exponent_list)), [2]),
-     "b": Param(_checked(chain_exponents, "a", kind=_one_per("p")), [3]),
+     "p": Param(_each(_poly(("x",))), ["x"]),
+     "u": Param(_one_per("p"), [1], fill=False), "v": Param(_one_per("p"), [1], fill=False),
+     "a": Param(_one_per("p"), [2]), "b": Param(_one_per("p"), [3]),
      "q": Param(_poly(("x",), "nonconstant"), "x"),
      "expect_rank": Param(_json(int), 0), "expect_tangent_dim": Param(_json(int), 4),
      "reject_exponent_one": Param(_json(bool), True)},
@@ -813,9 +786,8 @@ _register(
     "weights and degree, and the last exponent block is coprime to it.",
     # a missing expectation is not checked
     {"field": Param(_field, "Q"),
-     "beta": Param(_checked(trinomial_blocks), [[2], [3], [5]], fill=False, required=True),
-     "lambdas": Param(_checked(trinomial_constants, "field", "beta"), [1], fill=False,
-                      required=True),
+     "beta": Param(_json(list), [[2], [3], [5]], fill=False, required=True),
+     "lambdas": Param(_json(list), [1], fill=False, required=True),
      "expect_degree": Param(_json(int), 6, fill=False),
      "expect_weights": Param(_each(_json(int), dict), {"t0": 3, "t1": 2}, fill=False)},
     _h_trinomial_validate,
@@ -826,13 +798,13 @@ _register(
     "expected weight table; non-coprime data is rejected.",
     # each instance, expectation and rejection is checked only when given
     {"field": Param(_field, "Q"),
-     "coprime_triple": Param(_checked(pham_case), [2, 3, 5], fill=False),
+     "coprime_triple": Param(_json(list), [2, 3, 5], fill=False),
      "triple_weights": Param(_weights_of("coprime_triple"), {"X1": 15, "X2": 10, "Z": 6},
                             fill=False),
-     "chain": Param(_checked(pham_case), [2, 3, 4, 5], fill=False),
+     "chain": Param(_json(list), [2, 3, 4, 5], fill=False),
      "chain_weights": Param(_weights_of("chain"), {"X1": 30, "X2": 20, "X3": 15, "Z": 12},
                             fill=False),
-     "reject": Param(_checked(lambda exps: exponent_list(exps, 3)), [2, 2, 3], fill=False)},
+     "reject": Param(_json(list), [2, 2, 3], fill=False)},
     _h_pham_cases,
 )
 _register(
@@ -917,7 +889,7 @@ def _parse_params(spec: ClaimSpec, given: dict) -> dict:
         if key in given:
             try:
                 parsed[key] = param.kind(given[key], parsed)
-            except (ValueError, HypothesisError) as err:
+            except ValueError as err:
                 raise UsageError(f"parameter {key!r} of claim {spec.claim_id}: {err}") from err
         elif param.required:
             raise UsageError(f"parameter {key!r} of claim {spec.claim_id} is required")
@@ -939,7 +911,8 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     not a finite number of seconds > 0 the interval timer accepts, a
     malformed UFDLAB_CAPS) raise UsageError instead.  After parsing, only
     a builder's HypothesisError is the caller's mistake, also raised as
-    UsageError; any other exception is a bug and propagates unchanged.
+    UsageError, which names the parameter the error carries when it is one
+    of the claim's; any other exception is a bug and propagates unchanged.
     """
     spec = _spec(claim_id)
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
@@ -964,7 +937,8 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     except CapExceeded as err:
         status, bound, witness = "unknown", "cap", str(err)
     except HypothesisError as err:
-        raise UsageError(f"claim {claim_id}: {err}") from err
+        raise UsageError(f"parameter {err.param!r} of claim {claim_id}: {err}"
+                         if err.param in spec.params else f"claim {claim_id}: {err}") from err
     elapsed = int((time.monotonic() - start) * 1000)
     return ClaimReport(claim_id, dict(params), status, bound, witness,
                        elapsed, __version__)

@@ -7,7 +7,9 @@ The builders each construct one family — fraction-style extensions
 A[X]/(aX-b), radical extensions A[Z]/(Z^c-F), the hypersurface threefold
 chains, the three-term-relation rings — and verify every finitely
 checkable hypothesis on the way, recording verdicts in `notes`.  A rule on
-the caller's data has one checker, which the claim parameter kinds call too.
+the caller's data has one checker, which runs once per builder call; its
+HypothesisError carries the claim-facing name of the argument that breaks
+the rule (`param`), so the claim runner can name that parameter.
 
 Checks that would require deciding primality of an ideal in general are
 deliberately tri-state: bounded searches report refuted-with-witness or
@@ -57,21 +59,26 @@ from .poly import (
 W_CHAIN_CAP = 32
 
 
-def exponent_list(values: Sequence, least: int = 0) -> list[int]:
-    """`values` as a list of at least `least` ints >= 1 (a bool is no int)."""
+def exponent_list(values: Sequence, least: int = 0, param: Optional[str] = None) -> list[int]:
+    """`values`, the argument named `param`, as a list of at least `least`
+    ints >= 1 (a bool is no int)."""
     exps = list(values)
     if not all(is_int(x) and x >= 1 for x in exps):
-        raise HypothesisError(f"exponents must be positive integers, got {exps!r}")
+        raise HypothesisError(f"exponents must be positive integers, got {exps!r}", param)
     if len(exps) < least:
-        raise HypothesisError(f"must list {least} or more exponents, got {len(exps)}")
+        raise HypothesisError(f"must list {least} or more exponents, got {len(exps)}", param)
     return exps
 
 
-def units(field: Field, values: Sequence) -> list:
-    """`values` as elements of `field`, none of them zero."""
-    out = [field.of(x) for x in values]
+def units(field: Field, values: Sequence, param: Optional[str] = None) -> list:
+    """`values`, the argument named `param`, as elements of `field`, none of
+    them zero."""
+    try:
+        out = [field.of(x) for x in values]
+    except ValueError as err:
+        raise HypothesisError(str(err), param) from err
     if field.zero() in out:
-        raise HypothesisError(f"entries must be nonzero, got {list(values)!r}")
+        raise HypothesisError(f"entries must be nonzero, got {list(values)!r}", param)
     return out
 
 
@@ -364,16 +371,15 @@ def lemma_level_check(
     ring recovers W_i, where a = s*t; the i-th entry is level i's verdict.
 
     Preconditions checked: s,t relatively prime and a,b relatively prime,
-    both via exact ideal intersection.
+    both via exact ideal intersection; a refusal names t or b.
     """
     a = s * t
     free = PresentedRing(ring, ())
-    ok, offender = relatively_prime(free, s, t)
-    if not ok:
-        raise HypothesisError(f"s and t not relatively prime: witness {offender}")
-    ok, offender = relatively_prime(free, a, b)
-    if not ok:
-        raise HypothesisError(f"a and b not relatively prime: witness {offender}")
+    for param, name, other, p in (("t", "s", s, t), ("b", "s*t", a, b)):
+        ok, offender = relatively_prime(free, other, p)
+        if not ok:
+            raise HypothesisError(f"must be relatively prime to {name} = {other}: {offender} "
+                                  f"lies in ({other}) cap ({p}) but not in their product", param)
     W, _ = w_chain(ring, b, s, t, N)
     big, X = ring.adjoin("X")
     rel = a.lift(big) * X - b.lift(big)
@@ -465,13 +471,13 @@ def pham_brieskorn(field: Field, exponents: Sequence[int]) -> PresentedRing:
 
 def chain_exponents(a: Sequence[int], b: Sequence[int]) -> None:
     """Check that a and b hold ints >= 1 with gcd(a_i, b_1*...*b_i) = 1 for each i."""
-    exponent_list(a)
-    exponent_list(b)
+    exponent_list(a, param="a")
+    exponent_list(b, param="b")
     prod_b = 1
     for i, (ai, bi) in enumerate(zip(a, b), 1):
         prod_b *= bi
         if (g := math.gcd(ai, prod_b)) != 1:
-            raise HypothesisError(f"gcd(a_{i}, b_1*...*b_{i}) = {g} != 1")
+            raise HypothesisError(f"gcd(a_{i}, b_1*...*b_{i}) = {g} != 1", "b")
 
 
 def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -486,14 +492,15 @@ def common_radical(ps: Sequence[Polynomial]) -> None:
     radical: rad(p_i) divides rad(p_j) iff stripping gcd(p_i, p_j) from p_i,
     again and again, leaves a constant."""
     if any(p.is_constant() for p in ps):
-        raise HypothesisError("p_i must be nonconstant")
+        raise HypothesisError("p_i must be nonconstant", "p")
     for pi, pj in itertools.permutations(ps, 2):
         rest = pi
         while not (g := _gcd(rest, pj)).is_constant():
             rest = divide(rest, [g])[1][0]
         if not rest.is_constant():
             raise HypothesisError(
-                f"p_i do not share a common radical: {pi} has the factor {rest}, prime to {pj}")
+                f"p_i do not share a common radical: {pi} has the factor {rest}, prime to {pj}",
+                "p")
 
 
 def threefold_family(
@@ -519,12 +526,12 @@ def threefold_family(
         raise ValueError("need at least one relation")
     if not (len(u) == len(v) == len(a) == len(b) == n):
         raise ValueError("u, v, a, b must all have the same length as p_list")
-    u_c, v_c = units(field, u), units(field, v)
-    chain_exponents(a, b)
     xring = poly_ring(field, ("x",))
     if any(p.ring != xring for p in p_list):
         raise ValueError("each p_i must live in k[x]")
     common_radical(p_list)
+    u_c, v_c = units(field, u, "u"), units(field, v, "v")
+    chain_exponents(a, b)
     znames = tuple(f"z{i}" for i in range(n + 2))
     ring = poly_ring(field, ("x",) + znames)
     zs = [ring.var(z) for z in znames]
@@ -629,14 +636,14 @@ def trinomial_blocks(beta: Sequence[Sequence[int]]) -> list[list[int]]:
     shapes (at least three blocks, each an `exponent_list` of one or more)
     and (D.2) (the block gcds d_i pairwise relatively prime)."""
     if any(not isinstance(bv, (list, tuple)) for bv in beta):
-        raise HypothesisError("(D.1) violated: each exponent block must be a list")
-    blocks = [exponent_list(bv, 1) for bv in beta]
+        raise HypothesisError("(D.1) violated: each exponent block must be a list", "beta")
+    blocks = [exponent_list(bv, 1, "beta") for bv in beta]
     if len(blocks) < 3:
-        raise HypothesisError("(D.1) violated: need at least three exponent blocks")
+        raise HypothesisError("(D.1) violated: need at least three exponent blocks", "beta")
     d = [math.gcd(*bv) for bv in blocks]
     for (i, di), (j, dj) in itertools.combinations(enumerate(d), 2):
         if (g := math.gcd(di, dj)) != 1:
-            raise HypothesisError(f"(D.2) violated: gcd(d_{i}, d_{j}) = {g} != 1")
+            raise HypothesisError(f"(D.2) violated: gcd(d_{i}, d_{j}) = {g} != 1", "beta")
     return blocks
 
 
@@ -644,11 +651,13 @@ def trinomial_constants(field: Field, blocks: Sequence, lambdas: Sequence) -> li
     """The constants lambda_2..lambda_r as elements of `field`, checked
     against (D.1)'s count (one per block after the first two) and (D.3)
     (nonzero, pairwise distinct)."""
-    lam = units(field, lambdas)
+    lam = units(field, lambdas, "lambdas")
     if len(lam) != len(blocks) - 2:
-        raise HypothesisError(f"(D.1) violated: need len(beta) - 2 constants, got {len(lam)}")
+        raise HypothesisError(f"(D.1) violated: need len(beta) - 2 constants, got {len(lam)}",
+                              "lambdas")
     if len(set(lam)) != len(lam):
-        raise HypothesisError(f"(D.3) violated: constants must be distinct, got {list(lambdas)!r}")
+        raise HypothesisError(f"(D.3) violated: constants must be distinct, got {list(lambdas)!r}",
+                              "lambdas")
     return lam
 
 

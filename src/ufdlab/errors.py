@@ -6,7 +6,13 @@ class UfdlabError(Exception):
 
 
 class HypothesisError(UfdlabError):
-    """A mathematical precondition of an operation is violated."""
+    """A mathematical precondition of an operation is violated.  `param`, when
+    the checker knows it, is the claim-facing name of the argument that
+    breaks the rule, so the claim runner can name that parameter."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class CapExceeded(UfdlabError):

@@ -4,11 +4,12 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import jsonschema
 import pytest
 
-from ufdlab import claims, groebner
+from ufdlab import claims, constructions, groebner
 from ufdlab.claims import (
     REGISTRY,
     ClaimReport,
@@ -51,6 +52,54 @@ def test_every_claim_ships_fixture_parameters():
 def test_shipped_parameters_pass_their_own_validation():
     for cid, spec in REGISTRY.items():
         _parse_params(spec, default_params(cid))
+
+
+CHECKERS = ("relatively_prime", "common_radical", "chain_exponents", "units",
+            "trinomial_blocks", "trinomial_constants", "pham_case")
+
+
+def _checker_calls(run) -> dict:
+    """The calls of each builder checker that are made while `run()` runs,
+    counted by code object, so a reference held under any name is seen."""
+    codes = {getattr(constructions, name).__code__: name for name in CHECKERS}
+    calls = dict.fromkeys(CHECKERS, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {name: n for name, n in calls.items() if n}
+
+
+def test_checker_calls_are_counted():
+    field = field_from_name("Q")
+    held = constructions.units  # a reference taken before the count starts is counted too
+    assert _checker_calls(lambda: held(field, [1, 2])) == {"units": 1}
+    built = _checker_calls(lambda: constructions.trinomial_ring(field, [[2], [3], [5]], [1]))
+    assert built == {"trinomial_blocks": 1, "trinomial_constants": 1, "units": 1}
+
+
+@pytest.mark.parametrize("cid, calls", [
+    ("lemma32.levels", {"relatively_prime": 2}),
+    # jacobian.rank builds twice: its instance, and the exponent-one instance
+    # that reject_exponent_one expects to be refused
+    ("jacobian.rank", {"common_radical": 2, "chain_exponents": 2, "units": 4}),
+    ("trinomial.validate", {"trinomial_blocks": 1, "trinomial_constants": 1, "units": 1}),
+    # three builds: coprime_triple, chain and reject
+    ("pham.cases", {"pham_case": 3}),
+])
+def test_each_hypothesis_is_checked_once_per_build(cid, calls):
+    assert _checker_calls(lambda: run_claim(cid)) == calls
+
+
+def test_parsing_checks_no_hypothesis():
+    for cid, spec in REGISTRY.items():
+        assert _checker_calls(lambda: _parse_params(spec, default_params(cid))) == {}, cid
 
 
 def test_default_params_returns_a_fresh_copy():
@@ -371,6 +420,20 @@ def test_after_parsing_only_a_hypothesis_error_is_a_usage_error(monkeypatch):
         spec, handler=_raising(HypothesisError("n must be odd"))))
     with pytest.raises(UsageError, match="^claim cex.sseq: n must be odd$"):
         run_claim("cex.sseq")
+
+
+@pytest.mark.parametrize("param, named", [
+    ("n", "parameter 'n' of claim cex.sseq"),
+    # a name that is not one of the claim's parameters is not repeated
+    ("m", "claim cex.sseq"),
+])
+def test_a_hypothesis_error_names_the_parameter_it_carries(param, named, monkeypatch):
+    spec = REGISTRY["cex.sseq"]
+    monkeypatch.setitem(REGISTRY, "cex.sseq", dataclasses.replace(
+        spec, handler=_raising(HypothesisError("n must be odd", param))))
+    with pytest.raises(UsageError) as caught:
+        run_claim("cex.sseq")
+    assert str(caught.value) == f"{named}: n must be odd"
 
 
 @pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")],

@@ -209,7 +209,8 @@ def test_an_internal_error_exits_4_with_its_traceback(argv, error, monkeypatch, 
     ("samuel.kernel", {"vars": ["u", "t"], "a": "u", "b": "u*t - 1"},
      "parameter 'b' of claim samuel.kernel: must not involve the adjoined variable 't', "
      "got 'u*t - 1'"),
-    # the builders' own hypotheses, checked by their checkers at parse time
+    # the builders' own hypotheses, checked once when the handler builds the
+    # instance; the error names the parameter that breaks the rule
     ("pham.cases", {"coprime_triple": [2, 4, 5]},
      "parameter 'coprime_triple' of claim pham.cases: case (2) fails: gcd(a_1, a_2) = 2 != 1"),
     ("pham.cases", {"chain": [2, 4, 6, 8]},
@@ -217,13 +218,19 @@ def test_an_internal_error_exits_4_with_its_traceback(argv, error, monkeypatch, 
      "gcd(a_n, a_1*...*a_{n-1}) = 8 != 1"),
     ("jacobian.rank", {"p": ["x", "x^2"], "a": [2, 3], "b": [3, 2]},
      "parameter 'b' of claim jacobian.rank: gcd(a_2, b_1*...*b_2) = 3 != 1"),
+    # every parameter is parsed before the builder runs, so the shipped a and
+    # b, of one entry each, are refused first
     ("jacobian.rank", {"p": ["x", "x+1"]},
-     "parameter 'p' of claim jacobian.rank: p_i do not share a common radical: "
-     "x has the factor x, prime to x + 1"),
+     "parameter 'a' of claim jacobian.rank: must have one entry per entry of p (2), got 1"),
     ("jacobian.rank", {"p": ["x", "2"]},
-     "parameter 'p' of claim jacobian.rank: p_i must be nonconstant"),
+     "parameter 'a' of claim jacobian.rank: must have one entry per entry of p (2), got 1"),
     ("trinomial.validate", {"beta": [[2], [4], [5]], "lambdas": [1]},
      "parameter 'beta' of claim trinomial.validate: (D.2) violated: gcd(d_0, d_1) = 2 != 1"),
+    ("jacobian.rank", {"p": ["x", "x+1"], "a": [2, 5], "b": [3, 3]},
+     "parameter 'p' of claim jacobian.rank: p_i do not share a common radical: "
+     "x has the factor x, prime to x + 1"),
+    ("jacobian.rank", {"p": ["x", "2"], "a": [2, 5], "b": [3, 3]},
+     "parameter 'p' of claim jacobian.rank: p_i must be nonconstant"),
 ])
 def test_malformed_instances_exit_3_naming_the_parameter(cid, params, named, tmp_path, capsys):
     path = tmp_path / "params.json"

@@ -1,6 +1,7 @@
 """The other interpreters the package declares (requires-python >= 3.10)
 give the same acceptance reports as the one running the tests, apart from
-`elapsed_ms`.  An interpreter that is not on PATH, or does not start, is
+`elapsed_ms`.  An interpreter is looked for on PATH and then under the
+pyenv version directories; one that is found nowhere, or does not start, is
 skipped by name."""
 
 import os
@@ -9,11 +10,23 @@ import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 SRC = str(resources.files("ufdlab").parent)
 OTHERS = ("python3.10", "python3.12", "python3.13")
+
+
+def _interpreter(name: str):
+    """The first `name` that starts: the one on PATH (a pyenv shim there may
+    not), else one in `$PYENV_ROOT/versions/*/bin` (`~/.pyenv` by default)."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found = [shutil.which(name), *map(str, sorted(root.glob(f"versions/*/bin/{name}")))]
+    for python in filter(None, found):
+        if subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
+            return python
+    return None
 
 
 def _run_all(python: str) -> str:
@@ -33,10 +46,7 @@ def own_reports():
 
 @pytest.mark.parametrize("name", OTHERS)
 def test_declared_python_gives_the_same_reports(name, own_reports):
-    python = shutil.which(name)
+    python = _interpreter(name)
     if python is None:
-        pytest.skip(f"{name} is not on PATH")
-    probe = subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60)
-    if probe.returncode != 0:
-        pytest.skip(f"{name} does not start")
+        pytest.skip(f"{name} is neither on PATH nor under the pyenv versions, or does not start")
     assert _run_all(python) == own_reports

@@ -5,9 +5,10 @@ out, or a UsageError that names a parameter of the claim; nothing else may
 be raised.  After parsing only a builder's HypothesisError is the caller's
 mistake, so anything else a handler raises is a bug, and a kind that lets a
 bad value through shows up here as a builder's error that names no
-parameter.  The kinds call the builders' checkers, so a combination of
-parameters that breaks a hypothesis is refused naming one of them too; only
-the `pham.cases` row may meet an error that need only name the claim (no
+parameter.  A builder checks each hypothesis once, and its HypothesisError
+carries the parameter that breaks the rule, so a combination of parameters
+that breaks a hypothesis is refused naming one of them too; only the
+`pham.cases` row may meet an error that need only name the claim (no
 instance was given).
 """
 
@@ -78,8 +79,8 @@ def test_every_parameter_takes_every_generic_value(cid):
 
 
 def test_lemma32_levels_s_t_and_b_together():
-    # lemma_level_check's two hypotheses are parse-time kinds, so every
-    # refusal names a parameter
+    # lemma_level_check's two hypotheses name t and b when they fail, so
+    # every refusal names a parameter
     polys = ["u", "v", "u*v", "u + v", "1"]
     variants = [{"s": s, "t": t, "b": b} for s, t, b in itertools.product(polys, repeat=3)]
     assert _faults("lemma32.levels", variants) == []
@@ -95,7 +96,7 @@ def test_trinomial_validate_beta_and_lambdas_together():
 
 def test_jacobian_rank_p_a_and_b_together():
     # entries >= 2 and q = x meet jacobian_tangent_dim's own hypotheses
-    # whenever the kinds let p through, so every refusal names a parameter
+    # whenever threefold_family takes p, so every refusal names a parameter
     ps = [["x"], ["x^3"], ["x", "x^2"], ["x", "x + 1"], ["x^2 + x", "x^3"], ["x^8", "x^9"],
           ["x", "3"], ["x^2", "x", "x^4 + x^3"]]
     exponents = [[2], [3], [2, 3], [3, 2], [2, 2], [4, 6], [3, 5, 7], [2, 3, 5]]

@@ -1,6 +1,6 @@
 """Each rule on the caller's data is worded once: no message that
 `constructions` (the builders and their checkers) raises is raised in
-`claims` too, so a claim parameter kind calls the builder's checker instead
+`claims` too, so a claim leaves each rule to the builder's checker instead
 of copying its check."""
 
 import ast
