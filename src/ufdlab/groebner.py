@@ -5,7 +5,10 @@ by saturating at the would-be unit, or by adjoining w with z*w - 1 for an
 inverse z^-1 as `poly.laurent_iso` does.  `buchberger` and `Ideal.groebner`
 return reduced monic bases, a canonical form: two ideals are equal iff their
 reduced bases under the same order coincide.  Normal forms and elimination
-need only the minimal basis that an `Ideal` caches first.
+need only the minimal basis that an `Ideal` caches first, which
+`signature_basis` computes: a signature-based engine that skips most of the
+S-pairs that `buchberger` would reduce to zero.  `buchberger` stays as its
+independent oracle in the tests and as the engine of the soundness claim.
 
 `brute_force_member` is an independent membership decision: it never calls
 the Buchberger machinery, only linear algebra over a truncated monomial
@@ -512,14 +515,220 @@ def _interreduce(basis: Sequence[Polynomial], order: Order) -> list[Polynomial]:
 
 
 # ---------------------------------------------------------------------------
+# signature-based bases
+# ---------------------------------------------------------------------------
+
+
+def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[Polynomial]:
+    """Monic minimal Groebner basis of the ideal generated by gens, sorted
+    with the largest leading term first, by a signature-based algorithm that
+    does not reduce the S-pairs it can tell will end in zero.
+
+    The generators join one at a time, in order of total degree and then of
+    leading term, smallest first (incremental F5, Faugere 2002); the
+    criteria are those of the survey by Eder & Faugere 2017 (J. Symbolic
+    Comput. 80).
+    While f_i joins, `prior` holds a minimal Groebner basis of the
+    generators before it, and every new element g stands for a module
+    element whose signature is t*e_i, position over term.  Only the term t
+    is kept: every element of `prior` lies in a smaller position.  The
+    candidates of position i, f_i itself and then S-pairs, are taken in
+    increasing signature order from a heap.  A candidate of signature t is
+    skipped when
+    - the leading term of an element of `prior` divides t (the F5
+      criterion: t*e_i is the signature of a principal syzygy),
+    - the signature of a candidate that reduced to zero divides t (the
+      syzygy criterion),
+    - the signature of an element of position i that joined after the
+      candidate's own generator divides t (the rewrite criterion: the
+      newest rewriter wins), or
+    - t was taken already, so each signature is reduced once.
+    A pair whose two multiplied signatures are equal is never formed.  The
+    candidate is reduced by `_s_reduce`; a zero joins the syzygy list.  A
+    remainder that is still singular top-reducible (its leading term is
+    m*lead(h) and m*sig(h) = t for an element h of position i) is dropped
+    from the basis: it reduces nothing, but it still joins position i as a
+    rewriter that forms pairs, without which the rewrite criterion would
+    skip signatures that nothing else covers.  Every other remainder joins
+    the basis monic, and must stay within the degree and terms caps.  Once
+    position i is done, the elements of `prior` whose leading term a new
+    one divides leave it, and the new elements whose leading term no other
+    new one divides join it.
+    """
+    if not gens:
+        return []
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise ValueError("generators from different rings")
+    keyfn = order.key_for(ring)
+    heap_key = order.descending_key_for(ring)
+    caps = current_caps()
+    le, add, sub = operator.le, operator.add, operator.sub
+    pushed = itertools.count()  # equal signatures pop in the order pushed
+    one = (0,) * ring.nvars
+    # (order key of the leading term, leading term, element), ascending
+    prior: list[tuple[object, Exp, Polynomial]] = []
+
+    def joining_order(g: Polynomial):
+        return g.total_degree(), keyfn(g.leading(keyfn)[0])
+
+    for f in sorted((g for g in gens if g), key=joining_order):
+        prior_leads = [e for _, e, _ in prior]
+        # every element of position i in the order it joined: leading term,
+        # signature, polynomial; the reducers leave out the singular ones
+        current: list[tuple[Exp, Exp, Polynomial]] = []
+        sigs: list[Exp] = []
+        reducers: list[tuple[Exp, Exp, Polynomial]] = []
+        syzygies: list[Exp] = []
+        # (order key of the signature, tie, signature, carrier, partner):
+        # the S-pair of current[carrier], whose multiple carries the
+        # signature, and the polynomial partner; carrier -1 is f_i itself
+        pairs = [(keyfn(one), next(pushed), one, -1, f)]
+        last = None
+        while pairs:
+            _, _, sig, carrier, g = heapq.heappop(pairs)
+            if sig == last or _divisible(sig, syzygies) or _divisible(sig, sigs[carrier + 1:]):
+                continue
+            last = sig
+            if carrier < 0:
+                p = g
+            else:
+                ce, _, c = current[carrier]
+                p = _s_poly(c, ce, g, g.leading(keyfn)[0])
+            if p and (prior or reducers):
+                p = _s_reduce(p, keyfn(sig), prior, reducers, keyfn, heap_key, caps)
+            if not p:
+                syzygies.append(sig)
+                continue
+            pe, _ = p.leading(keyfn)
+            singular = any(all(map(le, he, pe)) and tuple(map(add, map(sub, pe, he), hs)) == sig
+                           for he, hs, _ in reducers)
+            if not singular:
+                _check_joining(p, caps)
+            p = p.monic(keyfn)
+            new = len(current)
+            for _, be, b in prior:
+                if not any(map(min, pe, be)):
+                    continue  # coprime leads: be divides the signature (F5)
+                pair_sig = tuple(map(add, map(sub, map(max, pe, be), pe), sig))
+                if not _divisible(pair_sig, prior_leads):  # the F5 criterion
+                    heapq.heappush(pairs, (keyfn(pair_sig), next(pushed), pair_sig, new, b))
+            for k, (he, hs, h) in enumerate(current):
+                lcm = tuple(map(max, pe, he))
+                mine = tuple(map(add, map(sub, lcm, pe), sig))
+                theirs = tuple(map(add, map(sub, lcm, he), hs))
+                mine_key, theirs_key = keyfn(mine), keyfn(theirs)
+                if mine_key > theirs_key and not _divisible(mine, prior_leads):
+                    heapq.heappush(pairs, (mine_key, next(pushed), mine, new, h))
+                elif theirs_key > mine_key and not _divisible(theirs, prior_leads):
+                    heapq.heappush(pairs, (theirs_key, next(pushed), theirs, k, p))
+            current.append((pe, sig, p))
+            sigs.append(sig)
+            if not singular:
+                reducers.append((pe, sig, p))
+        new_leads = [e for e, _, _ in reducers]
+        prior = [b for b in prior if not _divisible(b[1], new_leads)]
+        prior += [(g._lead[1], e, g) for i, (e, _, g) in enumerate(reducers)
+                  if not _divisible(e, new_leads[:i] + new_leads[i + 1:])]
+        prior.sort(key=operator.itemgetter(0))
+    return [g for _, _, g in reversed(prior)]
+
+
+def _divisible(e: Exp, by: Iterable[Exp]) -> bool:
+    """Whether some exponent of `by` divides e."""
+    le = operator.le
+    for d in by:
+        if all(map(le, d, e)):
+            return True
+    return False
+
+
+def _check_joining(g: Polynomial, caps: Caps) -> None:
+    """Raise when an element joining `signature_basis` is over a size cap."""
+    if g.total_degree() > caps.degree:
+        raise too_large("signature_basis", "degree", caps.degree, g.total_degree())
+    if g.term_count() > caps.terms:
+        raise too_large("signature_basis", "terms", caps.terms, g.term_count())
+
+
+def _s_reduce(p: Polynomial, sig_key, prior, reducers, keyfn, heap_key, caps: Caps) -> Polynomial:
+    """Regular s-reduction of p, whose signature has the order key sig_key,
+    to a remainder recorded with its leading term under keyfn.
+
+    Every term is reduced, largest first, as in `divide`: by the element of
+    `prior` ((order key, leading term, element), ascending) with the
+    smallest leading term that divides it, else by the first element h of
+    `reducers` ((leading term, signature, element)) whose leading term
+    divides it as m*lead(h) with m*sig(h) < sig.  A term that neither
+    reduces stays, and no later step reaches it, so the remainder's terms
+    come out largest first, as from `divide`.  Every reducer is monic,
+    and it keeps the exponents of each multiple in its `_shifts`, as in
+    `divide`.  The running difference is one dict changed in place, and its
+    unreduced terms and the degree of each term taken are checked against
+    the caps."""
+    fld = p.ring.field
+    mul, fsub, neg = fld.mul, fld.sub, fld.neg
+    le, add, sub = operator.le, operator.add, operator.sub
+    work = dict(p.terms)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    queued = set(work)
+    kept: list[Exp] = []
+    while heap:
+        we = heapq.heappop(heap)[1]
+        wc = work.get(we)
+        if wc is None:
+            continue
+        size = len(work) - len(kept)
+        if size > caps.terms:
+            raise too_large("s_reduce", "terms", caps.terms, size)
+        if sum(we) > caps.degree:
+            raise too_large("s_reduce", "degree", caps.degree, sum(we))
+        for _, de, g in prior:
+            if all(map(le, de, we)):
+                break
+        else:
+            for de, se, g in reducers:
+                if all(map(le, de, we)) and keyfn(
+                    tuple(map(add, mono_div(we, de), se))) < sig_key:
+                    break
+            else:
+                kept.append(we)
+                continue
+        qe = tuple(map(sub, we, de))
+        shifts = g._shifts
+        if shifts is None:
+            shifts = g._shifts = {}
+        if (exps := shifts.get(qe)) is None:
+            exps = shifts[qe] = tuple(tuple(map(add, qe, e)) for e in g.terms)
+        for e, c in zip(exps, g.terms.values()):
+            old = work.get(e)
+            if old is None:
+                work[e] = neg(mul(wc, c))
+                if e not in queued:
+                    queued.add(e)
+                    heapq.heappush(heap, (heap_key(e), e))
+            elif c := fsub(old, mul(wc, c)):
+                work[e] = c
+            else:
+                del work[e]
+    r = _adopt(p.ring, {e: work[e] for e in kept})
+    if kept:
+        e = kept[0]
+        r._lead = (keyfn, keyfn(e), e, work[e])
+    return r
+
+
+# ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------
 
 
 class Ideal:
     """An ideal given by generators, with one cached Groebner basis per
-    order: the minimal one from `buchberger` until `groebner()` interreduces
-    it and stores the reduced basis in its place."""
+    order: the minimal one from `signature_basis` until `groebner()`
+    interreduces it and stores the reduced basis in its place."""
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         self.ring = ring
@@ -539,7 +748,7 @@ class Ideal:
         forms and elimination need, and interreduced once if `reduced`."""
         done, basis = self._bases.get(order, (False, None))
         if basis is None:
-            basis = tuple(buchberger(self.gens, order, interreduce=False))
+            basis = tuple(signature_basis(self.gens, order))
         if reduced and not done:
             done, basis = True, tuple(_interreduce(basis, order))
         self._bases[order] = done, basis

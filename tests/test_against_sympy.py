@@ -1,11 +1,14 @@
-"""`buchberger` against sympy, an oracle written elsewhere: on seeded small
-ideals both must give the same reduced Groebner basis.
+"""`buchberger` and `Ideal.groebner()` against sympy, an oracle written
+elsewhere: on seeded small ideals both must give the same reduced Groebner
+basis.  `Ideal` runs `signature_basis`, so this checks that engine too,
+under the elimination orders that `elim_ideal` uses.
 
 sympy is a test-only dependency (the `test` extra); without it the module
 is skipped by name.  A reduced basis is unique once each element is made
 monic under the order, so each side is compared as a set of term tables.
 sympy's `Poly.monic()` divides by the lex leading coefficient whatever the
-order, so a sympy element is divided by `Poly.LC(order=...)` instead.
+order, so a sympy element is divided by `Poly.LC(order=...)` instead.  A
+block order is a sympy `ProductOrder` of grevlex on each block.
 """
 
 import random
@@ -14,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from ufdlab.coeff import GF, QQ
-from ufdlab.groebner import GREVLEX, LEX, buchberger
+from ufdlab.groebner import GREVLEX, LEX, Ideal, buchberger, elimination_order
 from ufdlab.poly import Polynomial, poly_ring
 
 sympy = pytest.importorskip("sympy")
@@ -45,6 +48,18 @@ def _ours(gens, order) -> set:
     return {frozenset(g.terms.items()) for g in buchberger(gens, order)}
 
 
+def _sympy_order(order, ring):
+    """The sympy order of `order` on `ring`: its name, or for a block order
+    a `ProductOrder` of grevlex on each block's exponents."""
+    if order.kind != "block":
+        return order.kind
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    blocks = [tuple(ring.index(n) for n in block) for block in order.blocks]
+    return ProductOrder(*((grevlex, lambda m, idx=idx: tuple(m[i] for i in idx))
+                          for idx in blocks))
+
+
 def _sympys(gens, order) -> set:
     """sympy's reduced basis, each element divided by its leading
     coefficient under `order` and read back into ufdlab's field."""
@@ -54,9 +69,10 @@ def _sympys(gens, order) -> set:
     domain = sympy.QQ if field is QQ else sympy.GF(field.p)
     polys = [sympy.Poly.from_dict({e: sympy.Rational(str(c)) for e, c in g.terms.items()},
                                   *symbols, domain=domain) for g in gens]
+    theirs = _sympy_order(order, ring)
     out = set()
-    for p in sympy.groebner(polys, *symbols, order=order.kind, domain=domain).polys:
-        lead = field.of(str(p.LC(order=order.kind)))
+    for p in sympy.groebner(polys, *symbols, order=theirs, domain=domain).polys:
+        lead = field.of(str(p.LC(order=theirs)))
         out.add(frozenset((e, field.div(field.of(str(c)), lead)) for e, c in p.terms()))
     return out
 
@@ -69,3 +85,15 @@ def test_reduced_bases_match_sympy(field, order):
         ring = poly_ring(field, NAMES[: rng.randint(2, 3)])
         gens = _random_gens(ring, rng)
         assert _ours(gens, order) == _sympys(gens, order), (n, [str(g) for g in gens])
+
+
+@pytest.mark.parametrize("front", [1, 2], ids=["eliminate-x", "eliminate-xy"])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_ideal_groebner_under_an_elimination_order_matches_sympy(field, front):
+    rng = random.Random(f"{field} block {front}")
+    for n in range(IDEALS):
+        ring = poly_ring(field, NAMES[: rng.randint(front + 1, 3)])
+        order = elimination_order(ring.names[:front], ring.names[front:])
+        gens = _random_gens(ring, rng)
+        ours = {frozenset(g.terms.items()) for g in Ideal(ring, gens).groebner(order)}
+        assert ours == _sympys(gens, order), (n, [str(g) for g in gens])

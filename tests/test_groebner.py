@@ -883,26 +883,36 @@ def test_buchberger_divides_only_where_a_step_can_happen(field, order, monkeypat
     assert not all(s_polys) and divided and kept and far_only
 
 
-def test_ideal_runs_buchberger_once_per_order(monkeypatch):
+def test_ideal_runs_signature_basis_once_per_order(monkeypatch):
     r = QXY()
     x, y = r.gens()
     calls = []
-    original = groebner.buchberger
+    interreduced = []
+    original, original_interreduce = groebner.signature_basis, groebner._interreduce
 
-    def counted(gens, order=GREVLEX, interreduce=True):
-        calls.append((order, interreduce))
-        return original(gens, order, interreduce)
+    def counted(gens, order=GREVLEX):
+        calls.append(order)
+        return original(gens, order)
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
+    def counted_interreduce(basis, order):
+        interreduced.append(order)
+        return original_interreduce(basis, order)
+
+    monkeypatch.setattr(groebner, "signature_basis", counted)
+    monkeypatch.setattr(groebner, "_interreduce", counted_interreduce)
+    monkeypatch.setattr(groebner, "buchberger", None)  # Ideal never calls it
     i = ideal(r, x**2 + y, x * y - 1)
     assert i.contains(x**3 + x * y)
+    assert interreduced == []
     gb = i.groebner()
     assert i.groebner() is gb
     assert i.contains(y * (x * y - 1))
-    # one minimal run, interreduced in place; no second Buchberger run
-    assert calls == [(GREVLEX, False)]
+    # one minimal run, interreduced in place; no second run of the engine
+    assert calls == [GREVLEX]
+    assert interreduced == [GREVLEX]
     i.groebner(LEX)
-    assert calls == [(GREVLEX, False), (LEX, False)]
+    assert calls == [GREVLEX, LEX]
+    assert interreduced == [GREVLEX, LEX]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
