@@ -71,8 +71,9 @@ from .omega import (
     expansion_text,
     in_x_omega,
     normal_form,
+    omega_ring,
 )
-from .poly import Polynomial, poly_ring
+from .poly import Polynomial, _adopt, _merged, poly_ring
 
 
 class UsageError(Exception):
@@ -296,14 +297,20 @@ class ClaimSpec:
 
 
 def _random_poly(ring, rng: random.Random, max_deg: int, max_terms: int) -> Polynomial:
-    p = ring.zero()
+    """The sum of up to max_terms random terms of degree <= max_deg, folded
+    into one dict by `_merged` as `+` would fold them, one term at a time: a
+    zero coefficient adds nothing, and a term that cancels leaves the dict."""
+    add = ring.field.add
+    terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         while True:
-            exps = [rng.randint(0, max_deg) for _ in range(ring.nvars)]
+            exps = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
             if sum(exps) <= max_deg:
                 break
-        p = p + ring.monomial(dict(zip(ring.names, exps)), ring.field.sample(rng))
-    return p
+        c = ring.field.sample(rng)
+        if c:
+            _merged(terms, ((exps, c),), add)
+    return _adopt(ring, terms)
 
 
 def _h_groebner_soundness(params):
@@ -369,15 +376,15 @@ def _h_prime_avoid(params):
     if tuples > PRIME_AVOID_CAP:
         raise too_large("coeff.prime-avoid", "tuples", PRIME_AVOID_CAP, tuples)
     checked = 0
+    nonzero_c = [c for c in range(lo, hi + 1) if c]
     for a1 in range(lo, hi + 1):
         for a2 in range(lo, hi + 1):
+            a = (a1, a2)
             for b in range(lo, hi + 1):
                 if math.gcd(a1, a2, b) != 1:
                     continue
-                for c in range(lo, hi + 1):
-                    if c == 0:
-                        continue
-                    m = prime_avoid([a1, a2], b, c)
+                for c in nonzero_c:
+                    m = prime_avoid(a, b, c)
                     if math.gcd(c, b + m[0] * a1 + m[1] * a2) != 1:
                         return "refuted", None, {
                             "a": [a1, a2], "b": b, "c": c, "m": list(m),
@@ -483,9 +490,10 @@ def _h_omega_confluence(params):
             take = rng.randint(1, budget)
             exps[idx] = exps.get(idx, 0) + take
             budget -= take
-        p = OmegaPoly.x(power=rng.randint(0, 3))
-        for idx, e in exps.items():
-            p = p * OmegaPoly.z(idx) ** e
+        # x^r * prod z_idx^e, written down in the ring of its top z-index
+        x_power = {"x": rng.randint(0, 3)}
+        p = OmegaPoly(omega_ring(QQ, max(exps)).monomial(
+            x_power | {f"z{idx}": e for idx, e in exps.items()}))
         big = expansion_text(normal_form(p, "largest"))
         small = expansion_text(normal_form(p, "smallest"))
         if big != small:

@@ -360,8 +360,11 @@ def gcd_bezout(values: Sequence[int]) -> tuple[int, list[int]]:
 
 @functools.lru_cache(maxsize=1)
 def _bezout(a: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """gcd_bezout(a) as an immutable pair; the last one is kept, since a
-    caller scanning b and c keeps a fixed."""
+    """gcd_bezout(a) as an immutable pair, and (0, zeros) when a is empty or
+    all zero; the last one is kept, since a caller scanning b and c keeps a
+    fixed."""
+    if not any(a):
+        return 0, (0,) * len(a)
     g, coeffs = gcd_bezout(list(a))
     return g, tuple(coeffs)
 
@@ -373,25 +376,28 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
     expresses d = sum(e[i]*a[i]) and scans t = 0, 1, ... testing
     gcd(c, b + t*d) = 1; some t <= |c| always works because the bad t form,
     for each prime divisor of c not dividing d, a single residue class, and
-    the product of those primes is at most |c|.  The Bezout vector (d, e)
-    of the last a is cached, so repeated calls with the same a compute it
-    once; each call still returns a fresh list.
+    the product of those primes is at most |c|.
+
+    The checks run in this order.  First, for c != 0, gcd(c, b) = 1 returns
+    m = 0 at once: t = 0 works, and it makes the hypothesis hold.  Then the
+    Bezout pair (d, e) of a is read (d = 0 when a is empty or all zero), and
+    the hypothesis is tested as gcd(d, b, c) = 1, which is gcd(a, b, c) = 1
+    since d = gcd(a).  Only then come d = 0 (m = 0), c = 0 (b + t*d = +-1
+    exactly) and the scan.  The pair of the last a is cached, so repeated
+    calls with the same a compute it once; each call still returns a fresh
+    list.
     """
     if c and gcd(c, b) == 1:
-        # t = 0 works, and gcd(c, b) = 1 makes the hypothesis hold.  c = 0
-        # is left out: it asks for b + t*d = +-1 below.
+        # c = 0 is left out: it asks for b + t*d = +-1 below.
         return [0] * len(a)
-    if gcd(*a, b, c) != 1:
+    d, e = _bezout(tuple(a))
+    if gcd(d, b, c) != 1:
         raise HypothesisError("hypothesis of prime avoidance fails")
-    n = len(a)
-    if n == 0:
-        return []
-    if not any(a):
+    if not d:
         # gcd(b, c) = 1 already; nothing to add.
-        return [0] * n
+        return [0] * len(a)
     if c == 0:
         # gcd(0, y) = |y|: need b + t*d = +-1 exactly.
-        d, e = _bezout(tuple(a))
         for target in (1, -1):
             if (target - b) % d == 0:
                 t = (target - b) // d
@@ -399,7 +405,6 @@ def prime_avoid(a: Sequence[int], b: int, c: int) -> list[int]:
         raise HypothesisError(
             "prime avoidance with c = 0 needs b + t*gcd(a) = +-1; no integer t works"
         )
-    d, e = _bezout(tuple(a))
     for t in range(1, abs(c) + 1):
         if gcd(c, b + t * d) == 1:
             return [t * ei for ei in e]

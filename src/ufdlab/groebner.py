@@ -888,8 +888,14 @@ def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(ring: PolyRing, degree: int) -> list[Exp]:
-    """All exponent tuples of total degree <= degree, ascending grevlex."""
+@functools.lru_cache(maxsize=16)
+def _monomials_up_to(ring: PolyRing, degree: int) -> tuple[Exp, ...]:
+    """All exponent tuples of total degree <= degree, ascending grevlex.
+
+    The list depends on the ring and the degree alone, and the oracles ask
+    for the same few again and again (a soundness run builds one span per
+    trial over at most a dozen (ring, degree) pairs), so it is memoised per
+    pair and returned as a tuple, which no caller can change."""
     n = ring.nvars
     out: list[Exp] = []
 
@@ -901,9 +907,8 @@ def _monomials_up_to(ring: PolyRing, degree: int) -> list[Exp]:
             rec(prefix + [k], remaining - k, pos + 1)
 
     rec([], degree, 0)
-    keyfn = GREVLEX.key_for(ring)
-    out.sort(key=keyfn)
-    return out
+    out.sort(key=GREVLEX.key_for(ring))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,7 +1,9 @@
 """`buchberger` and `Ideal.groebner()` against sympy, an oracle written
 elsewhere: on seeded small ideals both must give the same reduced Groebner
 basis.  `Ideal` runs `signature_basis`, so this checks that engine too,
-under the elimination orders that `elim_ideal` uses.
+under the elimination orders that `elim_ideal` uses.  Membership is checked
+the same way: `Ideal.contains` and the linear-algebra oracle
+`brute_force_member` must answer as sympy's basis does.
 
 sympy is a test-only dependency (the `test` extra); without it the module
 is skipped by name.  A reduced basis is unique once each element is made
@@ -11,14 +13,22 @@ order, so a sympy element is divided by `Poly.LC(order=...)` instead.  A
 block order is a sympy `ProductOrder` of grevlex on each block.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ufdlab.coeff import GF, QQ
-from ufdlab.groebner import GREVLEX, LEX, Ideal, buchberger, elimination_order
-from ufdlab.poly import Polynomial, poly_ring
+from ufdlab.groebner import (
+    GREVLEX,
+    LEX,
+    Ideal,
+    brute_force_member,
+    buchberger,
+    elimination_order,
+)
+from ufdlab.poly import Polynomial, mono_divides, poly_ring
 
 sympy = pytest.importorskip("sympy")
 
@@ -60,15 +70,21 @@ def _sympy_order(order, ring):
                           for idx in blocks))
 
 
+def _to_sympy(polys):
+    """polys, all of one ring, as sympy Polys, with their symbols and domain."""
+    ring = polys[0].ring
+    symbols = sympy.symbols(ring.names)
+    domain = sympy.QQ if ring.field is QQ else sympy.GF(ring.field.p)
+    return [sympy.Poly.from_dict({e: sympy.Rational(str(c)) for e, c in p.terms.items()},
+                                 *symbols, domain=domain) for p in polys], symbols, domain
+
+
 def _sympys(gens, order) -> set:
     """sympy's reduced basis, each element divided by its leading
     coefficient under `order` and read back into ufdlab's field."""
     ring = gens[0].ring
     field = ring.field
-    symbols = sympy.symbols(ring.names)
-    domain = sympy.QQ if field is QQ else sympy.GF(field.p)
-    polys = [sympy.Poly.from_dict({e: sympy.Rational(str(c)) for e, c in g.terms.items()},
-                                  *symbols, domain=domain) for g in gens]
+    polys, symbols, domain = _to_sympy(gens)
     theirs = _sympy_order(order, ring)
     out = set()
     for p in sympy.groebner(polys, *symbols, order=theirs, domain=domain).polys:
@@ -97,3 +113,44 @@ def test_ideal_groebner_under_an_elimination_order_matches_sympy(field, front):
         gens = _random_gens(ring, rng)
         ours = {frozenset(g.terms.items()) for g in Ideal(ring, gens).groebner(order)}
         assert ours == _sympys(gens, order), (n, [str(g) for g in gens])
+
+
+MEMBER_BOUND = 2  # cofactor degree of the built members, and the oracle's bound
+
+
+def _cofactor(ring, rng: random.Random) -> Polynomial:
+    """A random polynomial of degree <= MEMBER_BOUND with a term of exactly
+    that degree, so a member built from it needs multipliers that high."""
+    terms = {}
+    for degree in [MEMBER_BOUND] + [rng.randint(0, MEMBER_BOUND) for _ in range(2)]:
+        exp = [0] * ring.nvars
+        for _ in range(degree):
+            exp[rng.randrange(ring.nvars)] += 1
+        terms[tuple(exp)] = ring.field.of(rng.choice([-2, -1, 1, 2, 3]))
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_membership_matches_sympy(field):
+    # A member is sum(q_i g_i) with deg q_i <= MEMBER_BOUND, so the oracle has
+    # a certificate at that bound; a non-member adds a nonzero multiple of a
+    # monomial that no leading term of sympy's basis divides, which stays in
+    # the normal form.  Each answer must be sympy's `contains`.
+    rng = random.Random(f"{field} membership")
+    for n in range(IDEALS):
+        ring = poly_ring(field, NAMES[: rng.randint(2, 3)])
+        gens = _random_gens(ring, rng)
+        polys, symbols, domain = _to_sympy(gens)
+        basis = sympy.groebner(polys, *symbols, order="grevlex", domain=domain)
+        leads = [p.LM(order="grevlex").exponents for p in basis.polys]
+        standard = [e for e in itertools.product(range(4), repeat=ring.nvars)
+                    if sum(e) <= 3 and not any(mono_divides(l, e) for l in leads)]
+        member = sum((_cofactor(ring, rng) * g for g in gens), ring.zero())
+        assert member, n
+        outside = Polynomial(ring, {rng.choice(standard): rng.choice([1, 2, -1])})
+        i = Ideal(ring, gens)
+        for p, want in ((member, True), (member + outside, False)):
+            (theirs,), _, _ = _to_sympy([p])
+            assert basis.contains(theirs) is want, (n, str(p))
+            assert i.contains(p) is want, (n, str(p))
+            assert brute_force_member(p, gens, MEMBER_BOUND) is want, (n, str(p))

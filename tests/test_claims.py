@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import sys
 
 import jsonschema
@@ -26,6 +27,7 @@ from ufdlab.cli import _checked_json
 from ufdlab.coeff import field_from_name
 from ufdlab.constructions import w_chain
 from ufdlab.errors import HypothesisError
+from ufdlab.omega import OmegaPoly
 from ufdlab.poly import Polynomial, poly_ring
 
 
@@ -379,6 +381,85 @@ def test_confluence_over_the_degree_cap_is_unknown():
     assert rep.bound == "cap"
     assert rep.witness == ("instance too large: normal_form reached degree 361, "
                            "over the degree cap of 64")
+
+
+def _summed_random_poly(ring, rng, max_deg, max_terms):
+    """`claims._random_poly` as a sum of one-term polynomials through `+`,
+    drawing from rng in the same order; also returns how many terms met an
+    exponent already in the sum and how many of those cancelled it."""
+    p, repeats, cancels = ring.zero(), 0, 0
+    for _ in range(rng.randint(1, max_terms)):
+        while True:
+            exps = [rng.randint(0, max_deg) for _ in range(ring.nvars)]
+            if sum(exps) <= max_deg:
+                break
+        term = ring.monomial(dict(zip(ring.names, exps)), ring.field.sample(rng))
+        if term and tuple(exps) in p.terms:
+            repeats += 1
+            cancels += tuple(exps) not in (p + term).terms
+        p = p + term
+    return p, repeats, cancels
+
+
+@pytest.mark.parametrize("field", ["GF(2)", "GF(5)", "Q"])
+def test_random_poly_is_the_sum_of_its_terms(field):
+    # the same polynomial, with its terms in the same order, as the sum of
+    # its one-term polynomials, and the generator left in the same state
+    fld = field_from_name(field)
+    repeats = cancels = 0
+    for seed in range(150):
+        ring = poly_ring(fld, ("u", "v", "w")[: 1 + seed % 3])
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for max_deg, max_terms in ((3, 4), (1, 6), (0, 5)):
+            got = claims._random_poly(ring, ours, max_deg, max_terms)
+            want, r, k = _summed_random_poly(ring, theirs, max_deg, max_terms)
+            assert got == want and list(got.terms.items()) == list(want.terms.items())
+            assert ours.getstate() == theirs.getstate()
+            repeats, cancels = repeats + r, cancels + k
+    assert repeats > 100
+    # over GF(2) every repeat cancels; over GF(5) and Q only some do
+    assert cancels == repeats if field == "GF(2)" else 0 < cancels < repeats
+
+
+def _product_built_monomials(seed, trials, max_size, max_index):
+    """The monomials of `omega.confluence`, built as OmegaPoly products
+    from the same draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        exps = {}
+        budget = rng.randint(1, max_size)
+        while budget > 0:
+            idx = rng.randint(0, max_index)
+            take = rng.randint(1, budget)
+            exps[idx] = exps.get(idx, 0) + take
+            budget -= take
+        p = OmegaPoly.x(power=rng.randint(0, 3))
+        for idx, e in exps.items():
+            p = p * OmegaPoly.z(idx) ** e
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("seed", [default_params("omega.confluence")["seed"], 1, 2, 3])
+def test_confluence_monomials_are_the_product_built_ones(monkeypatch, seed):
+    # the report never names its monomials, so record what normal_form sees
+    seen = []
+    real_normal_form = claims.normal_form
+
+    def recording_normal_form(p, pivot):
+        if pivot == "largest":
+            seen.append(p)
+        return real_normal_form(p, pivot)
+
+    monkeypatch.setattr(claims, "normal_form", recording_normal_form)
+    params = default_params("omega.confluence") | {"seed": seed}
+    assert run_claim("omega.confluence", params).status == "verified"
+    want = _product_built_monomials(seed, params["trials"], params["max_size"],
+                                    params["max_index"])
+    assert [(p.poly.ring, p.poly.terms) for p in seen] == [
+        (p.poly.ring, p.poly.terms) for p in want]
+    assert {e[0] for p in seen for e in p.poly.terms} == {0, 1, 2, 3}
 
 
 def test_jacobian_rank_takes_one_p_of_high_degree():

@@ -1427,6 +1427,18 @@ def test_irreducible_candidate_cap():
         brute_force_irreducible(r.parse("x^5 + y^5 + z^5 + 1"), 4)
 
 
+@pytest.mark.parametrize("names", ["x", "xy", "xyz"])
+def test_monomials_up_to_is_one_immutable_enumeration_per_ring_and_degree(names):
+    ring = poly_ring(GF(5), tuple(names))
+    keyfn = GREVLEX.key_for(ring)
+    for degree in range(10):
+        want = sorted((e for e in itertools.product(range(degree + 1), repeat=ring.nvars)
+                       if sum(e) <= degree), key=keyfn)
+        got = groebner._monomials_up_to(ring, degree)
+        assert type(got) is tuple and list(got) == want
+        assert groebner._monomials_up_to(poly_ring(GF(5), tuple(names)), degree) is got
+
+
 def _unpruned_factor_search(f, max_deg):
     """The factor search without pruning: every monic candidate of degree
     1..max_deg in ascending grevlex of its leading monomial, each checked
