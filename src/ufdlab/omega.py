@@ -22,12 +22,14 @@ so it is complete when reached.  The result is independent of pivot choices
 each z-exponent has a field as wide as the input's top z-size in bits, one
 field per z-index the input can reach (a bound no rewrite crosses, from a
 potential no rewrite raises), and the x-exponent sits above those fields.
-A rewrite then depends on the term only through its pivot k and
-half-exponent a, so each (k, a)'s move, the children's offsets from the
-term grouped by binomial factor, is built once per field and packing and
-shared by every call.  A final term's basis index is read off its z-fields
-eight at a time, through a 256-entry table per field width.  Everything
-here is exact and immutable.
+A rewrite then depends on the term only through its masked pattern, the
+z-fields less their lowest bits, which fixes the pivot k and the
+half-exponent a.  So each call keeps one table of moves keyed by that
+pattern, and a rewrite is one lookup in it; a move, the children's offsets
+from the term grouped by binomial factor, is built once per field, packing
+and (k, a) and shared by every call.  A final term's basis index is read
+off its z-fields eight at a time, through a 256-entry table per field
+width.  Everything here is exact and immutable.
 """
 
 from __future__ import annotations
@@ -184,12 +186,15 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     key & hi is 0, and the pivot is the field of its highest (or lowest)
     set bit.  The rewrite
     z_k^(2a+b) = z_k^b (-1)^a sum_j C(a, j) z_(k+1)^(a-j) (x^(2^(k+1)) z_(k+2))^j
-    depends on the key only through (k, a), so a rewrite takes its move
-    from a per-call table, filled on first use from `_move`, which builds
-    each move once per field and packing for all calls: child j is
-    key + delta_j, and the deltas are grouped by their factor
-    (-1)^a C(a, j), so a rewrite multiplies the coefficient once per
-    distinct factor.  A final term's basis index n is read off its z-fields
+    depends on the key only through (k, a), and with the packing and the
+    pivot rule fixed for the call both are read off the masked pattern
+    h = key & hi, whose field k holds 2a.  So a rewrite takes its move from
+    a table keyed by h that lives for the call, with one dict lookup.  Only
+    a pattern met for the first time finds k and a, checks Z_INDEX_CAP and
+    fetches its move from `_move`, which builds each move once per field
+    and packing for all calls: child j is key + delta_j, and the deltas
+    are grouped by their factor (-1)^a C(a, j), so a rewrite multiplies
+    the coefficient once per distinct factor.  A final term's basis index n is read off its z-fields
     eight at a time through `_digit_table`.
 
     Over Q, when every input coefficient is an int, the sweep adds and
@@ -245,7 +250,7 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
     if upper > limit:
         raise too_large("normal_form", "terms", limit, upper)
     live = None  # the exact live-term count, once `upper` may pass the limit
-    moves: dict[int, tuple] = {}  # (k, a) as 2a * fields + k: the `_move` for it
+    moves: dict[int, tuple] = {}  # masked pattern h = key & hi: the `_move` for it
     by_degree: dict[int, list[tuple[int, int, object]]] = {}
     while buckets:
         bucket = buckets.pop()
@@ -263,13 +268,12 @@ def normal_form(p: OmegaPoly, pivot: str = "largest") -> dict[int, BasisExpansio
                 r = key >> zb
                 by_degree.setdefault(n - r, []).append((r, n, coeff))
                 continue
-            k = ((h if largest else h & -h).bit_length() - 1) // w
-            two_a = h >> k * w & fmask
-            move = moves.get(two_a * fields + k)
+            move = moves.get(h)
             if move is None:
+                k = ((h if largest else h & -h).bit_length() - 1) // w
                 if k + 2 > Z_INDEX_CAP:
                     raise too_large("normal_form", "z-index", Z_INDEX_CAP, k + 2)
-                move = moves[two_a * fields + k] = _move(field, k, two_a >> 1, w, zb)
+                move = moves[h] = _move(field, k, (h >> k * w & fmask) >> 1, w, zb)
             a, net, groups = move
             target = buckets[size - a]
             if live is None:

@@ -11,11 +11,15 @@ whose tests fail there is an error, and the mutated run may take ten times
 as long as that clean run, but at least MIN_TIMEOUT_S seconds, so a mutant
 that makes a test loop cannot hold the table for long.
 
-    python tests/run_mutants.py
+    python tests/run_mutants.py [FILE ...]
 
-The exit status is 0 when every mutant is killed and 1 otherwise.  This is
-not part of the tier-1 suite, which only checks that every anchor still
-occurs exactly once (tests/test_mutant_table.py).
+With no argument every row runs.  Given files, only the rows whose `file`
+is one of them run, so a change to one module re-runs only that module's
+mutants; a path is taken relative to the current directory, and one that
+no row names is an error (exit status 2).  The exit status is 0 when every
+mutant that ran is killed and 1 otherwise.  This is not part of the tier-1
+suite, which only checks that every anchor still occurs exactly once and
+which rows a list of files selects (tests/test_mutant_table.py).
 """
 
 from __future__ import annotations
@@ -77,8 +81,24 @@ def run_row(copy: Path, row: dict) -> str:
     return f"error: {_exit_text(done)}"
 
 
-def main() -> int:
-    rows = json.loads(TABLE.read_text(encoding="utf-8"))
+def select_rows(rows: list[dict], files: list[str]) -> list[dict]:
+    """The rows whose file is one of `files`, or every row for no files; a
+    file that no row names raises ValueError."""
+    if not files:
+        return rows
+    wanted = {Path(f).resolve() for f in files}
+    unknown = wanted - {(ROOT / row["file"]).resolve() for row in rows}
+    if unknown:
+        raise ValueError(f"no mutant row names {', '.join(sorted(map(str, unknown)))}")
+    return [row for row in rows if (ROOT / row["file"]).resolve() in wanted]
+
+
+def main(files: list[str]) -> int:
+    try:
+        rows = select_rows(json.loads(TABLE.read_text(encoding="utf-8")), files)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     failed = 0
     with tempfile.TemporaryDirectory(prefix="ufdlab-mutants-") as tmp:
         copy = Path(tmp)
@@ -97,4 +117,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,7 +3,8 @@ elsewhere: on seeded small ideals both must give the same reduced Groebner
 basis.  `Ideal` runs `signature_basis`, so this checks that engine too,
 under the elimination orders that `elim_ideal` uses.  Membership is checked
 the same way: `Ideal.contains` and the linear-algebra oracle
-`brute_force_member` must answer as sympy's basis does.
+`brute_force_member` must answer as sympy's basis does, and
+`Ideal.normal_form` must give the remainder that sympy's `reduce` gives.
 
 sympy is a test-only dependency (the `test` extra); without it the module
 is skipped by name.  A reduced basis is unique once each element is made
@@ -135,7 +136,11 @@ def test_membership_matches_sympy(field):
     # A member is sum(q_i g_i) with deg q_i <= MEMBER_BOUND, so the oracle has
     # a certificate at that bound; a non-member adds a nonzero multiple of a
     # monomial that no leading term of sympy's basis divides, which stays in
-    # the normal form.  Each answer must be sympy's `contains`.
+    # the normal form.  Each answer must be sympy's `contains`, and the
+    # normal form itself the remainder of sympy's `reduce`: both divide by a
+    # grevlex basis of the same ideal, so the remainder is unique.  It is
+    # compared in sympy's domain, where GF(p) writes coefficients in
+    # symmetric form.
     rng = random.Random(f"{field} membership")
     for n in range(IDEALS):
         ring = poly_ring(field, NAMES[: rng.randint(2, 3)])
@@ -153,4 +158,6 @@ def test_membership_matches_sympy(field):
             (theirs,), _, _ = _to_sympy([p])
             assert basis.contains(theirs) is want, (n, str(p))
             assert i.contains(p) is want, (n, str(p))
+            (ours,), _, _ = _to_sympy([i.normal_form(p)])
+            assert ours == basis.reduce(theirs)[1], (n, str(p))
             assert brute_force_member(p, gens, MEMBER_BOUND) is want, (n, str(p))

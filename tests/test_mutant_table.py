@@ -1,7 +1,9 @@
 """The mutant table (tests/mutants.json) cannot rot silently: each anchor
 occurs exactly once in its file, and each test a row names is defined.
-tests/run_mutants.py applies the rows; this only keeps them applicable."""
+tests/run_mutants.py applies the rows; this only keeps them applicable
+and checks which rows the runner picks for the files it is given."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -27,3 +29,19 @@ def test_anchor_occurs_once_and_named_tests_exist(row):
         name = name.split("[")[0]  # a parametrised case: its function
         source = (ROOT / path).read_text(encoding="utf-8")
         assert re.search(rf"^def {re.escape(name)}\(", source, re.M), node
+
+
+def test_runner_selects_the_rows_of_the_files_given(monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_mutants", ROOT / "tests" / "run_mutants.py")
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    select_rows = runner.select_rows
+    assert select_rows(ROWS, []) == ROWS
+    monkeypatch.chdir(ROOT / "src")
+    omega = select_rows(ROWS, ["ufdlab/omega.py"])
+    assert omega and omega == [row for row in ROWS if row["file"] == "src/ufdlab/omega.py"]
+    both = select_rows(ROWS, ["ufdlab/omega.py", str(ROOT / "src" / "ufdlab" / "poly.py")])
+    assert both == [row for row in ROWS
+                    if row["file"] in ("src/ufdlab/omega.py", "src/ufdlab/poly.py")]
+    with pytest.raises(ValueError, match="no mutant row names .*nosuch.py$"):
+        select_rows(ROWS, ["ufdlab/omega.py", "nosuch.py"])

@@ -393,7 +393,9 @@ def test_normal_form_matches_monomial_rewrite_reference(field, seed):
 @pytest.mark.parametrize("text", ["z0^132 + z1^3", "z4^132*z5^3"])
 def test_move_table_keeps_each_pivot_and_half_exponent_apart(monkeypatch, field, text):
     # z_k^132 is rewritten with a = 66 at k and its children z_(k+1)^3 with
-    # a = 1 at k + 1, two moves that a table keyed by k * 65 + a would mix up
+    # a = 1 at k + 1, two moves that a table keyed by k * 65 + a would mix
+    # up; so would one keyed by the lowest set bit of the masked pattern,
+    # which z_(k+1)^66 and z_(k+1)^3 share
     monkeypatch.setenv("UFDLAB_CAPS", "degree=200,terms=200000")
     p = parse_omega(text, field)
     got = normal_form(p, "smallest")
