@@ -10,6 +10,12 @@ need only the minimal basis that an `Ideal` caches first, which
 S-pairs that `buchberger` would reduce to zero.  `buchberger` stays as its
 independent oracle in the tests and as the engine of the soundness claim.
 
+Every reduction runs one loop, `_reduce`: `divide` hands it the sorted
+leads of its divisors and keeps the quotients, and the s-reduction of
+`signature_basis` hands it the basis of the earlier generators and the
+signature rule and keeps only the remainder.  Over Q both reduce
+fraction-free from their second step on, over one common denominator.
+
 `brute_force_member` is an independent membership decision: it never calls
 the Buchberger machinery, only linear algebra over a truncated monomial
 basis, and is complete once the degree bound covers the true cofactors.  It
@@ -168,72 +174,15 @@ def divide(
     smallest leading term, the lowest index on a tie.  A leading coefficient
     other than one is inverted once per call.  Every basis that `buchberger`
     and `Ideal` divide by is monic, and a monic divisor needs no field
-    operation for the quotient coefficient.  The leading term of the running
-    difference `work` comes from a min-heap keyed by
-    `order.descending_key_for(ring)`, which sorts exactly opposite to the
-    order key and is built directly from the exponent (for grevlex,
-    (-sum(e), e reversed)), so the largest term pops first (Yan 1998 keeps
-    order keys cached the same way in his geobuckets).  Distinct exponents
-    have distinct keys, so the heap never compares two exponents themselves.
-    Every exponent of `work` is queued once, an entry whose term has
-    cancelled is dropped when it surfaces, and after each step only the
-    terms of the subtracted multiple c*m*g not queued yet are pushed; that
-    multiple is built in one pass over g's terms, with the divisibility test
-    done inline.  The exponents of that multiple depend only on g and the
-    multiplier m, so g keeps them in its `_shifts` dict, made at the first
-    step that uses g.  The first step with a given m shifts g's exponents by
-    m and records them under m in g's term order; every later step with the
-    same g and m, in this call or a later one, reads them back and only
-    multiplies the coefficients.  A term that no leading term divides moves
-    to the remainder but stays in `work`: every later step subtracts only
-    terms smaller than it, so `work` never touches it again, and the heap
-    running empty ends the division.  The remainder's terms thus arrive
-    largest first, and the first one is recorded as its leading term under
-    this order.
-
-    Over Q the first step works in the field too, and from the second step
-    on `work` stands for W/D, with W a polynomial of int coefficients and
-    D > 0 an int: fraction-free reduction, as in pseudo-division (Knuth,
-    TAOCP vol. 2, 4.6.1, Algorithm R).  The second step sets D to the lcm
-    of the denominators of `work` and W to D*work, so a division of no step
-    or one, the common kinds in Buchberger's algorithm, converts nothing.
-    Each divisor g keeps in its `_integral` slot the lcm k of its
-    denominators and the int coefficients of k*g.  With LG the lead of k*g,
-    a step on the term wc*x^we of W takes h = gcd(wc, LG) and s = |LG|/h;
-    when s is not 1 it scales W and D by s, and it subtracts
-    (wc/h)*x^qe*k*g from W, the sign of LG folded into the multiplier, so W
-    stays integral.  The quotient term is the exact fraction
-    wc/(D*lc(g)), D taken before the scaling.  The content of W is
-    stripped, W and D divided by gcd(D, content of W), only when D has
-    grown by `_STRIP_BITS` bits since the conversion or the last strip.  At
-    the end each remainder term is W's coefficient over D, brought to
-    lowest terms once, so remainders and quotients equal those of field
-    arithmetic.  W and k*g never leave `divide`: the caller gets only field
-    elements in canonical form.
-
-    `divide` changes none of its arguments, yet copies the running
-    difference only once.  The first step subtracts through
-    `Polynomial.__sub__`, which copies p and subtracts in one pass, so that
-    the caller's p is never touched; that call is also what the
-    benchmark's tracer counts as `poly.add` (`perfbench/tracer.py`).  After
-    the first step `work` is always a polynomial that `divide` created: the
-    result of that `__sub__`, or W as `_cleared` or `_stripped` left it.
-    So every later step folds its multiple into `work.terms` in place
-    through `poly._merged`, with the field's `sub` and `neg`, or over Q
-    with int subtraction and negation on W, and a scaling of W by s
-    rewrites W's coefficients in place too.
+    operation for the quotient coefficient.  The division itself is
+    `_reduce`, the loop that `_s_reduce` runs too; `divide` hands it these
+    sorted leads and one dict per divisor, into which it writes each
+    quotient term.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
-    heap_key = order.descending_key_for(ring)
     fld = ring.field
-    mul = fld.mul
     one = fld.one()
-    le, add, sub, gcd = operator.le, operator.add, operator.sub, math.gcd
-    caps = current_caps()
-    over_q = fld.char == 0
-    # how a step after the first folds into `work`: into W's ints over Q
-    combine, negate = (sub, operator.neg) if over_q else (fld.sub, fld.neg)
     # Among usable divisors prefer the smallest leading term: a rule that
     # solves for a big monomial (Z -> long tail) forward-substitutes and can
     # balloon the intermediate work, while a small rule (a lone variable,
@@ -253,48 +202,128 @@ def divide(
         leads.append((key, i, de, None if dc == one else fld.inv(dc), g))
     leads.sort(key=operator.itemgetter(0, 1))
     quotients: list[dict[Exp, object]] = [{} for _ in divisors]
+    rem = _reduce(p, leads, quotients, (), None, keyfn, order.descending_key_for(ring),
+                  current_caps(), "divide")
+    return rem, [_adopt(ring, q) for q in quotients]
+
+
+def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
+            caps: Caps, where: str) -> Polynomial:
+    """The remainder of p after reducing every term it can, largest first,
+    recorded with its leading term under keyfn: the loop of `divide` and of
+    `_s_reduce`, which differ only in the reducer they pick and in whether
+    they keep quotients.
+
+    A term is reduced by the first row (order key, index, leading exponent,
+    inverse of the leading coefficient or None for one, polynomial) of
+    `leads` whose leading exponent divides it.  Only when none does are the
+    rows (leading exponent, signature, monic polynomial) of `reducers` read:
+    the first whose leading term divides the term as m*lead(h), with the
+    order key of m*sig(h) below sig_key, reduces it (regular s-reduction).
+    `divide` passes no such rows, so it pays nothing for the signature
+    test.  With `quotients`, a list of one dict per row index, each step
+    records its quotient term there; `_s_reduce` passes None.  A cap hit
+    names `where`.
+
+    The leading term of the running difference `work` comes from a min-heap
+    keyed by `heap_key`, which sorts exactly opposite to the order key and
+    is built directly from the exponent (for grevlex, (-sum(e), e
+    reversed)), so the largest term pops first (Yan 1998 keeps order keys
+    cached the same way in his geobuckets).  Distinct exponents have
+    distinct keys, so the heap never compares two exponents themselves.
+    Every exponent of `work` is queued once, and an entry whose term has
+    cancelled is dropped when it surfaces.  The exponents of a multiple
+    m*g depend only on g and m, so g keeps them in its `_shifts` dict: the
+    first step with a given m shifts g's exponents by m and records them
+    under m in g's term order, and every later step with the same g and m,
+    in this call or a later one, reads them back.  A term that no reducer
+    takes moves to the remainder but stays in `work`: every later step
+    subtracts only terms smaller than it, so `work` never touches it again,
+    and the heap running empty ends the reduction.  The remainder's terms
+    thus arrive largest first.
+
+    The first step subtracts through `Polynomial.__sub__`, which copies p
+    and subtracts in one pass, so the caller's p is never touched; that
+    call is also what the benchmark's tracer counts as `poly.add`
+    (`perfbench/tracer.py`).  After it `work` is always a polynomial made
+    here, and each later step folds its multiple into `work.terms` in one
+    pass over the divisor's recorded exponents and its coefficients: each
+    product is subtracted from the term it meets, or stored negated where
+    there is none, a term that cancels is deleted, and an exponent is
+    queued only when it is new to `work` and was never queued before.
+
+    Over Q the first step works in the field too, and from the second step
+    on `work` stands for W/D, with W a polynomial of int coefficients and
+    D > 0 an int: fraction-free reduction, as in pseudo-division (Knuth,
+    TAOCP vol. 2, 4.6.1, Algorithm R).  The second step sets D to the lcm
+    of the denominators of `work` and W to D*work, so a reduction of no
+    step or one converts nothing.  Each reducer g keeps in its `_integral`
+    slot the lcm k of its denominators and the int coefficients of k*g.
+    With LG the lead of k*g, a step on the term wc*x^we of W takes
+    h = gcd(wc, LG) and s = |LG|/h; when s is not 1 it scales W and D by s,
+    W in place, and it subtracts (wc/h)*x^qe*k*g from W, the sign of LG
+    folded into the multiplier, so W stays integral.  The quotient term is
+    the exact fraction wc/(D*lc(g)), D taken before the scaling, and it is
+    built only for `quotients`.  The content of W is stripped, W and D
+    divided by gcd(D, content of W), only when D has grown by `_STRIP_BITS`
+    bits since the conversion or the last strip.  At the end each remainder
+    term is W's coefficient over D, brought to lowest terms once, so
+    remainders and quotients equal those of field arithmetic.  W and k*g
+    never leave here: the caller gets only field elements in canonical
+    form.
+    """
+    ring = p.ring
+    fld = ring.field
+    mul = fld.mul
+    over_q = fld.char == 0
+    le, add, sub, gcd = operator.le, operator.add, operator.sub, math.gcd
     remainder: dict[Exp, object] = {}
     work = p
-    integral = False  # over Q after the first step: work stands for W/den
-    den = None
-    heap = [(heap_key(e), e) for e in work.terms]
+    terms = work.terms
+    den = None  # over Q from the second step on: work stands for W/den
+    heap = [(heap_key(e), e) for e in terms]
     heapq.heapify(heap)
-    queued = set(work.terms)
+    queued = set(terms)
     while heap:
         we = heapq.heappop(heap)[1]
-        wc = work.terms.get(we)
+        wc = terms.get(we)
         if wc is None:
             continue  # cancelled since it was queued
-        size = len(work.terms) - len(remainder)
+        size = len(terms) - len(remainder)
         if size > caps.terms:
-            raise too_large("divide", "terms", caps.terms, size)
+            raise too_large(where, "terms", caps.terms, size)
         if sum(we) > caps.degree:
-            raise too_large("divide", "degree", caps.degree, sum(we))
+            raise too_large(where, "degree", caps.degree, sum(we))
         for _, i, de, dinv, g in leads:
             if all(map(le, de, we)):
                 break
         else:
-            remainder[we] = wc  # once W stands in for work, read from W at the end
-            continue
+            if not reducers:  # divide: no signature rule, and no loop set up for one
+                remainder[we] = wc  # once W stands in for work, read from W at the end
+                continue
+            for de, se, g in reducers:
+                if all(map(le, de, we)) and keyfn(
+                        tuple(map(add, mono_div(we, de), se))) < sig_key:
+                    dinv = None  # every reducer is monic
+                    break
+            else:
+                remainder[we] = wc
+                continue
         qe = tuple(map(sub, we, de))
         shifts = g._shifts
         if shifts is None:
             shifts = g._shifts = {}
         exps = shifts.get(qe)
-        if not integral:  # a step in the field
-            qc = wc if dinv is None else mul(wc, dinv)
-            if exps is None:
-                step = {tuple(map(add, qe, e)): mul(qc, c) for e, c in g.terms.items()}
-                shifts[qe] = tuple(step)
-            else:
-                step = dict(zip(exps, [mul(qc, c) for c in g.terms.values()]))
-            integral = over_q
+        if work is p or not over_q:  # a step in the field
+            qc = m = wc if dinv is None else mul(wc, dinv)
+            coeffs = g.terms.values()
         else:
             if den is None:
-                den, ints = _cleared(work.terms.values())
+                den, ints = _cleared(terms.values())
                 if den != 1:
-                    work = _adopt(ring, dict(zip(work.terms, ints)))
-                    wc = work.terms[we]
+                    work = _adopt(ring, dict(zip(terms, ints)))
+                    terms = work.terms
+                    wc = terms[we]
                 strip_at = den << _STRIP_BITS
             if g._integral is None:
                 g._integral = _cleared(g.terms.values())
@@ -307,36 +336,54 @@ def divide(
             if s < 0:
                 s, m = -s, -m
             if s != 1:
-                terms = work.terms
                 for e, c in terms.items():
                     terms[e] = c * s
                 den *= s
-            qc = _lowest_terms(m * kappa, den)
-            if exps is None:
-                step = {tuple(map(add, qe, e)): m * c for e, c in zip(g.terms, coeffs)}
-                shifts[qe] = tuple(step)
-            else:
-                step = dict(zip(exps, [m * c for c in coeffs]))
-        quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
+            if quotients is not None:
+                qc = _lowest_terms(m * kappa, den)
+        if quotients is not None:
+            quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
         if work is p:  # the first step: p - step copies p as it subtracts
-            work = work - _adopt(ring, step)
-        else:
-            _merged(work.terms, step.items(), combine, negate)
+            if exps is None:  # one pass builds the step and its shift record
+                step = {tuple(map(add, qe, e)): mul(m, c) for e, c in g.terms.items()}
+                exps = shifts[qe] = tuple(step)
+            else:
+                step = dict(zip(exps, [mul(m, c) for c in coeffs]))
+            work = p - _adopt(ring, step)
+            terms = work.terms
+            # how each later step folds into `work`: into W's ints over Q
+            fmul, fsub, fneg = (operator.mul, operator.sub, operator.neg) if over_q else (
+                mul, fld.sub, fld.neg)
+            for e in exps:
+                if e not in queued:
+                    queued.add(e)
+                    heapq.heappush(heap, (heap_key(e), e))
+            continue
+        if exps is None:
+            exps = shifts[qe] = tuple([tuple(map(add, qe, e)) for e in g.terms])
+        for e, c in zip(exps, coeffs):
+            c = fmul(m, c)
+            old = terms.get(e)
+            if old is None:
+                terms[e] = fneg(c)
+                if e not in queued:
+                    queued.add(e)
+                    heapq.heappush(heap, (heap_key(e), e))
+            elif c := fsub(old, c):
+                terms[e] = c
+            else:
+                del terms[e]
         if den is not None and den > strip_at:
             work, den = _stripped(work, den)
+            terms = work.terms
             strip_at = den << _STRIP_BITS
-        for e in step:
-            if e not in queued:
-                queued.add(e)
-                heapq.heappush(heap, (heap_key(e), e))
     if den is not None:
-        terms = work.terms
         remainder = {e: _lowest_terms(terms[e], den) for e in remainder}
     rem = _adopt(ring, remainder)
     if remainder:
         e = next(iter(remainder))  # popped first, so the largest
         rem._lead = (keyfn, keyfn(e), e, remainder[e])
-    return rem, [_adopt(ring, q) for q in quotients]
+    return rem
 
 
 def _stripped(work: Polynomial, den: int) -> tuple[Polynomial, int]:
@@ -594,6 +641,8 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
 
     for f in sorted((g for g in gens if g), key=joining_order):
         prior_leads = [e for _, e, _ in prior]
+        # prior as rows of `_reduce`'s first table, monic: no inverse
+        prior_rows = [(key, None, e, None, g) for key, e, g in prior]
         # every element of position i in the order it joined: leading term,
         # signature, polynomial; the reducers leave out the singular ones
         current: list[tuple[Exp, Exp, Polynomial]] = []
@@ -616,7 +665,7 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
                 ce, _, c = current[carrier]
                 p = _s_poly(c, ce, g, g.leading(keyfn)[0])
             if p and (prior or reducers):
-                p = _s_reduce(p, keyfn(sig), prior, reducers, keyfn, heap_key, caps)
+                p = _s_reduce(p, keyfn(sig), prior_rows, reducers, keyfn, heap_key, caps)
             if not p:
                 syzygies.append(sig)
                 continue
@@ -673,70 +722,15 @@ def _check_joining(g: Polynomial, caps: Caps) -> None:
 
 def _s_reduce(p: Polynomial, sig_key, prior, reducers, keyfn, heap_key, caps: Caps) -> Polynomial:
     """Regular s-reduction of p, whose signature has the order key sig_key,
-    to a remainder recorded with its leading term under keyfn.
-
-    Every term is reduced, largest first, as in `divide`: by the element of
-    `prior` ((order key, leading term, element), ascending) with the
+    by `_reduce`: a term is reduced by the element of `prior` (rows (order
+    key, None, leading term, None, monic element), ascending) with the
     smallest leading term that divides it, else by the first element h of
-    `reducers` ((leading term, signature, element)) whose leading term
-    divides it as m*lead(h) with m*sig(h) < sig.  A term that neither
-    reduces stays, and no later step reaches it, so the remainder's terms
-    come out largest first, as from `divide`.  Every reducer is monic,
-    and it keeps the exponents of each multiple in its `_shifts`, as in
-    `divide`.  The running difference is one dict changed in place, and its
-    unreduced terms and the degree of each term taken are checked against
-    the caps."""
-    fld = p.ring.field
-    mul, fsub, neg = fld.mul, fld.sub, fld.neg
-    le, add, sub = operator.le, operator.add, operator.sub
-    work = dict(p.terms)
-    heap = [(heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    queued = set(work)
-    kept: list[Exp] = []
-    while heap:
-        we = heapq.heappop(heap)[1]
-        wc = work.get(we)
-        if wc is None:
-            continue
-        size = len(work) - len(kept)
-        if size > caps.terms:
-            raise too_large("s_reduce", "terms", caps.terms, size)
-        if sum(we) > caps.degree:
-            raise too_large("s_reduce", "degree", caps.degree, sum(we))
-        for _, de, g in prior:
-            if all(map(le, de, we)):
-                break
-        else:
-            for de, se, g in reducers:
-                if all(map(le, de, we)) and keyfn(
-                    tuple(map(add, mono_div(we, de), se))) < sig_key:
-                    break
-            else:
-                kept.append(we)
-                continue
-        qe = tuple(map(sub, we, de))
-        shifts = g._shifts
-        if shifts is None:
-            shifts = g._shifts = {}
-        if (exps := shifts.get(qe)) is None:
-            exps = shifts[qe] = tuple(tuple(map(add, qe, e)) for e in g.terms)
-        for e, c in zip(exps, g.terms.values()):
-            old = work.get(e)
-            if old is None:
-                work[e] = neg(mul(wc, c))
-                if e not in queued:
-                    queued.add(e)
-                    heapq.heappush(heap, (heap_key(e), e))
-            elif c := fsub(old, mul(wc, c)):
-                work[e] = c
-            else:
-                del work[e]
-    r = _adopt(p.ring, {e: work[e] for e in kept})
-    if kept:
-        e = kept[0]
-        r._lead = (keyfn, keyfn(e), e, work[e])
-    return r
+    `reducers` ((leading term, signature, monic element)) whose leading
+    term divides it as m*lead(h) with m*sig(h) < sig.  No quotient is kept, and over Q the
+    reduction runs fraction-free from its second step on, so the remainder
+    comes back in canonical field form, its leading term recorded under
+    keyfn."""
+    return _reduce(p, prior, None, reducers, sig_key, keyfn, heap_key, caps, "s_reduce")
 
 
 # ---------------------------------------------------------------------------

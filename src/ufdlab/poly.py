@@ -136,17 +136,19 @@ class Polynomial:
     by the same polynomial find its leading term and its order key once per
     key function.
 
-    `_shifts`, beside `_lead`, is None or a dict that `groebner.divide`
-    keeps on a divisor: it maps a multiplier exponent m to the exponents
-    m + e of the divisor's terms e, in the order of `terms`.  Exponents do
-    not depend on the term order, and `terms` never changes, so an entry
-    holds for every later division by the same polynomial.
+    `_shifts`, beside `_lead`, is None or a dict that the reduction loop
+    of `groebner` (`groebner._reduce`, run by `divide` and by the
+    s-reduction of `signature_basis`) keeps on a reducer: it maps a
+    multiplier exponent m to the exponents m + e of the reducer's terms e,
+    in the order of `terms`.  Exponents do not depend on the term order,
+    and `terms` never changes, so an entry holds for every later reduction
+    by the same polynomial.
 
-    `_integral`, beside `_shifts`, is None or the pair (k, coeffs) that
-    `groebner.divide` keeps on a divisor over Q: k > 0 is the lcm of the
+    `_integral`, beside `_shifts`, is None or the pair (k, coeffs) that the
+    same loop keeps on a reducer over Q: k > 0 is the lcm of the
     denominators of its coefficients, and coeffs are the ints k*c of its
     terms c, in the order of `terms`.  It depends on `terms` alone, so it
-    too holds for every later division.
+    too holds for every later reduction.
     """
 
     __slots__ = ("ring", "terms", "_lead", "_shifts", "_integral")
@@ -331,9 +333,13 @@ def _merged(out: dict[Exp, object], terms: Iterable[tuple[Exp, object]], combine
             fresh=None) -> dict[Exp, object]:
     """Fold each (e, c) of `terms` into `out` and return `out`: where `out`
     holds e, store combine(out[e], c), or delete the entry when that is
-    zero; elsewhere store c, or fresh(c) when `fresh` is given.  Every sum
-    of polynomial terms goes through here, and for nonzero c it stores no
-    zero."""
+    zero; elsewhere store c, or fresh(c) when `fresh` is given.  For
+    nonzero c it stores no zero.  `Polynomial`'s sum, difference and
+    product, `RingMap.apply`, the text reader, `groebner._s_poly` and
+    `claims._random_poly` fold through here; the hot loops that fold each
+    product as they compute it (`groebner._reduce`,
+    `groebner._reduce_vector` and `omega.normal_form`) inline the same fold
+    instead."""
     for e, c in terms:
         old = out.get(e)
         if old is None:

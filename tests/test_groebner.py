@@ -15,6 +15,7 @@ from ufdlab.groebner import (
     LEX,
     SATURATION_ROUNDS_CAP,
     Order,
+    _interreduce,
     brute_force_irreducible,
     brute_force_member,
     buchberger,
@@ -29,6 +30,7 @@ from ufdlab.groebner import (
     intersect,
     row_echelon,
     saturation,
+    signature_basis,
 )
 from ufdlab.poly import Polynomial, grevlex_key, poly_ring
 
@@ -582,6 +584,60 @@ def test_divide_over_q_equals_the_naive_reference_exactly(order, shape, strip_bi
     assert {0, 1, 2} <= set(steps) and max(steps) >= 8 and carried
     if shape == "wide" or strip_bits == 0:
         assert any(strips)
+
+
+def _q_generators(rng, r, order):
+    """Three generators over Q in x, y, z of two to four terms with small
+    fraction coefficients, each scaled so that its leading coefficient
+    under order is a negative fraction other than -1."""
+    keyfn = order.key_for(r)
+    gens = []
+    for _ in range(3):
+        g = Polynomial(r, {tuple(rng.randrange(3) for _ in range(3)):
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(rng.randrange(2, 5))})
+        if g:
+            lead = -Fraction(rng.choice((2, 3, 5, 7)), rng.choice((2, 9)))
+            gens.append(g * (lead / g.leading(keyfn)[1]))
+    return gens
+
+
+@pytest.mark.parametrize("strip_bits", [None, 0], ids=["bound", "every-step"])
+@pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
+def test_signature_basis_over_q_reduces_fraction_free_to_canonical_bases(order, strip_bits,
+                                                                          monkeypatch):
+    # `_s_reduce` runs on divide's loop, so over Q its s-reductions work on
+    # one common denominator from their second step on; with generators
+    # that lead negative and fractional, and with the content strip at its
+    # bound or after every scaling step, the minimal basis must come back
+    # in canonical form and interreduce to buchberger's reduced basis
+    if strip_bits is not None:
+        monkeypatch.setattr(groebner, "_STRIP_BITS", strip_bits)
+    strips = []
+    stripped = groebner._stripped
+
+    def counting(work, den):
+        out = stripped(work, den)
+        strips.append(out[1] < den)  # whether it divided a factor out
+        return out
+
+    monkeypatch.setattr(groebner, "_stripped", counting)
+    rng = random.Random(131)
+    r = poly_ring(QQ, ("x", "y", "z"))
+    in_s_reduce, nontrivial = [], 0
+    for _ in range(8):
+        gens = _q_generators(rng, r, order)
+        mark = len(strips)
+        basis = signature_basis(gens, order)
+        in_s_reduce += strips[mark:]  # signature_basis divides nothing
+        for g in basis:
+            _assert_canonical(g)
+        want = buchberger(_fresh(gens), order)
+        assert _interreduce(basis, order) == want, [str(g) for g in gens]
+        nontrivial += want != [r.one()]
+    assert nontrivial >= 4
+    if strip_bits == 0:
+        assert any(in_s_reduce)
 
 
 def _two_multiple_s_poly(f, fe, g, ge):
