@@ -175,9 +175,9 @@ def divide(
     other than one is inverted once per call.  Every basis that `buchberger`
     and `Ideal` divide by is monic, and a monic divisor needs no field
     operation for the quotient coefficient.  The division itself is
-    `_reduce`, the loop that `_s_reduce` runs too; `divide` hands it these
-    sorted leads and one dict per divisor, into which it writes each
-    quotient term.
+    `_reduce`, the loop of `signature_basis`'s s-reduction too; `divide`
+    hands it these sorted leads and one dict per divisor, into which it
+    writes each quotient term.
     """
     ring = p.ring
     keyfn = order.key_for(ring)
@@ -211,8 +211,8 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
             caps: Caps, where: str) -> Polynomial:
     """The remainder of p after reducing every term it can, largest first,
     recorded with its leading term under keyfn: the loop of `divide` and of
-    `_s_reduce`, which differ only in the reducer they pick and in whether
-    they keep quotients.
+    the s-reduction of `signature_basis`, which differ only in the reducer
+    they pick and in whether they keep quotients.
 
     A term is reduced by the first row (order key, index, leading exponent,
     inverse of the leading coefficient or None for one, polynomial) of
@@ -222,8 +222,8 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
     order key of m*sig(h) below sig_key, reduces it (regular s-reduction).
     `divide` passes no such rows, so it pays nothing for the signature
     test.  With `quotients`, a list of one dict per row index, each step
-    records its quotient term there; `_s_reduce` passes None.  A cap hit
-    names `where`.
+    records its quotient term there; the s-reduction passes None.  A cap
+    hit names `where`.
 
     The leading term of the running difference `work` comes from a min-heap
     keyed by `heap_key`, which sorts exactly opposite to the order key and
@@ -610,16 +610,17 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
       newest rewriter wins), or
     - t was taken already, so each signature is reduced once.
     A pair whose two multiplied signatures are equal is never formed.  The
-    candidate is reduced by `_s_reduce`; a zero joins the syzygy list.  A
-    remainder that is still singular top-reducible (its leading term is
-    m*lead(h) and m*sig(h) = t for an element h of position i) is dropped
-    from the basis: it reduces nothing, but it still joins position i as a
-    rewriter that forms pairs, without which the rewrite criterion would
-    skip signatures that nothing else covers.  Every other remainder joins
-    the basis monic, and must stay within the degree and terms caps.  Once
-    position i is done, the elements of `prior` whose leading term a new
-    one divides leave it, and the new elements whose leading term no other
-    new one divides join it.
+    candidate is reduced by `_reduce` (regular s-reduction: `prior` first,
+    then the reducers of position i under the signature rule); a zero
+    joins the syzygy list.  A remainder that is still singular
+    top-reducible (its leading term is m*lead(h) and m*sig(h) = t for an
+    element h of position i) is dropped from the basis: it reduces
+    nothing, but it still joins position i as a rewriter that forms pairs,
+    without which the rewrite criterion would skip signatures that nothing
+    else covers.  Every other remainder joins the basis monic, and must
+    stay within the degree and terms caps.  Once position i is done, the
+    elements of `prior` whose leading term a new one divides leave it, and
+    the new elements whose leading term no other new one divides join it.
     """
     if not gens:
         return []
@@ -633,16 +634,15 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
     le, add, sub = operator.le, operator.add, operator.sub
     pushed = itertools.count()  # equal signatures pop in the order pushed
     one = (0,) * ring.nvars
-    # (order key of the leading term, leading term, element), ascending
-    prior: list[tuple[object, Exp, Polynomial]] = []
+    # rows of `_reduce`'s first table, ascending: (order key of the leading
+    # term, None, leading term, None, element); monic, so no inverse
+    prior: list[tuple[object, None, Exp, None, Polynomial]] = []
 
     def joining_order(g: Polynomial):
         return g.total_degree(), keyfn(g.leading(keyfn)[0])
 
     for f in sorted((g for g in gens if g), key=joining_order):
-        prior_leads = [e for _, e, _ in prior]
-        # prior as rows of `_reduce`'s first table, monic: no inverse
-        prior_rows = [(key, None, e, None, g) for key, e, g in prior]
+        prior_leads = [e for _, _, e, _, _ in prior]
         # every element of position i in the order it joined: leading term,
         # signature, polynomial; the reducers leave out the singular ones
         current: list[tuple[Exp, Exp, Polynomial]] = []
@@ -665,7 +665,8 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
                 ce, _, c = current[carrier]
                 p = _s_poly(c, ce, g, g.leading(keyfn)[0])
             if p and (prior or reducers):
-                p = _s_reduce(p, keyfn(sig), prior_rows, reducers, keyfn, heap_key, caps)
+                p = _reduce(p, prior, None, reducers, keyfn(sig), keyfn, heap_key, caps,
+                            "s_reduce")
             if not p:
                 syzygies.append(sig)
                 continue
@@ -676,7 +677,7 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
                 _check_joining(p, caps)
             p = p.monic(keyfn)
             new = len(current)
-            for _, be, b in prior:
+            for _, _, be, _, b in prior:
                 if not any(map(min, pe, be)):
                     continue  # coprime leads: be divides the signature (F5)
                 pair_sig = tuple(map(add, map(sub, map(max, pe, be), pe), sig))
@@ -696,11 +697,11 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
             if not singular:
                 reducers.append((pe, sig, p))
         new_leads = [e for e, _, _ in reducers]
-        prior = [b for b in prior if not _divisible(b[1], new_leads)]
-        prior += [(g._lead[1], e, g) for i, (e, _, g) in enumerate(reducers)
+        prior = [b for b in prior if not _divisible(b[2], new_leads)]
+        prior += [(g._lead[1], None, e, None, g) for i, (e, _, g) in enumerate(reducers)
                   if not _divisible(e, new_leads[:i] + new_leads[i + 1:])]
         prior.sort(key=operator.itemgetter(0))
-    return [g for _, _, g in reversed(prior)]
+    return [g for *_, g in reversed(prior)]
 
 
 def _divisible(e: Exp, by: Iterable[Exp]) -> bool:
@@ -718,19 +719,6 @@ def _check_joining(g: Polynomial, caps: Caps) -> None:
         raise too_large("signature_basis", "degree", caps.degree, g.total_degree())
     if g.term_count() > caps.terms:
         raise too_large("signature_basis", "terms", caps.terms, g.term_count())
-
-
-def _s_reduce(p: Polynomial, sig_key, prior, reducers, keyfn, heap_key, caps: Caps) -> Polynomial:
-    """Regular s-reduction of p, whose signature has the order key sig_key,
-    by `_reduce`: a term is reduced by the element of `prior` (rows (order
-    key, None, leading term, None, monic element), ascending) with the
-    smallest leading term that divides it, else by the first element h of
-    `reducers` ((leading term, signature, monic element)) whose leading
-    term divides it as m*lead(h) with m*sig(h) < sig.  No quotient is kept, and over Q the
-    reduction runs fraction-free from its second step on, so the remainder
-    comes back in canonical field form, its leading term recorded under
-    keyfn."""
-    return _reduce(p, prior, None, reducers, sig_key, keyfn, heap_key, caps, "s_reduce")
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,15 @@ whose tests fail there is an error, and the mutated run may take ten times
 as long as that clean run, but at least MIN_TIMEOUT_S seconds, so a mutant
 that makes a test loop cannot hold the table for long.
 
-A row may carry a "survives" reason: a mutant that its tests are known not
-to catch, kept to show what they cannot see (a fault that leaves a
-property intact, say).  It is reported as "expected" when it survives and
-is then no failure; killed or in error, it counts as any other row.
-
     python tests/run_mutants.py [FILE ...]
 
 With no argument every row runs.  Given files, only the rows whose `file`
 is one of them run, so a change to one module re-runs only that module's
 mutants; a path is taken relative to the current directory, and one that
 no row names is an error (exit status 2).  The exit status is 0 when every
-mutant that ran is killed or an expected survivor, and 1 otherwise.  This
-is not part of the tier-1 suite, which only checks that every anchor still
-occurs exactly once, that an expected survivor gives its reason, and which
-rows a list of files selects (tests/test_mutant_table.py).
+mutant that ran is killed and 1 otherwise.  This is not part of the tier-1
+suite, which only checks that every anchor still occurs exactly once and
+which rows a list of files selects (tests/test_mutant_table.py).
 """
 
 from __future__ import annotations
@@ -87,12 +81,6 @@ def run_row(copy: Path, row: dict) -> str:
     return f"error: {_exit_text(done)}"
 
 
-def outcome(row: dict, status: str) -> str:
-    """The status reported for a row that `run_row` gave `status`:
-    "expected" for a survivor that the row says survives."""
-    return "expected" if status == "survived" and "survives" in row else status
-
-
 def select_rows(rows: list[dict], files: list[str]) -> list[dict]:
     """The rows whose file is one of `files`, or every row for no files; a
     file that no row names raises ValueError."""
@@ -111,7 +99,7 @@ def main(files: list[str]) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    failed = expected = 0
+    failed = 0
     with tempfile.TemporaryDirectory(prefix="ufdlab-mutants-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -121,13 +109,10 @@ def main(files: list[str]) -> int:
             else:
                 shutil.copy2(src, copy / name)
         for row in rows:
-            status = outcome(row, run_row(copy, row))
-            expected += status == "expected"
-            failed += status not in ("killed", "expected")
+            status = run_row(copy, row)
+            failed += status != "killed"
             print(f"{status:9} {row['id']}", flush=True)
-    killed = len(rows) - failed - expected
-    print(f"{killed} of {len(rows) - expected} mutants killed, "
-          f"{expected} expected survivor{'' if expected == 1 else 's'}")
+    print(f"{len(rows) - failed} of {len(rows)} mutants killed")
     return 1 if failed else 0
 
 

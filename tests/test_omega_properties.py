@@ -6,6 +6,12 @@ pivot rule, must be its own normal form once read back as an element, and
 must be linear.  The examples are derandomized and their number is fixed,
 so every run draws the same ones.
 
+These properties cannot see a rule that is wrong but still confluent:
+with x^(2^k) in place of x^(2^(k+1)) in every z_(k+2) child the pivots
+agree and the normal form stays idempotent and linear.  The reference
+tests of tests/test_omega.py, which check the normal form against
+evaluation and against a monomial rewrite, catch that.
+
 hypothesis is a test-only dependency (the `test` extra); without it the
 module is skipped by name.
 """
