@@ -56,7 +56,6 @@ from .groebner import (
     _s_poly,
     brute_force_irreducible,
     brute_force_member,
-    buchberger,
     divide,
     ideal,
     ideal_equal,
@@ -326,7 +325,7 @@ def _h_groebner_soundness(params):
     for trial in range(trials):
         ring = poly_ring(fld, names[: rng.randint(1, 3)])
         gens = [_random_poly(ring, rng, 3, 4) for _ in range(rng.randint(1, 4))]
-        gb = buchberger(gens)
+        gb = ideal(ring, *gens).groebner()
         keyfn = GREVLEX.key_for(ring)
         leads = [g.leading(keyfn)[0] for g in gb]
         for i in range(len(gb)):
@@ -680,8 +679,9 @@ def _register(claim_id: str, statement: str, params: dict[str, Param], handler) 
 
 _register(
     "groebner.soundness",
-    "Buchberger output passes the S-polynomial test and agrees with the "
-    "linear-algebra membership oracle on random ideals over a prime field.",
+    "The reduced Groebner basis that Ideal computes passes the S-polynomial test "
+    "and agrees with the linear-algebra membership oracle on random ideals over "
+    "the given field.",
     {"field": Param(_field, "GF(5)"), "seed": _SEED, "trials": Param(_json(int, 1), 20),
      "queries": Param(_json(int, 1), 100), "member_bound": Param(_json(int, 0), 6)},
     _h_groebner_soundness,

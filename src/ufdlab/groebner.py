@@ -7,8 +7,10 @@ return reduced monic bases, a canonical form: two ideals are equal iff their
 reduced bases under the same order coincide.  Normal forms and elimination
 need only the minimal basis that an `Ideal` caches first, which
 `signature_basis` computes: a signature-based engine that skips most of the
-S-pairs that `buchberger` would reduce to zero.  `buchberger` stays as its
-independent oracle in the tests and as the engine of the soundness claim.
+S-pairs that `buchberger` would reduce to zero.  Every claim, the
+soundness claim included, reads its basis from an `Ideal`; `buchberger` is
+the engine of no claim, only the tests' independent oracle for
+`signature_basis` and the engine that the benchmark's gb workload times.
 
 Every reduction runs one loop, `_reduce`: `divide` hands it the sorted
 leads of its divisors and keeps the quotients, and the s-reduction of
@@ -426,18 +428,22 @@ def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
     return _adopt(f.ring, _merged(out, tail, fld.sub, fld.neg))
 
 
-def _check_caps(g: Polynomial, caps: Caps) -> None:
-    """Raise when a polynomial joining `buchberger` is over a size cap."""
+def _check_size(g: Polynomial, caps: Caps, site: str) -> None:
+    """Raise, naming `site`, when a polynomial joining a basis is over the
+    degree or terms cap."""
     if g.total_degree() > caps.degree:
-        raise too_large("buchberger", "degree", caps.degree, g.total_degree())
+        raise too_large(site, "degree", caps.degree, g.total_degree())
     if g.term_count() > caps.terms:
-        raise too_large("buchberger", "terms", caps.terms, g.term_count())
+        raise too_large(site, "terms", caps.terms, g.term_count())
 
 
 def buchberger(
     gens: Sequence[Polynomial], order: Order = GREVLEX, interreduce: bool = True
 ) -> list[Polynomial]:
     """Monic Groebner basis of the ideal generated by gens.
+
+    No claim runs it: it is the tests' oracle for `signature_basis`, the
+    engine behind `Ideal`, and the engine of the benchmark's gb workload.
 
     Pair selection is by smallest lcm (normal strategy), ties broken by the
     pair's indices.  Pairs are pruned by the Gebauer-Moeller update (Gebauer
@@ -523,7 +529,7 @@ def buchberger(
     for g in gens:
         if not g:
             continue
-        _check_caps(g, caps)
+        _check_size(g, caps, "buchberger")
         g = g.monic(keyfn)
         if g not in basis:
             add(g)
@@ -538,7 +544,7 @@ def buchberger(
         r, _ = divide(s, [basis[k] for k in live], order)
         if not r:
             continue
-        _check_caps(r, caps)
+        _check_size(r, caps, "buchberger")
         add(r.monic(keyfn))
 
     # minimalize: keep only elements with pairwise non-divisible leading
@@ -674,7 +680,7 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
             singular = any(all(map(le, he, pe)) and tuple(map(add, map(sub, pe, he), hs)) == sig
                            for he, hs, _ in reducers)
             if not singular:
-                _check_joining(p, caps)
+                _check_size(p, caps, "signature_basis")
             p = p.monic(keyfn)
             new = len(current)
             for _, _, be, _, b in prior:
@@ -711,14 +717,6 @@ def _divisible(e: Exp, by: Iterable[Exp]) -> bool:
         if all(map(le, d, e)):
             return True
     return False
-
-
-def _check_joining(g: Polynomial, caps: Caps) -> None:
-    """Raise when an element joining `signature_basis` is over a size cap."""
-    if g.total_degree() > caps.degree:
-        raise too_large("signature_basis", "degree", caps.degree, g.total_degree())
-    if g.term_count() > caps.terms:
-        raise too_large("signature_basis", "terms", caps.terms, g.term_count())
 
 
 # ---------------------------------------------------------------------------

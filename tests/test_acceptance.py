@@ -45,7 +45,7 @@ def test_criterion_01_groebner_soundness():
     reports, seconds, ok = _claims("groebner.soundness")
     witness = reports[0].witness
     ok = ok and witness["membership_agreements"] >= 100 and seconds < 10
-    _line(1, "buchberger soundness vs membership oracle", ok, seconds, 10)
+    _line(1, "Ideal basis soundness vs membership oracle", ok, seconds, 10)
     assert reports[0].status == "verified", reports[0].witness
     assert witness["s_polynomials_reduced"] > 0
     assert witness["membership_agreements"] >= 100

@@ -359,6 +359,48 @@ def test_soundness_refutes_a_reduce_that_misses_a_certified_member(monkeypatch):
     assert rep.witness["oracle_says"] and not rep.witness["reduce_says"]
 
 
+@pytest.mark.parametrize("field", ["Q", "GF(2)", "GF(5)", "GF(32003)"])
+def test_soundness_audits_the_ideal_engine_which_buchberger_reproduces(monkeypatch, field):
+    # the claim reads its basis from `Ideal`: with `buchberger` gone it still
+    # runs, and with `buchberger` behind `Ideal` it gives the same reports
+    real_buchberger = groebner.buchberger
+    engine_calls = []
+
+    def buchberger_engine(gens, order):
+        engine_calls.append(order)
+        return real_buchberger(gens, order, interreduce=False)
+
+    def stripped(params):
+        doc = run_claim("groebner.soundness", params).to_json()
+        doc.pop("elapsed_ms")
+        return doc
+
+    for seed in (1, 2, 3):
+        params = {"field": field, "seed": seed, "trials": 4, "queries": 8, "member_bound": 3}
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "buchberger", None)
+            via_signatures = stripped(params)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "signature_basis", buchberger_engine)
+            via_buchberger = stripped(params)
+        assert via_signatures == via_buchberger
+        assert via_signatures["status"] != "refuted", via_signatures
+    assert len(engine_calls) == 3 * 4
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(5)", "GF(32003)"])
+def test_soundness_refutes_an_engine_that_drops_a_basis_element(monkeypatch, field):
+    real_signature_basis = groebner.signature_basis
+
+    def lossy_engine(gens, order):
+        return real_signature_basis(gens, order)[1:]
+
+    monkeypatch.setattr(groebner, "signature_basis", lossy_engine)
+    rep = run_claim("groebner.soundness", {"field": field})
+    assert rep.status == "refuted"
+    assert rep.witness["reason"] == "membership disagreement"
+
+
 def test_refutation_carries_the_counterexample():
     rep = run_claim("cex.sseq", {"n": 5, "expect": [2, 3, 6, 24, 181]})
     assert rep.status == "refuted"
