@@ -3,7 +3,7 @@
 Modules:
   coeff           exact integer / rational / prime-field arithmetic
   poly            sparse polynomials, ring maps
-  groebner        Buchberger engine, ideal quotients, saturation, oracles
+  groebner        Groebner engine, ideal quotients, saturation, oracles
   constructions   presentations (ring, relations, weight dict), builders, checks
   omega           the graded rewriting system on x, z0, z1, ...
   counterexample  the filtered-union ring over k[x,y] and its order certificates

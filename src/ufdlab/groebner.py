@@ -1,16 +1,18 @@
-"""Groebner engine over exact fields: Buchberger, elimination, quotients.
+"""One Groebner engine over exact fields, and the ideal operations built on
+it: elimination, intersection, colon ideals and saturation.
 
 Ideals in localizations must be rephrased in a polynomial ring first, e.g.
 by saturating at the would-be unit, or by adjoining w with z*w - 1 for an
-inverse z^-1 as `poly.laurent_iso` does.  `buchberger` and `Ideal.groebner`
-return reduced monic bases, a canonical form: two ideals are equal iff their
-reduced bases under the same order coincide.  Normal forms and elimination
-need only the minimal basis that an `Ideal` caches first, which
-`signature_basis` computes: a signature-based engine that skips most of the
-S-pairs that `buchberger` would reduce to zero.  Every claim, the
-soundness claim included, reads its basis from an `Ideal`; `buchberger` is
-the engine of no claim, only the tests' independent oracle for
-`signature_basis` and the engine that the benchmark's gb workload times.
+inverse z^-1.  The engine is `signature_basis`, a signature-based algorithm
+that skips most of the S-pairs that would reduce to zero; it returns a
+minimal monic basis.  An `Ideal` caches that basis per order, which is all
+that normal forms and elimination need, and `Ideal.groebner()`
+interreduces it once, by `_interreduce`, into the reduced monic basis, a
+canonical form: two ideals are equal iff their reduced bases under the same
+order coincide.  `buchberger` computes the same reduced basis under the name
+the benchmark calls.  Every claim reads its bases from an `Ideal`; the
+tests check the engine against an independent Buchberger implementation
+(`tests/oracles.py`) and against sympy.
 
 Every reduction runs one loop, `_reduce`: `divide` hands it the sorted
 leads of its divisors and keeps the quotients, and the s-reduction of
@@ -19,7 +21,7 @@ signature rule and keeps only the remainder.  Over Q both reduce
 fraction-free from their second step on, over one common denominator.
 
 `brute_force_member` is an independent membership decision: it never calls
-the Buchberger machinery, only linear algebra over a truncated monomial
+the Groebner engine, only linear algebra over a truncated monomial
 basis, and is complete once the degree bound covers the true cofactors.  It
 keeps the last cofactor span it built, so queries against the same
 generators and bound eliminate the cofactor matrix once; a query is only
@@ -174,9 +176,9 @@ def divide(
     divisors are sorted by (order key of the leading term, index): the first
     one in that list whose leading term divides is the one with the
     smallest leading term, the lowest index on a tie.  A leading coefficient
-    other than one is inverted once per call.  Every basis that `buchberger`
-    and `Ideal` divide by is monic, and a monic divisor needs no field
-    operation for the quotient coefficient.  The division itself is
+    other than one is inverted once per call.  Every basis that `Ideal`
+    divides by is monic, and a monic divisor needs no field operation for
+    the quotient coefficient.  The division itself is
     `_reduce`, the loop of `signature_basis`'s s-reduction too; `divide`
     hands it these sorted leads and one dict per divisor, into which it
     writes each quotient term.
@@ -398,19 +400,16 @@ def _stripped(work: Polynomial, den: int) -> tuple[Polynomial, int]:
     return _adopt(work.ring, {e: c // h for e, c in work.terms.items()}), den // h
 
 
-def _lcm(a: Exp, b: Exp) -> Exp:
-    return tuple(map(max, a, b))
-
-
 def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
     """S-polynomial of f and g, given their leading exponents fe and ge:
     mf*f - mg*g with mf = x^(lcm - fe) / lc(f) and mg likewise, so both
     products lead with the same monic term.  The two leading terms cancel
     and are left out; the tails are shifted and scaled into one dict, f's
     first and g's subtracted from it by `_merged`, and a leading
-    coefficient is inverted only when it is not one (every basis element
-    in `buchberger` is monic)."""
-    lcm = _lcm(fe, ge)
+    coefficient is inverted only when it is not one (every element that
+    `signature_basis` pairs, and every element of a reduced basis that the
+    soundness claim pairs, is monic)."""
+    lcm = tuple(map(max, fe, ge))
     fld = f.ring.field
     one, mul = fld.one(), fld.mul
     add = operator.add
@@ -429,136 +428,24 @@ def _s_poly(f: Polynomial, fe: Exp, g: Polynomial, ge: Exp) -> Polynomial:
 
 
 def _check_size(g: Polynomial, caps: Caps, site: str) -> None:
-    """Raise, naming `site`, when a polynomial joining a basis is over the
-    degree or terms cap."""
+    """Raise, naming `site`, when a generator or a polynomial joining a
+    basis is over the degree or terms cap."""
     if g.total_degree() > caps.degree:
         raise too_large(site, "degree", caps.degree, g.total_degree())
     if g.term_count() > caps.terms:
         raise too_large(site, "terms", caps.terms, g.term_count())
 
 
-def buchberger(
-    gens: Sequence[Polynomial], order: Order = GREVLEX, interreduce: bool = True
-) -> list[Polynomial]:
-    """Monic Groebner basis of the ideal generated by gens.
+def buchberger(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[Polynomial]:
+    """The reduced monic Groebner basis of the ideal generated by gens,
+    largest leading term first: the minimal basis of `signature_basis`,
+    interreduced, as `Ideal.groebner()` computes it.
 
-    No claim runs it: it is the tests' oracle for `signature_basis`, the
-    engine behind `Ideal`, and the engine of the benchmark's gb workload.
-
-    Pair selection is by smallest lcm (normal strategy), ties broken by the
-    pair's indices.  Pairs are pruned by the Gebauer-Moeller update (Gebauer
-    & Moeller 1988) each time an element h joins the basis.  An open pair
-    (i, j) goes when lead(h) divides its lcm and that lcm differs from both
-    lcm(i, h) and lcm(j, h) (criterion B_k).  Of the new pairs (g, h), one
-    goes when another new pair's lcm properly divides its lcm (M), only the
-    last of several with equal lcms stays (F), and the coprime ones go after
-    they have served in M and F.  The elements whose leading term no later
-    leading term divides form the `live` list: new pairs are made with them
-    only, and S-polynomials are divided by them only.  A dropped element's
-    leading term is a multiple of a live one, so wherever it divides, a live
-    leading term that is no larger divides too, and `divide` picks that one
-    (they are equal only for generators with a common leading term).  The
-    criteria look at leading terms only, so an S-polynomial can still come
-    out zero; it is dropped without a call to `divide`, which would take no
-    step on it.  The
-    leading exponents live in a list beside the basis, and the open pairs in
-    a heap of (order key of the lcm, (i, j), lcm), each entry computed once
-    when the pair is pushed (Giovini et al. 1991 keep their pairs in a heap
-    too).  Every element joins the basis monic, so neither `_s_poly` nor
-    `divide` inverts a leading coefficient of it.  No leading term is found
-    twice: a remainder comes back from `divide` with its leading term and
-    order key recorded, `monic` hands that record on, `Polynomial.leading`
-    in the pair update reads it, and later divisions by the element read it
-    too.  The coprime test of each new pair is made once.  A generator or a
-    new remainder over the degree or terms cap raises `CapExceeded` naming
-    the cap.
-    With interreduce=True (the default) the output is the unique reduced
-    basis, sorted with the largest leading term first.  With
-    interreduce=False the basis is only minimal (no leading term divides
-    another): still a Groebner basis, so normal forms against it are the
-    same, but tails stay unreduced -- which matters when the reduced tails
-    would be astronomically larger than the generators.
-    """
-    if not gens:
-        return []
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators from different rings")
-    keyfn = order.key_for(ring)
-    caps = current_caps()
-
-    basis: list[Polynomial] = []
-    leads: list[Exp] = []
-    live: list[int] = []
-    pairs: list[tuple[object, tuple[int, int], Exp]] = []
-
-    def add(g: Polynomial) -> None:
-        new = len(basis)
-        basis.append(g)
-        he = g.leading(keyfn)[0]
-        leads.append(he)
-        # B_k: drop an open pair (i, j) whose lcm lead(h) divides, unless
-        # lcm(i, h) or lcm(j, h) equals it
-        kept = [
-            (key, (i, j), lcm)
-            for key, (i, j), lcm in pairs
-            if not mono_divides(he, lcm)
-            or _lcm(leads[i], he) == lcm
-            or _lcm(leads[j], he) == lcm
-        ]
-        if len(kept) != len(pairs):
-            pairs[:] = kept
-            heapq.heapify(pairs)
-        # M and F on the new pairs; a coprime one serves in both but makes
-        # no pair
-        fresh = [(k, _lcm(leads[k], he)) for k in live]
-        chosen: list[tuple[int, Exp]] = []
-        for pos, (k, lcm) in enumerate(fresh):
-            if mono_mul(leads[k], he) == lcm:
-                chosen.append((k, lcm))
-            elif not any(
-                mono_divides(other, lcm)
-                for _, other in itertools.chain(fresh[pos + 1 :], chosen)
-            ):
-                chosen.append((k, lcm))
-                heapq.heappush(pairs, (keyfn(lcm), (k, new), lcm))
-        live[:] = [k for k in live if not mono_divides(he, leads[k])]
-        live.append(new)
-
-    for g in gens:
-        if not g:
-            continue
-        _check_size(g, caps, "buchberger")
-        g = g.monic(keyfn)
-        if g not in basis:
-            add(g)
-    if not basis:
-        return []
-
-    while pairs:
-        _, (i, j), _ = heapq.heappop(pairs)
-        s = _s_poly(basis[i], leads[i], basis[j], leads[j])
-        if not s:
-            continue
-        r, _ = divide(s, [basis[k] for k in live], order)
-        if not r:
-            continue
-        _check_size(r, caps, "buchberger")
-        add(r.monic(keyfn))
-
-    # minimalize: keep only elements with pairwise non-divisible leading
-    # terms, in ascending order of their leading terms
-    keep: list[Polynomial] = []
-    keep_leads: list[Exp] = []
-    for idx in sorted(live, key=lambda i: keyfn(leads[i])):
-        e = leads[idx]
-        if not any(mono_divides(h, e) for h in keep_leads):
-            keep.append(basis[idx])
-            keep_leads.append(e)
-    # the leading terms are distinct, so this is the descending order
-    keep.reverse()
-    return _interreduce(keep, order) if interreduce else keep
+    The name is kept only because the benchmark calls it by that name
+    (`perfbench/workloads.py`, `capture_reference.py` and `tracer.py`).
+    Buchberger's algorithm itself is the tests' independent oracle,
+    `tests/oracles.py`."""
+    return _interreduce(signature_basis(gens, order), order)
 
 
 def _interreduce(basis: Sequence[Polynomial], order: Order) -> list[Polynomial]:
@@ -624,19 +511,22 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
     nothing, but it still joins position i as a rewriter that forms pairs,
     without which the rewrite criterion would skip signatures that nothing
     else covers.  Every other remainder joins the basis monic, and must
-    stay within the degree and terms caps.  Once position i is done, the
+    stay within the degree and terms caps, as every nonzero generator must
+    before any work starts.  Once position i is done, the
     elements of `prior` whose leading term a new one divides leave it, and
     the new elements whose leading term no other new one divides join it.
     """
     if not gens:
         return []
     ring = gens[0].ring
+    caps = current_caps()
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
+        if g:
+            _check_size(g, caps, "signature_basis")
     keyfn = order.key_for(ring)
     heap_key = order.descending_key_for(ring)
-    caps = current_caps()
     le, add, sub = operator.le, operator.add, operator.sub
     pushed = itertools.count()  # equal signatures pop in the order pushed
     one = (0,) * ring.nvars
@@ -883,7 +773,7 @@ def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles (independent of Buchberger)
+# brute-force oracles (independent of the Groebner engine)
 # ---------------------------------------------------------------------------
 
 

@@ -1,9 +1,10 @@
-"""`buchberger` and `Ideal.groebner()` against sympy, an oracle written
-elsewhere: on seeded small ideals both must give the same reduced Groebner
-basis.  `Ideal` runs `signature_basis`, so this checks that engine too,
-under the elimination orders that `elim_ideal` uses.  Membership is checked
-the same way: `Ideal.contains` and the linear-algebra oracle
-`brute_force_member` must answer as sympy's basis does, and
+"""The library's Groebner engine and the tests' Buchberger oracle
+(`tests/oracles.py`) against sympy, an oracle written elsewhere: on seeded
+small ideals `groebner.buchberger`, which runs the engine, and the oracle
+must both give sympy's reduced Groebner basis, and so must
+`Ideal.groebner()` under the elimination orders that `elim_ideal` uses.
+Membership is checked the same way: `Ideal.contains` and the linear-algebra
+oracle `brute_force_member` must answer as sympy's basis does, and
 `Ideal.normal_form` must give the remainder that sympy's `reduce` gives.
 
 sympy is a test-only dependency (the `test` extra); without it the module
@@ -19,14 +20,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import buchberger
 
+from ufdlab import groebner
 from ufdlab.coeff import GF, QQ
 from ufdlab.groebner import (
     GREVLEX,
     LEX,
     Ideal,
     brute_force_member,
-    buchberger,
     elimination_order,
 )
 from ufdlab.poly import Polynomial, mono_divides, poly_ring
@@ -55,8 +57,8 @@ def _random_gens(ring, rng: random.Random) -> list[Polynomial]:
     return gens
 
 
-def _ours(gens, order) -> set:
-    return {frozenset(g.terms.items()) for g in buchberger(gens, order)}
+def _ours(engine, gens, order) -> set:
+    return {frozenset(g.terms.items()) for g in engine(gens, order)}
 
 
 def _sympy_order(order, ring):
@@ -101,7 +103,9 @@ def test_reduced_bases_match_sympy(field, order):
     for n in range(IDEALS):
         ring = poly_ring(field, NAMES[: rng.randint(2, 3)])
         gens = _random_gens(ring, rng)
-        assert _ours(gens, order) == _sympys(gens, order), (n, [str(g) for g in gens])
+        theirs = _sympys(gens, order)
+        for engine in (groebner.buchberger, buchberger):
+            assert _ours(engine, gens, order) == theirs, (engine, n, [str(g) for g in gens])
 
 
 @pytest.mark.parametrize("front", [1, 2], ids=["eliminate-x", "eliminate-xy"])

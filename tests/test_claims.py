@@ -9,6 +9,7 @@ import sys
 
 import jsonschema
 import pytest
+from oracles import buchberger
 
 from ufdlab import claims, constructions, groebner
 from ufdlab.claims import (
@@ -361,14 +362,14 @@ def test_soundness_refutes_a_reduce_that_misses_a_certified_member(monkeypatch):
 
 @pytest.mark.parametrize("field", ["Q", "GF(2)", "GF(5)", "GF(32003)"])
 def test_soundness_audits_the_ideal_engine_which_buchberger_reproduces(monkeypatch, field):
-    # the claim reads its basis from `Ideal`: with `buchberger` gone it still
-    # runs, and with `buchberger` behind `Ideal` it gives the same reports
-    real_buchberger = groebner.buchberger
+    # the claim reads its basis from `Ideal`: with `groebner.buchberger` gone
+    # it still runs, and with the tests' Buchberger oracle behind `Ideal` it
+    # gives the same reports
     engine_calls = []
 
     def buchberger_engine(gens, order):
         engine_calls.append(order)
-        return real_buchberger(gens, order, interreduce=False)
+        return buchberger(gens, order, interreduce=False)
 
     def stripped(params):
         doc = run_claim("groebner.soundness", params).to_json()

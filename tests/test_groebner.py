@@ -1,11 +1,17 @@
-"""Groebner engine: pinned textbook bases, randomized soundness, oracles."""
+"""Groebner engine: pinned textbook bases, randomized soundness, oracles.
 
+`buchberger` here is the tests' Buchberger oracle (`tests/oracles.py`), not
+`groebner.buchberger`, which runs the library's engine."""
+
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from oracles import buchberger, interreduce_every_element
 
 from ufdlab import groebner
 from ufdlab.coeff import GF, QQ
@@ -18,7 +24,6 @@ from ufdlab.groebner import (
     _interreduce,
     brute_force_irreducible,
     brute_force_member,
-    buchberger,
     divide,
     elim_ideal,
     elimination_order,
@@ -325,7 +330,8 @@ def _recomputed_lead(p, keyfn):
 @pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
 def test_carried_leads_equal_recomputed_ones(field, order, monkeypatch):
     # divide records the first term it moves to a remainder as the lead and
-    # monic hands its lead on; buchberger's elements carry what they record
+    # monic hands its lead on; the elements of the oracle's bases and of the
+    # engine's carry what they record
     rng = random.Random(71)
     r = poly_ring(field, ("x", "y", "z"))
     keyfn = order.key_for(r)
@@ -363,8 +369,9 @@ def test_carried_leads_equal_recomputed_ones(field, order, monkeypatch):
         for g in gens:
             g.monic(keyfn)
         check_recorded()
-        for interreduce in (False, True):
-            for g in buchberger(gens, order, interreduce=interreduce):
+        for engine, options in ((buchberger, {"interreduce": False}), (buchberger, {}),
+                                (groebner.buchberger, {})):
+            for g in engine(gens, order, **options):
                 recorded.append((g, keyfn))
                 checked["elements"] += 1
             check_recorded()
@@ -679,14 +686,15 @@ def test_s_poly_matches_the_two_multiple_formula(field, order):
     assert cancelled >= 20
 
 
-# -- buchberger ----------------------------------------------------------------
+# -- buchberger, the tests' oracle ----------------------------------------------
 
 
 def test_lex_basis_pinned():
     r = QXY()
     x, y = r.gens()
-    gb = buchberger([x**2 + y**2, x * y], LEX)
-    assert gb == [x**2 + y**2, x * y, y**3]
+    for engine in (buchberger, groebner.buchberger):
+        gb = engine([x**2 + y**2, x * y], LEX)
+        assert gb == [x**2 + y**2, x * y, y**3]
 
 
 def test_circle_line_elimination():
@@ -848,23 +856,15 @@ def test_reduced_basis_over_q_maps_to_the_basis_over_gf_p(p):
     nontrivial = 0
     for ring, gens, order in cases:
         ring_p = poly_ring(GF(p), ring.names)
-        over_q = buchberger(gens, order)
-        assert _mod_p(over_q, ring_p) == buchberger(_mod_p(gens, ring_p), order), gens
+        for engine in (buchberger, groebner.buchberger):
+            over_q = engine(gens, order)
+            assert _mod_p(over_q, ring_p) == engine(_mod_p(gens, ring_p), order), gens
         nontrivial += over_q != [ring.one()]
     assert len(cases) >= 20 and nontrivial >= 12
 
 
 def _divides(h, e):
     return all(a <= b for a, b in zip(h, e))
-
-
-def _interreduce_every_element(minimal, order):
-    """Each element of a minimal basis divided by all the others (naive
-    division) and made monic, largest leading term first."""
-    keyfn = order.key_for(minimal[0].ring)
-    reduced = [_naive_divide(g, minimal[:k] + minimal[k + 1 :], order)[0].monic(keyfn)
-               for k, g in enumerate(minimal)]
-    return sorted(reduced, key=lambda g: keyfn(g.leading(keyfn)[0]), reverse=True)
 
 
 @pytest.mark.parametrize("interreduce", [True, False])
@@ -889,7 +889,7 @@ def test_buchberger_matches_a_reference_that_divides_everything(field, order, in
             # minimal: monic, largest lead first, the reference's leads
             assert [g.leading(keyfn) for g in gb] == [(w.leading(keyfn)[0], field.one())
                                                      for w in want]
-            assert _interreduce_every_element(gb, order) == want
+            assert interreduce_every_element(gb, order) == want
             assert groebner._interreduce(gb, order) == want
         nontrivial += want != [r.one()]
     assert nontrivial >= 5
@@ -898,9 +898,9 @@ def test_buchberger_matches_a_reference_that_divides_everything(field, order, in
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
 @pytest.mark.parametrize("order", ORDERS_XYZ, ids=lambda o: o.kind)
 def test_buchberger_divides_only_where_a_step_can_happen(field, order, monkeypatch):
-    # no zero S-polynomial reaches divide, and the interreduction divides
-    # exactly the elements holding a term that a smaller element's leading
-    # exponent divides, each by the smaller elements
+    # no zero S-polynomial of the oracle reaches divide, and `_interreduce`
+    # divides exactly the elements holding a term that a smaller element's
+    # leading exponent divides, each by the smaller elements
     calls, s_polys = [], []
     divide_, s_poly = groebner.divide, groebner._s_poly
 
@@ -941,11 +941,58 @@ def test_buchberger_divides_only_where_a_step_can_happen(field, order, monkeypat
         kept += len(ascending) - 1 - len(want)
         far_only += sum(not any(_divides(leads[k - 1], e) for e in ascending[k].terms)
                         for k in want)
-        # the full run divides the same S-polynomials, then the same elements
+        # the full run divides the same S-polynomials, then every element of
+        # the minimal basis by all the others
         calls.clear()
         assert buchberger(gens, order) == reduced
-        assert len(calls) == s_divisions + len(want) and all(p for p, _ in calls)
+        assert [p for p, _ in calls[s_divisions:]] == minimal
+        assert len(calls) == s_divisions + len(minimal) and all(p for p, _ in calls)
     assert not all(s_polys) and divided and kept and far_only
+
+
+# the names of the library's engine, which the oracle must not read
+ENGINE = {"signature_basis", "_interreduce", "Ideal", "ideal", "buchberger"}
+
+
+def _engine_reads(source):
+    """The names of ENGINE that source imports from `ufdlab.groebner` or
+    reads as attributes of that module, imported from `ufdlab`."""
+    tree = ast.parse(source)
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ufdlab.groebner":
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "ufdlab":
+            modules.update(a.asname or a.name for a in node.names if a.name == "groebner")
+    found.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules)
+    return found & ENGINE
+
+
+def test_engine_scan_sees_imports_and_attribute_reads():
+    source = ("from ufdlab import groebner as gb\nfrom ufdlab.groebner import Ideal, divide\n"
+              "def f(x):\n    return gb.signature_basis(x), gb._s_poly(x), buchberger(x)\n")
+    assert _engine_reads(source) == {"Ideal", "signature_basis"}
+
+
+def test_oracle_reads_nothing_of_the_engine():
+    assert _engine_reads(Path(__file__).with_name("oracles.py").read_text()) == set()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=str)
+def test_oracle_gives_the_same_bases_with_the_engine_removed(field, monkeypatch):
+    # the oracle computes the engine's reduced bases with every name of the
+    # engine set to None, so it cannot be running the engine itself
+    rng = random.Random(103)
+    r = poly_ring(field, ("x", "y", "z"))
+    cases = [(gens, order) for order in ORDERS_XYZ for gens in
+             (_seeded_ideal_gens(field, rng, r) for _ in range(4)) if gens]
+    want = [groebner.buchberger(gens, order) for gens, order in cases]
+    for name in ENGINE:
+        monkeypatch.setattr(groebner, name, None)
+    assert [buchberger(gens, order) for gens, order in cases] == want
+    assert any(basis != [r.one()] for basis in want)
 
 
 def test_ideal_runs_signature_basis_once_per_order(monkeypatch):
@@ -1042,6 +1089,7 @@ def test_gb_random_spolys_reduce_to_zero(field):
         if not gens:
             continue
         gb = buchberger(gens, GREVLEX)
+        assert groebner.buchberger(gens, GREVLEX) == gb
         if gb == [r.one()]:
             continue
         keyfn = GREVLEX.key_for(r)
@@ -1108,6 +1156,16 @@ def test_brute_force_member_prime_above_2_to_the_32():
 
 
 def test_degree_cap_trips(monkeypatch):
+    # a generator over the cap is refused on intake, before any reduction
+    monkeypatch.setenv("UFDLAB_CAPS", "degree=2")
+    r = QXY()
+    x, y = r.gens()
+    with pytest.raises(CapExceeded, match="^instance too large: signature_basis reached "
+                                          "degree 3, over the degree cap of 2$"):
+        ideal(r, x**3 + 1, y).groebner()
+
+
+def test_buchberger_degree_cap_trips_on_a_generator(monkeypatch):
     monkeypatch.setenv("UFDLAB_CAPS", "degree=2")
     r = QXY()
     x, y = r.gens()

@@ -1,5 +1,6 @@
-"""`signature_basis`, the engine behind `Ideal`, against `buchberger`, its
-oracle: both must give the same reduced Groebner basis.
+"""`signature_basis`, the library's one Groebner engine, against
+`buchberger`, the tests' oracle (`tests/oracles.py`): both must give the
+same reduced Groebner basis.
 
 The reduced basis of the new engine is its minimal basis interreduced by
 `_interreduce`, as `Ideal.groebner()` computes it.  The cross-check runs on
@@ -17,6 +18,7 @@ import random
 from pathlib import Path
 
 import pytest
+from oracles import buchberger
 
 from ufdlab.coeff import GF, QQ, field_from_name
 from ufdlab.errors import CapExceeded
@@ -24,7 +26,6 @@ from ufdlab.groebner import (
     GREVLEX,
     LEX,
     _interreduce,
-    buchberger,
     elimination_order,
     signature_basis,
 )
