@@ -1,5 +1,6 @@
 """One Groebner engine over exact fields, and the ideal operations built on
-it: elimination, intersection, colon ideals and saturation.
+it: elimination, intersection, colon ideals and saturation, which is one
+elimination of a tag t from a + (1 - t*f).
 
 Ideals in localizations must be rephrased in a polynomial ring first, e.g.
 by saturating at the would-be unit, or by adjoining w with z*w - 1 for an
@@ -55,7 +56,6 @@ from .poly import (
     poly_ring,
 )
 
-SATURATION_ROUNDS_CAP = 32
 # `divide` over Q strips the content of its running difference once the
 # common denominator has grown by this many bits since the last strip
 _STRIP_BITS = 64
@@ -754,22 +754,21 @@ def ideal_quotient(a: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturation(a: Ideal, f: Polynomial) -> tuple[Ideal, int]:
-    """(a : f^infinity) by iterating colon ideals until they stabilize.
-
-    Returns (saturated ideal, saturation index): the index is the first k
-    with (a : f^k) = (a : f^(k+1)).
-    """
+    """(a : f^infinity), with t eliminated from a + (1 - t*f) (Cox, Little and
+    O'Shea, ch. 4 sec. 4), and its index: the least k with f^k * g in a for
+    every generator g, i.e. the first k with (a : f^k) = (a : f^(k+1)).  A
+    nonconstant f raises the degree each round, so the degree cap bounds them."""
     if not f:
         raise ValueError("saturation by zero")
-    current = a
-    for k in range(SATURATION_ROUNDS_CAP):
-        nxt = ideal_quotient(current, f)
-        if ideal_equal(nxt, current):
-            return current, k
-        current = nxt
-    # (a : f^k) changed in each of the rounds k = 0..cap-1: the index is
-    # at least cap, which takes one round more
-    raise too_large("saturation", "rounds", SATURATION_ROUNDS_CAP, SATURATION_ROUNDS_CAP + 1)
+    if f.ring != a.ring:
+        raise ValueError("saturation by a polynomial from a different ring")
+    big, t = a.ring.adjoin("t")
+    gens = [g.lift(big) for g in a.gens] + [big.one() - t * f.lift(big)]
+    sat = elim_ideal(Ideal(big, gens), a.ring.names)
+    index, outside = 0, [g for g in sat.gens if not a.contains(g)]
+    while outside:
+        index, outside = index + 1, [h for h in (f * g for g in outside) if not a.contains(h)]
+    return sat, index
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +920,8 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
     lead(h) under any monomial order, so every other candidate has too
     high a degree or leaves lead(f) in the remainder of `divide`.  The groups
     keep their order, so the factor returned is the one the full search
-    finds first.  The cap still counts every candidate, tried or not:
-    raises when that count would exceed it.
+    finds first.  The cap counts every candidate, tried or not, before a
+    monomial is listed: raises when that count would exceed it.
     """
     ring = f.ring
     fld = ring.field
@@ -933,21 +932,20 @@ def brute_force_irreducible(f: Polynomial, max_deg: int) -> Optional[tuple[Polyn
     deg = f.total_degree()
     if deg > 2 * max_deg + 1:
         raise ValueError("degree bound too small to certify irreducibility")
-    fe, _ = f.leading()
-    monos = _monomials_up_to(ring, max_deg)
+    # the monomials of degree <= max_deg ascend in grevlex, so the constant
+    # one alone comes first, and the lead at each later position i has p^i
+    # monic candidates; count them before any monomial is listed
     total = 0
-    plans = []
-    for lead_pos, lead in enumerate(monos):
-        # monos is ascending grevlex, so a candidate's degree is its lead's
-        lead_deg = sum(lead)
-        if lead_deg == 0:
-            continue
+    for lead_pos in range(1, math.comb(ring.nvars + max_deg, ring.nvars)):
         total += fld.p ** lead_pos
         if total > IRREDUCIBLE_CANDIDATE_CAP:
             raise too_large("brute_force_irreducible", "candidates",
                              IRREDUCIBLE_CANDIDATE_CAP, total)
-        if lead_deg < deg and mono_divides(lead, fe):
-            plans.append((lead, monos[:lead_pos]))
+    fe, _ = f.leading()
+    monos = _monomials_up_to(ring, max_deg)
+    # a candidate's degree is its lead's
+    plans = [(lead, monos[:lead_pos]) for lead_pos, lead in enumerate(monos)
+             if 0 < sum(lead) < deg and mono_divides(lead, fe)]
     elements = list(range(fld.p))
     for lead, lower in plans:
         for coeffs in itertools.product(elements, repeat=len(lower)):

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -529,7 +530,7 @@ def test_a_colon_ideal_with_a_remainder_is_an_internal_error(monkeypatch):
     with pytest.raises(AssertionError, match="is not a multiple of u"):
         groebner.ideal_quotient(groebner.ideal(ring, u), u)
     with pytest.raises(AssertionError, match="is not a multiple of"):
-        run_claim("samuel.kernel")
+        run_claim("wchain.regular")
 
 
 def _raising(error):
@@ -679,3 +680,21 @@ def test_groebner_irreducible_refutes_a_reducible_instance():
     )
     assert rep.status == "refuted"
     assert len(rep.witness["factors"]) == 2
+
+
+def test_factor_search_counts_its_cap_before_it_lists_a_monomial():
+    # x, y, z have 1,373,701 monomials of degree <= 200, but over GF(5) the
+    # count passes the cap at the tenth lead, as it does at degree 4
+    small = run_claim("groebner.irreducible",
+                      {"vars": ["x", "y", "z"], "poly": "x^8 + y", "max_deg": 4})
+    tracemalloc.start()
+    try:
+        big = run_claim("groebner.irreducible",
+                        {"vars": ["x", "y", "z"], "poly": "x^400 + y", "max_deg": 200})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (big.status, big.bound, big.witness) == (small.status, small.bound, small.witness) == (
+        "unknown", "cap", "instance too large: brute_force_irreducible reached candidates "
+        "12207030, over the candidates cap of 10000000")
+    assert peak < 10_000_000

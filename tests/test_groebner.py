@@ -19,7 +19,6 @@ from ufdlab.errors import CapExceeded
 from ufdlab.groebner import (
     GREVLEX,
     LEX,
-    SATURATION_ROUNDS_CAP,
     Order,
     _interreduce,
     brute_force_irreducible,
@@ -1260,15 +1259,65 @@ def test_saturation_of_prime_is_identity():
     assert index == 0
 
 
-def test_saturation_round_cap_trips():
+def test_saturation_index_is_bounded_by_the_degree_cap_alone():
     r = QXY()
     x, y = r.gens()
-    _, index = saturation(ideal(r, x ** (SATURATION_ROUNDS_CAP - 1) * y), x)
-    assert index == SATURATION_ROUNDS_CAP - 1
-    with pytest.raises(CapExceeded, match=f"^instance too large: saturation reached rounds "
-                                          f"{SATURATION_ROUNDS_CAP + 1}, over the rounds cap "
-                                          f"of {SATURATION_ROUNDS_CAP}$"):
-        saturation(ideal(r, x**SATURATION_ROUNDS_CAP * y), x)
+    for k in (32, 63):
+        sat, index = saturation(ideal(r, x**k * y), x)
+        assert sat.groebner() == (y,)
+        assert index == k
+    with pytest.raises(CapExceeded, match="^instance too large: signature_basis reached degree "
+                                          "65, over the degree cap of 64$"):
+        saturation(ideal(r, x**64 * y), x)
+
+
+def test_saturation_rejects_a_polynomial_from_another_ring():
+    r = poly_ring(QQ, ("x", "y"))
+    swapped = poly_ring(QQ, ("y", "x"))
+    x, y = r.gens()
+    with pytest.raises(ValueError, match="different ring"):
+        saturation(ideal(r, x**2 * y), swapped.var("x"))
+
+
+def _iterated_colon_saturation(a, f):
+    """(a : f^infinity) as the definition reads: colon ideals by f until two
+    consecutive ones are equal, and the number of colons that changed it."""
+    current, index = a, 0
+    while not ideal_equal(nxt := ideal_quotient(current, f), current):
+        current, index = nxt, index + 1
+    return current, index
+
+
+def _saturation_instance(field, rng, r):
+    """A seeded ideal and a nonconstant f, one or two terms times a term;
+    each generator is a short polynomial times f^0..f^2, so many
+    saturations have index >= 1."""
+    def short(max_exp, count):
+        return Polynomial(r, {tuple(rng.randrange(0, m + 1) for m in max_exp): field.sample(rng)
+                              for _ in range(count)})
+
+    f = r.zero()
+    while not f or f.is_constant():
+        f = short((1, 1, 1), rng.randrange(1, 3)) * short((1, 0, 1), 1)
+    gens = [short((2, 1, 1), rng.randrange(1, 4)) * f ** rng.randrange(0, 3)
+            for _ in range(rng.randrange(1, 4))]
+    return ideal(r, *gens), f
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=str)
+def test_saturation_matches_iterated_colon_ideals(field):
+    r = poly_ring(field, ("x", "y", "z"))
+    rng = random.Random(54)
+    indices = []
+    for _ in range(60):
+        a, f = _saturation_instance(field, rng, r)
+        sat, index = saturation(a, f)
+        want, want_index = _iterated_colon_saturation(a, f)
+        assert sat.groebner() == want.groebner(), (a, f)
+        assert index == want_index, (a, f)
+        indices.append(index)
+    assert sum(k >= 1 for k in indices) >= len(indices) // 3
+    assert max(indices) >= 2
 
 
 def test_tag_variable_steps_past_names_the_ring_holds():
