@@ -343,7 +343,9 @@ def w_chain(
 ) -> tuple[list[Ideal], list[Ideal]]:
     """Compute the descending chain W_0=(1)=J_0, W_i = b*J_{i-1} + (s^i),
     J_i = (W_i : t), verifying the nesting W_{i+1} <= W_i, J_{i+1} <= J_i.
-    Returns the lists (W, J), indexed by i = 0..N."""
+    Returns the lists (W, J), indexed by i = 0..N.  The nesting holds for
+    every nonzero b, s and t, so a failure is a bug in the ideal operations
+    and raises AssertionError."""
     if not b or not s or not t:
         raise ValueError("b, s, t must be nonzero")
     if N > W_CHAIN_CAP:
@@ -355,10 +357,10 @@ def w_chain(
         j = ideal_quotient(w, t)
         for g in w.gens:
             if not W[-1].contains(g):
-                raise HypothesisError(f"nesting failure: {g} in W_{i} but not W_{i-1}")
+                raise AssertionError(f"nesting failure: {g} in W_{i} but not W_{i-1}")
         for g in j.gens:
             if not J[-1].contains(g):
-                raise HypothesisError(f"nesting failure: {g} in J_{i} but not J_{i-1}")
+                raise AssertionError(f"nesting failure: {g} in J_{i} but not J_{i-1}")
         W.append(w)
         J.append(j)
     return W, J
@@ -596,10 +598,9 @@ def jacobian_tangent_dim(B: PresentedRing, q: Polynomial) -> tuple[int, int]:
             raise HypothesisError("q must be irreducible")
     ring = B.ring
     names = ring.names  # x, z0, ..., z_{n+1}
-    # evaluate at the point: all z's to 0, then reduce mod q
+    # evaluate at the point: all z's to 0; `_residue_rank` reduces mod q
     at_point = RingMap(ring, xring, {name: xring.zero() for name in names if name != "x"})
-    matrix = [[divide(at_point.apply(derivative(f, n)), [q])[0] for n in names]
-              for f in B.relations]
+    matrix = [[at_point.apply(derivative(f, n)) for n in names] for f in B.relations]
     rank = _residue_rank(matrix, q)
     return rank, (n + 3) - rank
 
@@ -669,9 +670,10 @@ def trinomial_ring(
 
     Validates the three data clauses — (D.1) shapes, (D.2) the block gcds
     d_i pairwise relatively prime, (D.3) the lambda_i distinct nonzero —
-    and then verifies the induction-step gradings: for each m = 2..r the
+    and then builds the induction-step gradings: for each m = 2..r the
     Bezout weights make every T_i^bi (i < m) homogeneous of one common
-    degree d_0*...*d_{m-1}, which is relatively prime to gcd(beta[m]).
+    degree d_0*...*d_{m-1}, which (D.2) makes relatively prime to d_m.  A
+    monomial of another degree is a bug and raises AssertionError.
     """
     blocks = trinomial_blocks(beta)
     lam = trinomial_constants(field, blocks, lambdas)
@@ -708,14 +710,10 @@ def trinomial_ring(
                 weights[name] = cij * others
         for i in range(m):
             deg = degree_of(block_monomial(i), weights)
-            if deg != target:
-                raise HypothesisError(
+            if deg != target:  # Bezout: sum(c_ij * beta_ij) = d_i
+                raise AssertionError(
                     f"step m={m}: block {i} monomial has degree {deg}, expected {target}"
                 )
-        if math.gcd(target, *blocks[m]) != 1:
-            raise HypothesisError(
-                f"step m={m}: gcd(beta_{m}, d_0*...*d_{m-1}) != 1"
-            )
         step_gradings.append(
             {"m": m, "degree": target, "weights": {k: w for k, w in weights.items() if w}}
         )

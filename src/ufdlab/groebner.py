@@ -15,11 +15,12 @@ the benchmark calls.  Every claim reads its bases from an `Ideal`; the
 tests check the engine against an independent Buchberger implementation
 (`tests/oracles.py`) and against sympy.
 
-Every reduction runs one loop, `_reduce`: `divide` hands it the sorted
-leads of its divisors and keeps the quotients, and the s-reduction of
-`signature_basis` hands it the basis of the earlier generators and the
-signature rule and keeps only the remainder.  Over Q both reduce
-fraction-free from their second step on, over one common denominator.
+Every reduction runs one loop, `_reduce`, on monic reducers: `divide`
+hands it its divisors made monic and sorted by leading term, each with a
+dict for its quotient, and the s-reduction of `signature_basis` hands it
+the basis of the earlier generators and the signature rule and keeps only
+the remainder.  Over Q both reduce fraction-free from their second step
+on, over one common denominator.
 
 `brute_force_member` is an independent membership decision: it never calls
 the Groebner engine, only linear algebra over a truncated monomial
@@ -172,28 +173,25 @@ def divide(
     Each divisor's order key, leading exponent and leading coefficient come
     from its `_lead` entry when that was recorded under this order's key
     function, and from `Polynomial.leading` (which records them) otherwise,
-    so a divisor used again under the same order costs no `keyfn` call.  The
-    divisors are sorted by (order key of the leading term, index): the first
-    one in that list whose leading term divides is the one with the
-    smallest leading term, the lowest index on a tie.  A leading coefficient
-    other than one is inverted once per call.  Every basis that `Ideal`
-    divides by is monic, and a monic divisor needs no field operation for
-    the quotient coefficient.  The division itself is
-    `_reduce`, the loop of `signature_basis`'s s-reduction too; `divide`
-    hands it these sorted leads and one dict per divisor, into which it
-    writes each quotient term.
+    so a divisor used again under the same order costs no `keyfn` call.  A
+    monic divisor is used as it is, as every basis that `Ideal` divides by
+    is; any other divisor g, with leading coefficient c, is replaced by the
+    copy g/c made for this call, and its quotient is scaled by 1/c once at
+    the end.  The rows (order key, leading exponent, monic divisor, quotient
+    dict) are sorted on the key, stably, so a term is reduced by the
+    divisor with the smallest leading term that divides it, the lowest
+    index on a tie: a small rule (a lone variable, say) kills the term
+    outright, where one that solves for a big monomial can balloon the
+    work.  The division itself is `_reduce`, the loop of `signature_basis`'s
+    s-reduction too, which writes each quotient term into its row's dict
+    (Cox, Little and O'Shea, ch. 2 sec. 3).
     """
     ring = p.ring
     keyfn = order.key_for(ring)
     fld = ring.field
     one = fld.one()
-    # Among usable divisors prefer the smallest leading term: a rule that
-    # solves for a big monomial (Z -> long tail) forward-substitutes and can
-    # balloon the intermediate work, while a small rule (a lone variable,
-    # say) kills the term outright.  The remainder itself is
-    # path-independent, this only picks a cheap route to it.
-    leads = []
-    for i, g in enumerate(divisors):
+    rows = []
+    for g in divisors:
         if g.ring is not ring and g.ring != ring:
             raise ValueError("divisor from a different ring")
         lead = g._lead
@@ -202,31 +200,36 @@ def divide(
                 raise ValueError("zero divisor in reduction")
             g.leading(keyfn)
             lead = g._lead
-        _, key, de, dc = lead
-        leads.append((key, i, de, None if dc == one else fld.inv(dc), g))
-    leads.sort(key=operator.itemgetter(0, 1))
-    quotients: list[dict[Exp, object]] = [{} for _ in divisors]
-    rem = _reduce(p, leads, quotients, (), None, keyfn, order.descending_key_for(ring),
-                  current_caps(), "divide")
-    return rem, [_adopt(ring, q) for q in quotients]
+        if lead[3] != one:
+            g = g.monic(keyfn)
+            lead = g._lead
+        rows.append((lead[1], lead[2], g, {}))
+    rem = _reduce(p, sorted(rows, key=operator.itemgetter(0)), (), None, keyfn,
+                  order.descending_key_for(ring), current_caps(), "divide")
+    quotients = []
+    for g, (_, _, h, q) in zip(divisors, rows):
+        if h is not g:  # q*(g/c) = (q/c)*g
+            scale = fld.inv(g.leading(keyfn)[1])
+            q = {e: fld.mul(c, scale) for e, c in q.items()}
+        quotients.append(_adopt(ring, q))
+    return rem, quotients
 
 
-def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
+def _reduce(p: Polynomial, leads, reducers, sig_key, keyfn, heap_key,
             caps: Caps, where: str) -> Polynomial:
     """The remainder of p after reducing every term it can, largest first,
     recorded with its leading term under keyfn: the loop of `divide` and of
     the s-reduction of `signature_basis`, which differ only in the reducer
     they pick and in whether they keep quotients.
 
-    A term is reduced by the first row (order key, index, leading exponent,
-    inverse of the leading coefficient or None for one, polynomial) of
-    `leads` whose leading exponent divides it.  Only when none does are the
-    rows (leading exponent, signature, monic polynomial) of `reducers` read:
-    the first whose leading term divides the term as m*lead(h), with the
-    order key of m*sig(h) below sig_key, reduces it (regular s-reduction).
-    `divide` passes no such rows, so it pays nothing for the signature
-    test.  With `quotients`, a list of one dict per row index, each step
-    records its quotient term there; the s-reduction passes None.  A cap
+    Every reducer is monic.  A term is reduced by the first row (order key,
+    leading exponent, polynomial, quotient dict or None) of `leads` whose
+    leading exponent divides it, and a row with a dict records each
+    quotient term there.  Only when none does are the rows (leading
+    exponent, signature, polynomial) of `reducers` read: the first whose
+    leading term divides the term as m*lead(h), with the order key of
+    m*sig(h) below sig_key, reduces it (regular s-reduction).  `divide`
+    passes no such rows, so it pays nothing for the signature test.  A cap
     hit names `where`.
 
     The leading term of the running difference `work` comes from a min-heap
@@ -256,25 +259,24 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
     there is none, a term that cancels is deleted, and an exponent is
     queued only when it is new to `work` and was never queued before.
 
-    Over Q the first step works in the field too, and from the second step
-    on `work` stands for W/D, with W a polynomial of int coefficients and
-    D > 0 an int: fraction-free reduction, as in pseudo-division (Knuth,
-    TAOCP vol. 2, 4.6.1, Algorithm R).  The second step sets D to the lcm
-    of the denominators of `work` and W to D*work, so a reduction of no
-    step or one converts nothing.  Each reducer g keeps in its `_integral`
-    slot the lcm k of its denominators and the int coefficients of k*g.
-    With LG the lead of k*g, a step on the term wc*x^we of W takes
-    h = gcd(wc, LG) and s = |LG|/h; when s is not 1 it scales W and D by s,
-    W in place, and it subtracts (wc/h)*x^qe*k*g from W, the sign of LG
-    folded into the multiplier, so W stays integral.  The quotient term is
-    the exact fraction wc/(D*lc(g)), D taken before the scaling, and it is
-    built only for `quotients`.  The content of W is stripped, W and D
-    divided by gcd(D, content of W), only when D has grown by `_STRIP_BITS`
-    bits since the conversion or the last strip.  At the end each remainder
-    term is W's coefficient over D, brought to lowest terms once, so
-    remainders and quotients equal those of field arithmetic.  W and k*g
-    never leave here: the caller gets only field elements in canonical
-    form.
+    In the field a step on the term wc*x^we subtracts wc*x^qe*g, and wc is
+    the quotient term.  Over Q the first step works in the field too, and
+    from the second step on `work` stands for W/D, with W a polynomial of
+    int coefficients and D > 0 an int: fraction-free reduction, as in
+    pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  The second
+    step sets D to the lcm of the denominators of `work` and W to D*work,
+    so a reduction of no step or one converts nothing.  Each reducer g
+    keeps in its `_integral` slot the lcm k of its denominators and the int
+    coefficients of k*g, whose lead is k > 0.  A step on the term wc*x^we
+    of W takes h = gcd(wc, k) and s = k/h; when s is not 1 it scales W and
+    D by s, W in place, and it subtracts (wc/h)*x^qe*k*g from W, so W stays
+    integral.  The quotient term is wc/D, D taken before the scaling.  The
+    content of W is stripped, W and D divided by gcd(D, content of W), only
+    when D has grown by `_STRIP_BITS` bits since the conversion or the last
+    strip.  At the end each remainder term is W's coefficient over D,
+    brought to lowest terms once, so remainders and quotients equal those
+    of field arithmetic.  W and k*g never leave here: the caller gets only
+    field elements in canonical form.
     """
     ring = p.ring
     fld = ring.field
@@ -298,7 +300,7 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
             raise too_large(where, "terms", caps.terms, size)
         if sum(we) > caps.degree:
             raise too_large(where, "degree", caps.degree, sum(we))
-        for _, i, de, dinv, g in leads:
+        for _, de, g, quotient in leads:
             if all(map(le, de, we)):
                 break
         else:
@@ -308,7 +310,7 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
             for de, se, g in reducers:
                 if all(map(le, de, we)) and keyfn(
                         tuple(map(add, mono_div(we, de), se))) < sig_key:
-                    dinv = None  # every reducer is monic
+                    quotient = None
                     break
             else:
                 remainder[we] = wc
@@ -319,8 +321,10 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
             shifts = g._shifts = {}
         exps = shifts.get(qe)
         if work is p or not over_q:  # a step in the field
-            qc = m = wc if dinv is None else mul(wc, dinv)
+            m = wc
             coeffs = g.terms.values()
+            if quotient is not None:
+                quotient[qe] = wc  # popped exponents strictly decrease: qe is new
         else:
             if den is None:
                 den, ints = _cleared(terms.values())
@@ -332,21 +336,15 @@ def _reduce(p: Polynomial, leads, quotients, reducers, sig_key, keyfn, heap_key,
             if g._integral is None:
                 g._integral = _cleared(g.terms.values())
             kappa, coeffs = g._integral
-            dc = g.terms[de]
-            lg = kappa // dc.denominator * dc.numerator  # the lead of kappa*g
-            # W/den - wc/(den*dc)*x^qe*g = (s*W - m*x^qe*kappa*g)/(s*den)
-            h = gcd(wc, lg)
-            s, m = lg // h, wc // h
-            if s < 0:
-                s, m = -s, -m
+            if quotient is not None:
+                quotient[qe] = _lowest_terms(wc, den)
+            # W/den - wc/den*x^qe*g = (s*W - m*x^qe*kappa*g)/(s*den)
+            h = gcd(wc, kappa)
+            s, m = kappa // h, wc // h
             if s != 1:
                 for e, c in terms.items():
                     terms[e] = c * s
                 den *= s
-            if quotients is not None:
-                qc = _lowest_terms(m * kappa, den)
-        if quotients is not None:
-            quotients[i][qe] = qc  # popped exponents strictly decrease: qe is new
         if work is p:  # the first step: p - step copies p as it subtracts
             if exps is None:  # one pass builds the step and its shift record
                 step = {tuple(map(add, qe, e)): mul(m, c) for e, c in g.terms.items()}
@@ -531,14 +529,14 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
     pushed = itertools.count()  # equal signatures pop in the order pushed
     one = (0,) * ring.nvars
     # rows of `_reduce`'s first table, ascending: (order key of the leading
-    # term, None, leading term, None, element); monic, so no inverse
-    prior: list[tuple[object, None, Exp, None, Polynomial]] = []
+    # term, leading term, monic element, no quotient dict)
+    prior: list[tuple[object, Exp, Polynomial, None]] = []
 
     def joining_order(g: Polynomial):
         return g.total_degree(), keyfn(g.leading(keyfn)[0])
 
     for f in sorted((g for g in gens if g), key=joining_order):
-        prior_leads = [e for _, _, e, _, _ in prior]
+        prior_leads = [e for _, e, _, _ in prior]
         # every element of position i in the order it joined: leading term,
         # signature, polynomial; the reducers leave out the singular ones
         current: list[tuple[Exp, Exp, Polynomial]] = []
@@ -561,8 +559,7 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
                 ce, _, c = current[carrier]
                 p = _s_poly(c, ce, g, g.leading(keyfn)[0])
             if p and (prior or reducers):
-                p = _reduce(p, prior, None, reducers, keyfn(sig), keyfn, heap_key, caps,
-                            "s_reduce")
+                p = _reduce(p, prior, reducers, keyfn(sig), keyfn, heap_key, caps, "s_reduce")
             if not p:
                 syzygies.append(sig)
                 continue
@@ -573,7 +570,7 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
                 _check_size(p, caps, "signature_basis")
             p = p.monic(keyfn)
             new = len(current)
-            for _, _, be, _, b in prior:
+            for _, be, b, _ in prior:
                 if not any(map(min, pe, be)):
                     continue  # coprime leads: be divides the signature (F5)
                 pair_sig = tuple(map(add, map(sub, map(max, pe, be), pe), sig))
@@ -593,11 +590,11 @@ def signature_basis(gens: Sequence[Polynomial], order: Order = GREVLEX) -> list[
             if not singular:
                 reducers.append((pe, sig, p))
         new_leads = [e for e, _, _ in reducers]
-        prior = [b for b in prior if not _divisible(b[2], new_leads)]
-        prior += [(g._lead[1], None, e, None, g) for i, (e, _, g) in enumerate(reducers)
+        prior = [b for b in prior if not _divisible(b[1], new_leads)]
+        prior += [(g._lead[1], e, g, None) for i, (e, _, g) in enumerate(reducers)
                   if not _divisible(e, new_leads[:i] + new_leads[i + 1:])]
         prior.sort(key=operator.itemgetter(0))
-    return [g for *_, g in reversed(prior)]
+    return [g for _, _, g, _ in reversed(prior)]
 
 
 def _divisible(e: Exp, by: Iterable[Exp]) -> bool:

@@ -148,7 +148,10 @@ class Polynomial:
     same loop keeps on a reducer over Q: k > 0 is the lcm of the
     denominators of its coefficients, and coeffs are the ints k*c of its
     terms c, in the order of `terms`.  It depends on `terms` alone, so it
-    too holds for every later reduction.
+    too holds for every later reduction.  The loop reduces by monic
+    polynomials only: `groebner.divide` copies a divisor whose leading
+    coefficient is not one monic for each call, so only a monic divisor
+    keeps these records from one division to the next.
     """
 
     __slots__ = ("ring", "terms", "_lead", "_shifts", "_integral")

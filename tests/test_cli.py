@@ -10,8 +10,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from ufdlab import constructions
 from ufdlab.claims import REGISTRY, default_params, report_schema
 from ufdlab.cli import main
+from ufdlab.groebner import Ideal
 
 PHAM_FIXTURE = str(
     resources.files("ufdlab").joinpath("fixtures").joinpath("ring.pham235.json")
@@ -170,6 +172,24 @@ def test_an_internal_error_exits_4_with_its_traceback(argv, error, monkeypatch, 
         assert len(before) == 12
         for cid in before:
             assert f"verified   {cid}\n" in captured.err
+
+
+def test_a_chain_that_does_not_nest_is_an_internal_error(monkeypatch, capsys):
+    # W_i <= W_(i-1) and J_i <= J_(i-1) hold for every nonzero b, s, t, so a
+    # colon ideal that breaks the nesting is a bug in the engine, not a
+    # caller mistake: J_1 = W_1 and then J_2 = (1) must exit 4, not 3
+    answers = []
+
+    def wrong_quotient(w, t):
+        answers.append(w if not answers else Ideal(w.ring, (w.ring.one(),)))
+        return answers[-1]
+
+    monkeypatch.setattr(constructions, "ideal_quotient", wrong_quotient)
+    assert main(["claim", "run", "wchain.regular"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback (most recent call last):" in captured.err
+    assert "AssertionError: nesting failure: 1 in J_2 but not J_1" in captured.err
 
 
 @pytest.mark.parametrize("cid, params, named", [

@@ -435,14 +435,18 @@ def _seeded_queries(field, rng, r, gens):
 def test_divide_by_divisors_that_carry_shifts_matches_fresh_copies(field, order):
     # the same divisors again and again, directly and through an Ideal's
     # cached basis: what divide reads back from the record must give what
-    # copies that record nothing give, and what the naive reference gives
+    # copies that record nothing give, and what the naive reference gives.
+    # divide makes a monic copy of a divisor that is not monic for each call,
+    # so only monic divisors keep their records from one call to the next
     rng = random.Random(79)
     r = poly_ring(field, ("x", "y", "z"))
+    keyfn = order.key_for(r)
     steps = entries = 0
     for _ in range(6):
         gens = _seeded_ideal_gens(field, rng, r)
         if not gens:
             continue
+        monic = [g.monic(keyfn) for g in gens]
         i = ideal(r, *gens)
         queries = _seeded_queries(field, rng, r, gens)
         for _ in range(2):  # the second round reads what the first recorded
@@ -450,12 +454,14 @@ def test_divide_by_divisors_that_carry_shifts_matches_fresh_copies(field, order)
                 rem, quotients = divide(p, gens, order)
                 assert (rem, quotients) == divide(p, _fresh(gens), order)
                 assert (rem, quotients) == _naive_divide(p, _fresh(gens), order)
+                rem, quotients = divide(p, monic, order)
+                assert (rem, quotients) == _naive_divide(p, _fresh(monic), order)
                 steps += sum(len(q.terms) for q in quotients)
                 nf = i.normal_form(p, order)
                 basis = _fresh(i._basis(order))
                 assert nf == divide(p, basis, order)[0] == _naive_divide(p, basis, order)[0]
                 assert i.contains(p, order) == (not nf)
-        entries += sum(_checked_shifts(g) for g in gens)
+        entries += sum(_checked_shifts(g) for g in monic)
         for g in i._basis(order):
             _checked_shifts(g)
     assert entries and steps >= 2 * entries  # the record was read as often as made
@@ -573,18 +579,22 @@ def test_divide_over_q_equals_the_naive_reference_exactly(order, shape, strip_bi
     monkeypatch.setattr(groebner, "_stripped", counting)
     rng = random.Random(97)
     r = poly_ring(QQ, ("x", "y", "z"))
+    keyfn = order.key_for(r)
     steps, carried = [], 0
     for _ in range(12):
         divisors = _q_divisors(rng, r, order, shape)
+        # only a monic divisor keeps its records from one call to the next
+        monic = [g.monic(keyfn) for g in divisors]
         for p in _q_queries(rng, r, divisors):
-            want = _naive_divide(p, _fresh(divisors), order)
-            for _ in range(2):  # the second pass reads the recorded pairs
-                rem, quotients = _divide_leaving_inputs(p, divisors, order)
-                assert (rem, quotients) == want
-                for poly in (rem, *quotients):
-                    _assert_canonical(poly)
+            for divs in (divisors, monic):
+                want = _naive_divide(p, _fresh(divs), order)
+                for _ in range(2):  # the second pass reads the recorded pairs
+                    rem, quotients = _divide_leaving_inputs(p, divs, order)
+                    assert (rem, quotients) == want
+                    for poly in (rem, *quotients):
+                        _assert_canonical(poly)
             steps.append(sum(len(q.terms) for q in quotients))
-        for g in divisors:
+        for g in monic:
             _checked_shifts(g)
             carried += _checked_integral(g)
     assert {0, 1, 2} <= set(steps) and max(steps) >= 8 and carried

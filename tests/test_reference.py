@@ -2,7 +2,8 @@
 
 `perfbench/reference.json` holds a digest of every shipped claim report, of
 the two depth-3 expansions and of the reduced bases of the fixed benchmark
-ideals, captured by `perfbench/capture_reference.py`.
+ideals and of every usable ideal of the random pool, captured by
+`perfbench/capture_reference.py`.
 A digest is the first 16 hex digits of the sha256 of the text; a report's
 text is its JSON with `elapsed_ms` dropped and the keys sorted, as
 `perfbench/workloads.report_digest` computes it; a basis's text is its
@@ -60,8 +61,8 @@ def instances(monkeypatch):
 
 @pytest.mark.parametrize(
     "family, n, field_name",
-    [("cyclic", 4, "GF(32003)"), ("katsura", 4, "GF(32003)"), ("katsura", 3, "Q"),
-     ("katsura", 4, "Q")],
+    [("cyclic", 4, "GF(32003)"), ("cyclic", 5, "GF(32003)"), ("katsura", 4, "GF(32003)"),
+     ("katsura", 3, "Q"), ("katsura", 4, "Q")],
 )
 def test_fixed_reduced_basis_matches_reference_digest(instances, family, n, field_name):
     # reduced bases are canonical, so any change to division or to the pair
@@ -71,3 +72,16 @@ def test_fixed_reduced_basis_matches_reference_digest(instances, family, n, fiel
     basis = buchberger([ring.parse(t) for t in texts])
     text = "\n".join(str(g) for g in basis)
     assert _digest(text) == REFERENCE["fixed"][f"{family}-{n}/{field_name}"]
+
+
+def test_every_usable_pool_basis_matches_reference_digest(instances):
+    # the random pool exercises the kernel far more widely than the fixed
+    # ideals; an instance the reference left out (None) was over a cap or
+    # too slow to admit
+    usable = [(k, d) for k, d in enumerate(REFERENCE["pool"]) if d is not None]
+    assert len(usable) > 900
+    for k, want in usable:
+        field_name, names, texts = instances.pool_ideal(k)
+        ring = poly_ring(field_from_name(field_name), names)
+        basis = buchberger([ring.parse(t) for t in texts])
+        assert _digest("\n".join(str(g) for g in basis)) == want, k
